@@ -1,6 +1,6 @@
-"""Emulator throughput: step vs. block vs. trace engines.
+"""Emulator throughput: block engine vs. step engine.
 
-Measures instructions/sec for all three execution engines on the two
+Measures instructions/sec for both execution engines on the two
 workload shapes the paper's evaluation leans on:
 
 * **chain** — repeated verification-function calls on a protected
@@ -11,10 +11,9 @@ Every measurement doubles as a differential check: steps, cycles and
 observable outputs must match across engines exactly, and any
 mismatch is recorded (and fails the run).
 
-Methodology: every engine gets the same warmup (enough calls for the
-trace engine to promote, record and compile its hot paths — see
-``CHAIN_WARMUP``), then the timed batches are *interleaved* across
-engines and the best of ``CHAIN_ROUNDS`` batches is kept per engine.
+Methodology: every engine gets the same warmup (``CHAIN_WARMUP``
+calls), then the timed batches are *interleaved* across engines and
+the best of ``CHAIN_ROUNDS`` batches is kept per engine.
 Interleaving keeps a transient machine-load spike from landing
 entirely on one engine's number.
 
@@ -22,7 +21,7 @@ Emits ``BENCH_emulator.json`` next to this file (override with
 ``--output`` or ``REPRO_BENCH_EMULATOR``).  Runs standalone::
 
     PYTHONPATH=src python benchmarks/bench_emulator_throughput.py \
-        --programs gzip nginx bzip2 --min-trace-speedup 1.5
+        --programs gzip nginx bzip2 --min-speedup 2.0
 
 or under pytest-benchmark with the rest of the suite.
 """
@@ -45,14 +44,12 @@ DEFAULT_OUTPUT = os.environ.get(
     os.path.join(os.path.dirname(__file__), "BENCH_emulator.json"),
 )
 
-ENGINES = ("step", "block", "trace")
+ENGINES = ("step", "block")
 
-#: Warmup verification calls per engine before any timing.  The trace
-#: engine needs ``TRACE_HOT_THRESHOLD`` executions to promote a head,
-#: one recording pass per trace, and the deferred-compile confirmation
-#: dispatches; 32 calls reach steady state on every corpus chain.
-#: Step and block get the identical warmup so no engine amortizes
-#: compile work into another's timed region.
+#: Warmup verification calls per engine before any timing: the block
+#: cache is warm after the first call, and every call's signature feeds
+#: the differential check.  Step and block get the identical warmup so
+#: no engine amortizes compile work into another's timed region.
 CHAIN_WARMUP = 32
 
 #: Verification calls per timed batch (steady-state: all caches warm).
@@ -133,7 +130,7 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
         for kind, measure in (("chain", measure_chain),
                               ("program", measure_program)):
             ips, sigs = measure(name)
-            identical = sigs["step"] == sigs["block"] == sigs["trace"]
+            identical = sigs["step"] == sigs["block"]
             if not identical:
                 mismatches.append({
                     "program": name, "workload": kind,
@@ -142,9 +139,7 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
             row[kind] = {
                 "step_ips": round(ips["step"]),
                 "block_ips": round(ips["block"]),
-                "trace_ips": round(ips["trace"]),
                 "speedup": round(ips["block"] / ips["step"], 2),
-                "trace_speedup": round(ips["trace"] / ips["block"], 2),
                 "identical": identical,
             }
         rows[name] = row
@@ -157,8 +152,6 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
         "programs": rows,
         "chain_speedup_geomean": geomean("chain", "speedup"),
         "program_speedup_geomean": geomean("program", "speedup"),
-        "chain_trace_speedup_geomean": geomean("chain", "trace_speedup"),
-        "program_trace_speedup_geomean": geomean("program", "trace_speedup"),
         "mismatches": mismatches,
         "chain_repeats": CHAIN_REPEATS,
         "chain_warmup": CHAIN_WARMUP,
@@ -175,28 +168,20 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
                     row[kind][f"{engine}_ips"]
     history["chain_speedup_geomean"] = payload["chain_speedup_geomean"]
     history["program_speedup_geomean"] = payload["program_speedup_geomean"]
-    history["chain_trace_speedup_geomean"] = \
-        payload["chain_trace_speedup_geomean"]
-    history["program_trace_speedup_geomean"] = \
-        payload["program_trace_speedup_geomean"]
     _shared.record_history("emulator", history)
     return payload
 
 
 def _print_report(payload):
     print(f"{'program':<8} {'workload':<8} {'step':>11} {'block':>12}"
-          f" {'trace':>12} {'blk/step':>9} {'trc/blk':>8}")
+          f" {'blk/step':>9}")
     for name, row in payload["programs"].items():
         for kind in ("chain", "program"):
             r = row[kind]
             print(f"{name:<8} {kind:<8} {r['step_ips']:>11,}"
-                  f" {r['block_ips']:>12,} {r['trace_ips']:>12,}"
-                  f" {r['speedup']:>8.1f}x {r['trace_speedup']:>7.2f}x")
+                  f" {r['block_ips']:>12,} {r['speedup']:>8.1f}x")
     print(f"\ngeomean block/step: chain {payload['chain_speedup_geomean']}x, "
-          f"program {payload['program_speedup_geomean']}x")
-    print(f"geomean trace/block: chain "
-          f"{payload['chain_trace_speedup_geomean']}x, "
-          f"program {payload['program_trace_speedup_geomean']}x; "
+          f"program {payload['program_speedup_geomean']}x; "
           f"{len(payload['mismatches'])} differential mismatch(es)")
 
 
@@ -211,9 +196,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail unless the chain-workload block/step "
                         "geomean speedup reaches this factor")
-    parser.add_argument("--min-trace-speedup", type=float, default=0.0,
-                        help="fail unless the chain-workload trace/block "
-                        "geomean speedup reaches this factor")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="where to write BENCH_emulator.json")
     args = parser.parse_args(argv)
@@ -227,11 +209,6 @@ def main(argv=None) -> int:
         print(f"ERROR: chain block/step speedup "
               f"{payload['chain_speedup_geomean']}x "
               f"below required {args.min_speedup}x")
-        return 1
-    if payload["chain_trace_speedup_geomean"] < args.min_trace_speedup:
-        print(f"ERROR: chain trace/block speedup "
-              f"{payload['chain_trace_speedup_geomean']}x "
-              f"below required {args.min_trace_speedup}x")
         return 1
     return 0
 
@@ -248,7 +225,6 @@ def test_emulator_throughput(benchmark):
     assert not payload["mismatches"]
     assert payload["chain_speedup_geomean"] >= 2.0
     assert payload["program_speedup_geomean"] >= 2.0
-    assert payload["chain_trace_speedup_geomean"] >= 1.2
 
 
 if __name__ == "__main__":

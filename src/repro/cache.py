@@ -20,8 +20,7 @@ entirely:
   processes — this is what makes warm ``protect-all`` reruns and
   parallel workers cheap.  Disk entries live in **per-shard
   directories** (``<ns>/shard-<nn>/``) so concurrent writers spread
-  their directory operations; entries from the pre-shard flat layout
-  (``<ns>/<key[:2]>/``) are migrated lazily on first read;
+  their directory operations;
 * caching is **opt-in per process**: the default manager is disabled
   unless ``REPRO_CACHE_DIR`` is set, so plain library/CLI use is
   untouched; ``configure_cache()`` / ``cache_session()`` (and the
@@ -267,12 +266,6 @@ class DiskTier:
     ends up with exactly one valid entry — the last rename wins, and a
     reader sees either a complete old blob or a complete new one,
     never a torn mix.  Reads treat any malformed entry as a miss.
-
-    Entries written by the pre-shard flat layout
-    (``<root>/<namespace>/<key[:2]>/<key>.pkl``) are found on read and
-    migrated into their shard directory in place
-    (``migrations`` counts them); :meth:`migrate_namespace` sweeps a
-    whole namespace eagerly.
     """
 
     def __init__(self, root: str, shards: int = DEFAULT_SHARDS):
@@ -280,8 +273,6 @@ class DiskTier:
             raise ValueError("shards must be >= 1")
         self.root = root
         self.shards = shards
-        #: Entries moved from the legacy flat layout, process-lifetime.
-        self.migrations = 0
         os.makedirs(root, exist_ok=True)
         # Per-shard locks serialize only the mkdir memoization — the
         # data plane relies on atomic renames, not locking.
@@ -295,9 +286,6 @@ class DiskTier:
             self.root, namespace, f"shard-{shard:02x}", key + ".pkl"
         )
 
-    def _legacy_path(self, namespace: str, key: str) -> str:
-        return os.path.join(self.root, namespace, key[:2], key + ".pkl")
-
     def _ensure_dir(self, directory: str, key: str) -> None:
         with self._ready_lock:
             ready = directory in self._ready_dirs
@@ -308,31 +296,12 @@ class DiskTier:
         with self._ready_lock:
             self._ready_dirs.add(directory)
 
-    def _migrate_entry(self, namespace: str, key: str, blob: bytes) -> None:
-        """Adopt a legacy flat-layout entry into its shard directory."""
-        self.put_blob(namespace, key, blob)
-        try:
-            os.unlink(self._legacy_path(namespace, key))
-        except OSError:
-            pass
-        self.migrations += 1
-
     def get_blob(self, namespace: str, key: str) -> Optional[bytes]:
         try:
             with open(self._path(namespace, key), "rb") as fh:
                 return fh.read()
         except OSError:
-            pass
-        # Pre-shard layout fallback: migrate the entry where it lies so
-        # pointing a sharded store at an old cache dir keeps every warm
-        # entry and converges on the sharded layout as keys are read.
-        try:
-            with open(self._legacy_path(namespace, key), "rb") as fh:
-                blob = fh.read()
-        except OSError:
             return None
-        self._migrate_entry(namespace, key, blob)
-        return blob
 
     def put_blob(self, namespace: str, key: str, blob: bytes) -> None:
         path = self._path(namespace, key)
@@ -354,44 +323,6 @@ class DiskTier:
             # Cache writes are best-effort: a full or read-only disk
             # must never fail the protection run itself.
             pass
-
-    def migrate_namespace(self, namespace: str) -> int:
-        """Eagerly move every legacy flat-layout entry into its shard.
-
-        Returns the number of entries migrated.  Safe to run while
-        other processes read/write the namespace: moves are atomic
-        renames and an entry is readable from one layout or the other
-        at every instant.
-        """
-        base = os.path.join(self.root, namespace)
-        moved = 0
-        try:
-            subdirs = sorted(os.listdir(base))
-        except OSError:
-            return 0
-        for sub in subdirs:
-            if sub.startswith("shard-"):
-                continue
-            legacy_dir = os.path.join(base, sub)
-            if not os.path.isdir(legacy_dir):
-                continue
-            for name in sorted(os.listdir(legacy_dir)):
-                if not name.endswith(".pkl"):
-                    continue
-                key = name[: -len(".pkl")]
-                target = self._path(namespace, key)
-                self._ensure_dir(os.path.dirname(target), key)
-                try:
-                    os.replace(os.path.join(legacy_dir, name), target)
-                except OSError:
-                    continue
-                self.migrations += 1
-                moved += 1
-            try:
-                os.rmdir(legacy_dir)
-            except OSError:
-                pass
-        return moved
 
     def entry_count(self, namespace: Optional[str] = None) -> int:
         count = 0
@@ -452,10 +383,7 @@ class ContentCache:
                 return True, pickle.loads(entry)
             return True, entry
         if self.disk is not None and self.use_disk:
-            migrations = self.disk.migrations
             blob = self.disk.get_blob(self.namespace, key)
-            if self.disk.migrations != migrations:
-                self._count("disk_migrated", self.disk.migrations - migrations)
             if blob is not None:
                 try:
                     value = pickle.loads(blob)

@@ -473,12 +473,6 @@ def _cmd_serve(args) -> int:
             f"batch_max={config.batch_max}, queue_depth={config.queue_depth})",
             flush=True,
         )
-        if server.migrated_entries:
-            print(
-                f"repro serve: migrated {server.migrated_entries} cache "
-                "entries to the sharded layout",
-                flush=True,
-            )
 
     return serve(config, announce=announce)
 

@@ -10,7 +10,6 @@ from .emulator import (
     ENGINE_BLOCK,
     ENGINE_DESCRIPTIONS,
     ENGINE_STEP,
-    ENGINE_TRACE,
     ENGINES,
     Emulator,
     EmulatorConfig,
@@ -30,7 +29,6 @@ from .errors import (
 from .hotspots import HotspotProfiler
 from .memory import PAGE_SIZE, Memory
 from .profiler import FunctionProfile, Profiler, profile_run
-from .traces import CompiledTrace, TraceEngine
 from .syscalls import (
     ExitProgram,
     OperatingSystem,
@@ -46,8 +44,8 @@ __all__ = [
     "CPUState", "Emulator", "EmulatorConfig", "RunResult", "TamperWatch",
     "run_image",
     "CALL_SENTINEL", "CYCLE_COSTS", "Memory", "PAGE_SIZE",
-    "BlockEngine", "CompiledTrace", "TraceEngine", "DISPATCH",
-    "ENGINES", "ENGINE_BLOCK", "ENGINE_TRACE", "ENGINE_STEP",
+    "BlockEngine", "DISPATCH",
+    "ENGINES", "ENGINE_BLOCK", "ENGINE_STEP",
     "ENGINE_DESCRIPTIONS", "DEFAULT_ENGINE",
     "BadFetch", "BadMemoryAccess", "DivideError", "EmulationError",
     "Halted", "StepLimitExceeded", "UnsupportedSyscall",

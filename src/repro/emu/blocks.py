@@ -372,15 +372,10 @@ class BlockEngine:
     # Compilation
     # ------------------------------------------------------------------
 
-    def _decode_block(self, start: int):
-        """Decode the superblock at ``start``; returns ``(insns, end)``.
-
-        This is the block-shape policy shared with the trace engine
-        (:mod:`repro.emu.traces`), which links these superblocks across
-        their exits.  ``BadFetch`` on the *first* instruction propagates,
-        exactly as the step engine faults before counting the step.
-        """
+    def _compile(self, start: int) -> CompiledBlock:
         emu = self.emulator
+        # BadFetch on the first instruction propagates, exactly as the
+        # step engine faults before counting the step.
         insns = [emu._fetch_decode(start)]
         addr = start + insns[0].length
         while (
@@ -402,11 +397,7 @@ class BlockEngine:
                 break
             insns.append(insn)
             addr += insn.length
-        return insns, addr
-
-    def _compile(self, start: int) -> CompiledBlock:
-        emu = self.emulator
-        insns, end = self._decode_block(start)
+        end = addr
 
         mem = emu.memory
         first_page = start >> 12

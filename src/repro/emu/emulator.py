@@ -1,6 +1,6 @@
 """The IA-32 emulator.
 
-Executes binary images with one of three engines sharing a single set
+Executes binary images with one of two engines sharing a single set
 of instruction semantics (:mod:`repro.emu.dispatch`):
 
 * the **step engine** interprets one instruction at a time through the
@@ -8,11 +8,7 @@ of instruction semantics (:mod:`repro.emu.dispatch`):
   per-step ``trace_hook`` is attached;
 * the **block engine** (:mod:`repro.emu.blocks`, the default) compiles
   straight-line instruction runs into cached superblocks and executes
-  them without per-instruction dispatch;
-* the **trace engine** (:mod:`repro.emu.traces`) profiles block-to-
-  block transitions and links hot superblock chains across their exits
-  into single compiled traces, hoisting dispatch and coherence checks
-  to trace entry; cold paths fall back to the block engine.
+  them without per-instruction dispatch.
 
 ROP chains need no special support: the genuine ``ret`` semantics (pop
 eip from the stack) execute them exactly as real hardware would.
@@ -58,7 +54,6 @@ _STACK_SIZE_DEFAULT = 0x4_0000
 
 #: Engine names accepted by :class:`EmulatorConfig` and the CLI.
 ENGINE_BLOCK = "block"
-ENGINE_TRACE = "trace"
 ENGINE_STEP = "step"
 
 #: name -> one-line description; the single source of truth for which
@@ -68,8 +63,6 @@ ENGINE_STEP = "step"
 #: selectable everywhere.
 ENGINE_DESCRIPTIONS = {
     ENGINE_BLOCK: "superblock compiler (default)",
-    ENGINE_TRACE: "trace-linking compiler (links hot superblock chains "
-    "into single compiled traces; falls back to blocks on cold paths)",
     ENGINE_STEP: "single-instruction reference interpreter",
 }
 ENGINES = tuple(ENGINE_DESCRIPTIONS)
@@ -85,8 +78,8 @@ class EmulatorConfig:
 
     Attributes:
         engine: one of :data:`ENGINES` — ``"block"`` (superblock
-            compiler, default), ``"trace"`` (trace-linking compiler) or
-            ``"step"`` (single-instruction reference interpreter).
+            compiler, default) or ``"step"`` (single-instruction
+            reference interpreter).
         max_steps: default instruction budget.
         stack_top: default initial esp (grows down).
     """
@@ -218,7 +211,6 @@ class Emulator:
         self._decode_cache = {}
         self._decode_cache_old = {}
         self._block_engine = None
-        self._trace_engine = None
         #: optional HotspotProfiler; installed lazily by run() (see
         #: REPRO_HOTSPOTS) or explicitly by callers.  ``None`` keeps the
         #: per-step hot path free of profiling branches' costs beyond
@@ -250,15 +242,6 @@ class Emulator:
             self._block_engine = BlockEngine(self)
         return self._block_engine
 
-    @property
-    def traces(self):
-        """The lazily-created trace engine bound to this emulator."""
-        if self._trace_engine is None:
-            from .traces import TraceEngine
-
-            self._trace_engine = TraceEngine(self)
-        return self._trace_engine
-
     def _compiled_engine(self):
         """The compiled-execution engine for this run, or ``None``.
 
@@ -269,8 +252,6 @@ class Emulator:
             return None
         if self.engine == ENGINE_BLOCK:
             return self.blocks
-        if self.engine == ENGINE_TRACE:
-            return self.traces
         return None
 
     # ------------------------------------------------------------------
@@ -503,22 +484,6 @@ class Emulator:
             )
             metrics.counter("emu.blocks.invalidated").inc(be.invalidated)
             metrics.counter("emu.blocks.write_aborts").inc(be.write_aborts)
-        te = self._trace_engine
-        if te is not None:
-            metrics.counter("emu.traces.hits").inc(te.hits)
-            metrics.counter("emu.traces.epoch_hits").inc(te.epoch_hits)
-            metrics.counter("emu.traces.page_revalidations").inc(
-                te.page_revalidations
-            )
-            metrics.counter("emu.traces.invalidated").inc(te.invalidated)
-            metrics.counter("emu.traces.write_aborts").inc(te.write_aborts)
-            # trace-level sampling, mirrored under emu.hot.trace.* so the
-            # stats dashboard groups it with the hot-spot report.
-            metrics.counter("emu.hot.trace.compiled").inc(te.compiled)
-            metrics.counter("emu.hot.trace.side_exit_fallbacks").inc(
-                te.side_exit_fallbacks
-            )
-            metrics.counter("emu.hot.trace.retired").inc(te.retired)
         hot = self.hotspots
         if hot is not None:
             # One labeled family per hot-spot dimension: the mnemonic /
@@ -531,10 +496,6 @@ class Emulator:
             for start, execs in hot.top_blocks(16):
                 metrics.counter(
                     "emu.hot.block", labels={"addr": f"{start:#010x}"}
-                ).inc(execs)
-            for head, execs in hot.top_traces(16):
-                metrics.counter(
-                    "emu.hot.trace", labels={"head": f"{head:#010x}"}
                 ).inc(execs)
             if self._hotspots_auto:
                 # Counts were flushed into the registry; clear so

@@ -12,14 +12,12 @@ Counting strategy, chosen so the block engine keeps its speed edge:
 * the **block engine** counts one sample per *block execution* and
   remembers each block's mnemonic tuple; per-mnemonic totals are then
   reconstituted at report time as ``executions × occurrences``, so the
-  generated block bodies stay untouched and full-speed;
-* the **trace engine** counts one sample per *trace execution* the same
-  way (one dict update per dispatched trace, which may cover hundreds
-  of instructions), plus block samples for its cold-path executions.
+  generated block bodies stay untouched and full-speed.
 
-All engines feed the same :class:`HotspotProfiler`; ``repro profile``
-and the metrics export (``emu.hot.mnemonic.*`` / ``emu.hot.block.*`` /
-``emu.hot.trace.*``) render the merged view.
+Both engines feed the same :class:`HotspotProfiler`; ``repro profile``
+and the metrics export (the labeled families
+``emu.hot.mnemonic{mnemonic=}`` and ``emu.hot.block{addr=}``) render
+the merged view.
 """
 
 from __future__ import annotations
@@ -30,12 +28,9 @@ __all__ = ["HotspotProfiler"]
 
 
 class HotspotProfiler:
-    """Sample counters keyed by mnemonic, block start and trace head."""
+    """Sample counters keyed by mnemonic and block start."""
 
-    __slots__ = (
-        "mnemonic_samples", "block_samples", "_block_mnems",
-        "trace_samples", "_trace_meta",
-    )
+    __slots__ = ("mnemonic_samples", "block_samples", "_block_mnems")
 
     def __init__(self):
         #: mnemonic -> executed-instruction count (step engine, direct).
@@ -44,10 +39,6 @@ class HotspotProfiler:
         self.block_samples: Dict[int, int] = {}
         #: block start address -> that block's mnemonic tuple.
         self._block_mnems: Dict[int, Tuple[str, ...]] = {}
-        #: trace head address -> execution count (trace engine).
-        self.trace_samples: Dict[int, int] = {}
-        #: trace head -> (mnemonic tuple, linked-block count).
-        self._trace_meta: Dict[int, Tuple[Tuple[str, ...], int]] = {}
 
     # -- recording (hot paths) ------------------------------------------
 
@@ -69,38 +60,20 @@ class HotspotProfiler:
         if start not in self._block_mnems:
             self._block_mnems[start] = block.mnems
 
-    def record_trace(self, trace) -> None:
-        """One dispatched trace (trace engine).
-
-        ``trace`` is a :class:`repro.emu.traces.CompiledTrace`; like
-        blocks, its mnemonic tuple expands into per-mnemonic counts at
-        report time (an upper bound when the trace side-exits early).
-        """
-        head = trace.head
-        samples = self.trace_samples
-        samples[head] = samples.get(head, 0) + 1
-        if head not in self._trace_meta:
-            self._trace_meta[head] = (trace.mnems, len(trace.ranges))
-
     # -- aggregation -----------------------------------------------------
 
     def mnemonic_counts(self) -> Dict[str, int]:
-        """Merged per-mnemonic totals across all engines.
+        """Merged per-mnemonic totals across both engines.
 
-        Block and trace samples expand to ``executions × occurrences``
-        per mnemonic.  Side-exited runs attribute the whole block or
-        trace, so these counts are an upper bound for bodies with
-        conditional exits — fine for hot-spot ranking.
+        Block samples expand to ``executions × occurrences`` per
+        mnemonic.  Side-exited runs attribute the whole block, so these
+        counts are an upper bound for bodies with conditional exits —
+        fine for hot-spot ranking.
         """
         totals = dict(self.mnemonic_samples)
         for start, executions in self.block_samples.items():
             for mnemonic in self._block_mnems.get(start, ()):
                 totals[mnemonic] = totals.get(mnemonic, 0) + executions
-        for head, executions in self.trace_samples.items():
-            meta = self._trace_meta.get(head)
-            if meta is not None:
-                for mnemonic in meta[0]:
-                    totals[mnemonic] = totals.get(mnemonic, 0) + executions
         return totals
 
     def top_mnemonics(self, n: int = 10) -> List[Tuple[str, int]]:
@@ -112,11 +85,6 @@ class HotspotProfiler:
             self.block_samples.items(), key=lambda kv: (-kv[1], kv[0])
         )[:n]
 
-    def top_traces(self, n: int = 10) -> List[Tuple[int, int]]:
-        return sorted(
-            self.trace_samples.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:n]
-
     @property
     def total_samples(self) -> int:
         return sum(self.mnemonic_counts().values())
@@ -125,8 +93,6 @@ class HotspotProfiler:
         self.mnemonic_samples.clear()
         self.block_samples.clear()
         self._block_mnems.clear()
-        self.trace_samples.clear()
-        self._trace_meta.clear()
 
     # -- rendering -------------------------------------------------------
 
@@ -146,21 +112,10 @@ class HotspotProfiler:
             for start, execs in self.top_blocks(top):
                 length = len(self._block_mnems.get(start, ()))
                 lines.append(f"  {start:#010x} {execs:>14,} {length:>8}")
-        if self.trace_samples:
-            lines.append(
-                f"  {'trace':<10} {'execs':>14} {'len':>8} {'blocks':>8}"
-            )
-            for head, execs in self.top_traces(top):
-                mnems, n_blocks = self._trace_meta.get(head, ((), 0))
-                lines.append(
-                    f"  {head:#010x} {execs:>14,} {len(mnems):>8} "
-                    f"{n_blocks:>8}"
-                )
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (
             f"<HotspotProfiler {len(self.mnemonic_samples)} mnemonics, "
-            f"{len(self.block_samples)} blocks, "
-            f"{len(self.trace_samples)} traces>"
+            f"{len(self.block_samples)} blocks>"
         )

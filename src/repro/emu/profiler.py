@@ -8,12 +8,12 @@ emulator's per-step trace callback.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict
 
 from ..binary.image import BinaryImage
-from .emulator import CYCLE_COSTS, Emulator
-from ..x86.operands import Mem
+from .dispatch import cost_of
+from .emulator import Emulator
 
 
 class FunctionProfile:
@@ -42,7 +42,6 @@ class Profiler:
         self.profiles: Dict[str, FunctionProfile] = {}
         self.call_edges: Counter = Counter()
         self.total_cycles = 0
-        self._current: Optional[str] = None
 
     def attach(self, emulator: Emulator) -> None:
         emulator.trace_hook = self._on_step
@@ -57,10 +56,7 @@ class Profiler:
     def _on_step(self, eip: int, insn) -> None:
         symbol = self.image.symbols.at(eip)
         name = symbol.name if symbol is not None else "<unknown>"
-        cost = CYCLE_COSTS.get(insn.mnemonic, 1)
-        for op in insn.operands:
-            if isinstance(op, Mem):
-                cost += 1
+        cost = cost_of(insn)  # memoized by Emulator.step just before
         prof = self._profile_for(name)
         prof.cycles += cost
         prof.steps += 1
@@ -76,7 +72,6 @@ class Profiler:
                 callee_name = callee.name if callee is not None else "<unknown>"
                 self._profile_for(callee_name).calls += 1
                 self.call_edges[(name, callee_name)] += 1
-        self._current = name
 
     # ------------------------------------------------------------------
     # Queries used by the selection algorithm
@@ -125,8 +120,7 @@ def profile_run(
     how cycles get attributed), so with ``engine="step"`` the hot-spot
     samples come from that same run.  Any other ``engine`` triggers a
     second, hook-free run under that engine so the profiler can record
-    engine-level samples too — superblock executions for ``block``,
-    trace dispatches (``emu.hot.trace.*``) for ``trace``.
+    engine-level samples too — superblock executions for ``block``.
     """
     from .syscalls import OperatingSystem
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
 import socket
 import threading
 import time
@@ -147,9 +146,7 @@ def _configure_serving_cache(config: ServeConfig):
     """Serving requires a live cache manager; reuse or build one.
 
     Honors an already-configured manager pointing at the requested
-    directory; otherwise replaces it.  Also migrates any pre-shard
-    flat-layout entries eagerly, so an old cache dir serves at full
-    speed from the first request.
+    directory; otherwise replaces it.
     """
     manager = cache_manager()
     if config.cache_dir is not None:
@@ -161,16 +158,7 @@ def _configure_serving_cache(config: ServeConfig):
         # Memory-only serving cache: still coalesces and serves warm
         # hits, just doesn't survive a restart.
         manager = configure_cache(cache_dir=None, shards=config.shards)
-    migrated = 0
-    if manager.disk is not None:
-        try:
-            namespaces = sorted(os.listdir(manager.disk.root))
-        except OSError:
-            namespaces = []
-        for namespace in namespaces:
-            if os.path.isdir(os.path.join(manager.disk.root, namespace)):
-                migrated += manager.disk.migrate_namespace(namespace)
-    return manager, migrated
+    return manager
 
 
 def build_executor(config: ServeConfig, cache_dir: Optional[str]) -> Executor:
@@ -231,13 +219,12 @@ class ProtectionServer:
         self._shutdown_event: Optional[asyncio.Event] = None
         self._started = time.time()
         self.port: Optional[int] = None
-        self.migrated_entries = 0
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
         config = self.config
-        manager, self.migrated_entries = _configure_serving_cache(config)
+        manager = _configure_serving_cache(config)
         telemetry.configure(metrics=True, recorder=True)
         if self._executor is None:
             self._executor = build_executor(config, manager.cache_dir)
@@ -255,8 +242,6 @@ class ProtectionServer:
         metrics = get_metrics()
         metrics.gauge("serve.jobs").set(config.jobs)
         metrics.gauge("serve.queue.capacity").set(config.queue_depth)
-        if self.migrated_entries:
-            metrics.counter("serve.cache.migrated").inc(self.migrated_entries)
 
     def install_signal_handlers(self) -> None:
         """Graceful drain on SIGTERM/SIGINT (event-loop signal handling
@@ -682,7 +667,7 @@ def serve(config: ServeConfig, announce=None) -> int:
     The worker pool is built (and pre-warmed, so ``fork`` happens
     before the event loop owns threads) here in the main thread.
     """
-    manager, _migrated = _configure_serving_cache(config)
+    manager = _configure_serving_cache(config)
     executor = build_executor(config, manager.cache_dir)
     _prewarm(executor, config.jobs)
     try:

@@ -538,7 +538,7 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
                 )
 
     # -- hottest mnemonics --------------------------------------------
-    def _hot_series(family: str, label: str, legacy_prefix: str):
+    def _hot_series(family: str, label: str):
         rows = []
         for key, sample in samples.items():
             if sample.get("type") != "counter":
@@ -546,11 +546,9 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
             name, labels = _sample_identity(key, sample)
             if name == family and label in labels:
                 rows.append((labels[label], sample["value"]))
-            elif key.startswith(legacy_prefix) and not labels:
-                rows.append((key[len(legacy_prefix):], sample["value"]))
         return sorted(rows, key=lambda pair: (-pair[1], pair[0]))
 
-    hot = _hot_series("emu.hot.mnemonic", "mnemonic", "emu.hot.mnemonic.")
+    hot = _hot_series("emu.hot.mnemonic", "mnemonic")
     if hot:
         total = sum(count for _, count in hot)
         lines.append("hottest mnemonics (top 10)")
@@ -558,30 +556,11 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
             lines.append(
                 f"  {mnemonic:<8} {int(count):>14,}   ({_fmt_rate(count, total)})"
             )
-    hot_blocks = _hot_series("emu.hot.block", "addr", "emu.hot.block.")
+    hot_blocks = _hot_series("emu.hot.block", "addr")
     if hot_blocks:
         lines.append("hottest blocks (executions)")
         for addr, count in hot_blocks[:10]:
             lines.append(f"  {addr:<12} {int(count):>12,}")
-    hot_traces = _hot_series("emu.hot.trace", "head", "emu.hot.trace.head.")
-    if hot_traces:
-        lines.append("hottest traces (dispatches)")
-        for addr, count in hot_traces[:10]:
-            lines.append(f"  {addr:<12} {int(count):>12,}")
-    traces_compiled = _counter(samples, "emu.hot.trace.compiled")
-    traces_retired = _counter(samples, "emu.hot.trace.retired")
-    trace_fallbacks = _counter(samples, "emu.hot.trace.side_exit_fallbacks")
-    if traces_compiled or traces_retired or trace_fallbacks:
-        lines.append("trace engine")
-        lines.append(
-            f"  traces compiled            {int(traces_compiled):>12,}"
-        )
-        lines.append(
-            f"  insns retired in traces    {int(traces_retired):>12,}"
-        )
-        lines.append(
-            f"  cold side-exit fallbacks   {int(trace_fallbacks):>12,}"
-        )
 
     # -- run totals ----------------------------------------------------
     instructions = _counter(samples, "emu.instructions")

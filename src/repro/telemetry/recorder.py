@@ -19,8 +19,6 @@ Event kinds recorded by the instrumented subsystems:
                           which coherence tier caught it: ``page`` for
                           the per-page write-version compare, ``store``
                           for an in-block self-modifying store)
-``trace_compile``         the trace engine compiled a linked trace
-``trace_invalidate``      a linked trace was discarded
 ``attack``                one attack evaluation scored
 ``pipeline.task``         one pipeline task merged back in the parent
 ========================  =============================================

@@ -3,8 +3,8 @@
 ``repro top`` is to ``repro stats`` what ``top`` is to ``ps``: instead
 of summarizing a finished run's artifacts, it watches a run *while it
 is happening* and redraws a small dashboard — protect/attack/pipeline
-throughput (windowed rate + EWMA), engine mix (block vs trace compiles
-and invalidations), pipeline cache hit rate, the hottest trace heads,
+throughput (windowed rate + EWMA), engine mix (block compiles and
+invalidations), pipeline cache hit rate, the hottest block starts,
 and per-request-context lanes when the run is labeled.
 
 The transport is deliberately dumb: the producing run streams its
@@ -37,12 +37,7 @@ CLEAR = "\x1b[2J\x1b[H"
 #: order; kinds outside this list render below, ranked by volume.
 WORK_KINDS = ("protect", "rewrite", "attack", "pipeline.task")
 
-ENGINE_KINDS = (
-    "block_compile",
-    "block_invalidate",
-    "trace_compile",
-    "trace_invalidate",
-)
+ENGINE_KINDS = ("block_compile", "block_invalidate")
 
 
 class JournalTail:
@@ -121,7 +116,6 @@ class TopDashboard:
         self.finished: Optional[dict] = None
         self._cache_hits = 0
         self._cache_misses = 0
-        self._hot_traces: Dict[str, int] = {}
         self._hot_blocks: Dict[str, int] = {}
         self._context_totals: Dict[str, Dict[str, int]] = {}
         self._started_wall = time.time()
@@ -157,11 +151,6 @@ class TopDashboard:
                 self._cache_hits += 1
             else:
                 self._cache_misses += 1
-        elif kind == "trace_compile":
-            head = record.get("head")
-            if head is not None:
-                key = head if isinstance(head, str) else f"{head:#x}"
-                self._hot_traces[key] = self._hot_traces.get(key, 0) + 1
         elif kind == "block_compile":
             start = record.get("start")
             if start is not None:
@@ -309,15 +298,7 @@ class TopDashboard:
                 f"pipeline cache     hit {_fmt_pct(self._cache_hits, tasks)}"
                 f"   ({self._cache_hits:,}/{tasks:,} tasks)"
             )
-        if self._hot_traces:
-            ranked = sorted(
-                self._hot_traces.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-            shown = ", ".join(
-                f"{head} x{count}" for head, count in ranked[: self.HOT_LIMIT]
-            )
-            lines.append(f"hot traces         {shown}")
-        elif self._hot_blocks:
+        if self._hot_blocks:
             ranked = sorted(
                 self._hot_blocks.items(), key=lambda kv: (-kv[1], kv[0])
             )

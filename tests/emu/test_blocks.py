@@ -6,9 +6,10 @@ import pytest
 import repro.emu.blocks as blocks_mod
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import Emulator, StepLimitExceeded
-from repro.x86 import Assembler, EAX, EBX, ECX, EDX, Imm, mem32
+from repro.x86 import Assembler, EAX, EBX, ECX, EDX, ESI, ESP, Imm, mem32
 
 BASE = 0x1000
+DATA = 0x8000
 
 
 def make_image(build):
@@ -17,7 +18,7 @@ def make_image(build):
     a.ret()
     img = BinaryImage("t")
     img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
-    img.add_section(Section(".data", 0x8000, bytes(256), Perm.RW))
+    img.add_section(Section(".data", DATA, bytes(256), Perm.RW))
     return img
 
 
@@ -43,6 +44,55 @@ def call_both(img, args=(), max_steps=100_000):
 
 def test_loop_matches_step_engine():
     assert call_both(make_image(build_loop))[0] == sum(range(1, 51))
+
+
+def _chain_image():
+    """A gadget chain dispatched from a stack pivot into .data — the
+    paper's verification-chain shape, re-run so blocks are reused."""
+    a = Assembler(base=BASE)
+    a.mov(ESI, ESP)             # save the real stack
+    a.mov(ECX, Imm(40, 32))
+    a.label("top")
+    a.mov(ESP, Imm(DATA, 32))   # pivot onto the prepared chain
+    a.ret()                     # dispatch gadget 1
+    a.label("back")             # final gadget returns here
+    a.dec(ECX)
+    a.jne("top")
+    a.mov(ESP, ESI)             # restore the real stack
+    a.mov(EAX, EBX)
+    a.ret()
+    a.label("g1")               # pop ebx; ret
+    a.pop(EBX)
+    a.ret()
+    a.label("g2")               # pop edx; pop eax; ret
+    a.pop(EDX)
+    a.pop(EAX)
+    a.ret()
+
+    code = a.assemble()
+    g1 = a.address_of("g1")
+    g2 = a.address_of("g2")
+    back = a.address_of("back")
+    chain = b"".join(
+        v.to_bytes(4, "little")
+        for v in (g1, 0x11111111, g2, 0x22222222, 0x33333333,
+                  g1, 0x44444444, back)
+    )
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, code, Perm.RX))
+    img.add_section(Section(".data", DATA, chain + bytes(64), Perm.RW))
+    return img
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_gadget_chain_identical_across_engines(monkeypatch, rotate):
+    # rotate=True shrinks the block cache to one entry per generation so
+    # chain blocks are evicted and recompiled; parity must hold either way
+    if rotate:
+        monkeypatch.setattr(blocks_mod, "BLOCK_CACHE_GENERATION", 1)
+    value, _, _, mispredicts = call_both(_chain_image())
+    assert value == 0x44444444  # ebx after the last pop gadget
+    assert mispredicts > 0  # the pivoted rets defeat the return predictor
 
 
 def test_blocks_are_cached_across_calls():

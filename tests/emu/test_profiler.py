@@ -2,6 +2,7 @@
 
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import Emulator, Profiler, profile_run
+from repro.emu.dispatch import RET_MISPREDICT_PENALTY
 from repro.x86 import Assembler, EAX
 
 
@@ -69,3 +70,21 @@ def test_callers_of_deduplicates_by_caller():
     assert profiler.callers_of("helper") == 2
     assert profiler.callers_of("<unknown>") == 1
     assert profiler.callers_of("never_called") == 0
+
+
+def test_profiler_cycles_match_emulator_cost_model(protected_wget_cleartext):
+    # The profiler charges each step what Emulator.step charges; the
+    # only cycles it cannot see are the ret-mispredict penalties, which
+    # the protected program's verification chains incur.
+    image = protected_wget_cleartext.image
+    emulator = Emulator(image, max_steps=5_000_000)
+    profiler = Profiler(image)
+    profiler.attach(emulator)
+    result = emulator.run()
+    assert not result.crashed
+    assert emulator.ret_mispredicts > 0
+    assert (
+        profiler.total_cycles
+        + RET_MISPREDICT_PENALTY * emulator.ret_mispredicts
+        == result.cycles
+    )

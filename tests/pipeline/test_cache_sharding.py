@@ -1,5 +1,5 @@
-"""Sharded cache store: key-space sharding, layout migration, and the
-cross-process same-key write race the serving layer depends on."""
+"""Sharded cache store: key-space sharding, the on-disk shard layout, and
+the cross-process same-key write race the serving layer depends on."""
 
 import hashlib
 import multiprocessing
@@ -96,66 +96,27 @@ def test_disk_tier_writes_into_shard_directories(tmp_path):
     assert len(shard_dirs) > 1  # 24 keys actually spread
 
 
-def _plant_legacy(root, namespace, key, blob):
-    """Write an entry in the pre-shard flat layout."""
-    legacy_dir = os.path.join(root, namespace, key[:2])
-    os.makedirs(legacy_dir, exist_ok=True)
-    with open(os.path.join(legacy_dir, key + ".pkl"), "wb") as fh:
-        fh.write(blob)
-
-
-def test_legacy_entries_migrate_lazily_on_read(tmp_path):
+def test_flat_layout_entry_is_a_miss_and_left_untouched(tmp_path):
+    # The pre-shard layout (<ns>/<key[:2]>/<key>.pkl) is not read: such
+    # a file is neither served nor moved nor deleted.
     root = str(tmp_path)
-    key = content_key("legacy", 1)
-    _plant_legacy(root, "unit", key, pickle.dumps("old"))
+    key = content_key("flat", 1)
+    flat = os.path.join(root, "unit", key[:2], key + ".pkl")
+    os.makedirs(os.path.dirname(flat))
+    with open(flat, "wb") as fh:
+        fh.write(pickle.dumps("old"))
     disk = DiskTier(root, shards=16)
-    assert disk.migrations == 0
-    assert disk.get_blob("unit", key) == pickle.dumps("old")
-    assert disk.migrations == 1
-    # The entry now lives in its shard dir; the legacy copy is gone.
-    assert os.path.exists(disk._path("unit", key))
-    assert not os.path.exists(disk._legacy_path("unit", key))
-    # Second read comes straight from the sharded path.
-    assert disk.get_blob("unit", key) == pickle.dumps("old")
-    assert disk.migrations == 1
+    assert disk.get_blob("unit", key) is None
+    assert not os.path.exists(disk._path("unit", key))
+    with open(flat, "rb") as fh:
+        assert fh.read() == pickle.dumps("old")
 
 
-def test_migrate_namespace_sweeps_flat_layout(tmp_path):
-    root = str(tmp_path)
-    planted = keys(20, salt="eager")
-    for key in planted:
-        _plant_legacy(root, "unit", key, pickle.dumps(key))
-    disk = DiskTier(root, shards=16)
-    assert disk.migrate_namespace("unit") == 20
-    assert disk.migrations == 20
-    for key in planted:
-        assert os.path.exists(disk._path("unit", key))
-        assert disk.get_blob("unit", key) == pickle.dumps(key)
-    # Legacy prefix dirs are cleaned up; only shard dirs remain.
-    leftovers = [
-        d for d in os.listdir(os.path.join(root, "unit"))
-        if not d.startswith("shard-")
-    ]
-    assert leftovers == []
-    # A second sweep is a no-op.
-    assert disk.migrate_namespace("unit") == 0
-
-
-def test_migrate_namespace_missing_namespace_is_noop(tmp_path):
+def test_entry_count_counts_sharded_entries(tmp_path):
     disk = DiskTier(str(tmp_path), shards=16)
-    assert disk.migrate_namespace("ghost") == 0
-
-
-def test_entry_count_spans_both_layouts(tmp_path):
-    root = str(tmp_path)
-    disk = DiskTier(root, shards=16)
-    sharded = keys(5, salt="new")
-    for key in sharded:
+    for key in keys(5, salt="new"):
         disk.put_blob("unit", key, b"x")
-    legacy = keys(3, salt="old")
-    for key in legacy:
-        _plant_legacy(root, "unit", key, b"y")
-    assert disk.entry_count("unit") == 8
+    assert disk.entry_count("unit") == 5
 
 
 def test_manager_single_shard_still_works(tmp_path):

@@ -1,13 +1,13 @@
-"""Differential property: every compiled engine is observationally
+"""Differential property: the compiled block engine is observationally
 identical to the reference step interpreter.
 
 Randomly generated corpus programs (and their protected variants) must
 produce the exact same ``RunResult`` — exit status, step count, cycle
 count, stdout bytes and fault — under all engines in
-:data:`repro.emu.ENGINES` (step, block, trace).  The adversarial cases
-ride along: the Wurster code-view overlay and mid-run tamper/restore
-of mapped code, both of which must invalidate any superblocks or
-linked traces compiled over the affected bytes.
+:data:`repro.emu.ENGINES` (step, block).  The adversarial cases ride
+along: the Wurster code-view overlay and mid-run tamper/restore of
+mapped code, both of which must invalidate any superblocks compiled
+over the affected bytes.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -164,8 +164,8 @@ def _watched_signature(image, ranges, engine):
 @given(st.integers(0, 2**31))
 def test_tamper_watch_stamps_identical_under_all_engines(seed):
     """The detection-latency stamps (first execution of tampered bytes)
-    must be byte-identical across engines: the block and trace engines
-    single-step through watch-overlapping bodies, so the stamp always
+    must be byte-identical across engines: the block engine
+    single-steps through watch-overlapping bodies, so the stamp always
     comes from the same per-step accounting."""
     protected = _protect(_make_program(seed))
     image = protected.image
@@ -197,8 +197,6 @@ SEED = 0xD1FF
 def _advance(emulator, n):
     if emulator.engine == "block":
         emulator.blocks.run_steps(n)
-    elif emulator.engine == "trace":
-        emulator.traces.run_steps(n)
     else:
         for _ in range(n):
             emulator.step()

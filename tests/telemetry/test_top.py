@@ -83,15 +83,6 @@ def test_dashboard_cache_hit_rate_from_pipeline_tasks():
     assert "50.0%" in frame
 
 
-def test_dashboard_hot_traces_preferred_over_blocks():
-    dash = TopDashboard()
-    dash.feed(_event("trace_compile", 0.1, head=0x2000))
-    dash.feed(_event("block_compile", 0.2, start=0x1000))
-    frame = dash.render()
-    assert "hot traces" in frame and "0x2000 x1" in frame
-    assert "hot blocks" not in frame
-
-
 def test_dashboard_context_lanes():
     dash = TopDashboard()
     dash.feed(_event("protect", 0.1, ctx={"request": "r1"}))
