@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..telemetry.recorder import get_recorder
+from ..telemetry.context import get_recorder
 from ..x86.instruction import CONDITIONAL_JUMPS, CONTROL_FLOW
 from ..x86.operands import Imm, Mem, Rel
 from ..x86.registers import Register

@@ -44,7 +44,7 @@ from ..x86.opcodes import (
     RETF_IMM16_OPCODE,
     RETF_OPCODE,
 )
-from ..telemetry import get_metrics, get_tracer
+from ..telemetry import adopt, capture, get_metrics, get_tracer
 from .semantics import classify
 from .types import Gadget
 
@@ -365,25 +365,21 @@ def find_gadgets_in_bytes_cached(
 def _scan_section_task(task: dict) -> dict:
     """Worker body for parallel per-section scans.
 
-    Runs one section's cached scan under a private metrics registry so
-    the parent can merge counter samples deterministically, in section
-    order, regardless of worker completion order.
+    Runs one section's cached scan under
+    :func:`~repro.telemetry.capture` so the parent can adopt its counter
+    samples deterministically, in section order, regardless of worker
+    completion order — and label them once, same as the protect-all
+    pipeline.
     """
-    from ..telemetry import MetricsRegistry, suspend_context, task_telemetry
-
-    registry = MetricsRegistry(enabled=True)
-    # Thread-local override plus a suspended TelemetryContext: the
-    # private registry receives the samples (even with scans running on
-    # several threads at once) and the parent labels them once at merge
-    # time, same as the protect-all pipeline.
-    with task_telemetry(metrics=registry), suspend_context():
-        gadgets = find_gadgets_in_bytes_cached(
+    gadgets, telemetry = capture(
+        lambda: find_gadgets_in_bytes_cached(
             task["data"],
             base=task["base"],
             max_insns=task["max_insns"],
             include_far=task["include_far"],
         )
-    return {"gadgets": gadgets, "metrics": registry.to_dict()}
+    )
+    return {"gadgets": gadgets, "telemetry": telemetry}
 
 
 def find_gadgets(
@@ -430,9 +426,8 @@ def find_gadgets(
         else:
             from ..pipeline.pool import run_tasks
 
-            metrics = get_metrics()
             for result in run_tasks(_scan_section_task, tasks, jobs=jobs):
-                metrics.merge_samples(result["metrics"])
+                adopt(result["telemetry"])
                 gadgets.extend(result["gadgets"])
         span.set_attribute("found", len(gadgets))
         return gadgets

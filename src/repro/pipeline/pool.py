@@ -3,8 +3,8 @@
 Both the protect-all runner and the gadget finder's per-section fan-out
 need the same things from a worker pool: a start-method choice that
 prefers ``fork``, a worker initializer that mirrors the parent's cache
-configuration (and silences worker telemetry — workers report samples
-back explicitly instead), and order-preserving task mapping so results
+configuration (and silences worker telemetry — tasks ship a captured
+payload back instead), and order-preserving task mapping so results
 merge deterministically no matter which worker finishes first.
 """
 
@@ -29,8 +29,9 @@ def worker_init(cache_dir: Optional[str], enabled: bool) -> None:
     parent's effective cache directory is re-applied explicitly; under
     ``fork`` this simply rebuilds the manager with empty memory tiers
     (the disk tier is the shared medium between processes).  Worker
-    telemetry is disabled: tasks that want metrics run under private
-    registries and ship samples back to the parent for ordered merging.
+    telemetry is disabled: tasks run under
+    :func:`repro.telemetry.capture` and ship their payload back to the
+    parent, which adopts it in input order.
     """
     from ..cache import configure_cache
 
@@ -39,8 +40,8 @@ def worker_init(cache_dir: Optional[str], enabled: bool) -> None:
 
     telemetry.disable()
     # fork-started workers inherit the parent's ContextVar state; an
-    # inherited TelemetryContext would swallow samples into a forked
-    # copy of the parent's child registry that never flushes home.
+    # inherited scope would swallow samples into a forked copy of the
+    # parent's child registry that never flushes home.
     telemetry.clear_context()
 
 

@@ -10,12 +10,13 @@ Fans :meth:`Parallax.protect` out across corpus programs with
   regardless of which worker finishes first, and each protection is
   independent and seeded, so ``jobs=1`` and ``jobs=N`` produce
   byte-identical images;
-* **per-worker telemetry** — every task runs under a private metrics
-  registry whose samples are merged into the parent's process-wide
-  registry in input order (:meth:`MetricsRegistry.merge_samples`), and
-  under a private tracer whose finished spans are adopted into the
-  parent trace (:meth:`Tracer.ingest`), so ``--metrics``/``--trace``
-  output is one registry/trace no matter the worker count;
+* **per-worker telemetry** — every task runs under
+  :func:`repro.telemetry.capture` (a private, unlabeled scope) and
+  ships its samples, spans and events home; the parent adopts each
+  payload (:func:`repro.telemetry.adopt`) in input order, in its own
+  scope, under a per-program ``pipeline.program`` span, so
+  ``--metrics``/``--trace``/``--journal`` output is one registry,
+  trace and journal no matter the worker count;
 * **caching** — workers share the parent's on-disk cache tier, so a
   warm ``protect-all`` deserializes instead of re-protecting, and a
   second run of the same corpus is nearly free.
@@ -32,16 +33,7 @@ from ..cache import cache_manager, configure_cache
 from ..core.config import ProtectConfig
 from ..core.protector import Parallax, ProtectedProgram
 from ..corpus import PROGRAM_NAMES, build_program_cached
-from ..telemetry import (
-    FlightRecorder,
-    MetricsRegistry,
-    Tracer,
-    get_metrics,
-    get_recorder,
-    get_tracer,
-    suspend_context,
-    task_telemetry,
-)
+from ..telemetry import adopt, capture, get_metrics, get_recorder, get_tracer
 from .pool import mp_context, worker_init
 
 __all__ = [
@@ -148,33 +140,17 @@ def protect_one(
 def _run_task(task: dict) -> dict:
     """Build, protect (and optionally verify) one program.
 
-    Runs under a private metrics registry so per-worker counts can be
-    merged deterministically in the parent; returns only picklable
-    data.  Used both by pool workers and the ``jobs=1`` inline path.
-
-    When the parent's tracer is enabled (``task["tracing"]``), a
-    private tracer captures this task's spans too; the parent adopts
-    them via :meth:`Tracer.ingest` under its ``pipeline.program`` span,
-    so worker spans are no longer dropped in multiprocessing runs.
-    Likewise a private flight recorder captures this task's events when
-    the parent's recorder is on (``task["recording"]``), shipped back
-    for :meth:`FlightRecorder.ingest`.
-
-    Any active :class:`~repro.telemetry.context.TelemetryContext` is
-    suspended for the task body: samples collect in the private
-    registry here and the *parent* labels them exactly once at merge
-    time, keeping the inline ``jobs=1`` path identical to pool workers
-    (which run context-free via ``worker_init``).
+    Runs under :func:`~repro.telemetry.capture`, collecting spans and
+    events too when the parent traces (``task["tracing"]``) or records
+    (``task["recording"]``); returns only picklable data, telemetry
+    payload included.  Used both by pool workers and the ``jobs=1``
+    inline path, which is why the captured scope is unlabeled even
+    inline: the *parent* labels the payload exactly once, at adoption.
     """
     name = task["name"]
     config: ProtectConfig = task["config"]
-    registry = MetricsRegistry(enabled=True)
-    tracer = Tracer(enabled=bool(task.get("tracing")))
-    recorder = FlightRecorder(enabled=bool(task.get("recording")))
-    # The private objects are installed thread-locally (ContextVar), not
-    # by swapping the process-wide telemetry: two threads running inline
-    # pipelines concurrently must not see each other's task registries.
-    with task_telemetry(registry, tracer, recorder), suspend_context():
+
+    def body():
         start = time.perf_counter()
         program = build_program_cached(name)
         protected = Parallax(config).protect(
@@ -190,10 +166,12 @@ def _run_task(task: dict) -> dict:
                 and run.stdout == baseline.stdout
                 and run.exit_status == baseline.exit_status
             )
-        samples = registry.to_dict()
-        spans = tracer.to_events()
-        events = recorder.to_events()
-    hits = samples.get("cache.protect.hits", {}).get("value", 0)
+        return protected, elapsed, behaviour
+
+    (protected, elapsed, behaviour), telemetry = capture(
+        body, tracing=task["tracing"], recording=task["recording"]
+    )
+    hits = telemetry["metrics"].get("cache.protect.hits", {}).get("value", 0)
     return {
         "name": name,
         "blob": pickle.dumps(
@@ -202,9 +180,7 @@ def _run_task(task: dict) -> dict:
         "elapsed": elapsed,
         "cache_hit": hits > 0,
         "behaviour_preserved": behaviour,
-        "metrics": samples,
-        "spans": spans,
-        "events": events,
+        "telemetry": telemetry,
         "pid": os.getpid(),
     }
 
@@ -277,13 +253,10 @@ def protect_all(
         Called per result *as it arrives* (not after the whole batch),
         so labeled contexts, recorder subscribers, rolling windows and
         a ``repro top`` tailing the journal see pool progress live.
-        When the parent runs under a TelemetryContext, ``metrics`` /
-        ``recorder`` are the context's labeled objects — the context's
-        labels are applied exactly once, here.
+        The task's payload is adopted into the active scope — under a
+        TelemetryContext its labels are applied exactly once, here —
+        with its spans under this program's span, laned per worker.
         """
-        metrics.merge_samples(entry["metrics"])
-        if entry.get("events"):
-            recorder.ingest(entry["events"], pid=entry["pid"])
         image, report = pickle.loads(entry["blob"])
         with tracer.span(
             "pipeline.program",
@@ -292,16 +265,7 @@ def protect_all(
             cache_hit=entry["cache_hit"],
         ) as span:
             span.set_attribute("elapsed_s", entry["elapsed"])
-            # Adopt the worker's spans under this program's span so
-            # multiprocessing runs trace like inline ones; the
-            # worker_pid attribute lanes them per process in the
-            # Chrome-trace export.
-            if entry.get("spans"):
-                tracer.ingest(
-                    entry["spans"],
-                    parent_id=span.span_id,
-                    extra_attributes={"worker_pid": entry["pid"]},
-                )
+            adopt(entry["telemetry"], pid=entry["pid"], parent_span=span)
         if recorder.enabled:
             recorder.record(
                 "pipeline.task",

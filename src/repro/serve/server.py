@@ -623,12 +623,10 @@ class ProtectionServer:
     def _handle_journal(self, request: Request) -> bytes:
         """Per-request flight-recorder dump (NDJSON), filterable by the
         ``request=`` / ``tenant=`` context labels."""
-        from ..telemetry.recorder import _recorder
-
         want_request = request.query.get("request")
         want_tenant = request.query.get("tenant")
         lines = []
-        for event in _recorder.iter_events():
+        for event in telemetry.get_recorder().iter_events():
             ctx = event.get("ctx") or {}
             if want_request is not None and ctx.get("request") != want_request:
                 continue

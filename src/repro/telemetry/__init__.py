@@ -17,11 +17,12 @@ are only installed when a tracer is enabled).  :func:`configure` flips
 any side on; :func:`telemetry_session` scopes that to a ``with`` block
 and restores the previous state afterwards.
 
-Request scoping: when a :class:`TelemetryContext` is active on the
-current thread/task, :func:`get_metrics`, :func:`get_tracer` and
-:func:`get_recorder` return its label-scoped child objects instead of
-the globals; the context merges everything back into the globals under
-its labels on exit (see :mod:`repro.telemetry.context`).
+Scoping: every accessor is one lookup of the active :class:`Scope` —
+a labeled :class:`TelemetryContext`, or the private scope of a
+:func:`capture` — falling back to the process-wide scope.  A context
+adopts its samples and spans into its parent under its labels on exit,
+and :func:`adopt` merges a captured payload (a pool worker's telemetry)
+into the active scope (see :mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
 JSON from the tracer, Prometheus text from the registry, and the
@@ -33,19 +34,25 @@ and budget checks in :mod:`repro.telemetry.overhead`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional
-
 from .chains import ChainExecutionTracer, ChainStep, trace_chain_run
 from .context import (
+    Scope,
     TelemetryContext,
+    adopt,
+    capture,
     clear_context,
+    configure,
     current_context,
     current_labels,
-    current_task_telemetry,
-    suspend_context,
-    task_telemetry,
+    disable,
+    get_metrics,
+    get_recorder,
+    get_tracer,
+    set_metrics,
+    set_recorder,
+    set_tracer,
     telemetry_context,
+    telemetry_session,
 )
 from .export import (
     ARTIFACT_KINDS,
@@ -70,7 +77,7 @@ from .overhead import (
     publish_overhead,
     self_accounting,
 )
-from .recorder import FlightRecorder, get_recorder, set_recorder
+from .recorder import FlightRecorder
 from .tracing import Span, Tracer
 from .windows import RollingWindow, WindowSet
 
@@ -80,9 +87,8 @@ __all__ = [
     "Span", "Tracer",
     "FlightRecorder", "get_recorder", "set_recorder",
     "ChainStep", "ChainExecutionTracer", "trace_chain_run",
-    "TelemetryContext", "telemetry_context", "current_context",
-    "current_labels", "suspend_context", "clear_context",
-    "task_telemetry", "current_task_telemetry",
+    "Scope", "TelemetryContext", "telemetry_context", "current_context",
+    "current_labels", "clear_context", "capture", "adopt",
     "RollingWindow", "WindowSet",
     "OverheadReport", "measure_overhead", "publish_overhead",
     "self_accounting",
@@ -92,108 +98,3 @@ __all__ = [
     "get_metrics", "set_metrics", "get_tracer", "set_tracer",
     "configure", "disable", "telemetry_session",
 ]
-
-_metrics = MetricsRegistry(enabled=False)
-_tracer = Tracer(enabled=False)
-
-
-def _global_metrics() -> MetricsRegistry:
-    """The process-wide registry, ignoring any active context."""
-    return _metrics
-
-
-def _global_tracer() -> Tracer:
-    """The process-wide tracer, ignoring any active context."""
-    return _tracer
-
-
-def get_metrics() -> MetricsRegistry:
-    """The task override's registry, else the active context's, else
-    the process-wide one (disabled until configured)."""
-    task = current_task_telemetry()
-    if task is not None and task.metrics is not None:
-        return task.metrics
-    ctx = current_context()
-    return ctx.metrics if ctx is not None else _metrics
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    global _metrics
-    previous, _metrics = _metrics, registry
-    return previous
-
-
-def get_tracer() -> Tracer:
-    """The task override's tracer, else the active context's, else the
-    process-wide one (disabled until configured)."""
-    task = current_task_telemetry()
-    if task is not None and task.tracer is not None:
-        return task.tracer
-    ctx = current_context()
-    return ctx.tracer if ctx is not None else _tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    global _tracer
-    previous, _tracer = _tracer, tracer
-    return previous
-
-
-def configure(
-    metrics: Optional[bool] = None,
-    tracing: Optional[bool] = None,
-    recorder: Optional[bool] = None,
-) -> None:
-    """Enable/disable the process-wide telemetry objects in place.
-
-    ``None`` leaves that side untouched.  Enabling an already-populated
-    registry keeps its instruments; use ``get_metrics().reset()`` for a
-    clean slate (likewise ``get_recorder().clear()``).
-    """
-    from .recorder import _recorder
-
-    if metrics is not None:
-        _metrics.enabled = metrics
-    if tracing is not None:
-        _tracer.enabled = tracing
-    if recorder is not None:
-        _recorder.enabled = recorder
-
-
-def disable() -> None:
-    configure(metrics=False, tracing=False, recorder=False)
-
-
-@contextmanager
-def telemetry_session(
-    metrics: bool = True,
-    tracing: bool = True,
-    recorder: bool = False,
-    recorder_capacity: Optional[int] = None,
-):
-    """Fresh, enabled registry + tracer (+ optional flight recorder)
-    for the duration of the block.
-
-    Yields ``(MetricsRegistry, Tracer)``; the previous process-wide
-    objects (and their enabled state) are restored on exit.  When
-    ``recorder`` is true a fresh :class:`FlightRecorder` is installed
-    for the block too — fetch it with :func:`get_recorder` — sized
-    ``recorder_capacity`` events (default: ``REPRO_RECORDER_EVENTS``
-    or 8192).
-    """
-    new_metrics = MetricsRegistry(enabled=metrics)
-    new_tracer = Tracer(enabled=tracing)
-    old_metrics = set_metrics(new_metrics)
-    old_tracer = set_tracer(new_tracer)
-    old_recorder = (
-        set_recorder(FlightRecorder(capacity=recorder_capacity, enabled=True))
-        if recorder
-        else None
-    )
-    try:
-        yield new_metrics, new_tracer
-    finally:
-        set_metrics(old_metrics)
-        set_tracer(old_tracer)
-        if old_recorder is not None:
-            set_recorder(old_recorder)

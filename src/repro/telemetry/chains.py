@@ -18,7 +18,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Set
 
 from .metrics import _ensure_parent_dir
-from .recorder import get_recorder
+from .context import get_recorder
 
 __all__ = ["ChainStep", "ChainExecutionTracer", "trace_chain_run"]
 

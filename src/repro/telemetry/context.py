@@ -1,184 +1,141 @@
-"""Request-scoped telemetry contexts: labeled, contextvars-propagated.
+"""Telemetry scopes: where metrics, spans and events land.
 
-A :class:`TelemetryContext` carries a label set (request id, tenant,
-engine, workload — any ``str -> str`` mapping) and scopes telemetry to
-it: while the context is active, :func:`repro.telemetry.get_metrics`
-returns the context's *child registry* (whose ``base_labels`` stamp the
-labels on every instrument), :func:`~repro.telemetry.get_tracer`
-returns a child tracer, and :func:`~repro.telemetry.get_recorder`
-returns a view of the process-wide flight recorder that attaches the
-labels to every event as a ``ctx`` field — so events stream live (to
-subscribers, rolling windows and ``--journal-follow``) instead of
-waiting for the context to close.
+A :class:`Scope` bundles a label set with a metrics registry, a tracer
+and a flight recorder.  Exactly one scope is active per thread/task,
+held in a single :mod:`contextvars` ContextVar; when none is active,
+the process-wide scope applies.  :func:`get_metrics`,
+:func:`get_tracer` and :func:`get_recorder` are each one lookup: the
+active scope's object, else the process-wide one.  :func:`set_metrics`
+and friends, :func:`configure` and :func:`telemetry_session` swap or
+toggle the fields of that process-wide scope.
 
-On exit the context **flushes**: the child registry's labeled samples
-merge into the global registry (guarded by a lock, so concurrent
-contexts on different threads reconcile exactly), and the child
-tracer's spans are adopted into the global trace with the labels as
-``ctx.*`` attributes.  Per-label sums therefore always equal what an
-unlabeled run would have recorded — the reconciliation invariant
-``tests/pipeline/test_context_isolation.py`` pins down.
+A :class:`TelemetryContext` is the labeled scope.  It carries a label
+set (request id, tenant, engine — any ``str -> str`` mapping), a child
+registry whose ``base_labels`` stamp the labels on every instrument,
+and a child tracer; it shares its parent's flight recorder, which
+stamps the active labels onto each event as a ``ctx`` field, so events
+stream live (to subscribers, rolling windows and ``--journal-follow``).
+On exit the context **flushes**: its labeled samples and its spans
+(tagged ``ctx.*``) are adopted into the parent scope.  Per-label sums
+therefore always equal what an unlabeled run would have recorded — the
+reconciliation invariant ``tests/pipeline/test_context_isolation.py``
+pins down.
 
-Propagation:
+Work that must report its telemetry separately — a pool task, or an
+inline task that must behave exactly like one — runs under
+:func:`capture`: a private, unlabeled scope whose samples, spans and
+events come back as one picklable payload.  :func:`adopt` merges such a
+payload into the active scope, which applies that scope's labels
+exactly once:
 
-* **threads / asyncio** — contexts live in a :mod:`contextvars`
-  ContextVar, so each thread (and each asyncio task) sees only its own
-  active context;
-* **multiprocessing pool workers** — the pipeline captures
-  :func:`current_labels` into each task; workers run label-free under
-  private registries/recorders (see :func:`suspend_context`, which
-  also keeps the inline ``jobs=1`` path identical to the pooled one)
-  and ship samples/spans/events back to the parent, which merges them
-  *inside* its active context so the labels apply exactly once.
+* **threads / asyncio** — the ContextVar gives each thread (and each
+  asyncio task) its own active scope;
+* **multiprocessing pool workers** — workers start scope-free (see
+  :func:`clear_context`), run each task under :func:`capture` and ship
+  the payload home, where the parent adopts it inside its own scope.
 """
 
 from __future__ import annotations
 
 import threading
-from contextvars import ContextVar
-from typing import Dict, Mapping, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .metrics import MetricsRegistry, _normalize_labels
+from .recorder import _SCOPE, FlightRecorder
 from .tracing import Tracer
 
 __all__ = [
+    "Scope",
     "TelemetryContext",
     "telemetry_context",
     "current_context",
     "current_labels",
-    "suspend_context",
     "clear_context",
-    "task_telemetry",
-    "current_task_telemetry",
+    "capture",
+    "adopt",
+    "get_metrics",
+    "set_metrics",
+    "get_tracer",
+    "set_tracer",
+    "get_recorder",
+    "set_recorder",
+    "configure",
+    "disable",
+    "telemetry_session",
 ]
 
-#: The active context for this thread / task (None = global telemetry).
-_ACTIVE: ContextVar[Optional["TelemetryContext"]] = ContextVar(
-    "repro.telemetry.context", default=None
-)
-
-#: Task-private telemetry override for this thread / task (wins over
-#: both the active context and the process-wide objects).
-_TASK_LOCAL: ContextVar[Optional["task_telemetry"]] = ContextVar(
-    "repro.telemetry.task_local", default=None
-)
-
-#: Serializes flushes into the global registry/tracer across threads.
-_FLUSH_LOCK = threading.Lock()
+#: Serializes adoptions: two scopes flushing into one parent on
+#: different threads interleave safely.
+_ADOPT_LOCK = threading.Lock()
 
 
-def current_context() -> Optional["TelemetryContext"]:
-    """The active :class:`TelemetryContext`, or ``None``."""
-    return _ACTIVE.get()
+class Scope:
+    """A label set plus the registry, tracer and recorder it fills.
 
-
-def current_labels() -> Dict[str, str]:
-    """The active context's labels (``{}`` when no context is active)."""
-    ctx = _ACTIVE.get()
-    return dict(ctx.labels) if ctx is not None else {}
-
-
-def clear_context() -> None:
-    """Drop any inherited active context (pool-worker initializer).
-
-    ``fork``-started workers inherit the parent's ContextVar state; a
-    worker that kept the parent's context would write into a *copy* of
-    the parent's child registry and the samples would never make it
-    back.  Workers instead run context-free and ship samples home.
-    """
-    _ACTIVE.set(None)
-    _TASK_LOCAL.set(None)
-
-
-def current_task_telemetry() -> Optional["task_telemetry"]:
-    """The active task-private telemetry override, or ``None``."""
-    return _TASK_LOCAL.get()
-
-
-class task_telemetry:
-    """Install task-private metrics/tracer/recorder for this thread.
-
-    Pipeline task bodies (``protect-all`` tasks, parallel gadget
-    scans) collect their telemetry into private objects so the parent
-    can merge samples deterministically.  Swapping the *process-wide*
-    objects for that would race: two threads running inline tasks
-    concurrently would overwrite each other's private registries and
-    one request's counts would land under the other's labels.  This
-    override lives in a :mod:`contextvars` ContextVar instead, so it is
-    visible only to the installing thread/task and the reconciliation
-    invariant survives threading.
-
-    Any field left ``None`` falls through to the normal resolution
-    (active context, then process-wide object).
+    Entering a scope makes it the active one for this thread/task.
     """
 
-    __slots__ = ("metrics", "tracer", "recorder", "_token")
+    __slots__ = ("labels", "metrics", "tracer", "recorder", "_token")
 
-    def __init__(self, metrics=None, tracer=None, recorder=None):
+    def __init__(
+        self,
+        labels: Dict[str, str],
+        metrics: MetricsRegistry,
+        tracer: Tracer,
+        recorder: FlightRecorder,
+    ):
+        self.labels = labels
         self.metrics = metrics
         self.tracer = tracer
         self.recorder = recorder
         self._token = None
 
-    def __enter__(self) -> "task_telemetry":
+    def __enter__(self) -> "Scope":
         if self._token is not None:
-            raise RuntimeError("task telemetry override is not reentrant")
-        self._token = _TASK_LOCAL.set(self)
+            raise RuntimeError("telemetry scope is not reentrant")
+        self._token = _SCOPE.set(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _TASK_LOCAL.reset(self._token)
+        _SCOPE.reset(self._token)
         self._token = None
         return False
 
+    def adopt(self, payload: dict, pid: Optional[int] = None, parent_span=None) -> None:
+        """Merge a :func:`capture` payload into this scope.
 
-class _ContextRecorder:
-    """View of the global flight recorder that stamps context labels.
-
-    Events recorded through the view reach the real recorder (and its
-    subscribers) immediately with a ``ctx`` field carrying the label
-    set; everything else delegates, so exporters and hot-path
-    ``recorder.enabled`` guards behave identically.
-    """
-
-    __slots__ = ("_labels",)
-
-    def __init__(self, labels: Dict[str, str]):
-        object.__setattr__(self, "_labels", labels)
-
-    @property
-    def _base(self):
-        from .recorder import _recorder
-
-        return _recorder
-
-    @property
-    def enabled(self) -> bool:
-        return self._base.enabled
-
-    def record(self, kind: str, **fields) -> None:
-        base = self._base
-        if not base.enabled:
-            return
-        base.record(kind, ctx=self._labels, **fields)
-
-    def ingest(self, events, labels=None, pid=None) -> int:
-        merged = dict(self._labels)
-        if labels:
-            merged.update(labels)
-        return self._base.ingest(events, labels=merged, pid=pid)
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)
+        Samples merge under this registry's base labels; spans are
+        adopted under ``parent_span`` (roots otherwise) and tagged
+        ``worker_pid``; events are re-recorded with ``pid``.
+        """
+        with _ADOPT_LOCK:
+            self.metrics.merge_samples(payload["metrics"])
+            if payload["spans"]:
+                self.tracer.ingest(
+                    payload["spans"],
+                    parent_id=None if parent_span is None else parent_span.span_id,
+                    extra_attributes=None if pid is None else {"worker_pid": pid},
+                )
+            if payload["events"]:
+                self.recorder.ingest(payload["events"], pid=pid)
 
     def __repr__(self) -> str:
-        return f"<_ContextRecorder {self._labels} -> {self._base!r}>"
+        return f"<{type(self).__name__} {self.labels}>"
 
 
-class TelemetryContext:
+#: The process-wide scope; everything starts disabled.
+_GLOBAL = Scope(
+    {}, MetricsRegistry(enabled=False), Tracer(enabled=False),
+    FlightRecorder(enabled=False),
+)
+
+
+def _active() -> Scope:
+    return _SCOPE.get() or _GLOBAL
+
+
+class TelemetryContext(Scope):
     """One labeled telemetry scope; use as a context manager.
 
     ::
@@ -187,87 +144,50 @@ class TelemetryContext:
             protect_all(jobs=2)           # everything lands under r-17
 
     Nested contexts merge labels (inner keys win); the child registry
-    and tracer mirror the *global* enabled state at entry, so a context
-    under disabled telemetry costs two small allocations and nothing
-    else.
+    and tracer mirror the enclosing scope's enabled state at
+    construction, so a context under disabled telemetry costs two
+    small allocations and nothing else.
     """
 
-    __slots__ = (
-        "labels",
-        "metrics",
-        "tracer",
-        "recorder",
-        "_token",
-        "_flushed",
-    )
+    __slots__ = ("_parent",)
 
     def __init__(self, labels: Optional[Mapping] = None):
-        from . import get_metrics, get_tracer
-
-        parent = _ACTIVE.get()
-        merged: Dict[str, str] = dict(parent.labels) if parent else {}
+        parent = _active()
+        merged = dict(parent.labels)
         merged.update(_normalize_labels(labels))
         if not merged:
             raise ValueError("a telemetry context needs at least one label")
-        self.labels = merged
-        # Mirror the *currently visible* telemetry's enabled state (the
-        # global one, or an enclosing context's child objects).
-        self.metrics = MetricsRegistry(
-            enabled=get_metrics().enabled, base_labels=merged
+        super().__init__(
+            merged,
+            MetricsRegistry(enabled=parent.metrics.enabled, base_labels=merged),
+            Tracer(enabled=parent.tracer.enabled),
+            parent.recorder,
         )
-        self.tracer = Tracer(enabled=get_tracer().enabled)
-        self.recorder = _ContextRecorder(merged)
-        self._token = None
-        self._flushed = False
-
-    # -- scope management ----------------------------------------------
-
-    def __enter__(self) -> "TelemetryContext":
-        if self._token is not None:
-            raise RuntimeError("telemetry context is not reentrant")
-        self._token = _ACTIVE.set(self)
-        return self
+        self._parent = parent
 
     def __exit__(self, *exc) -> bool:
-        _ACTIVE.reset(self._token)
-        self._token = None
+        super().__exit__(*exc)
         self.flush()
         return False
 
-    # -- reconciliation -------------------------------------------------
-
-    def snapshot(self) -> Dict[str, dict]:
-        """The child registry's labeled samples (pre- or post-flush)."""
-        return self.metrics.to_dict()
-
     def flush(self) -> None:
-        """Merge the child registry and tracer into the global objects.
+        """Adopt the child registry and tracer into the parent scope.
 
-        Idempotent per batch: merged samples/spans are cleared from the
-        child, so flushing mid-run and again at exit never double
-        counts.  The merge into the shared global registry is locked —
-        two contexts finishing on different threads interleave safely.
+        Idempotent per batch: flushed samples/spans are cleared from
+        the child, so flushing mid-run and again at exit never double
+        counts.  Samples already carry the labels (``base_labels``
+        stamped them); spans get them here as ``ctx.*`` attributes.
         """
-        from . import _global_metrics, _global_tracer
-
         samples = self.metrics.to_dict()
         spans = self.tracer.to_events()
         if not samples and not spans:
             return
         self.metrics.reset()
         self.tracer.reset()
-        attributes = {f"ctx.{k}": v for k, v in self.labels.items()}
-        with _FLUSH_LOCK:
-            if samples:
-                # Samples already carry the context labels (base_labels
-                # stamped them at accessor time) — merge verbatim.
-                _global_metrics().merge_samples(samples)
-            if spans:
-                _global_tracer().ingest(spans, extra_attributes=attributes)
-        self._flushed = True
-
-    def __repr__(self) -> str:
-        return f"<TelemetryContext {self.labels}>"
+        stamp = {f"ctx.{k}": v for k, v in self.labels.items()}
+        for span in spans:
+            span["attributes"] = {**stamp, **span["attributes"]}
+        self._parent.adopt({"metrics": samples, "spans": spans, "events": []})
 
 
 def telemetry_context(**labels) -> TelemetryContext:
@@ -275,21 +195,157 @@ def telemetry_context(**labels) -> TelemetryContext:
     return TelemetryContext(labels)
 
 
-class suspend_context:
-    """Temporarily deactivate the current context (``with`` block).
+def current_context() -> Optional[TelemetryContext]:
+    """The active :class:`TelemetryContext`, or ``None``."""
+    scope = _SCOPE.get()
+    return scope if isinstance(scope, TelemetryContext) else None
 
-    Pipeline task bodies run under this so the inline ``jobs=1`` path
-    behaves exactly like a pool worker: samples collect in the task's
-    private registry and are labeled once, by the parent, at merge
-    time.
+
+def current_labels() -> Dict[str, str]:
+    """The active scope's labels (``{}`` outside any context)."""
+    return dict(_active().labels)
+
+
+def clear_context() -> None:
+    """Drop any inherited active scope (pool-worker initializer).
+
+    ``fork``-started workers inherit the parent's ContextVar state; a
+    worker that kept the parent's scope would write into a *copy* of
+    the parent's child registry and the samples would never make it
+    back.  Workers instead run scope-free and ship payloads home.
     """
+    _SCOPE.set(None)
 
-    __slots__ = ("_token",)
 
-    def __enter__(self) -> "suspend_context":
-        self._token = _ACTIVE.set(None)
-        return self
+# ----------------------------------------------------------------------
+# Capture and adopt
+# ----------------------------------------------------------------------
 
-    def __exit__(self, *exc) -> bool:
-        _ACTIVE.reset(self._token)
-        return False
+
+def capture(
+    body: Callable[[], Any], tracing: bool = False, recording: bool = False
+) -> Tuple[Any, dict]:
+    """Run ``body()`` under a private, unlabeled scope.
+
+    Returns ``(result, payload)`` where ``payload`` is the picklable
+    ``{"metrics", "spans", "events"}`` telemetry of the body: always
+    its metric samples, its spans when ``tracing``, its flight-recorder
+    events when ``recording``.  Merge it with :func:`adopt`.
+    """
+    scope = Scope(
+        {},
+        MetricsRegistry(enabled=True),
+        Tracer(enabled=tracing),
+        FlightRecorder(enabled=recording),
+    )
+    with scope:
+        result = body()
+    return result, {
+        "metrics": scope.metrics.to_dict(),
+        "spans": scope.tracer.to_events(),
+        "events": scope.recorder.to_events(),
+    }
+
+
+def adopt(payload: dict, pid: Optional[int] = None, parent_span=None) -> None:
+    """Merge a :func:`capture` payload into the active scope.
+
+    Samples merge via :meth:`MetricsRegistry.merge_samples`, spans via
+    :meth:`Tracer.ingest` under ``parent_span`` tagged ``worker_pid``,
+    events via :meth:`FlightRecorder.ingest` tagged ``pid`` — each
+    labeled by the active scope exactly once.
+    """
+    _active().adopt(payload, pid=pid, parent_span=parent_span)
+
+
+# ----------------------------------------------------------------------
+# Accessors
+# ----------------------------------------------------------------------
+
+
+def get_metrics() -> MetricsRegistry:
+    """The active scope's registry (disabled until configured)."""
+    return _active().metrics
+
+
+def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    previous, _GLOBAL.metrics = _GLOBAL.metrics, registry
+    return previous
+
+
+def get_tracer() -> Tracer:
+    """The active scope's tracer (disabled until configured)."""
+    return _active().tracer
+
+
+def set_tracer(tracer: Tracer) -> Tracer:
+    previous, _GLOBAL.tracer = _GLOBAL.tracer, tracer
+    return previous
+
+
+def get_recorder() -> FlightRecorder:
+    """The active scope's flight recorder (disabled until configured)."""
+    return _active().recorder
+
+
+def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
+    previous, _GLOBAL.recorder = _GLOBAL.recorder, recorder
+    return previous
+
+
+def configure(
+    metrics: Optional[bool] = None,
+    tracing: Optional[bool] = None,
+    recorder: Optional[bool] = None,
+) -> None:
+    """Enable/disable the process-wide telemetry objects in place.
+
+    ``None`` leaves that side untouched.  Enabling an already-populated
+    registry keeps its instruments; use ``get_metrics().reset()`` for a
+    clean slate (likewise ``get_recorder().clear()``).
+    """
+    if metrics is not None:
+        _GLOBAL.metrics.enabled = metrics
+    if tracing is not None:
+        _GLOBAL.tracer.enabled = tracing
+    if recorder is not None:
+        _GLOBAL.recorder.enabled = recorder
+
+
+def disable() -> None:
+    configure(metrics=False, tracing=False, recorder=False)
+
+
+@contextmanager
+def telemetry_session(
+    metrics: bool = True,
+    tracing: bool = True,
+    recorder: bool = False,
+    recorder_capacity: Optional[int] = None,
+):
+    """Fresh, enabled registry + tracer (+ optional flight recorder)
+    for the duration of the block.
+
+    Yields ``(MetricsRegistry, Tracer)``; the previous process-wide
+    objects (and their enabled state) are restored on exit.  When
+    ``recorder`` is true a fresh :class:`FlightRecorder` is installed
+    for the block too — fetch it with :func:`get_recorder` — sized
+    ``recorder_capacity`` events (default: ``REPRO_RECORDER_EVENTS``
+    or 8192).
+    """
+    new_metrics = MetricsRegistry(enabled=metrics)
+    new_tracer = Tracer(enabled=tracing)
+    old_metrics = set_metrics(new_metrics)
+    old_tracer = set_tracer(new_tracer)
+    old_recorder = (
+        set_recorder(FlightRecorder(capacity=recorder_capacity, enabled=True))
+        if recorder
+        else None
+    )
+    try:
+        yield new_metrics, new_tracer
+    finally:
+        set_metrics(old_metrics)
+        set_tracer(old_tracer)
+        if old_recorder is not None:
+            set_recorder(old_recorder)

@@ -157,8 +157,7 @@ def self_accounting(registry=None) -> float:
     """
     from . import get_recorder
 
-    recorder = get_recorder()
-    self_seconds = getattr(recorder, "self_seconds", 0.0)
+    self_seconds = get_recorder().self_seconds
     if registry is None:
         from . import get_metrics
 

@@ -42,6 +42,11 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
   every event as a dict, live — the feed that powers rolling windows
   (:mod:`repro.telemetry.windows`) and ``--journal-follow`` NDJSON
   streaming.  With no subscribers the cost is one truthiness check.
+* **Labeled by scope.**  ``record`` stamps the active telemetry
+  scope's labels (a :class:`~repro.telemetry.context.TelemetryContext`)
+  onto the event as a ``ctx`` field; keys the event already carries in
+  its own ``ctx`` win.  One process-wide recorder therefore serves every
+  concurrent request, and labeled events stream live.
 * **Self-accounting.**  Every 256th ``record`` times itself and
   extrapolates into ``self_seconds`` — the recorder's own overhead,
   exported as ``telemetry.overhead.*`` (see
@@ -55,16 +60,18 @@ import json
 import os
 import time
 from collections import deque
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from .metrics import _ensure_parent_dir
 
-__all__ = [
-    "FlightRecorder",
-    "get_recorder",
-    "set_recorder",
-    "default_capacity",
-]
+__all__ = ["FlightRecorder", "default_capacity"]
+
+#: The active :class:`~repro.telemetry.context.Scope` for this thread /
+#: task (``None`` = the process-wide scope).  It is defined here, below
+#: :mod:`repro.telemetry.context` in the import graph, because
+#: :meth:`FlightRecorder.record` reads the active scope's labels.
+_SCOPE: ContextVar = ContextVar("repro.telemetry.scope", default=None)
 
 #: Environment variable overriding the default ring capacity.
 CAPACITY_ENV = "REPRO_RECORDER_EVENTS"
@@ -123,11 +130,20 @@ class FlightRecorder:
         """Append one event; no-op while disabled.
 
         ``fields`` must be JSON-serializable; ``seq``, ``ts`` and
-        ``kind`` are reserved names.  Subscribers see the event as a
-        dict immediately after it is retained.
+        ``kind`` are reserved names.  The active scope's labels become
+        the ``ctx`` field (the event's own ``ctx`` keys win).
+        Subscribers see the event as a dict immediately after it is
+        retained.
         """
         if not self.enabled:
             return
+        scope = _SCOPE.get()
+        if scope is not None and scope.labels:
+            ctx = fields.get("ctx")
+            if ctx is None:
+                fields = {"ctx": scope.labels, **fields}
+            else:
+                fields["ctx"] = {**scope.labels, **ctx}
         seq = self._seq + 1
         self._seq = seq
         sampled = not seq % _SELF_SAMPLE_EVERY
@@ -144,21 +160,16 @@ class FlightRecorder:
                 (time.perf_counter() - started) * _SELF_SAMPLE_EVERY
             )
 
-    def ingest(
-        self,
-        events: Iterable[dict],
-        labels: Optional[Dict[str, str]] = None,
-        pid: Optional[int] = None,
-    ) -> int:
+    def ingest(self, events: Iterable[dict], pid: Optional[int] = None) -> int:
         """Adopt events exported by another recorder (a pool worker).
 
         Each event is re-recorded here — new sequence numbers, this
-        recorder's clock — preserving the original fields; the worker's
-        own relative timestamp survives as ``worker_ts`` and ``pid``
-        and ``labels`` (as the ``ctx`` field) ride along.  Ingested
-        events flow through subscribers like locally recorded ones, so
-        live views see pool workers' events as results merge.  Returns
-        the number of events adopted.
+        recorder's clock, the active scope's labels (see :meth:`record`)
+        — preserving the original fields; the worker's own relative
+        timestamp survives as ``worker_ts`` and ``pid`` rides along.
+        Ingested events flow through subscribers like locally recorded
+        ones, so live views see pool workers' events as results merge.
+        Returns the number of events adopted.
         """
         if not self.enabled:
             return 0
@@ -175,10 +186,6 @@ class FlightRecorder:
                 fields.setdefault("worker_ts", event["ts"])
             if pid is not None:
                 fields.setdefault("pid", pid)
-            if labels:
-                ctx = dict(labels)
-                ctx.update(fields.get("ctx") or {})
-                fields["ctx"] = ctx
             self.record(event.get("kind", "?"), **fields)
             adopted += 1
         return adopted
@@ -267,33 +274,3 @@ class FlightRecorder:
             f"<FlightRecorder {state}, {len(self._events)}/{self.capacity} "
             f"events, {self.dropped} dropped>"
         )
-
-
-#: Process-wide recorder; starts disabled, like the registry and tracer.
-_recorder = FlightRecorder(enabled=False)
-
-
-def get_recorder():
-    """The process-wide flight recorder (disabled until configured).
-
-    When a task-private override (:class:`~repro.telemetry.context.\
-task_telemetry`) is installed on this thread, its recorder wins.
-    Otherwise, when a :class:`~repro.telemetry.context.TelemetryContext`
-    is active, a view that stamps the context's labels onto every event
-    is returned instead — same recorder, same ring, labeled events.
-    """
-    from .context import current_context, current_task_telemetry
-
-    task = current_task_telemetry()
-    if task is not None and task.recorder is not None:
-        return task.recorder
-    ctx = current_context()
-    if ctx is not None:
-        return ctx.recorder
-    return _recorder
-
-
-def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    global _recorder
-    previous, _recorder = _recorder, recorder
-    return previous

@@ -23,7 +23,11 @@ __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 
 class Span:
-    """One timed, attributed region of work."""
+    """One timed, attributed region of work.
+
+    A span opened by :meth:`Tracer.span` is its own context manager:
+    leaving the ``with`` block finishes it on its tracer.
+    """
 
     __slots__ = (
         "name",
@@ -34,6 +38,7 @@ class Span:
         "start_wall",
         "attributes",
         "status",
+        "_tracer",
     )
 
     def __init__(
@@ -42,7 +47,9 @@ class Span:
         span_id: int,
         parent_id: Optional[int],
         attributes: Optional[Dict[str, Any]] = None,
+        tracer: Optional["Tracer"] = None,
     ):
+        self._tracer = tracer
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
@@ -54,6 +61,13 @@ class Span:
 
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._tracer._finish(self, failed=exc_type is not None)
+        return False
 
     @property
     def finished(self) -> bool:
@@ -103,43 +117,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _SpanHandle:
-    """Context manager that closes its span and pops the tracer stack."""
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self.tracer = tracer
-        self.span = span
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.span.set_attribute(key, value)
-
-    # Mirror the Span read API so callers can treat handles as spans.
-    @property
-    def name(self) -> str:
-        return self.span.name
-
-    @property
-    def span_id(self) -> int:
-        return self.span.span_id
-
-    @property
-    def parent_id(self) -> Optional[int]:
-        return self.span.parent_id
-
-    @property
-    def attributes(self) -> Dict[str, Any]:
-        return self.span.attributes
-
-    def __enter__(self) -> "_SpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.tracer._finish(self.span, failed=exc_type is not None)
-        return False
-
-
 class Tracer:
     """Span factory + active-span stack + finished-span store."""
 
@@ -152,7 +129,7 @@ class Tracer:
     def span(self, name: str, **attributes):
         """Open a span nested under the currently active one.
 
-        Returns a context manager; use ``with tracer.span("x") as s:``.
+        The span is a context manager; use ``with tracer.span("x") as s:``.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -162,10 +139,11 @@ class Tracer:
             span_id=self._next_id,
             parent_id=parent.span_id if parent else None,
             attributes=attributes,
+            tracer=self,
         )
         self._next_id += 1
         self._stack.append(span)
-        return _SpanHandle(self, span)
+        return span
 
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
@@ -216,11 +194,10 @@ class Tracer:
         Wall-clock ``start_ts`` and durations are preserved; a disabled
         tracer ignores ingests, matching :meth:`span`.
 
-        ``extra_attributes`` are stamped onto every adopted span — the
-        pipeline tags worker spans ``worker_pid`` so the Chrome-trace
-        exporter can lane them per process, and telemetry contexts tag
-        flushed spans ``ctx.*`` with their label set.  The span's own
-        attributes win on key collisions.
+        ``extra_attributes`` are stamped onto every adopted span —
+        :func:`repro.telemetry.adopt` tags pool-worker spans
+        ``worker_pid`` so the Chrome-trace exporter can lane them per
+        process.  The span's own attributes win on key collisions.
         """
         if not self.enabled:
             return []

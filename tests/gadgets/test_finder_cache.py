@@ -9,8 +9,11 @@
   runs share one cache directory without re-scanning.
 """
 
+import contextlib
 import os
 import pickle
+
+import pytest
 
 from repro.binary import BinaryImage, Perm, Section
 from repro.cache import cache_session, content_key
@@ -21,6 +24,7 @@ from repro.gadgets import (
     find_gadgets_in_bytes_cached,
     reference_find_gadgets,
 )
+from repro.telemetry import MetricsRegistry, TelemetryContext, set_metrics
 from repro.x86 import Assembler, EAX, EBX, ECX
 
 
@@ -112,25 +116,32 @@ def test_parallel_and_serial_scans_write_identical_cache_bytes(tmp_path):
         assert pickle.loads(blob)
 
 
-def test_parallel_scan_merges_worker_metrics_deterministically(tmp_path):
-    from repro.telemetry import MetricsRegistry, set_metrics
+@pytest.mark.parametrize(
+    "labels", [None, {"request": "r1"}], ids=["no-context", "context"]
+)
+def test_parallel_scan_merges_worker_metrics_deterministically(labels):
+    """Worker samples are adopted once, under the caller's labels."""
 
     def counters(jobs):
         registry = MetricsRegistry(enabled=True)
         previous = set_metrics(registry)
+        scope = TelemetryContext(labels) if labels else contextlib.nullcontext()
         try:
-            with cache_session(enabled=False):
+            with cache_session(enabled=False), scope:
                 find_gadgets(_multi_section_image(), jobs=jobs)
         finally:
             set_metrics(previous)
-        samples = registry.to_dict()
         return {
-            name: samples[name]["value"]
-            for name in (
-                "gadgets.offsets_scanned",
-                "gadgets.accepted",
-                "gadgets.rejected",
-            )
+            key: sample["value"]
+            for key, sample in registry.to_dict().items()
+            if sample["name"].startswith("gadgets.")
         }
 
-    assert counters(1) == counters(3)
+    series = '{request="r1"}' if labels else ""
+    serial = counters(1)
+    # one series per family, carrying exactly the caller's labels
+    assert set(serial) == {
+        f"gadgets.{name}{series}"
+        for name in ("offsets_scanned", "accepted", "rejected")
+    }
+    assert counters(3) == serial

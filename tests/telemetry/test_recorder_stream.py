@@ -3,7 +3,7 @@ worker-event ingestion, self-accounting."""
 
 import pytest
 
-from repro.telemetry import FlightRecorder
+from repro.telemetry import FlightRecorder, telemetry_context
 from repro.telemetry.recorder import CAPACITY_ENV, default_capacity
 
 
@@ -50,9 +50,8 @@ def test_ingest_adopts_worker_events():
     worker.record("protect", program="wget", seconds=0.5)
     worker.record("block_compile", start=0x1000)
     parent = FlightRecorder(capacity=8)
-    adopted = parent.ingest(
-        worker.to_events(), labels={"request": "r1"}, pid=4242
-    )
+    with telemetry_context(request="r1"):
+        adopted = parent.ingest(worker.to_events(), pid=4242)
     assert adopted == 2
     events = parent.to_events()
     assert [e["kind"] for e in events] == ["protect", "block_compile"]
@@ -68,7 +67,8 @@ def test_ingest_merges_labels_under_existing_ctx():
     worker = FlightRecorder(capacity=8)
     worker.record("attack", ctx={"engine": "trace"})
     parent = FlightRecorder(capacity=8)
-    parent.ingest(worker.to_events(), labels={"request": "r1"})
+    with telemetry_context(request="r1"):
+        parent.ingest(worker.to_events())
     (event,) = parent.to_events()
     assert event["ctx"] == {"request": "r1", "engine": "trace"}
 

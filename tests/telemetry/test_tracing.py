@@ -92,3 +92,20 @@ def test_reset():
     with tracer.span("b"):
         pass
     assert tracer.spans[0].span_id == 1
+
+
+def test_leaked_inner_span_is_closed_when_outer_exits():
+    tracer = Tracer()
+    with tracer.span("outer") as outer:
+        inner = tracer.span("inner")  # opened, never exited
+        inner.__enter__()
+    # the outer exit closed the leaked inner span first
+    assert [s.name for s in tracer.spans] == ["inner", "outer"]
+    assert inner.finished and outer.finished
+    assert inner.parent_id == outer.span_id
+    assert outer.parent_id is None
+    assert tracer.current() is None
+    # the stack is clean: the next span is a root
+    with tracer.span("after") as after:
+        pass
+    assert after.parent_id is None
