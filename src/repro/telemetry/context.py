@@ -102,7 +102,9 @@ class Scope:
         self._token = None
         return False
 
-    def adopt(self, payload: dict, pid: Optional[int] = None, parent_span=None) -> None:
+    def adopt(
+        self, payload: dict, pid: Optional[int] = None, parent_span=None
+    ) -> None:
         """Merge a :func:`capture` payload into this scope.
 
         Samples merge under this registry's base labels; spans are
@@ -114,8 +116,8 @@ class Scope:
             if payload["spans"]:
                 self.tracer.ingest(
                     payload["spans"],
-                    parent_id=None if parent_span is None else parent_span.span_id,
-                    extra_attributes=None if pid is None else {"worker_pid": pid},
+                    parent_id=parent_span.span_id if parent_span else None,
+                    extra_attributes={"worker_pid": pid} if pid else None,
                 )
             if payload["events"]:
                 self.recorder.ingest(payload["events"], pid=pid)
