@@ -1,14 +1,15 @@
 """Serve throughput curve: req/s and latency percentiles vs concurrency.
 
-Stands up an in-process ``repro serve`` instance (:class:`ServerThread`)
-and drives it with an asyncio load generator at several concurrency
-levels.  Each level runs two passes over the same request set:
+Stands up an in-process ``repro serve`` instance (:class:`ServerThread`,
+on the same worker-process pool the daemon runs) and drives it with an
+asyncio load generator at several concurrency levels.  Each level runs
+two passes over the same request set:
 
 * **cold** — every request is unique (fresh seeds), so each one rides
   admission → single-flight → batched pool dispatch → full protection
   pipeline; this measures the compute path.
 * **warm** — the identical requests replayed, so every one is a
-  sharded-cache hit that never touches the pool; this measures the
+  serve-cache hit that never touches the pool; this measures the
   serving overhead floor.
 
 Per-request latencies feed :class:`repro.telemetry.windows.RollingWindow`
@@ -158,7 +159,6 @@ def run_suite(
     levels=DEFAULT_LEVELS,
     requests_per_level=None,
     jobs=None,
-    executor="thread",
     batch_max=4,
     coalesce_n=100,
     output=DEFAULT_OUTPUT,
@@ -166,7 +166,7 @@ def run_suite(
     jobs = jobs or min(4, os.cpu_count() or 2)
     seed_base = time.time_ns() % 1_000_000_000
     config = ServeConfig(
-        port=0, jobs=jobs, executor=executor, batch_max=batch_max,
+        port=0, jobs=jobs, batch_max=batch_max,
         queue_depth=max(levels) * 4,
     )
     curve = {}
@@ -196,7 +196,6 @@ def run_suite(
         )
     payload = {
         "jobs": jobs,
-        "executor": executor,
         "batch_max": batch_max,
         "levels": list(levels),
         "curve": curve,
@@ -216,7 +215,7 @@ def run_suite(
 
 def _print_report(payload):
     print(f"serve curve (jobs={payload['jobs']}, "
-          f"executor={payload['executor']}, batch_max={payload['batch_max']})")
+          f"batch_max={payload['batch_max']})")
     print(f"{'conc':>5} {'pass':<5} {'req/s':>9} {'p50':>9} {'p95':>9} "
           f"{'p99':>9}  roles")
     for key in (f"c{level}" for level in payload["levels"]):
@@ -245,10 +244,6 @@ def main(argv=None) -> int:
                         help="requests per pass (default: max(2*level, 24))")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker pool size (default: min(4, cpus))")
-    parser.add_argument("--executor", choices=("process", "thread"),
-                        default="thread",
-                        help="worker pool kind (default: thread — "
-                             "in-process, deterministic in CI)")
     parser.add_argument("--batch-max", type=int, default=4,
                         help="scheduler batch cap (default: 4)")
     parser.add_argument("--coalesce-n", type=int, default=100,
@@ -264,7 +259,6 @@ def main(argv=None) -> int:
         levels=args.levels,
         requests_per_level=args.requests_per_level,
         jobs=args.jobs,
-        executor=args.executor,
         batch_max=args.batch_max,
         coalesce_n=args.coalesce_n,
         output=args.output,

@@ -11,10 +11,7 @@ entirely:
   (section bytes, virtual addresses, finder/config knobs, and a
   per-namespace version stamp so stale entries die on algorithm
   changes);
-* every namespace has an **in-memory LRU tier** bounded by entry count
-  and **sharded by key space** (:class:`ShardedLRUTier`): each shard
-  has its own lock, so concurrent readers/writers of different keys —
-  the serving layer's steady state — never contend on one mutex;
+* every namespace has an **in-memory LRU tier** bounded by entry count;
 * an optional **on-disk tier** (``configure_cache(cache_dir=...)`` or
   the ``REPRO_CACHE_DIR`` environment variable) persists entries across
   processes — this is what makes warm ``protect-all`` reruns and
@@ -57,7 +54,6 @@ __all__ = [
     "package_source_digest",
     "shard_index",
     "LRUTier",
-    "ShardedLRUTier",
     "DiskTier",
     "ContentCache",
     "CacheManager",
@@ -71,8 +67,8 @@ __all__ = [
 #: Default bound for every in-memory LRU tier.
 DEFAULT_MEMORY_ENTRIES = 256
 
-#: Default shard count for both the memory tier's lock striping and the
-#: disk tier's per-shard directories.
+#: Number of per-shard directories in the disk tier (part of the layout:
+#: changing it strands every existing entry).
 DEFAULT_SHARDS = 16
 
 #: Sentinel distinguishing "miss" from a cached ``None``.
@@ -209,58 +205,13 @@ class LRUTier:
             self._entries.clear()
 
 
-class ShardedLRUTier:
-    """Key-space-sharded LRU store: one lock and one LRU per shard.
-
-    Presents the same ``get``/``put``/``clear`` interface as
-    :class:`LRUTier`, but spreads keys over ``shards`` independent
-    tiers so concurrent writers of *different* keys — the serving
-    layer's steady state under load — take different locks.  The total
-    entry bound is preserved by giving each shard
-    ``ceil(max_entries / shards)`` slots.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MEMORY_ENTRIES,
-        shards: int = DEFAULT_SHARDS,
-    ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.shards = shards
-        per_shard = max(1, -(-max_entries // shards))
-        self._tiers = [LRUTier(per_shard) for _ in range(shards)]
-
-    def _tier(self, key: str) -> LRUTier:
-        return self._tiers[shard_index(key, self.shards)]
-
-    def get(self, key: str) -> Any:
-        return self._tier(key).get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        self._tier(key).put(key, value)
-
-    def __len__(self) -> int:
-        return sum(len(tier) for tier in self._tiers)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._tier(key)
-
-    def clear(self) -> None:
-        for tier in self._tiers:
-            tier.clear()
-
-
 class DiskTier:
     """Pickle-per-entry on-disk store with per-shard directories.
 
     Entries live under ``<root>/<namespace>/shard-<nn>/<key>.pkl``
     where ``nn`` is :func:`shard_index` of the key, so concurrent
     writers spread directory creation and rename traffic over
-    ``shards`` directories instead of contending on one.  Writes are
+    :data:`DEFAULT_SHARDS` directories instead of contending on one.  Writes are
     atomic (temp file + ``os.replace``), which is the whole same-key
     story: any number of processes may race one key and the directory
     ends up with exactly one valid entry — the last rename wins, and a
@@ -268,33 +219,25 @@ class DiskTier:
     never a torn mix.  Reads treat any malformed entry as a miss.
     """
 
-    def __init__(self, root: str, shards: int = DEFAULT_SHARDS):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, root: str):
         self.root = root
-        self.shards = shards
         os.makedirs(root, exist_ok=True)
-        # Per-shard locks serialize only the mkdir memoization — the
-        # data plane relies on atomic renames, not locking.
-        self._shard_locks = [threading.Lock() for _ in range(shards)]
+        # The lock serializes only the mkdir memoization — the data
+        # plane relies on atomic renames, not locking.
         self._ready_dirs = set()
         self._ready_lock = threading.Lock()
 
     def _path(self, namespace: str, key: str) -> str:
-        shard = shard_index(key, self.shards)
+        shard = shard_index(key, DEFAULT_SHARDS)
         return os.path.join(
             self.root, namespace, f"shard-{shard:02x}", key + ".pkl"
         )
 
-    def _ensure_dir(self, directory: str, key: str) -> None:
+    def _ensure_dir(self, directory: str) -> None:
         with self._ready_lock:
-            ready = directory in self._ready_dirs
-        if ready:
-            return
-        with self._shard_locks[shard_index(key, self.shards)]:
-            os.makedirs(directory, exist_ok=True)
-        with self._ready_lock:
-            self._ready_dirs.add(directory)
+            if directory not in self._ready_dirs:
+                os.makedirs(directory, exist_ok=True)
+                self._ready_dirs.add(directory)
 
     def get_blob(self, namespace: str, key: str) -> Optional[bytes]:
         try:
@@ -307,7 +250,7 @@ class DiskTier:
         path = self._path(namespace, key)
         directory = os.path.dirname(path)
         try:
-            self._ensure_dir(directory, key)
+            self._ensure_dir(directory)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
@@ -424,19 +367,9 @@ class CacheManager:
     #: cost model and dwarf their own pickles).
     MEMORY_ONLY = frozenset({"decode"})
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        enabled: bool = True,
-        shards: int = DEFAULT_SHARDS,
-    ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.memory_entries = memory_entries
+    def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True):
         self.enabled = enabled
-        self.shards = shards
-        self.disk = DiskTier(cache_dir, shards=shards) if cache_dir else None
+        self.disk = DiskTier(cache_dir) if cache_dir else None
         self._caches: Dict[str, ContentCache] = {}
         self._lock = threading.Lock()
 
@@ -450,7 +383,6 @@ class CacheManager:
             if cache is None:
                 cache = ContentCache(
                     namespace,
-                    memory=ShardedLRUTier(self.memory_entries, self.shards),
                     disk=self.disk,
                     store_blobs=store_blobs,
                     use_disk=namespace not in self.MEMORY_ONLY,
@@ -478,10 +410,7 @@ def cache_manager() -> CacheManager:
 
 
 def configure_cache(
-    cache_dir: Optional[str] = None,
-    memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    enabled: bool = True,
-    shards: int = DEFAULT_SHARDS,
+    cache_dir: Optional[str] = None, enabled: bool = True
 ) -> CacheManager:
     """Replace the process-wide cache manager; returns the new one.
 
@@ -490,12 +419,7 @@ def configure_cache(
     to prove cached and uncached runs are byte-identical).
     """
     global _manager
-    _manager = CacheManager(
-        cache_dir=cache_dir,
-        memory_entries=memory_entries,
-        enabled=enabled,
-        shards=shards,
-    )
+    _manager = CacheManager(cache_dir=cache_dir, enabled=enabled)
     return _manager
 
 
@@ -512,21 +436,11 @@ def get_cache(namespace: str, store_blobs: bool = False) -> Optional[ContentCach
 
 
 @contextmanager
-def cache_session(
-    cache_dir: Optional[str] = None,
-    memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    enabled: bool = True,
-    shards: int = DEFAULT_SHARDS,
-):
+def cache_session(cache_dir: Optional[str] = None, enabled: bool = True):
     """Scoped cache manager for tests; restores the previous one."""
     global _manager
     previous = _manager
-    _manager = CacheManager(
-        cache_dir=cache_dir,
-        memory_entries=memory_entries,
-        enabled=enabled,
-        shards=shards,
-    )
+    _manager = CacheManager(cache_dir=cache_dir, enabled=enabled)
     try:
         yield _manager
     finally:

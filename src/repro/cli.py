@@ -456,7 +456,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         queue_depth=args.queue_depth,
         batch_max=args.batch_max,
@@ -469,8 +468,8 @@ def _cmd_serve(args) -> int:
     def announce(server) -> None:
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(jobs={config.jobs}, executor={config.executor}, "
-            f"batch_max={config.batch_max}, queue_depth={config.queue_depth})",
+            f"(jobs={config.jobs}, batch_max={config.batch_max}, "
+            f"queue_depth={config.queue_depth})",
             flush=True,
         )
 
@@ -618,10 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port; 0 picks an ephemeral port "
                               "(default: 8437)")
     p_serve.add_argument("--jobs", type=int, default=2, metavar="N",
-                         help="worker pool size (default: 2)")
-    p_serve.add_argument("--executor", choices=("process", "thread"),
-                         default="process",
-                         help="worker pool kind (default: process)")
+                         help="worker processes, all started before the "
+                              "daemon listens (default: 2)")
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="sharded on-disk response/protect cache at DIR "
                               "(default: $REPRO_CACHE_DIR, else memory-only)")

@@ -1,19 +1,31 @@
-"""Shared multiprocessing plumbing for pipeline fan-out.
+"""The one worker pool: every worker process in the package starts here.
 
-Both the protect-all runner and the gadget finder's per-section fan-out
-need the same things from a worker pool: a start-method choice that
-prefers ``fork``, a worker initializer that mirrors the parent's cache
-configuration (and silences worker telemetry — tasks ship a captured
-payload back instead), and order-preserving task mapping so results
-merge deterministically no matter which worker finishes first.
+The protect-all runner, the gadget finder's per-section fan-out and the
+``repro serve`` daemon all get their workers from :func:`worker_pool`,
+a :class:`~concurrent.futures.ProcessPoolExecutor` that
+
+* prefers the ``fork`` start method;
+* runs :func:`worker_init` in each worker, mirroring the parent's cache
+  configuration and silencing worker telemetry (tasks ship a captured
+  payload back instead);
+* has started every worker by the time it returns, so no fork happens
+  after the caller spawns threads (serve's event loop, for one).
+
+A worker that dies mid-task (OOM killer, SIGKILL) breaks the pool: every
+pending result raises
+:class:`~concurrent.futures.process.BrokenProcessPool` instead of
+waiting forever.  :func:`run_tasks` maps a function over tasks on such a
+pool and yields results in input order, so they merge deterministically
+no matter which worker finishes first.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, Optional, Sequence
 
-__all__ = ["mp_context", "worker_init", "run_tasks"]
+__all__ = ["mp_context", "worker_init", "worker_pool", "run_tasks"]
 
 
 def mp_context():
@@ -27,7 +39,7 @@ def worker_init(cache_dir: Optional[str], enabled: bool) -> None:
 
     Under the ``spawn`` start method nothing is inherited, so the
     parent's effective cache directory is re-applied explicitly; under
-    ``fork`` this simply rebuilds the manager with empty memory tiers
+    ``fork`` this simply rebuilds the manager with an empty memory tier
     (the disk tier is the shared medium between processes).  Worker
     telemetry is disabled: tasks run under
     :func:`repro.telemetry.capture` and ship their payload back to the
@@ -45,31 +57,48 @@ def worker_init(cache_dir: Optional[str], enabled: bool) -> None:
     telemetry.clear_context()
 
 
+def worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """A started pool of ``jobs`` workers mirroring :func:`cache_manager`.
+
+    The caller owns the pool and shuts it down (``with worker_pool(n)
+    as pool:`` does).
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    from ..cache import cache_manager
+
+    manager = cache_manager()
+    pool = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=mp_context(),
+        initializer=worker_init,
+        initargs=(manager.cache_dir, manager.enabled),
+    )
+    # Workers start lazily on first submit; one round trip per worker
+    # starts them all now, from the caller's thread.
+    list(pool.map(int, range(jobs)))
+    return pool
+
+
 def run_tasks(
     func: Callable[[dict], dict],
     tasks: Sequence[dict],
     jobs: int,
-) -> List[dict]:
-    """Map ``func`` over ``tasks`` on a worker pool, preserving order.
+) -> Iterator[dict]:
+    """Yield ``func(task)`` for each task, in input order.
 
     ``jobs=1`` (or a single task) runs inline in this process — no
     subprocesses, the parent's telemetry and cache see everything.
-    Otherwise a pool of ``min(jobs, len(tasks))`` workers is forked with
-    :func:`worker_init` mirroring the parent's cache configuration, and
-    results come back in input order (``imap`` preserves it).
+    Otherwise the tasks run on a :func:`worker_pool` of
+    ``min(jobs, len(tasks))`` workers; a worker's death raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tasks = list(tasks)
     if jobs == 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    from ..cache import cache_manager
-
-    manager = cache_manager()
-    ctx = mp_context()
-    with ctx.Pool(
-        min(jobs, len(tasks)),
-        initializer=worker_init,
-        initargs=(manager.cache_dir, manager.enabled),
-    ) as pool:
-        return list(pool.imap(func, tasks, chunksize=1))
+        for task in tasks:
+            yield func(task)
+        return
+    with worker_pool(min(jobs, len(tasks))) as pool:
+        yield from pool.map(func, tasks)

@@ -1,11 +1,12 @@
 """The parallel protection pipeline: ``protect-all`` in library form.
 
-Fans :meth:`Parallax.protect` out across corpus programs with
-``multiprocessing``, backed by the content-addressed cache in
-:mod:`repro.cache`:
+Fans :meth:`Parallax.protect` out across corpus programs on the shared
+worker pool (:func:`repro.pipeline.pool.run_tasks`), backed by the
+content-addressed cache in :mod:`repro.cache`:
 
 * **worker count** — ``jobs=1`` runs inline (no subprocesses, parent
-  tracer sees every span); ``jobs>1`` forks a pool;
+  tracer sees every span); ``jobs>1`` forks a pool, and a worker that
+  dies raises ``BrokenProcessPool`` rather than hanging the run;
 * **deterministic ordering** — results come back in input order
   regardless of which worker finishes first, and each protection is
   independent and seeded, so ``jobs=1`` and ``jobs=N`` produce
@@ -34,7 +35,7 @@ from ..core.config import ProtectConfig
 from ..core.protector import Parallax, ProtectedProgram
 from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..telemetry import adopt, capture, get_metrics, get_recorder, get_tracer
-from .pool import mp_context, worker_init
+from .pool import run_tasks
 
 __all__ = [
     "PipelineResult",
@@ -227,7 +228,6 @@ def protect_all(
     ):
         manager = configure_cache(cache_dir=cache_dir)
     effective_cache_dir = manager.cache_dir
-    cache_enabled = manager.enabled
 
     tasks = [
         {
@@ -290,22 +290,8 @@ def protect_all(
         "protect_all", programs=len(tasks), jobs=jobs,
         cache_dir=effective_cache_dir or "",
     ):
-        if jobs == 1 or len(tasks) <= 1:
-            for task in tasks:
-                _merge(_run_task(task))
-        else:
-            ctx = mp_context()
-            pool_size = min(jobs, len(tasks))
-            with ctx.Pool(
-                pool_size,
-                initializer=worker_init,
-                initargs=(effective_cache_dir, cache_enabled),
-            ) as pool:
-                # imap preserves input order, so merging incrementally
-                # keeps the deterministic merge order of the old
-                # collect-then-merge loop.
-                for entry in pool.imap(_run_task, tasks, chunksize=1):
-                    _merge(entry)
+        for entry in run_tasks(_run_task, tasks, jobs):
+            _merge(entry)
 
         metrics.counter("pipeline.programs").inc(len(results))
         metrics.counter("pipeline.cache_hits").inc(

@@ -16,10 +16,10 @@ One asyncio event loop fronts the existing protection pipeline:
   dispatch (``run_in_executor``), amortizing IPC/pickle overhead when
   the queue is deep while adding zero latency when it is not (a lone
   job ships immediately).
-* **Sharded cache** — completed payloads persist in the ``serve``
-  namespace of the content-addressed cache (:mod:`repro.cache`, now
-  key-space sharded in memory and on disk), so a warm request never
-  touches the pool at all.
+* **Cache** — completed payloads persist in the ``serve`` namespace of
+  the content-addressed cache (:mod:`repro.cache`: an LRU memory tier
+  over a sharded disk tier), so a warm request never touches the pool
+  at all.
 * **Observability** — every request runs under a
   :class:`~repro.telemetry.TelemetryContext` labeled ``tenant=`` (and
   ``request=`` when the client names one); ``/metrics`` serves the
@@ -28,9 +28,15 @@ One asyncio event loop fronts the existing protection pipeline:
   flight-recorder dumps.  ``--journal-follow`` NDJSON feeds
   ``repro top``'s serve lane.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (bounded by ``drain_timeout``), retire the scheduler
-  and pool, and leave telemetry export to the CLI's normal exit path,
-  so a killed daemon still ships its journal.
+  requests finish (bounded by ``drain_timeout``), retire the scheduler,
+  and leave telemetry export to the CLI's normal exit path, so a killed
+  daemon still ships its journal.
+
+The worker pool comes from :func:`serving_pool`, the one place serving
+configures its cache and calls :func:`repro.pipeline.pool.worker_pool`.
+:func:`serve` and :class:`ServerThread` build it before the event loop
+starts (so workers fork clean) and shut it down after the loop exits;
+:class:`ProtectionServer` only submits to it.
 """
 
 from __future__ import annotations
@@ -38,15 +44,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import socket
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from concurrent.futures import Executor
+from typing import List, Optional, Tuple
 
 from .. import telemetry
-from ..cache import cache_manager, configure_cache, get_cache, DEFAULT_SHARDS
-from ..pipeline.pool import mp_context, worker_init
+from ..cache import cache_manager, configure_cache, get_cache
+from ..pipeline.pool import worker_pool
 from ..telemetry import TelemetryContext, WindowSet, get_metrics
 from .http import HttpError, Request, json_response, read_request, response_bytes
 from .jobs import (
@@ -63,8 +68,8 @@ __all__ = [
     "ServeConfig",
     "ProtectionServer",
     "ServerThread",
-    "build_executor",
     "serve",
+    "serving_pool",
 ]
 
 #: POST route -> job kind.
@@ -91,15 +96,12 @@ class ServeConfig:
         "host",
         "port",
         "jobs",
-        "executor",
         "cache_dir",
-        "shards",
         "queue_depth",
         "batch_max",
         "quota_rate",
         "quota_burst",
         "window_seconds",
-        "max_steps",
         "drain_timeout",
     )
 
@@ -108,21 +110,16 @@ class ServeConfig:
         host: str = "127.0.0.1",
         port: int = 8437,
         jobs: int = 2,
-        executor: str = "process",
         cache_dir: Optional[str] = None,
-        shards: int = DEFAULT_SHARDS,
         queue_depth: int = 64,
         batch_max: int = 4,
         quota_rate: float = 0.0,
         quota_burst: Optional[float] = None,
         window_seconds: float = 30.0,
-        max_steps: int = DEFAULT_MAX_STEPS,
         drain_timeout: float = 30.0,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if batch_max < 1:
@@ -130,80 +127,44 @@ class ServeConfig:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.executor = executor
         self.cache_dir = cache_dir
-        self.shards = shards
         self.queue_depth = queue_depth
         self.batch_max = batch_max
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
         self.window_seconds = window_seconds
-        self.max_steps = max_steps
         self.drain_timeout = drain_timeout
 
 
-def _configure_serving_cache(config: ServeConfig):
-    """Serving requires a live cache manager; reuse or build one.
+def serving_pool(config: ServeConfig) -> Executor:
+    """The serving cache plus the worker pool that mirrors it.
 
-    Honors an already-configured manager pointing at the requested
-    directory; otherwise replaces it.
+    Serving requires a live cache manager: an enabled one is reused
+    when ``config.cache_dir`` is unset or names its directory, otherwise
+    it is replaced — memory-only when no directory is given, which still
+    coalesces and serves warm hits, just not across a restart.  Then
+    :func:`~repro.pipeline.pool.worker_pool` starts ``config.jobs``
+    workers.  Call it before any event loop runs; the caller shuts
+    the pool down.
     """
     manager = cache_manager()
-    if config.cache_dir is not None:
-        if manager.cache_dir != config.cache_dir or not manager.enabled:
-            manager = configure_cache(
-                cache_dir=config.cache_dir, shards=config.shards
-            )
-    elif not manager.enabled:
-        # Memory-only serving cache: still coalesces and serves warm
-        # hits, just doesn't survive a restart.
-        manager = configure_cache(cache_dir=None, shards=config.shards)
-    return manager
-
-
-def build_executor(config: ServeConfig, cache_dir: Optional[str]) -> Executor:
-    """The worker pool the asyncio front-end feeds via run_in_executor.
-
-    ``process`` (default) forks a :class:`ProcessPoolExecutor` whose
-    workers mirror the parent's cache configuration and run telemetry-
-    silent (the existing pipeline ``worker_init``); ``thread`` uses a
-    :class:`ThreadPoolExecutor` in-process — no fork, used by tests
-    and environments without usable multiprocessing.
-    """
-    if config.executor == "thread":
-        return ThreadPoolExecutor(
-            max_workers=config.jobs, thread_name_prefix="serve-worker"
-        )
-    return ProcessPoolExecutor(
-        max_workers=config.jobs,
-        mp_context=mp_context(),
-        initializer=worker_init,
-        initargs=(cache_dir, True),
-    )
-
-
-def _prewarm(executor: Executor, jobs: int) -> None:
-    """Fork/start every worker now, before the event loop owns threads.
-
-    ``ProcessPoolExecutor`` spawns workers lazily on first submit; with
-    a ``fork`` start method that would fork a process that already runs
-    the asyncio loop thread.  Forcing worker creation from the main
-    thread keeps the forks clean.
-    """
-    list(executor.map(_noop, range(jobs)))
-
-
-def _noop(_i: int) -> None:
-    return None
+    if not manager.enabled or (
+        config.cache_dir is not None and manager.cache_dir != config.cache_dir
+    ):
+        configure_cache(cache_dir=config.cache_dir)
+    return worker_pool(config.jobs)
 
 
 class ProtectionServer:
-    """One serving instance; see the module docstring for the flow."""
+    """One serving instance; see the module docstring for the flow.
 
-    def __init__(self, config: ServeConfig, executor: Optional[Executor] = None):
+    ``pool`` is the caller's :func:`serving_pool`; the server submits
+    batches to it and never shuts it down.
+    """
+
+    def __init__(self, config: ServeConfig, pool: Executor):
         self.config = config
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._pool = pool
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._singleflight = SingleFlight()
@@ -224,10 +185,7 @@ class ProtectionServer:
 
     async def start(self) -> None:
         config = self.config
-        manager = _configure_serving_cache(config)
         telemetry.configure(metrics=True, recorder=True)
-        if self._executor is None:
-            self._executor = build_executor(config, manager.cache_dir)
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
@@ -273,7 +231,7 @@ class ProtectionServer:
         await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, finish in-flight work, retire the pool."""
+        """Stop accepting, finish in-flight work, retire the scheduler."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -295,8 +253,6 @@ class ProtectionServer:
             await asyncio.gather(*self._client_tasks, return_exceptions=True)
         if self._windows is not None:
             self._windows.close()
-        if self._owns_executor and self._executor is not None:
-            await self._loop.run_in_executor(None, self._executor.shutdown)
         recorder = telemetry.get_recorder()
         if recorder.enabled:
             recorder.record(
@@ -337,16 +293,22 @@ class ProtectionServer:
             metrics.histogram(
                 "serve.batch.size", buckets=(1, 2, 4, 8, 16, 32)
             ).observe(len(batch))
-            exec_future = self._loop.run_in_executor(
-                self._executor, execute_batch, [task for task, _f in batch]
-            )
-            task = self._loop.create_task(self._complete(batch, exec_future))
+            task = self._loop.create_task(self._dispatch(batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    async def _complete(self, batch: List[Tuple[dict, asyncio.Future]], exec_future) -> None:
+    async def _dispatch(self, batch: List[Tuple[dict, asyncio.Future]]) -> None:
+        """Run one batch on the pool and resolve its waiters.
+
+        Any failure — a job raising, or a dead worker's
+        ``BrokenProcessPool``, which a broken pool also raises on every
+        later submit — fails this batch's waiters only; the scheduler
+        keeps running.
+        """
         try:
-            payloads = await exec_future
+            payloads = await self._loop.run_in_executor(
+                self._pool, execute_batch, [task for task, _f in batch]
+            )
         except BaseException as exc:  # noqa: BLE001 — fan out to waiters
             for _task, future in batch:
                 if not future.done():
@@ -482,7 +444,7 @@ class ProtectionServer:
                 strategy=body.get("strategy", "cleartext"),
                 seed=body.get("seed", 0),
                 guard_chains=body.get("guard_chains", False),
-                max_steps=body.get("max_steps", self.config.max_steps),
+                max_steps=body.get("max_steps", DEFAULT_MAX_STEPS),
             )
         except JobValidationError as exc:
             raise HttpError(400, str(exc)) from exc
@@ -595,7 +557,6 @@ class ProtectionServer:
                     "in_flight": self._requests_inflight,
                     "queued": self._pending,
                     "jobs": self.config.jobs,
-                    "executor": self.config.executor,
                     "uptime_seconds": round(time.time() - self._started, 3),
                 },
                 keep_alive=request.keep_alive,
@@ -645,12 +606,9 @@ class ProtectionServer:
 
 
 async def _serve_async(
-    config: ServeConfig,
-    executor: Optional[Executor],
-    install_signals: bool,
-    announce,
+    config: ServeConfig, pool: Executor, install_signals: bool, announce
 ) -> None:
-    server = ProtectionServer(config, executor=executor)
+    server = ProtectionServer(config, pool)
     await server.start()
     if install_signals:
         server.install_signal_handlers()
@@ -660,22 +618,11 @@ async def _serve_async(
 
 
 def serve(config: ServeConfig, announce=None) -> int:
-    """Run the daemon until SIGTERM/SIGINT; returns 0 on clean drain.
-
-    The worker pool is built (and pre-warmed, so ``fork`` happens
-    before the event loop owns threads) here in the main thread.
-    """
-    manager = _configure_serving_cache(config)
-    executor = build_executor(config, manager.cache_dir)
-    _prewarm(executor, config.jobs)
-    try:
+    """Run the daemon until SIGTERM/SIGINT; returns 0 on clean drain."""
+    with serving_pool(config) as pool:
         asyncio.run(
-            _serve_async(
-                config, executor, install_signals=True, announce=announce
-            )
+            _serve_async(config, pool, install_signals=True, announce=announce)
         )
-    finally:
-        executor.shutdown(wait=True)
     return 0
 
 
@@ -684,18 +631,20 @@ class ServerThread:
 
     ::
 
-        with ServerThread(ServeConfig(port=0, executor="thread")) as srv:
+        with ServerThread(ServeConfig(port=0, jobs=1)) as srv:
             client = ServeClient("127.0.0.1", srv.port)
             ...
 
     ``port=0`` binds an ephemeral port; the bound port is available as
-    ``.port`` once the context is entered.  ``stop()`` performs the
-    same graceful drain a SIGTERM would.
+    ``.port`` once the context is entered.  Entering builds the
+    :func:`serving_pool` from the entering thread, before the server's
+    loop thread exists; ``stop()`` performs the same graceful drain a
+    SIGTERM would, and exiting shuts the pool down.
     """
 
-    def __init__(self, config: ServeConfig, executor: Optional[Executor] = None):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self._external_executor = executor
+        self._pool: Optional[Executor] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._server: Optional[ProtectionServer] = None
@@ -704,28 +653,21 @@ class ServerThread:
         self.port: Optional[int] = None
 
     def __enter__(self) -> "ServerThread":
-        if self.config.executor == "process" and self._external_executor is None:
-            # Fork workers from this (pre-loop) thread for cleanliness.
-            manager, _ = _configure_serving_cache(self.config)
-            self._external_executor = build_executor(
-                self.config, manager.cache_dir
-            )
-            _prewarm(self._external_executor, self.config.jobs)
+        self._pool = serving_pool(self.config)
         self._thread = threading.Thread(
             target=self._main, name="repro-serve", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("server failed to start within 30s")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to start: {self._error}")
+        if not self._ready.wait(timeout=30) or self._error is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            raise RuntimeError(
+                f"server failed to start: {self._error or 'timed out after 30s'}"
+            )
         return self
 
     def _main(self) -> None:
         async def body():
-            self._server = ProtectionServer(
-                self.config, executor=self._external_executor
-            )
+            self._server = ProtectionServer(self.config, self._pool)
             try:
                 await self._server.start()
             except BaseException as exc:  # noqa: BLE001 — surfaced in enter
@@ -754,8 +696,8 @@ class ServerThread:
 
     def __exit__(self, *exc) -> bool:
         self.stop()
-        if self._external_executor is not None:
-            self._external_executor.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
         return False
 
     @property

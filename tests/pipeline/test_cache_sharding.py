@@ -1,19 +1,14 @@
-"""Sharded cache store: key-space sharding, the on-disk shard layout, and
+"""Sharded disk tier: key-space sharding, the on-disk shard layout, and
 the cross-process same-key write race the serving layer depends on."""
 
-import hashlib
 import multiprocessing
 import os
 import pickle
 import random
 
-import pytest
-
 from repro.cache import (
     DEFAULT_SHARDS,
-    CacheManager,
     DiskTier,
-    ShardedLRUTier,
     content_key,
     shard_index,
 )
@@ -52,40 +47,17 @@ def test_shard_index_spreads_keys():
     assert max(counts) < 3 * (1600 // 16)
 
 
-# -- sharded memory tier ------------------------------------------------
-
-
-def test_sharded_lru_roundtrip_and_len():
-    tier = ShardedLRUTier(max_entries=64, shards=8)
-    for i, key in enumerate(keys(32)):
-        tier.put(key, i)
-    assert len(tier) == 32
-    for i, key in enumerate(keys(32)):
-        assert key in tier
-        assert tier.get(key) == i
-    tier.clear()
-    assert len(tier) == 0
-
-
-def test_sharded_lru_bounds_entries():
-    tier = ShardedLRUTier(max_entries=16, shards=4)
-    for i, key in enumerate(keys(400)):
-        tier.put(key, i)
-    # Per-shard budget is ceil(16/4) = 4, so the total stays bounded
-    # by shards * per-shard = 16 no matter how many keys pass through.
-    assert len(tier) <= 16
-
-
 # -- sharded disk layout ------------------------------------------------
 
 
 def test_disk_tier_writes_into_shard_directories(tmp_path):
-    disk = DiskTier(str(tmp_path), shards=16)
+    assert DEFAULT_SHARDS == 16  # part of the on-disk layout
+    disk = DiskTier(str(tmp_path))
     for key in keys(24):
         disk.put_blob("unit", key, pickle.dumps(key))
     for key in keys(24):
         expected = os.path.join(
-            str(tmp_path), "unit", f"shard-{shard_index(key, 16):02x}",
+            str(tmp_path), "unit", f"shard-{shard_index(key, DEFAULT_SHARDS):02x}",
             key + ".pkl",
         )
         assert os.path.exists(expected)
@@ -105,7 +77,7 @@ def test_flat_layout_entry_is_a_miss_and_left_untouched(tmp_path):
     os.makedirs(os.path.dirname(flat))
     with open(flat, "wb") as fh:
         fh.write(pickle.dumps("old"))
-    disk = DiskTier(root, shards=16)
+    disk = DiskTier(root)
     assert disk.get_blob("unit", key) is None
     assert not os.path.exists(disk._path("unit", key))
     with open(flat, "rb") as fh:
@@ -113,20 +85,10 @@ def test_flat_layout_entry_is_a_miss_and_left_untouched(tmp_path):
 
 
 def test_entry_count_counts_sharded_entries(tmp_path):
-    disk = DiskTier(str(tmp_path), shards=16)
+    disk = DiskTier(str(tmp_path))
     for key in keys(5, salt="new"):
         disk.put_blob("unit", key, b"x")
     assert disk.entry_count("unit") == 5
-
-
-def test_manager_single_shard_still_works(tmp_path):
-    manager = CacheManager(cache_dir=str(tmp_path), shards=1)
-    cache = manager.get("unit")
-    cache.put("somekey", {"v": 1})
-    hit, value = cache.get("somekey")
-    assert hit and value == {"v": 1}
-    with pytest.raises(ValueError):
-        CacheManager(shards=0)
 
 
 # -- cross-process same-key write race (satellite stress test) ---------
@@ -134,7 +96,7 @@ def test_manager_single_shard_still_works(tmp_path):
 
 def _race_writer(args):
     root, namespace, key, worker, rounds = args
-    disk = DiskTier(root, shards=DEFAULT_SHARDS)
+    disk = DiskTier(root)
     rng = random.Random(worker)
     for round_no in range(rounds):
         payload = {"worker": worker, "round": round_no}
@@ -162,7 +124,7 @@ def test_cross_process_same_key_write_race(tmp_path):
         )
     assert sorted(done) == list(range(workers))
 
-    disk = DiskTier(root, shards=DEFAULT_SHARDS)
+    disk = DiskTier(root)
     shard_dir = os.path.dirname(disk._path("race", key))
     entries = [f for f in os.listdir(shard_dir) if f.endswith(".pkl")]
     leftovers = [f for f in os.listdir(shard_dir) if f.endswith(".tmp")]
@@ -184,7 +146,7 @@ def test_cross_process_distinct_keys_all_land(tmp_path):
             _distinct_writer,
             [(root, "spread", w, per_worker) for w in range(3)],
         )
-    disk = DiskTier(root, shards=DEFAULT_SHARDS)
+    disk = DiskTier(root)
     assert disk.entry_count("spread") == 3 * per_worker
     for worker in range(3):
         for i in range(per_worker):
@@ -194,7 +156,7 @@ def test_cross_process_distinct_keys_all_land(tmp_path):
 
 def _distinct_writer(args):
     root, namespace, worker, count = args
-    disk = DiskTier(root, shards=DEFAULT_SHARDS)
+    disk = DiskTier(root)
     for i in range(count):
         key = content_key(namespace, worker, i)
         disk.put_blob(namespace, key, pickle.dumps((worker, i)))

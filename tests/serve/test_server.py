@@ -1,4 +1,4 @@
-"""End-to-end serving-layer tests over a real socket (thread executor).
+"""End-to-end serving-layer tests over a real socket and worker pool.
 
 The heavyweight fixtures are module-scoped: one server instance backs
 all the read-mostly tests; dedicated short-lived servers cover quota,
@@ -10,6 +10,8 @@ restored so these tests leave no trace on the rest of the suite.
 import asyncio
 import base64
 import json
+import os
+import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,7 +22,7 @@ from repro.core import Parallax
 from repro.corpus import build_program_cached
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.jobs import job_config, make_task
-from repro.serve.server import ProtectionServer
+from repro.serve.server import ProtectionServer, serving_pool
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def serve_env():
 
 @pytest.fixture(scope="module")
 def server(serve_env):
-    config = ServeConfig(port=0, executor="thread", jobs=2)
+    config = ServeConfig(port=0, jobs=2)
     with ServerThread(config) as srv:
         yield srv
 
@@ -59,7 +61,7 @@ def test_healthz(client):
     status, _headers, payload = client.get("/healthz")
     assert status == 200
     assert payload["status"] == "ok"
-    assert payload["executor"] == "thread"
+    assert payload["jobs"] == 2
 
 
 def test_protect_roundtrip_matches_direct_pipeline(client):
@@ -185,7 +187,7 @@ def test_journal_filters_by_request_label(client):
 
 def test_quota_exhaustion_returns_429_with_retry_after(serve_env):
     config = ServeConfig(
-        port=0, executor="thread", jobs=1, quota_rate=0.001, quota_burst=2
+        port=0, jobs=1, quota_rate=0.001, quota_burst=2
     )
     with ServerThread(config) as srv:
         with ServeClient("127.0.0.1", srv.port, timeout=180) as c:
@@ -203,7 +205,7 @@ def test_quota_exhaustion_returns_429_with_retry_after(serve_env):
 
 def test_queue_backpressure_returns_429(serve_env):
     config = ServeConfig(
-        port=0, executor="thread", jobs=1, queue_depth=1, batch_max=1
+        port=0, jobs=1, queue_depth=1, batch_max=1
     )
     with ServerThread(config) as srv:
 
@@ -226,15 +228,18 @@ def test_queue_backpressure_returns_429(serve_env):
 
 
 def test_drain_finishes_inflight_and_journals_shutdown(serve_env):
-    async def body():
-        server = ProtectionServer(ServeConfig(port=0, executor="thread", jobs=1))
+    config = ServeConfig(port=0, jobs=1)
+
+    async def body(pool):
+        server = ProtectionServer(config, pool)
         await server.start()
         port = server.port
         server.request_shutdown("test")
         await server.run_until_shutdown()
         return port
 
-    port = asyncio.run(body())
+    with serving_pool(config) as pool:
+        port = asyncio.run(body(pool))
     # The listener is gone after drain.
     with pytest.raises(OSError):
         with ServeClient("127.0.0.1", port, timeout=2) as c:
@@ -245,8 +250,10 @@ def test_drain_finishes_inflight_and_journals_shutdown(serve_env):
 
 
 def test_post_during_drain_is_503(serve_env):
-    async def body():
-        server = ProtectionServer(ServeConfig(port=0, executor="thread", jobs=1))
+    config = ServeConfig(port=0, jobs=1)
+
+    async def body(pool):
+        server = ProtectionServer(config, pool)
         await server.start()
         server._draining = True
         from repro.serve.http import Request
@@ -261,16 +268,45 @@ def test_post_during_drain_is_503(serve_env):
         await server.run_until_shutdown()
         return response
 
-    response = asyncio.run(body())
+    with serving_pool(config) as pool:
+        response = asyncio.run(body(pool))
     assert response.startswith(b"HTTP/1.1 503 ")
     assert b"Retry-After" in response
 
 
 def test_server_thread_stop_is_idempotent(serve_env):
-    config = ServeConfig(port=0, executor="thread", jobs=1)
+    config = ServeConfig(port=0, jobs=1)
     srv = ServerThread(config)
     with srv:
         with ServeClient("127.0.0.1", srv.port, timeout=30) as c:
             assert c.get("/healthz")[0] == 200
         srv.stop()
     srv.stop()  # exit + explicit double-stop must not raise
+
+
+def test_server_thread_with_one_worker_serves_health_and_a_job(serve_env):
+    with ServerThread(ServeConfig(port=0, jobs=1)) as srv:
+        with ServeClient("127.0.0.1", srv.port, timeout=180) as c:
+            status, _headers, health = c.get("/healthz")
+            assert status == 200
+            assert health["status"] == "ok" and health["jobs"] == 1
+            status, headers, payload = c.job("protect", "bzip2", seed=5)
+    assert status == 200
+    assert headers["x-singleflight"] in ("leader", "cache-hit")
+    direct = direct_protect(program="bzip2", seed=5)
+    assert payload["fingerprint"] == direct.image.fingerprint()
+
+
+def test_dead_worker_fails_requests_with_a_typed_error(serve_env, tmp_path):
+    # A fresh cache directory, so no job is answered without the pool.
+    config = ServeConfig(port=0, jobs=1, cache_dir=str(tmp_path))
+    with ServerThread(config) as srv:
+        # The pool has no public handle on its workers; kill them all.
+        for pid in list(srv._pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        with ServeClient("127.0.0.1", srv.port, timeout=60) as c:
+            for seed in (901, 902):
+                status, _headers, payload = c.job("protect", "gzip", seed=seed)
+                assert status == 500
+                assert payload["error"].startswith("BrokenProcessPool")
+            assert c.get("/healthz")[0] == 200
