@@ -185,6 +185,27 @@ def _print_report(payload):
           f"{len(payload['mismatches'])} differential mismatch(es)")
 
 
+def gate_failures(payload, min_speedup=0.0):
+    """Why ``payload`` fails its gates; empty when it passes.
+
+    Every row of both workloads must be identical across the engines,
+    and both block/step speedup geomeans must reach ``min_speedup``.
+    """
+    failures = []
+    for name, row in payload["programs"].items():
+        for kind in ("chain", "program"):
+            if not row[kind]["identical"]:
+                failures.append(f"engines diverged on {name} ({kind})")
+    for kind in ("chain", "program"):
+        speedup = payload[f"{kind}_speedup_geomean"]
+        if speedup < min_speedup:
+            failures.append(
+                f"{kind} block/step speedup {speedup}x "
+                f"below required {min_speedup}x"
+            )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--programs", nargs="+",
@@ -194,23 +215,19 @@ def main(argv=None) -> int:
                         "and lame have sub-300-step chains dominated by "
                         "per-call setup)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail unless the chain-workload block/step "
-                        "geomean speedup reaches this factor")
+                        help="fail unless both the chain- and the "
+                        "program-workload block/step geomean speedups "
+                        "reach this factor")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="where to write BENCH_emulator.json")
     args = parser.parse_args(argv)
 
     payload = run_suite(args.programs, output=args.output)
     _print_report(payload)
-    if payload["mismatches"]:
-        print("ERROR: engines diverged")
-        return 1
-    if payload["chain_speedup_geomean"] < args.min_speedup:
-        print(f"ERROR: chain block/step speedup "
-              f"{payload['chain_speedup_geomean']}x "
-              f"below required {args.min_speedup}x")
-        return 1
-    return 0
+    failures = gate_failures(payload, args.min_speedup)
+    for failure in failures:
+        print(f"ERROR: {failure}")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +239,7 @@ def test_emulator_throughput(benchmark):
         lambda: run_suite(["gzip"]), rounds=1, iterations=1
     )
     _print_report(payload)
-    assert not payload["mismatches"]
-    assert payload["chain_speedup_geomean"] >= 2.0
-    assert payload["program_speedup_geomean"] >= 2.0
+    assert gate_failures(payload, 2.0) == []
 
 
 if __name__ == "__main__":

@@ -150,6 +150,26 @@ def _print_report(payload):
           f"{len(payload['mismatches'])} gadget-set mismatch(es)")
 
 
+def gate_failures(payload, min_speedup=0.0):
+    """Why ``payload`` fails its gates; empty when it passes.
+
+    Every program's gadget set must be identical across the finders and
+    non-empty, and the geomean speedup must reach ``min_speedup``.
+    """
+    failures = []
+    for name, row in payload["programs"].items():
+        if not row["identical"]:
+            failures.append(f"optimized finder diverged from the reference on {name}")
+        if row["gadgets"] == 0:
+            failures.append(f"no gadgets found in {name}")
+    if payload["speedup_geomean"] < min_speedup:
+        failures.append(
+            f"geomean speedup {payload['speedup_geomean']}x "
+            f"below required {min_speedup}x"
+        )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--programs", nargs="+",
@@ -166,14 +186,10 @@ def main(argv=None) -> int:
 
     payload = run_suite(args.programs, output=args.output, repeats=args.repeats)
     _print_report(payload)
-    if payload["mismatches"]:
-        print("ERROR: optimized finder diverged from the reference")
-        return 1
-    if payload["speedup_geomean"] < args.min_speedup:
-        print(f"ERROR: geomean speedup {payload['speedup_geomean']}x "
-              f"below required {args.min_speedup}x")
-        return 1
-    return 0
+    failures = gate_failures(payload, args.min_speedup)
+    for failure in failures:
+        print(f"ERROR: {failure}")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +201,7 @@ def test_gadget_finder_throughput(benchmark):
         lambda: run_suite(["gzip"]), rounds=1, iterations=1
     )
     _print_report(payload)
-    assert not payload["mismatches"]
-    assert payload["speedup_geomean"] >= 2.0
+    assert gate_failures(payload, 2.0) == []
 
 
 if __name__ == "__main__":

@@ -319,13 +319,14 @@ def _cmd_protect(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .corpus.program import RUN_MAX_STEPS
     from .emu import HotspotProfiler, profile_run
 
     program = build_program(args.program)
     hotspots = HotspotProfiler()
     result, profiler = profile_run(
-        program.image, debugger_attached=args.debugger, hotspots=hotspots,
-        engine=args.engine,
+        program.image, max_steps=RUN_MAX_STEPS,
+        debugger_attached=args.debugger, hotspots=hotspots,
     )
     print(profiler.report())
     print()
@@ -554,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("program", choices=PROGRAM_NAMES)
     p_profile.add_argument("--debugger", action="store_true",
                            help="attach the (simulated) debugger")
-    _add_engine_arg(p_profile)
     _add_telemetry_args(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..analysis.callgraph import callgraph_from_ir
+from ..corpus.program import RUN_MAX_STEPS
 from ..emu.profiler import profile_run
 from ..ropc import ir
 from ..ropc.compiler import RopCompileError, RopCompiler
@@ -58,9 +59,20 @@ def is_chain_translatable(function) -> bool:
 
 
 def rank_candidates(program, time_threshold: float = 0.02) -> List[CandidateInfo]:
-    """Score every function of ``program`` against the selection steps."""
+    """Score every function of ``program`` against the selection steps.
+
+    The profile is one block-engine run of the whole workload under the
+    budget of :meth:`Program.run`.  A profile that stops early (step
+    budget or fault) would rank time shares of a partial run, so it
+    raises :class:`SelectionError` instead.
+    """
     graph = callgraph_from_ir(program.functions.values())
-    _result, profiler = profile_run(program.image)
+    result, profiler = profile_run(program.image, max_steps=RUN_MAX_STEPS)
+    if result.crashed:
+        raise SelectionError(
+            f"{program.name}: the selection profile stopped after "
+            f"{result.steps:,} steps: {result.fault}"
+        )
 
     infos = []
     for name, function in program.functions.items():

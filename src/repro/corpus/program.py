@@ -20,6 +20,10 @@ STUBS_BASE = 0x080B0000
 ROPDATA_BASE = 0x080C0000
 ROPCHAINS_BASE = 0x080D0000
 
+#: Instruction budget of a program's workload run (and of its §VII-B
+#: selection profile); every corpus workload finishes well inside it.
+RUN_MAX_STEPS = 10_000_000
+
 
 class DataBuilder:
     """Allocates named blobs in a data section."""
@@ -105,7 +109,7 @@ class Program:
     def run(
         self,
         debugger_attached: bool = False,
-        max_steps: int = 10_000_000,
+        max_steps: int = RUN_MAX_STEPS,
         image: Optional[BinaryImage] = None,
         engine: Optional[str] = None,
     ) -> RunResult:

@@ -14,6 +14,7 @@ from .emulator import (
     Emulator,
     EmulatorConfig,
     RunResult,
+    StepBlock,
     TamperWatch,
     run_image,
 )
@@ -42,7 +43,7 @@ from .syscalls import (
 
 __all__ = [
     "CPUState", "Emulator", "EmulatorConfig", "RunResult", "TamperWatch",
-    "run_image",
+    "StepBlock", "run_image",
     "CALL_SENTINEL", "CYCLE_COSTS", "Memory", "PAGE_SIZE",
     "BlockEngine", "DISPATCH",
     "ENGINES", "ENGINE_BLOCK", "ENGINE_STEP",

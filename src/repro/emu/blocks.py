@@ -35,6 +35,12 @@ Coherence model (what keys a block):
   wrong.
 * Blocks whose bytes live on unversioned pages (the stack) are executed
   but never cached.
+
+Blocks also end where the image's symbol lookup changes, so every
+instruction of a block belongs to the same function.  That is what
+lets the block observer (see :mod:`repro.emu.emulator`) attribute a
+whole block to one function: it is called once per executed block with
+the exact count of instructions that ran.
 """
 
 from __future__ import annotations
@@ -156,17 +162,21 @@ class CompiledBlock:
 
     __slots__ = (
         "start", "end", "n", "fn", "p0", "v0", "p1", "v1", "cacheable", "epoch",
-        "mnems",
+        "insns", "cum",
     )
 
-    def __init__(self, start, end, n, fn, pages, cacheable, epoch, mnems=()):
+    compiled = True
+
+    def __init__(self, start, end, fn, pages, cacheable, epoch, insns, cum):
         self.start = start
         self.end = end
-        self.n = n
+        self.n = len(insns)
         self.fn = fn
-        #: mnemonic tuple, kept for hot-spot attribution (executions of
-        #: this block expand to one sample per mnemonic at report time).
-        self.mnems = mnems
+        #: the block's instructions and their cumulative ``cost_of``,
+        #: for block observers: a run of ``k`` instructions costs
+        #: ``cum[k - 1]`` cycles (ret-mispredict penalties aside).
+        self.insns = insns
+        self.cum = cum
         (self.p0, self.v0) = pages[0]
         (self.p1, self.v1) = pages[1] if len(pages) > 1 else (-1, 0)
         self.cacheable = cacheable
@@ -214,7 +224,7 @@ class BlockEngine:
         cache = self._cache
         old = self._old
         rec = get_recorder()
-        hot = emu.hotspots
+        obs = emu.observer
         hits = 0
         epoch_hits = 0
         page_revals = 0
@@ -275,9 +285,9 @@ class BlockEngine:
                     # accounting, identical to the step engine.
                     emu.step()
                     continue
-                if hot is not None:
-                    hot.record_block(b)
-                if b.fn(emu, cpu, mem):
+                if (
+                    b.fn(emu, cpu, mem) if obs is None else self._observed(b, obs)
+                ):
                     self.write_aborts += 1
                     if rec.enabled:
                         rec.record(
@@ -302,7 +312,7 @@ class BlockEngine:
         cpu = emu.cpu
         mem = emu.memory
         rec = get_recorder()
-        hot = emu.hotspots
+        obs = emu.observer
         target = emu.steps + n
         while emu.steps < target:
             b = self._lookup(cpu.eip)
@@ -319,14 +329,30 @@ class BlockEngine:
                 emu.step()
                 continue
             self.hits += 1
-            if hot is not None:
-                hot.record_block(b)
-            if b.fn(emu, cpu, mem):
+            if b.fn(emu, cpu, mem) if obs is None else self._observed(b, obs):
                 self.write_aborts += 1
                 if rec.enabled:
                     rec.record(
                         "block_invalidate", tier="store", start=b.start, end=b.end
                     )
+
+    def _observed(self, b: CompiledBlock, obs):
+        """Execute ``b`` and report the instructions that ran to ``obs``.
+
+        Returns what the block returns (truthy on a self-modifying-store
+        abort).  A block cut short by an exception reports its executed
+        prefix before the exception propagates.
+        """
+        emu = self.emulator
+        before = emu.steps
+        try:
+            aborted = b.fn(emu, emu.cpu, emu.memory)
+        except BaseException:
+            if emu.steps != before:
+                obs(b, emu.steps - before)
+            raise
+        obs(b, emu.steps - before)
+        return aborted
 
     def _lookup(self, eip: int):
         """Valid cached block for ``eip``, compiling (and caching) on miss."""
@@ -378,6 +404,8 @@ class BlockEngine:
         # step engine faults before counting the step.
         insns = [emu._fetch_decode(start)]
         addr = start + insns[0].length
+        symbol_at = emu.image.symbols.at if emu.image is not None else None
+        owner = symbol_at(start) if symbol_at is not None else None
         while (
             insns[-1].mnemonic not in _TERMINATORS
             and insns[-1].mnemonic in DISPATCH
@@ -395,9 +423,12 @@ class BlockEngine:
                 break  # the *next* block will raise at execution time
             if addr + insn.length - start > MAX_BLOCK_BYTES:
                 break
+            if symbol_at is not None and symbol_at(addr) is not owner:
+                break  # one function per block, for block observers
             insns.append(insn)
             addr += insn.length
         end = addr
+        insns = tuple(insns)
 
         mem = emu.memory
         first_page = start >> 12
@@ -407,7 +438,7 @@ class BlockEngine:
             pages.append((last_page, mem._versions.get(last_page, 0)))
         cacheable = all(mem.page_is_versioned(p << 12) for p, _ in pages)
 
-        fn = self._generate(start, end, insns)
+        fn, cum = self._generate(start, end, insns)
         rec = get_recorder()
         if rec.enabled:
             rec.record(
@@ -418,12 +449,14 @@ class BlockEngine:
                 cacheable=cacheable,
             )
         return CompiledBlock(
-            start, end, len(insns), fn, pages, cacheable, mem.write_epoch,
-            mnems=tuple(insn.mnemonic for insn in insns),
+            start, end, fn, pages, cacheable, mem.write_epoch, insns, cum
         )
 
     def _generate(self, start: int, end: int, insns):
-        """Emit, compile and exec the block's specialized source."""
+        """Emit, compile and exec the block's specialized source.
+
+        Returns the block function and the cumulative cost tuple.
+        """
         nexts = []
         cum = []
         total = 0
@@ -476,7 +509,7 @@ class BlockEngine:
         source = "\n".join(lines)
         namespace = dict(_SHARED_NS)
         namespace.update(
-            _I=tuple(insns),
+            _I=insns,
             _H=tuple(handlers),
             _NEXTS=tuple(nexts),
             _NS=frozenset(nexts),
@@ -488,7 +521,7 @@ class BlockEngine:
             _VG=mem._versions.get,
         )
         exec(compile(source, f"<block {start:#x}>", "exec"), namespace)
-        return namespace[name]
+        return namespace[name], namespace["_CUM"]
 
     # -- inline memory templates ---------------------------------------
     #

@@ -10,6 +10,20 @@ of instruction semantics (:mod:`repro.emu.dispatch`):
   straight-line instruction runs into cached superblocks and executes
   them without per-instruction dispatch.
 
+Profilers watch either engine through one **block observer**
+(:attr:`Emulator.observer`), a callable ``observer(block, count)``.
+The block engine calls it once per executed superblock, and
+:meth:`Emulator.step` once per instruction with a :class:`StepBlock`.
+``count`` is the exact number of the block's instructions that ran
+(always at least one): a side exit, a self-modifying-store abort or an
+exception raised inside the block — every run ends with ``ExitProgram``
+raised in its last block — report the prefix the step engine would
+have executed, faulting instruction included.  Every block exposes
+``start``, ``end``, ``n``, ``insns`` and ``cum`` (the cumulative
+``cost_of`` of its instructions), and lies inside one symbol of the
+image, so an observer attributes ``count`` instructions and
+``cum[count - 1]`` cycles to a single function.
+
 ROP chains need no special support: the genuine ``ret`` semantics (pop
 eip from the stack) execute them exactly as real hardware would.
 
@@ -135,6 +149,26 @@ class TamperWatch:
         return any(s < end and start < e for s, e in self.ranges)
 
 
+class StepBlock:
+    """One instruction executed by :meth:`Emulator.step`, as observers see it.
+
+    Carries the same attributes as a compiled superblock
+    (:class:`repro.emu.blocks.CompiledBlock`); ``compiled`` tells the
+    two apart.
+    """
+
+    __slots__ = ("start", "end", "n", "insns", "cum")
+
+    compiled = False
+
+    def __init__(self, eip: int, insn: Instruction):
+        self.start = eip
+        self.end = eip + insn.length
+        self.n = 1
+        self.insns = (insn,)
+        self.cum = (cost_of(insn),)
+
+
 class RunResult:
     """Outcome of a completed emulation run."""
 
@@ -200,10 +234,18 @@ class Emulator:
         self.cycles = 0
         self.ret_mispredicts = 0
         self._ras = []  # shadow return-address stack (branch predictor)
-        #: optional per-step callback(eip, instruction) for profilers;
-        #: attaching one makes ``run`` fall back to the step engine so
-        #: every instruction is observed.
+        #: optional per-step callback(eip, instruction); attaching one
+        #: makes ``run`` fall back to the step engine so every
+        #: instruction is observed.  Profilers use ``observer`` instead.
         self.trace_hook: Optional[Callable[[int, Instruction], None]] = None
+        #: the block observer both engines call (see the module
+        #: docstring): ``None``, the one registered observer, or a
+        #: fan-out over several.  Rebuilt by ``add_observer`` and by
+        #: assigning ``hotspots``.
+        self.observer: Optional[Callable[[object, int], None]] = None
+        self._observers = []
+        self._hotspots = None
+        self._step_blocks = {}
         # Two-generation decode cache: hits promote entries from the old
         # generation into the young one; when the young generation fills
         # up, the old one is dropped wholesale.  Bounded memory without
@@ -211,11 +253,6 @@ class Emulator:
         self._decode_cache = {}
         self._decode_cache_old = {}
         self._block_engine = None
-        #: optional HotspotProfiler; installed lazily by run() (see
-        #: REPRO_HOTSPOTS) or explicitly by callers.  ``None`` keeps the
-        #: per-step hot path free of profiling branches' costs beyond
-        #: one identity check.
-        self.hotspots = None
         self._hotspots_auto = False
         #: optional TamperWatch stamping the first execution of tampered
         #: bytes; ``None`` keeps the hot path to one identity check.
@@ -241,6 +278,45 @@ class Emulator:
 
             self._block_engine = BlockEngine(self)
         return self._block_engine
+
+    @property
+    def hotspots(self):
+        """Optional HotspotProfiler, one more block observer.
+
+        Installed lazily by run() (see REPRO_HOTSPOTS) or explicitly by
+        callers.  ``None`` keeps the hot paths to one identity check.
+        """
+        return self._hotspots
+
+    @hotspots.setter
+    def hotspots(self, hotspots) -> None:
+        self._hotspots = hotspots
+        self._rebuild_observer()
+
+    def add_observer(self, observer: Callable[[object, int], None]) -> None:
+        """Register a block observer (see the module docstring)."""
+        self._observers.append(observer)
+        self._rebuild_observer()
+
+    def _rebuild_observer(self) -> None:
+        observers = list(self._observers)
+        if self._hotspots is not None:
+            observers.append(self._hotspots)
+        if len(observers) > 1:
+            def fan_out(block, count):
+                for observer in observers:
+                    observer(block, count)
+
+            self.observer = fan_out
+        else:
+            self.observer = observers[0] if observers else None
+
+    def _step_block(self, eip: int, insn: Instruction) -> StepBlock:
+        """The memoized :class:`StepBlock` for ``insn`` at ``eip``."""
+        block = self._step_blocks.get(eip)
+        if block is None or block.insns[0] is not insn:
+            block = self._step_blocks[eip] = StepBlock(eip, insn)
+        return block
 
     def _compiled_engine(self):
         """The compiled-execution engine for this run, or ``None``.
@@ -386,8 +462,8 @@ class Emulator:
         insn = self._fetch_decode(eip)
         self.steps += 1
         self.cycles += cost_of(insn)
-        if self.hotspots is not None:
-            self.hotspots.record_step(insn.mnemonic)
+        if self.observer is not None:
+            self.observer(self._step_block(eip, insn), 1)
         watch = self.tamper_watch
         if (
             watch is not None
@@ -417,10 +493,10 @@ class Emulator:
 
         self._maybe_enable_hotspots(get_metrics())
         start_steps = self.steps
+        compiled = self._compiled_engine()
         with get_tracer().span("emulate") as span:
             fault = None
             try:
-                compiled = self._compiled_engine()
                 if compiled is not None:
                     compiled.run()
                 else:
@@ -440,7 +516,9 @@ class Emulator:
                     f"emu.faults.{type(fault).__name__}"
                 ).inc()
             self._record_engine_metrics(metrics)
-            span.set_attribute("engine", self.engine)
+            span.set_attribute(
+                "engine", ENGINE_BLOCK if compiled is not None else ENGINE_STEP
+            )
             span.set_attribute("steps", self.steps - start_steps)
             span.set_attribute("cycles", self.cycles)
             if fault is not None:

@@ -5,19 +5,20 @@ hot; this module answers *which instructions and superblocks* the
 engines actually spend their time in — the attribution §V of the paper
 needs when a verification chain shows up as slowdown.
 
-Counting strategy, chosen so the block engine keeps its speed edge:
+:class:`HotspotProfiler` is a block observer (see
+:mod:`repro.emu.emulator`): both engines call it with each executed
+block and the exact number of its instructions that ran — the block
+engine once per superblock, :meth:`~repro.emu.emulator.Emulator.step`
+once per instruction.  Per block it keeps a histogram of those counts,
+so recording is one dict probe and one list increment, and per-mnemonic
+totals are expanded at report time: instruction ``i`` of a block ran
+once for every execution that got past it.  The counts are therefore
+exact on both engines, side exits and faults included.
 
-* the **step engine** counts every executed mnemonic as it dispatches
-  (one dict update per step, only when a profiler is installed);
-* the **block engine** counts one sample per *block execution* and
-  remembers each block's mnemonic tuple; per-mnemonic totals are then
-  reconstituted at report time as ``executions × occurrences``, so the
-  generated block bodies stay untouched and full-speed.
-
-Both engines feed the same :class:`HotspotProfiler`; ``repro profile``
-and the metrics export (the labeled families
+``repro profile`` and the metrics export (the labeled families
 ``emu.hot.mnemonic{mnemonic=}`` and ``emu.hot.block{addr=}``) render
-the merged view.
+the merged view.  Only compiled superblocks appear in the block table;
+single steps count toward mnemonics alone.
 """
 
 from __future__ import annotations
@@ -30,51 +31,43 @@ __all__ = ["HotspotProfiler"]
 class HotspotProfiler:
     """Sample counters keyed by mnemonic and block start."""
 
-    __slots__ = ("mnemonic_samples", "block_samples", "_block_mnems")
+    __slots__ = ("_runs",)
 
     def __init__(self):
-        #: mnemonic -> executed-instruction count (step engine, direct).
-        self.mnemonic_samples: Dict[str, int] = {}
-        #: block start address -> execution count (block engine).
-        self.block_samples: Dict[int, int] = {}
-        #: block start address -> that block's mnemonic tuple.
-        self._block_mnems: Dict[int, Tuple[str, ...]] = {}
+        #: block -> histogram: ``runs[k]`` executions ran ``k`` of the
+        #: block's instructions.
+        self._runs: Dict[object, List[int]] = {}
 
-    # -- recording (hot paths) ------------------------------------------
+    # -- recording (the block observer) ---------------------------------
 
-    def record_step(self, mnemonic: str) -> None:
-        """One executed instruction (step engine)."""
-        samples = self.mnemonic_samples
-        samples[mnemonic] = samples.get(mnemonic, 0) + 1
-
-    def record_block(self, block) -> None:
-        """One executed superblock (block engine).
-
-        ``block`` is a :class:`repro.emu.blocks.CompiledBlock`; its
-        ``mnems`` tuple is captured so report-time aggregation can
-        expand block executions into per-mnemonic counts.
-        """
-        start = block.start
-        samples = self.block_samples
-        samples[start] = samples.get(start, 0) + 1
-        if start not in self._block_mnems:
-            self._block_mnems[start] = block.mnems
+    def __call__(self, block, count: int) -> None:
+        runs = self._runs.get(block)
+        if runs is None:
+            runs = self._runs[block] = [0] * (block.n + 1)
+        runs[count] += 1
 
     # -- aggregation -----------------------------------------------------
 
     def mnemonic_counts(self) -> Dict[str, int]:
-        """Merged per-mnemonic totals across both engines.
-
-        Block samples expand to ``executions × occurrences`` per
-        mnemonic.  Side-exited runs attribute the whole block, so these
-        counts are an upper bound for bodies with conditional exits —
-        fine for hot-spot ranking.
-        """
-        totals = dict(self.mnemonic_samples)
-        for start, executions in self.block_samples.items():
-            for mnemonic in self._block_mnems.get(start, ()):
-                totals[mnemonic] = totals.get(mnemonic, 0) + executions
+        """Executed-instruction totals per mnemonic, across both engines."""
+        totals: Dict[str, int] = {}
+        for block, runs in self._runs.items():
+            reached = 0
+            for index in range(block.n, 0, -1):
+                reached += runs[index]
+                if reached:
+                    mnemonic = block.insns[index - 1].mnemonic
+                    totals[mnemonic] = totals.get(mnemonic, 0) + reached
         return totals
+
+    @property
+    def block_samples(self) -> Dict[int, int]:
+        """Compiled-superblock start address -> execution count."""
+        samples: Dict[int, int] = {}
+        for block, runs in self._runs.items():
+            if block.compiled:
+                samples[block.start] = samples.get(block.start, 0) + sum(runs)
+        return samples
 
     def top_mnemonics(self, n: int = 10) -> List[Tuple[str, int]]:
         totals = self.mnemonic_counts()
@@ -90,9 +83,7 @@ class HotspotProfiler:
         return sum(self.mnemonic_counts().values())
 
     def clear(self) -> None:
-        self.mnemonic_samples.clear()
-        self.block_samples.clear()
-        self._block_mnems.clear()
+        self._runs.clear()
 
     # -- rendering -------------------------------------------------------
 
@@ -107,15 +98,15 @@ class HotspotProfiler:
             lines.append(
                 f"  {mnemonic:<10} {count:>14,} {count / total:>8.2%}"
             )
-        if self.block_samples:
+        blocks = self.top_blocks(top)
+        if blocks:
+            lengths = {
+                block.start: block.n for block in self._runs if block.compiled
+            }
             lines.append(f"  {'block':<10} {'execs':>14} {'len':>8}")
-            for start, execs in self.top_blocks(top):
-                length = len(self._block_mnems.get(start, ()))
-                lines.append(f"  {start:#010x} {execs:>14,} {length:>8}")
+            for start, execs in blocks:
+                lines.append(f"  {start:#010x} {execs:>14,} {lengths[start]:>8}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"<HotspotProfiler {len(self.mnemonic_samples)} mnemonics, "
-            f"{len(self.block_samples)} blocks>"
-        )
+        return f"<HotspotProfiler {len(self._runs)} blocks>"

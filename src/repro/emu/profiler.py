@@ -2,8 +2,12 @@
 
 The verification-function selection algorithm of the paper's §VII-B needs
 (1) how often each function is called, (2) the share of total execution
-time it accounts for.  The profiler gathers both by hooking the
-emulator's per-step trace callback.
+time it accounts for.  The profiler gathers both as a block observer
+(see :mod:`repro.emu.emulator`), so it runs on the block engine: every
+block lies inside one symbol, so a block that ran ``count`` instructions
+charges its function ``count`` steps and ``cum[count - 1]`` cycles, and
+a block that ran through its final direct ``call`` counts one call and
+one call edge.  Ret-mispredict penalties are charged to no function.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from collections import Counter
 from typing import Dict
 
 from ..binary.image import BinaryImage
-from .dispatch import cost_of
 from .emulator import Emulator
+
+UNKNOWN = "<unknown>"
 
 
 class FunctionProfile:
@@ -35,16 +40,25 @@ class FunctionProfile:
 
 
 class Profiler:
-    """Attributes executed cycles to the function covering each eip."""
+    """Attributes executed cycles to the function covering each block."""
 
     def __init__(self, image: BinaryImage):
         self.image = image
         self.profiles: Dict[str, FunctionProfile] = {}
         self.call_edges: Counter = Counter()
-        self.total_cycles = 0
+        #: block -> (its function's profile, cum costs, call edge or None)
+        self._entries = {}
 
     def attach(self, emulator: Emulator) -> None:
-        emulator.trace_hook = self._on_step
+        emulator.add_observer(self)
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(prof.cycles for prof in self.profiles.values())
+
+    def _name_at(self, vaddr: int) -> str:
+        symbol = self.image.symbols.at(vaddr)
+        return symbol.name if symbol is not None else UNKNOWN
 
     def _profile_for(self, name: str) -> FunctionProfile:
         prof = self.profiles.get(name)
@@ -53,25 +67,29 @@ class Profiler:
             self.profiles[name] = prof
         return prof
 
-    def _on_step(self, eip: int, insn) -> None:
-        symbol = self.image.symbols.at(eip)
-        name = symbol.name if symbol is not None else "<unknown>"
-        cost = cost_of(insn)  # memoized by Emulator.step just before
-        prof = self._profile_for(name)
-        prof.cycles += cost
-        prof.steps += 1
-        self.total_cycles += cost
-
-        if insn.mnemonic == "call":
-            target = insn.branch_target()
+    def _entry(self, block):
+        name = self._name_at(block.start)
+        edge = None
+        last = block.insns[-1]
+        if last.mnemonic == "call":
+            target = last.branch_target()
             if target is not None:
                 # Calls into symbol-less code (stubs, inserted sections)
                 # still count — attributed to <unknown> rather than
                 # silently dropped, so call totals match reality.
-                callee = self.image.symbols.at(target)
-                callee_name = callee.name if callee is not None else "<unknown>"
-                self._profile_for(callee_name).calls += 1
-                self.call_edges[(name, callee_name)] += 1
+                edge = (name, self._name_at(target))
+        return self._profile_for(name), block.cum, edge
+
+    def __call__(self, block, count: int) -> None:
+        entry = self._entries.get(block)
+        if entry is None:
+            entry = self._entries[block] = self._entry(block)
+        prof, cum, edge = entry
+        prof.steps += count
+        prof.cycles += cum[count - 1]
+        if edge is not None and count == len(cum):
+            self._profile_for(edge[1]).calls += 1
+            self.call_edges[edge] += 1
 
     # ------------------------------------------------------------------
     # Queries used by the selection algorithm
@@ -79,10 +97,9 @@ class Profiler:
 
     def time_fraction(self, name: str) -> float:
         """Fraction of total cycles spent inside ``name``."""
-        if self.total_cycles == 0:
-            return 0.0
+        total = self.total_cycles
         prof = self.profiles.get(name)
-        return prof.cycles / self.total_cycles if prof else 0.0
+        return prof.cycles / total if prof and total else 0.0
 
     def call_count(self, name: str) -> int:
         prof = self.profiles.get(name)
@@ -110,30 +127,19 @@ def profile_run(
     max_steps: int = 5_000_000,
     debugger_attached: bool = False,
     hotspots=None,
-    engine: str = "step",
 ):
     """Run ``image`` under the profiler; returns (RunResult, Profiler).
 
-    Pass a :class:`repro.emu.hotspots.HotspotProfiler` as ``hotspots``
-    to also collect hot-spot samples.  The function profiler itself
-    always forces the step engine (its per-instruction trace hook is
-    how cycles get attributed), so with ``engine="step"`` the hot-spot
-    samples come from that same run.  Any other ``engine`` triggers a
-    second, hook-free run under that engine so the profiler can record
-    engine-level samples too — superblock executions for ``block``.
+    The run is an ordinary block-engine run with the profiler as its
+    block observer.  Pass a :class:`repro.emu.hotspots.HotspotProfiler`
+    as ``hotspots`` to collect hot-spot samples from the same run.
     """
     from .syscalls import OperatingSystem
 
     os = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
     emulator = Emulator(image, os=os, max_steps=max_steps)
-    if hotspots is not None and engine == "step":
+    if hotspots is not None:
         emulator.hotspots = hotspots
     profiler = Profiler(image)
     profiler.attach(emulator)
-    result = emulator.run()
-    if hotspots is not None and engine != "step":
-        os2 = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
-        sampler = Emulator(image, os=os2, max_steps=max_steps, engine=engine)
-        sampler.hotspots = hotspots
-        sampler.run()
-    return result, profiler
+    return emulator.run(), profiler

@@ -1,9 +1,9 @@
 """Engine hot-spot profiler: sampling, aggregation, metrics export."""
 
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import Emulator, HotspotProfiler
+from repro.emu import Emulator, HotspotProfiler, StepBlock
 from repro.telemetry import MetricsRegistry, telemetry_session
-from repro.x86 import Assembler, EAX, ECX, Imm
+from repro.x86 import Assembler, EAX, ECX, Imm, Instruction
 
 BASE = 0x1000
 
@@ -24,9 +24,19 @@ def make_loop_image(n=50):
 
 
 class FakeBlock:
+    """A compiled superblock as block observers see it."""
+
+    compiled = True
+
     def __init__(self, start, mnems):
         self.start = start
-        self.mnems = tuple(mnems)
+        self.insns = tuple(Instruction(m, raw=b"\x90") for m in mnems)
+        self.n = len(self.insns)
+
+
+def step(hot, mnemonic, eip=0x9000):
+    """One instruction run by Emulator.step, as the observer sees it."""
+    hot(StepBlock(eip, Instruction(mnemonic, raw=b"\x90")), 1)
 
 
 # ----------------------------------------------------------------------
@@ -37,11 +47,11 @@ class FakeBlock:
 def test_step_and_block_samples_merge():
     hot = HotspotProfiler()
     for _ in range(3):
-        hot.record_step("mov")
-    hot.record_step("ret")
+        step(hot, "mov")
+    step(hot, "ret", eip=0x9001)
     block = FakeBlock(0x1000, ("mov", "add", "mov"))
-    hot.record_block(block)
-    hot.record_block(block)
+    hot(block, 3)
+    hot(block, 3)
     counts = hot.mnemonic_counts()
     # block executions expand to executions x occurrences
     assert counts["mov"] == 3 + 2 * 2
@@ -53,10 +63,20 @@ def test_step_and_block_samples_merge():
     assert hot.top_blocks(1) == [(0x1000, 2)]
 
 
+def test_partial_block_runs_count_only_executed_instructions():
+    hot = HotspotProfiler()
+    block = FakeBlock(0x1000, ("cmp", "jne", "add", "ret"))
+    hot(block, 4)
+    hot(block, 2)  # side exit at the jne
+    hot(block, 1)  # fault in the cmp
+    assert hot.mnemonic_counts() == {"cmp": 3, "jne": 2, "add": 1, "ret": 1}
+    assert hot.block_samples == {0x1000: 3}
+
+
 def test_ties_rank_deterministically_and_clear_resets():
     hot = HotspotProfiler()
-    hot.record_step("b")
-    hot.record_step("a")
+    step(hot, "b")
+    step(hot, "a", eip=0x9001)
     assert hot.top_mnemonics(2) == [("a", 1), ("b", 1)]  # count desc, then name
     hot.clear()
     assert hot.total_samples == 0
@@ -65,8 +85,8 @@ def test_ties_rank_deterministically_and_clear_resets():
 
 def test_report_renders_mnemonic_and_block_tables():
     hot = HotspotProfiler()
-    hot.record_step("mov")
-    hot.record_block(FakeBlock(0x2000, ("ret",)))
+    step(hot, "mov")
+    hot(FakeBlock(0x2000, ("ret",)), 1)
     out = hot.report()
     assert "engine hot spots" in out
     assert "mov" in out and "ret" in out
@@ -97,6 +117,21 @@ def test_block_engine_samples_block_executions():
     assert max(hot.block_samples.values()) >= 40  # the loop body re-enters
     counts = hot.mnemonic_counts()
     assert counts.get("add", 0) >= 50
+
+
+def test_block_engine_mnemonic_counts_are_exact_on_gzip(small_gzip):
+    # Side exits and the run-ending ExitProgram count only the
+    # instructions that ran, so the block engine's expansion matches the
+    # step engine's per-instruction counts exactly.
+    counts = {}
+    for engine in ("step", "block"):
+        emu = Emulator(small_gzip.image, max_steps=10_000_000, engine=engine)
+        emu.hotspots = HotspotProfiler()
+        result = emu.run()
+        assert not result.crashed
+        counts[engine] = emu.hotspots.mnemonic_counts()
+        assert sum(counts[engine].values()) == result.steps
+    assert counts["block"] == counts["step"]
 
 
 def test_no_sampling_without_a_profiler():

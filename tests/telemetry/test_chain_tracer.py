@@ -6,7 +6,9 @@ import pytest
 
 from repro.attacks.patching import corrupt_byte
 from repro.emu import Emulator
-from repro.telemetry import ChainExecutionTracer, trace_chain_run
+from repro.telemetry import (
+    ChainExecutionTracer, telemetry_session, trace_chain_run,
+)
 
 
 def _text_gadget(protected):
@@ -33,6 +35,17 @@ def test_clean_run_records_gadget_steps(protected_wget_cleartext):
         assert step.mnemonics
         assert step.mnemonics[-1] in ("ret", "retf")
     assert tracer.summary()["steps_recorded"] == len(tracer.steps)
+
+
+def test_emulate_span_reports_the_engine_that_ran(protected_wget_cleartext):
+    # The tracer's per-step hook forces the step engine although the
+    # emulator is configured for the block engine; the span must say so.
+    protected = protected_wget_cleartext
+    with telemetry_session() as (_metrics, tracer):
+        trace_chain_run(protected.image, protected.report.chains[0])
+        protected.run()
+    engines = [span.attributes["engine"] for span in tracer.find("emulate")]
+    assert engines == ["step", "block"]
 
 
 def test_tampered_chain_identifies_corrupted_gadget(protected_wget_cleartext):
