@@ -19,8 +19,8 @@ The block engine calls it once per executed superblock, and
 exception raised inside the block — every run ends with ``ExitProgram``
 raised in its last block — report the prefix the step engine would
 have executed, faulting instruction included.  Every block exposes
-``start``, ``end``, ``n``, ``insns`` and ``cum`` (the cumulative
-``cost_of`` of its instructions), and lies inside one symbol of the
+``start``, ``n``, ``insns``, ``cum`` (the cumulative ``cost_of`` of
+its instructions) and ``compiled``, and lies inside one symbol of the
 image, so an observer attributes ``count`` instructions and
 ``cum[count - 1]`` cycles to a single function.
 
@@ -152,18 +152,17 @@ class TamperWatch:
 class StepBlock:
     """One instruction executed by :meth:`Emulator.step`, as observers see it.
 
-    Carries the same attributes as a compiled superblock
+    Carries the attributes observers read from a compiled superblock
     (:class:`repro.emu.blocks.CompiledBlock`); ``compiled`` tells the
     two apart.
     """
 
-    __slots__ = ("start", "end", "n", "insns", "cum")
+    __slots__ = ("start", "n", "insns", "cum")
 
     compiled = False
 
     def __init__(self, eip: int, insn: Instruction):
         self.start = eip
-        self.end = eip + insn.length
         self.n = 1
         self.insns = (insn,)
         self.cum = (cost_of(insn),)

@@ -71,7 +71,7 @@ def _best_of(fn, repeats=5):
 
 
 def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
-    """The hot-path guards (``hotspots is not None``, ``rec.enabled``)
+    """The hot-path guards (``observer is not None``, ``rec.enabled``)
     must stay well under 5% of the cost of emulating one instruction."""
     emu = Emulator(_loop_image(2000), max_steps=1_000_000, engine="step")
     emu.call_function(BASE)  # warm the decode caches
@@ -83,7 +83,7 @@ def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
         return (time.perf_counter() - t0) / (emu.steps - start)
 
     rec = FlightRecorder(enabled=False)
-    hotspots = None
+    observer = None
     n = 100_000
 
     def guarded_loop():
@@ -91,8 +91,8 @@ def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
         for _ in range(n):
             if rec.enabled:
                 rec.record("k")
-            if hotspots is not None:
-                hotspots.record_step("mov")
+            if observer is not None:
+                observer(None, 1)
         return time.perf_counter() - t0
 
     def bare_loop():
