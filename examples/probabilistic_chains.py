@@ -35,11 +35,11 @@ def main():
     snapshots = set()
     digest_addr = protected.image.symbols["digest_wget"].vaddr
 
-    def hook(eip, insn):
-        if eip == digest_addr:
+    def observe(block, count):
+        if block.start == digest_addr:
             snapshots.add(bytes(emulator.memory.read(section.vaddr, section.size)))
 
-    emulator.trace_hook = hook
+    emulator.add_observer(observe)
     try:
         while True:
             emulator.step()

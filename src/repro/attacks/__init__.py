@@ -1,5 +1,6 @@
 """Attack simulations: static patching, Wurster I-cache, restore, replace."""
 
+from .demo import tamper_chain_gadget
 from .harness import AttackOutcome, evaluate_patch_attack, score_run
 from .patching import (
     AttackError,
@@ -26,4 +27,5 @@ __all__ = [
     "garbage_chain_patch", "reconstruct_function_patch", "wipe_chain_patch",
     "evaluate_restore_attack", "run_with_restore_attack",
     "evaluate_wurster_attack", "run_with_icache_patches",
+    "tamper_chain_gadget",
 ]

@@ -174,14 +174,13 @@ def score_run(
     (a crash stops it there, a stdout/exit divergence is seen then), so
     ``detection_cycles`` is the run's cycle count when detected.
     """
-    if run.crashed:
-        outcome = AttackOutcome(attack_name, True, f"crash: {run.fault}", run)
-    elif run.stdout != goal.stdout:
-        outcome = AttackOutcome(attack_name, True, "stdout diverged", run)
-    elif run.exit_status != goal.exit_status:
-        outcome = AttackOutcome(attack_name, True, "exit status diverged", run)
-    else:
-        outcome = AttackOutcome(attack_name, False, "attacker goal reached", run)
+    divergence = run.divergence(goal)
+    outcome = AttackOutcome(
+        attack_name,
+        divergence is not None,
+        divergence or "attacker goal reached",
+        run,
+    )
     outcome.tamper_cycles = tamper_cycles
     outcome.corruption_cycles = corruption_cycles
     if outcome.detected:

@@ -103,10 +103,6 @@ class BinaryImage:
     def add_object(self, name: str, vaddr: int, size: int) -> Symbol:
         return self.symbols.add(Symbol(name, vaddr, size, SymbolKind.OBJECT))
 
-    def function_bytes(self, name: str) -> bytes:
-        sym = self.symbols[name]
-        return self.read(sym.vaddr, sym.size)
-
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------

@@ -300,18 +300,19 @@ def _cmd_protect(args) -> int:
     config = ProtectConfig(strategy=args.strategy, guard_chains=args.guard_chains)
     protected = Parallax(config, jobs=args.jobs).protect(program)
     result = protected.run(engine=args.engine)
-    diverged = result.crashed or result.stdout != baseline.stdout
+    divergence = result.divergence(baseline)
     overhead = 100 * (result.cycles / baseline.cycles - 1)
     if args.json:
         payload = protected.report.to_dict()
-        payload["behaviour_preserved"] = not diverged
+        payload["behaviour_preserved"] = divergence is None
+        payload["divergence"] = divergence
         payload["overhead_percent"] = round(overhead, 4)
         print(json.dumps(payload, indent=2))
     else:
         print(protected.report.summary())
-    if diverged:
+    if divergence is not None:
         if not args.json:
-            print("ERROR: protected program diverged from baseline")
+            print(f"ERROR: protected program diverged from baseline: {divergence}")
         return 1
     if not args.json:
         print(f"\nbehaviour preserved; whole-program overhead {overhead:.2f}%")
@@ -491,23 +492,14 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from .attacks import evaluate_patch_attack, evaluate_wurster_attack
-    from .attacks.patching import corrupt_byte
+    from .attacks import tamper_chain_gadget
 
     program = build_program(args.program)
     goal = program.run(engine=args.engine)
     config = ProtectConfig(strategy=args.strategy)
     protected = Parallax(config).protect(program)
-    image = protected.image
-    target = next(
-        addr
-        for addr in protected.report.chains[0].gadget_addresses
-        if image.section_at(addr).name == ".text"
-    )
-    patch = corrupt_byte(image, target)
+    target, static, wurster = tamper_chain_gadget(protected, goal)
     print(f"tampering one byte of a chain gadget at {target:#x}")
-    static = evaluate_patch_attack(image, [patch], goal, "static")
-    wurster = evaluate_wurster_attack(image, [patch], goal, "wurster")
     print(f"static  patch: {'DETECTED' if static.detected else 'undetected'} "
           f"({static.reason})")
     print(f"wurster patch: {'DETECTED' if wurster.detected else 'undetected'} "

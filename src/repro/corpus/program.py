@@ -47,9 +47,6 @@ class DataBuilder:
     def addr(self, name: str) -> int:
         return self.names[name][0]
 
-    def size_of(self, name: str) -> int:
-        return self.names[name][1]
-
 
 class Program:
     """A corpus program: everything Parallax and the benchmarks need.

@@ -4,8 +4,7 @@ Executes binary images with one of two engines sharing a single set
 of instruction semantics (:mod:`repro.emu.dispatch`):
 
 * the **step engine** interprets one instruction at a time through the
-  decode cache — the reference implementation, and the one used when a
-  per-step ``trace_hook`` is attached;
+  decode cache — the reference implementation;
 * the **block engine** (:mod:`repro.emu.blocks`, the default) compiles
   straight-line instruction runs into cached superblocks and executes
   them without per-instruction dispatch.
@@ -184,6 +183,22 @@ class RunResult:
     def crashed(self) -> bool:
         return self.fault is not None
 
+    def divergence(self, goal: "RunResult") -> Optional[str]:
+        """Why this run does not reproduce ``goal``; ``None`` if it does.
+
+        The one behaviour verdict: protection must leave a run equal to
+        its baseline, and a tamper is detected when the run differs from
+        the attacker's goal.  Names the first field that differs, in
+        order: a crash, stdout, the exit status.
+        """
+        if self.crashed:
+            return f"crash: {self.fault}"
+        if self.stdout != goal.stdout:
+            return "stdout diverged"
+        if self.exit_status != goal.exit_status:
+            return "exit status diverged"
+        return None
+
     def __repr__(self) -> str:
         if self.crashed:
             return f"<RunResult FAULT {self.fault!r} steps={self.steps}>"
@@ -233,10 +248,6 @@ class Emulator:
         self.cycles = 0
         self.ret_mispredicts = 0
         self._ras = []  # shadow return-address stack (branch predictor)
-        #: optional per-step callback(eip, instruction); attaching one
-        #: makes ``run`` fall back to the step engine so every
-        #: instruction is observed.  Profilers use ``observer`` instead.
-        self.trace_hook: Optional[Callable[[int, Instruction], None]] = None
         #: the block observer both engines call (see the module
         #: docstring): ``None``, the one registered observer, or a
         #: fan-out over several.  Rebuilt by ``add_observer`` and by
@@ -318,13 +329,8 @@ class Emulator:
         return block
 
     def _compiled_engine(self):
-        """The compiled-execution engine for this run, or ``None``.
-
-        ``None`` means single-step: either the step engine was selected
-        or a ``trace_hook`` demands that every instruction be observed.
-        """
-        if self.trace_hook is not None:
-            return None
+        """The compiled-execution engine for this run, or ``None`` for
+        the step engine."""
         if self.engine == ENGINE_BLOCK:
             return self.blocks
         return None
@@ -472,8 +478,6 @@ class Emulator:
             watch.hit_steps = self.steps
             watch.hit_cycles = self.cycles
             watch.hit_eip = eip
-        if self.trace_hook is not None:
-            self.trace_hook(eip, insn)
         self.cpu.eip = (eip + insn.length) & MASK32
         self._execute(insn)
         return insn

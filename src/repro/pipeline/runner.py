@@ -162,11 +162,7 @@ def _run_task(task: dict) -> dict:
         if task["verify"]:
             baseline = program.run(max_steps=task["max_steps"])
             run = protected.run(max_steps=task["max_steps"])
-            behaviour = (
-                not run.crashed
-                and run.stdout == baseline.stdout
-                and run.exit_status == baseline.exit_status
-            )
+            behaviour = run.divergence(baseline) is None
         return protected, elapsed, behaviour
 
     (protected, elapsed, behaviour), telemetry = capture(

@@ -55,14 +55,6 @@ class ImmediateSplitter:
             raise ValueError("byte_index must be 0..3")
         self.byte_index = byte_index
 
-    def eligible_indices(self, function: ir.IRFunction) -> List[int]:
-        """Op positions whose Const can host a planted ret byte."""
-        return [
-            index
-            for index, op in enumerate(function.body)
-            if isinstance(op, ir.Const)
-        ]
-
     def transform(
         self, function: ir.IRFunction, indices: Optional[List[int]] = None
     ) -> ir.IRFunction:

@@ -45,9 +45,6 @@ class AnalysisResult:
         (existing near/far; candidates are not yet real)."""
         return GadgetCatalog(self.existing_gadgets + self.far_gadgets)
 
-    def protectable_fraction(self) -> float:
-        return self.report.percent_any() / 100.0
-
 
 class RewriteEngine:
     """Runs the §IV-B rule set over a binary image."""

@@ -67,13 +67,6 @@ class ProtectabilityReport:
             return 0.0
         return 100.0 * len(self.any_bytes()) / self.total_code_bytes
 
-    def as_row(self) -> Dict[str, float]:
-        row = {"program": self.program}
-        for name in FIG6_RULES:
-            row[name] = round(self.percent(name), 1)
-        row[RULE_ANY] = round(self.percent_any(), 1)
-        return row
-
     def __repr__(self) -> str:
         cells = " ".join(
             f"{name}={self.percent(name):.1f}%" for name in FIG6_RULES

@@ -10,29 +10,16 @@ Our concrete embodiment is the standard-gadget-set insertion
 (:func:`repro.ropc.standard.emit_standard_gadgets`): whole gadgets
 placed in a fresh executable section, reachable only via the chain (the
 degenerate case of spurious instructions placed out of line, with zero
-runtime cost to the protected code).  For *inline* spurious insertion,
-:meth:`plan_inline` computes the bytes to weave into a function —
-applied through IR recompilation like the immediate rule.
+runtime cost to the protected code).
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
-
-from ...gadgets.types import GadgetKind
-from ...ropc.standard import emit_standard_gadgets
 
 
 class SpuriousInstructionRule:
     """Plans insertion of gadget-bearing spurious instructions."""
 
     name = "spurious"
-
-    def plan_out_of_line(
-        self, kinds: List[GadgetKind], base: int
-    ) -> Tuple[bytes, list]:
-        """Standard-set emission: bytes + classified gadget records."""
-        return emit_standard_gadgets(kinds, base)
 
     @staticmethod
     def coverage_percent() -> float:

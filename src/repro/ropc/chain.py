@@ -156,9 +156,6 @@ class RopChain:
         self.items.append(ChainLabel(name))
         return name
 
-    def far_pad(self) -> ConstWord:
-        return self.const(FAR_PAD)
-
     # ------------------------------------------------------------------
     # Resolution (placeholder -> concrete gadget)
     # ------------------------------------------------------------------

@@ -22,13 +22,13 @@ from ..cache import content_key, package_source_digest
 from ..core import Parallax, ProtectConfig, STRATEGIES
 from ..core.protector import PROTECT_CACHE_VERSION
 from ..corpus import PROGRAM_NAMES, build_program_cached
+from ..pipeline import config_for_program
 
 __all__ = [
     "JOB_KINDS",
     "SERVE_CACHE_VERSION",
     "make_task",
     "job_key",
-    "job_config",
     "execute_job",
     "execute_batch",
 ]
@@ -37,7 +37,7 @@ JOB_KINDS = ("protect", "verify", "attack-matrix")
 
 #: Bump when serve payload contents change for identical inputs, so
 #: cached responses from an older serving layer are never replayed.
-SERVE_CACHE_VERSION = 1
+SERVE_CACHE_VERSION = 2
 
 #: Emulation budget for verify / attack jobs (full runs, not chains).
 DEFAULT_MAX_STEPS = 50_000_000
@@ -84,18 +84,6 @@ def make_task(
     }
 
 
-def job_config(task: Dict[str, Any]) -> ProtectConfig:
-    """The :class:`ProtectConfig` a task resolves to (pipeline parity:
-    the §VII-B selection converges on ``digest_<name>`` for every
-    corpus program, same as ``pipeline.config_for_program``)."""
-    return ProtectConfig(
-        strategy=task["strategy"],
-        verification_functions=[f"digest_{task['program']}"],
-        seed=task["seed"],
-        guard_chains=task["guard_chains"],
-    )
-
-
 def job_key(task: Dict[str, Any]) -> str:
     """Content key for the serve-level response cache + single-flight.
 
@@ -120,7 +108,15 @@ def job_key(task: Dict[str, Any]) -> str:
 
 def _protect(task: Dict[str, Any]):
     program = build_program_cached(task["program"])
-    protected = Parallax(job_config(task)).protect(program)
+    config = config_for_program(
+        task["program"],
+        ProtectConfig(
+            strategy=task["strategy"],
+            seed=task["seed"],
+            guard_chains=task["guard_chains"],
+        ),
+    )
+    protected = Parallax(config).protect(program)
     return program, protected
 
 
@@ -144,18 +140,15 @@ def _verify_payload(task: Dict[str, Any]) -> Dict[str, Any]:
     program, protected = _protect(task)
     baseline = program.run(max_steps=task["max_steps"])
     run = protected.run(max_steps=task["max_steps"])
-    preserved = (
-        not run.crashed
-        and run.stdout == baseline.stdout
-        and run.exit_status == baseline.exit_status
-    )
+    divergence = run.divergence(baseline)
     return {
         "kind": "verify",
         "program": task["program"],
         "strategy": task["strategy"],
         "seed": task["seed"],
         "fingerprint": protected.image.fingerprint(),
-        "behaviour_preserved": preserved,
+        "behaviour_preserved": divergence is None,
+        "divergence": divergence,
         "baseline": {
             "exit_status": baseline.exit_status,
             "steps": baseline.steps,
@@ -176,20 +169,11 @@ def _verify_payload(task: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _attack_matrix_payload(task: Dict[str, Any]) -> Dict[str, Any]:
-    from ..attacks import evaluate_patch_attack, evaluate_wurster_attack
-    from ..attacks.patching import corrupt_byte
+    from ..attacks import tamper_chain_gadget
 
     program, protected = _protect(task)
     goal = program.run(max_steps=task["max_steps"])
-    image = protected.image
-    target = next(
-        addr
-        for addr in protected.report.chains[0].gadget_addresses
-        if image.section_at(addr).name == ".text"
-    )
-    patch = corrupt_byte(image, target)
-    static = evaluate_patch_attack(image, [patch], goal, "static")
-    wurster = evaluate_wurster_attack(image, [patch], goal, "wurster")
+    target, static, wurster = tamper_chain_gadget(protected, goal)
     return {
         "kind": "attack-matrix",
         "program": task["program"],

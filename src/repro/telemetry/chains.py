@@ -2,14 +2,16 @@
 
 A tampered gadget makes a verification chain malfunction, but the
 malfunction (crash, wrong output) surfaces far from its cause.  The
-:class:`ChainExecutionTracer` hooks the emulator's per-step callback
-and records every entry into a known chain gadget — address, mnemonic
-sequence, esp/eip at entry, and whether the gadget is
-overlap-preferred — so a failing run can be walked backwards to the
+:class:`ChainExecutionTracer` is a block observer of a step-engine
+emulator and records every entry into a known chain gadget —
+address, mnemonic sequence, esp/eip at entry, and whether the gadget
+is overlap-preferred — so a failing run can be walked backwards to the
 exact gadget whose bytes were corrupted.
 
-Installation is guarded: a disabled tracer never touches
-``Emulator.trace_hook``, so the per-step fast path stays hook-free.
+It needs the step engine, whose observer sees each instruction
+before it executes.  A block-engine superblock can run through an
+aligned gadget address mid-block, so entries would be missed there.
+A disabled tracer registers no observer.
 """
 
 from __future__ import annotations
@@ -109,26 +111,30 @@ class ChainExecutionTracer:
         """Build a tracer for one :class:`~repro.core.report.ChainRecord`."""
         return cls(record.gadget_addresses, preferred=preferred, **kwargs)
 
-    # -- hook -----------------------------------------------------------
+    # -- observer -------------------------------------------------------
 
     def install(self, emulator) -> bool:
-        """Attach to ``emulator.trace_hook`` (chaining any existing hook).
+        """Register as a block observer of a step-engine ``emulator``.
 
-        Returns False without touching the emulator when disabled.
+        Returns False without touching the emulator when disabled;
+        raises ``ValueError`` for a block-engine emulator.
         """
         if not self.enabled:
             return False
-        self._emulator = emulator
-        previous = emulator.trace_hook
-        if previous is None:
-            emulator.trace_hook = self.on_step
-        else:
-            def chained(eip, insn, _prev=previous, _self=self.on_step):
-                _prev(eip, insn)
-                _self(eip, insn)
+        from ..emu import ENGINE_STEP  # late: avoid import cycle at module load
 
-            emulator.trace_hook = chained
+        if emulator.engine != ENGINE_STEP:
+            raise ValueError(
+                f"chain tracing needs the {ENGINE_STEP!r} engine, "
+                f"not {emulator.engine!r}"
+            )
+        self._emulator = emulator
+        emulator.add_observer(self)
         return True
+
+    def __call__(self, block, count: int) -> None:
+        # The step engine's blocks are single instructions.
+        self.on_step(block.start, block.insns[0])
 
     def on_step(self, eip: int, insn) -> None:
         self.instructions_seen += 1
@@ -263,10 +269,10 @@ def trace_chain_run(
     Wurster attack shape); use pre-patched images for static tampering.
     Returns ``(RunResult, ChainExecutionTracer)``.
     """
-    from ..emu import Emulator, OperatingSystem
+    from ..emu import ENGINE_STEP, Emulator, OperatingSystem
 
     os = OperatingSystem(debugger_attached=debugger_attached)
-    emulator = Emulator(image, os=os, max_steps=max_steps)
+    emulator = Emulator(image, os=os, max_steps=max_steps, engine=ENGINE_STEP)
     for patch in code_patches:
         emulator.memory.patch_code_view(patch.vaddr, patch.new)
     tracer = ChainExecutionTracer.for_record(record, preferred=preferred)

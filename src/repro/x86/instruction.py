@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .operands import Imm, Mem, Rel
-from .registers import Register
 
 #: Mnemonics that terminate a basic block / gadget.
 RETURNS = frozenset({"ret", "retf"})
@@ -89,10 +88,6 @@ class Instruction:
     def is_conditional(self) -> bool:
         return self.mnemonic in CONDITIONAL_JUMPS
 
-    @property
-    def is_call(self) -> bool:
-        return self.mnemonic == "call"
-
     def writes_memory(self) -> bool:
         """True if the first (destination) operand is a memory reference."""
         if self.mnemonic in ("push", "call", "pushad"):
@@ -101,43 +96,12 @@ class Instruction:
             return False
         return bool(self.operands) and isinstance(self.operands[0], Mem)
 
-    def reads_memory(self) -> bool:
-        if self.mnemonic in ("pop", "ret", "retf", "leave", "popad"):
-            return True
-        if self.mnemonic == "lea":
-            return False
-        return any(isinstance(op, Mem) for op in self.operands)
-
     def branch_target(self) -> Optional[int]:
         """Absolute target of a direct branch, if known."""
         for op in self.operands:
             if isinstance(op, Rel):
                 return op.target
         return None
-
-    def regs_written(self) -> tuple:
-        """Registers this instruction (architecturally) writes."""
-        m = self.mnemonic
-        ops = self.operands
-        out = []
-        if m in ("mov", "add", "adc", "sub", "sbb", "and", "or", "xor", "lea",
-                 "inc", "dec", "neg", "not", "shl", "shr", "sar", "movzx",
-                 "movsx", "imul"):
-            if ops and isinstance(ops[0], Register):
-                out.append(ops[0])
-        elif m == "pop" and ops and isinstance(ops[0], Register):
-            out.append(ops[0])
-        elif m == "xchg":
-            out.extend(op for op in ops if isinstance(op, Register))
-        elif m in ("mul", "div", "idiv", "cdq"):
-            from .registers import EAX, EDX
-
-            out.extend((EAX, EDX))
-        elif m == "popad":
-            from .registers import GP32
-
-            out.extend(r for r in GP32 if r.name != "esp")
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -35,10 +35,6 @@ class Register:
         # module-level singleton, keeping identity comparison safe.
         return (Register.by_name, (self.name,))
 
-    @property
-    def is_gp32(self) -> bool:
-        return self.width == 32
-
     def full(self) -> "Register":
         """Return the 32-bit register this register aliases.
 

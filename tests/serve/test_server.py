@@ -18,10 +18,11 @@ import pytest
 
 import repro.cache as cache_mod
 from repro import telemetry
-from repro.core import Parallax
+from repro.core import Parallax, ProtectConfig
 from repro.corpus import build_program_cached
+from repro.pipeline import config_for_program
 from repro.serve import ServeClient, ServeConfig, ServerThread
-from repro.serve.jobs import job_config, make_task
+from repro.serve.jobs import make_task
 from repro.serve.server import ProtectionServer, serving_pool
 
 
@@ -51,7 +52,12 @@ def client(server):
 def direct_protect(kind="protect", program="gzip", **fields):
     """The ground truth: run the pipeline directly, no server."""
     task = make_task(kind, program, **fields)
-    return Parallax(job_config(task)).protect(build_program_cached(program))
+    config = config_for_program(program, ProtectConfig(
+        strategy=task["strategy"],
+        seed=task["seed"],
+        guard_chains=task["guard_chains"],
+    ))
+    return Parallax(config).protect(build_program_cached(program))
 
 
 # -- basic routes -------------------------------------------------------
@@ -88,6 +94,7 @@ def test_verify_job(client):
     status, _headers, payload = client.job("verify", "gzip", seed=0)
     assert status == 200
     assert payload["behaviour_preserved"] is True
+    assert payload["divergence"] is None
     assert payload["protected"]["crashed"] is False
     assert payload["overhead_percent"] is not None
 

@@ -38,8 +38,8 @@ def test_clean_run_records_gadget_steps(protected_wget_cleartext):
 
 
 def test_emulate_span_reports_the_engine_that_ran(protected_wget_cleartext):
-    # The tracer's per-step hook forces the step engine although the
-    # emulator is configured for the block engine; the span must say so.
+    # trace_chain_run runs on the step engine and a plain run on the
+    # block engine; the span must say which one ran.
     protected = protected_wget_cleartext
     with telemetry_session() as (_metrics, tracer):
         trace_chain_run(protected.image, protected.report.chains[0])
@@ -86,23 +86,13 @@ def test_disabled_tracer_installs_nothing():
     emulator = Emulator()
     tracer = ChainExecutionTracer([0x1000], enabled=False)
     assert tracer.install(emulator) is False
-    assert emulator.trace_hook is None
+    assert emulator.observer is None
 
 
-def test_install_chains_existing_hook():
-    emulator = Emulator()
-    seen = []
-    emulator.trace_hook = lambda eip, insn: seen.append(eip)
+def test_install_refuses_the_block_engine():
     tracer = ChainExecutionTracer([0x1000])
-    assert tracer.install(emulator) is True
-
-    class FakeInsn:
-        mnemonic = "ret"
-        is_return = True
-
-    emulator.trace_hook(0x1000, FakeInsn())
-    assert seen == [0x1000]  # previous hook still called
-    assert tracer.steps[0].address == 0x1000
+    with pytest.raises(ValueError):
+        tracer.install(Emulator(engine="block"))
 
 
 def test_divergence_against_expected_sequence():
