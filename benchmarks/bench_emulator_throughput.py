@@ -5,10 +5,14 @@ workload shapes the paper's evaluation leans on:
 
 * **chain** — repeated verification-function calls on a protected
   image (fig. 5a's workload: ROP-chain heavy, ret-dominated);
-* **program** — whole corpus-program runs (fig. 5b's workload).
+* **program** — whole corpus-program runs (fig. 5b's workload);
+* **profile** — whole-program runs with the §VII-B
+  :class:`~repro.emu.profiler.Profiler` attached as the block observer
+  (the selection profile every auto-select protect runs).
 
 Every measurement doubles as a differential check: steps, cycles and
-observable outputs must match across engines exactly, and any
+observable outputs — and, for ``profile``, every function's calls,
+steps and cycles — must match across engines exactly, and any
 mismatch is recorded (and fails the run).
 
 Methodology: every engine gets the same warmup (``CHAIN_WARMUP``
@@ -37,7 +41,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import _shared  # noqa: E402
 
-from repro.emu import Emulator, run_image  # noqa: E402
+from repro.emu import Emulator, Profiler, run_image  # noqa: E402
 
 DEFAULT_OUTPUT = os.environ.get(
     "REPRO_BENCH_EMULATOR",
@@ -122,14 +126,47 @@ def measure_program(name):
     return ips, sigs
 
 
+def measure_profile(name):
+    """One whole-program run per engine under the function profiler;
+    returns ({engine: ips}, {engine: RunResult + per-function profile
+    signature})."""
+    image = _shared.program(name).image
+    ips, sigs = {}, {}
+    for engine in ENGINES:
+        emulator = Emulator(image, max_steps=_shared.MAX_STEPS, engine=engine)
+        profiler = Profiler(image)
+        profiler.attach(emulator)
+        t0 = time.perf_counter()
+        result = emulator.run()
+        elapsed = time.perf_counter() - t0
+        sigs[engine] = (
+            result.exit_status, result.steps, result.cycles,
+            result.stdout.hex(), repr(result.fault),
+            sorted(
+                (prof.name, prof.calls, prof.steps, prof.cycles)
+                for prof in profiler.profiles.values()
+            ),
+        )
+        ips[engine] = result.steps / elapsed
+    return ips, sigs
+
+
+#: Workload rows, in report order, and how each is measured.
+MEASURES = {
+    "chain": measure_chain,
+    "program": measure_program,
+    "profile": measure_profile,
+}
+WORKLOADS = tuple(MEASURES)
+
+
 def run_suite(programs, output=DEFAULT_OUTPUT):
     rows = {}
     mismatches = []
     for name in programs:
         row = {}
-        for kind, measure in (("chain", measure_chain),
-                              ("program", measure_program)):
-            ips, sigs = measure(name)
+        for kind in WORKLOADS:
+            ips, sigs = MEASURES[kind](name)
             identical = sigs["step"] == sigs["block"]
             if not identical:
                 mismatches.append({
@@ -150,8 +187,10 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
 
     payload = {
         "programs": rows,
-        "chain_speedup_geomean": geomean("chain", "speedup"),
-        "program_speedup_geomean": geomean("program", "speedup"),
+        **{
+            f"{kind}_speedup_geomean": geomean(kind, "speedup")
+            for kind in WORKLOADS
+        },
         "mismatches": mismatches,
         "chain_repeats": CHAIN_REPEATS,
         "chain_warmup": CHAIN_WARMUP,
@@ -162,12 +201,12 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
             json.dump(payload, fh, indent=2)
     history = {}
     for name, row in rows.items():
-        for kind in ("chain", "program"):
+        for kind in WORKLOADS:
             for engine in ENGINES:
                 history[f"{name}.{kind}.{engine}_ips"] = \
                     row[kind][f"{engine}_ips"]
-    history["chain_speedup_geomean"] = payload["chain_speedup_geomean"]
-    history["program_speedup_geomean"] = payload["program_speedup_geomean"]
+    for kind in WORKLOADS:
+        history[f"{kind}_speedup_geomean"] = payload[f"{kind}_speedup_geomean"]
     _shared.record_history("emulator", history)
     return payload
 
@@ -176,27 +215,30 @@ def _print_report(payload):
     print(f"{'program':<8} {'workload':<8} {'step':>11} {'block':>12}"
           f" {'blk/step':>9}")
     for name, row in payload["programs"].items():
-        for kind in ("chain", "program"):
+        for kind in WORKLOADS:
             r = row[kind]
             print(f"{name:<8} {kind:<8} {r['step_ips']:>11,}"
                   f" {r['block_ips']:>12,} {r['speedup']:>8.1f}x")
-    print(f"\ngeomean block/step: chain {payload['chain_speedup_geomean']}x, "
-          f"program {payload['program_speedup_geomean']}x; "
+    geomeans = ", ".join(
+        f"{kind} {payload[f'{kind}_speedup_geomean']}x" for kind in WORKLOADS
+    )
+    print(f"\ngeomean block/step: {geomeans}; "
           f"{len(payload['mismatches'])} differential mismatch(es)")
 
 
 def gate_failures(payload, min_speedup=0.0):
     """Why ``payload`` fails its gates; empty when it passes.
 
-    Every row of both workloads must be identical across the engines,
-    and both block/step speedup geomeans must reach ``min_speedup``.
+    Every row of every workload must be identical across the engines,
+    and every workload's block/step speedup geomean must reach
+    ``min_speedup``.
     """
     failures = []
     for name, row in payload["programs"].items():
-        for kind in ("chain", "program"):
+        for kind in WORKLOADS:
             if not row[kind]["identical"]:
                 failures.append(f"engines diverged on {name} ({kind})")
-    for kind in ("chain", "program"):
+    for kind in WORKLOADS:
         speedup = payload[f"{kind}_speedup_geomean"]
         if speedup < min_speedup:
             failures.append(
@@ -215,9 +257,9 @@ def main(argv=None) -> int:
                         "and lame have sub-300-step chains dominated by "
                         "per-call setup)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail unless both the chain- and the "
-                        "program-workload block/step geomean speedups "
-                        "reach this factor")
+                        help="fail unless the chain-, program- and "
+                        "profile-workload block/step geomean speedups "
+                        "all reach this factor")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="where to write BENCH_emulator.json")
     args = parser.parse_args(argv)

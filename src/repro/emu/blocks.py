@@ -2,16 +2,25 @@
 
 The step engine pays per instruction for a decode-cache probe, a
 mnemonic dispatch and a chain of ``isinstance`` checks over operands.
-This module removes all three: straight-line instruction runs are
-compiled **once** into a Python function (generated source, ``exec``'d)
-in which every operand access is specialized at compile time — register
-numbers become list indexes, immediates become literals, effective
-addresses become inline arithmetic, and scalar loads/stores go straight
-to the flat-segment buffer (:class:`repro.emu.memory.FlatSegment`)
-without a method call.  Instruction shapes outside the specializer's
-templates fall back to the shared semantic handlers in
-:mod:`repro.emu.dispatch`, pre-bound per instruction, so both engines
-execute identical semantics by construction.
+This module removes all three for *hot* code: straight-line instruction
+runs are compiled **once** into a Python function (generated source,
+``exec``'d) in which every operand access is specialized at compile
+time — register numbers become list indexes, immediates become
+literals, effective addresses become inline arithmetic, and scalar
+loads/stores go straight to the flat-segment buffer
+(:class:`repro.emu.memory.FlatSegment`) without a method call.
+Instruction shapes outside the specializer's templates fall back to the
+shared semantic handlers in :mod:`repro.emu.dispatch`, pre-bound per
+instruction, so both engines execute identical semantics by
+construction.
+
+Tiering: compiling costs about as much as running a block a few hundred
+times, and most blocks run only a handful of times.  The dispatcher
+therefore counts cache misses per start address and interprets the
+first ``HOT_THRESHOLD - 1`` dispatches with :meth:`Emulator.step`, up to
+and including the next control transfer; the dispatch that reaches the
+threshold compiles.  Budget, tamper-watch stamps, observers and faults
+of cold code all come from ``Emulator.step``, so they are exact.
 
 Superblocks extend through *non-taken* conditional branches (side
 exits) and terminate at any other control transfer.  Step and cycle
@@ -20,14 +29,30 @@ early exit (taken jcc, fault, syscall, self-modifying write) charges
 the exact prefix the step engine would have charged, so ``RunResult``s
 are byte-identical between engines.
 
+Self-loops: a cacheable block whose final ``jmp rel`` targets its own
+start iterates inside its generated function.  Each iteration makes the
+dispatcher's checks itself — step budget (or ``run_steps`` target),
+block validity by the two tiers below, and the hit counters — and
+returns to the dispatcher as soon as one fails.  The dispatcher never
+enters a block at its ``stop`` address, so re-entering the same start
+never reaches it either.
+
+Flag liveness: a backward pass over the block drops condition-flag
+stores that a later instruction overwrites before anything reads them.
+Side exits, instructions that can fault (memory operands, generic
+handlers) and the block end read every flag, so flags are exact
+wherever execution can leave the block.
+
 Coherence model (what keys a block):
 
 * **Entry check** — a block records the write-counter version of each
-  page its bytes span.  ``Memory`` bumps those counters on data writes,
-  on Wurster code-view patches (:meth:`~repro.emu.memory.Memory.
-  patch_code_view`) and on their removal, so tampering — through either
-  the data or the instruction view — invalidates affected superblocks
-  before their next execution.
+  page its bytes span.  ``Memory`` bumps those counters on stores to
+  code-bearing segments, on Wurster code-view patches (:meth:`~repro.
+  emu.memory.Memory.patch_code_view`) and on their removal, so
+  tampering — through either the data or the instruction view —
+  invalidates affected superblocks before their next execution.  Tier
+  one compares the global ``write_epoch`` alone; tier two re-probes the
+  block's page versions and restamps.
 * **In-block check** — a store that lands inside the block's own byte
   range aborts the block *after* the store, exactly where the step
   engine would first re-decode modified bytes.  Generic (non-inlined)
@@ -39,12 +64,14 @@ Coherence model (what keys a block):
 Blocks also end where the image's symbol lookup changes, so every
 instruction of a block belongs to the same function.  That is what
 lets the block observer (see :mod:`repro.emu.emulator`) attribute a
-whole block to one function: it is called once per executed block with
-the exact count of instructions that ran.
+whole block to one function: the generated code calls it once per
+executed block — once per iteration of a self-loop — with the exact
+count of instructions that ran.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from ..telemetry.context import get_recorder
@@ -60,6 +87,10 @@ from .memory import _U16, _U32
 #: spans at most two pages and validity is two dict probes.
 MAX_BLOCK_INSNS = 64
 MAX_BLOCK_BYTES = 2048
+
+#: Dispatches of one start address before it is compiled; the ones
+#: before run interpreted by ``Emulator.step``.
+HOT_THRESHOLD = 16
 
 #: Per-generation bound of the block cache (two generations resident).
 BLOCK_CACHE_GENERATION = 4096
@@ -85,6 +116,10 @@ _CC_EXPR = {
 }
 
 _LOGIC_OPS = {"and": "&", "or": "|", "xor": "^"}
+
+#: Condition-flag bits for the liveness pass.
+CF, OF, ZF, SF = 1, 2, 4, 8
+ALL_FLAGS = CF | OF | ZF | SF
 
 #: Shared globals for every generated block function.
 _SHARED_NS = {
@@ -123,6 +158,71 @@ def _mem_regs_ok(op: Mem) -> bool:
     )
 
 
+def _is_alu_src(op) -> bool:
+    """A source the ALU templates inline without touching memory."""
+    return _is_r32(op) or isinstance(op, Imm)
+
+
+def _flag_effect(insn):
+    """``(read, written)`` flag masks of ``insn`` as the block runs it.
+
+    Only shapes that the specializer inlines *and* that cannot fault
+    are precise; everything else — memory operands, generic handlers,
+    control transfers — reads every flag, so flags are exact wherever
+    execution can leave the block.
+    """
+    m = insn.mnemonic
+    ops = insn.operands
+    if len(ops) == 2 and _is_r32(ops[0]) and _is_alu_src(ops[1]):
+        if m in ("add", "sub", "cmp", "test") or m in _LOGIC_OPS:
+            return 0, ALL_FLAGS
+        if m in ("adc", "sbb"):
+            return CF, ALL_FLAGS
+        if m == "mov":
+            return 0, 0
+        if m in ("shl", "shr", "sar") and isinstance(ops[1], Imm):
+            return 0, (CF | ZF | SF) if ops[1].value & 0x1F else 0
+    if len(ops) == 1 and _is_r32(ops[0]):
+        if m in ("inc", "dec"):
+            return 0, OF | ZF | SF
+        if m == "neg":
+            return 0, ALL_FLAGS
+        if m == "not":
+            return 0, 0
+    if (
+        m in ("movzx", "movsx")
+        and _is_r32(ops[0])
+        and isinstance(ops[1], Register)
+        and ops[1].width in (8, 16)
+    ):
+        return 0, 0
+    if (
+        m == "lea"
+        and _is_r32(ops[0])
+        and isinstance(ops[1], Mem)
+        and _mem_regs_ok(ops[1])
+    ):
+        return 0, 0
+    if m in ("cdq", "nop") and not ops:
+        return 0, 0
+    return ALL_FLAGS, 0
+
+
+def _live_flags(insns):
+    """Flags live after each instruction of a block (backward pass).
+
+    The block end reads every flag; each instruction kills the flags it
+    writes and revives the ones it reads.
+    """
+    live = ALL_FLAGS
+    out = [0] * len(insns)
+    for i in range(len(insns) - 1, -1, -1):
+        out[i] = live
+        read, written = _flag_effect(insns[i])
+        live = (live & ~written) | read
+    return out
+
+
 def _imm32(op) -> int:
     """The value :meth:`Emulator._read_operand` yields for ``op`` at 32 bits."""
     if op.width < 32:
@@ -157,6 +257,21 @@ def _reg_read_expr(op: Register) -> Optional[str]:
     return f"((regs[{op.code - 4}] >> 8) & 0xFF)"  # ah/ch/dh/bh
 
 
+def _leave(count: int, cum: int, value: str = "") -> list:
+    """Lines that leave the block after its first ``count`` instructions.
+
+    Charges their steps and ``cum`` cycles, reports them to the
+    observer, and returns ``value`` (truthy: a self-modifying abort).
+    """
+    return [
+        f"emu.steps += {count}",
+        f"emu.cycles += {cum}",
+        "if obs is not None:",
+        f"    obs(b, {count})",
+        f"return {value}".rstrip(),
+    ]
+
+
 class CompiledBlock:
     """One compiled superblock and its validity stamp."""
 
@@ -171,6 +286,9 @@ class CompiledBlock:
         self.start = start
         self.end = end
         self.n = len(insns)
+        #: ``fn(emu, cpu, mem, engine, block, observer, limit)`` runs the
+        #: block (a self-loop: while ``emu.steps`` stays within
+        #: ``limit``); truthy on a self-modifying-store abort.
         self.fn = fn
         #: the block's instructions and their cumulative ``cost_of``,
         #: for block observers: a run of ``k`` instructions costs
@@ -192,13 +310,19 @@ class BlockEngine:
     """Superblock cache + execution loop bound to one :class:`Emulator`."""
 
     def __init__(self, emulator):
-        self.emulator = emulator
+        # Weak: the emulator owns this engine, and a strong back-reference
+        # would keep every finished emulator (stack, caches, compiled
+        # blocks) alive until a full garbage collection.
+        self._emulator = weakref.ref(emulator)
         self._cache = {}
         self._old = {}
+        #: cache misses per start address, while below HOT_THRESHOLD
+        self._heat = {}
         # telemetry (recorded at run end by the emulator).  ``hits`` is
         # the total; ``epoch_hits`` is the tier-1 subset validated by the
         # global write-epoch compare alone, ``page_revalidations`` the
-        # tier-2 subset that needed the per-page version probes.
+        # tier-2 subset that needed the per-page version probes.  Self-
+        # loops count their re-entries here exactly as a dispatch would.
         self.compiled = 0
         self.hits = 0
         self.epoch_hits = 0
@@ -210,19 +334,27 @@ class BlockEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, stop: Optional[int] = None) -> None:
-        """Execute until ``ExitProgram``/fault, or until eip == ``stop``.
+    def run(
+        self, stop: Optional[int] = None, target: Optional[int] = None
+    ) -> None:
+        """Execute until ``ExitProgram``/fault, until eip == ``stop``, or
+        until ``emulator.steps`` reaches ``target``.
 
-        Exceptions propagate with step/cycle accounting already exact,
-        so the caller handles them exactly as it would the step engine's.
+        Blocks that would overshoot the step budget or ``target`` are
+        replaced by single steps, so the emulator stops on precisely
+        the instruction the step engine would.  Exceptions propagate
+        with step/cycle accounting already exact, so the caller handles
+        them exactly as it would the step engine's.
         """
-        emu = self.emulator
+        emu = self._emulator()
         cpu = emu.cpu
         mem = emu.memory
+        step = emu.step
         vget = mem._versions.get
-        max_steps = emu.max_steps
+        limit = emu.max_steps if target is None else min(emu.max_steps, target)
         cache = self._cache
         old = self._old
+        heat = self._heat
         rec = get_recorder()
         obs = emu.observer
         hits = 0
@@ -231,7 +363,7 @@ class BlockEngine:
         try:
             while True:
                 eip = cpu.eip
-                if eip == stop:
+                if eip == stop or (target is not None and emu.steps >= target):
                     return
                 b = cache.get(eip)
                 if b is None and old:
@@ -261,18 +393,30 @@ class BlockEngine:
                         hits += 1
                         epoch_hits += 1
                 if b is None:
-                    b = self._compile(eip)
+                    count = heat.get(eip, 0) + 1
+                    if count < HOT_THRESHOLD:
+                        # Cold: interpret up to and including the next
+                        # control transfer.
+                        heat[eip] = count
+                        while (
+                            step().mnemonic not in CONTROL_FLOW
+                            and cpu.eip != stop
+                            and (target is None or emu.steps < target)
+                        ):
+                            pass
+                        continue
+                    b = self._compile(emu, eip)
                     self.compiled += 1
                     if b.cacheable:
                         if len(cache) >= BLOCK_CACHE_GENERATION:
                             self._old = old = cache
                             self._cache = cache = {}
                         cache[eip] = b
-                if emu.steps + b.n > max_steps:
-                    # Near the budget: single-step so StepLimitExceeded
-                    # fires on exactly the same instruction as the step
+                if emu.steps + b.n > limit:
+                    # Near the budget or target: single-step so the run
+                    # stops on exactly the same instruction as the step
                     # engine.
-                    emu.step()
+                    step()
                     continue
                 watch = emu.tamper_watch
                 if (
@@ -283,11 +427,9 @@ class BlockEngine:
                     # An unhit TamperWatch overlaps this block: single-
                     # step so the stamp comes from Emulator.step's
                     # accounting, identical to the step engine.
-                    emu.step()
+                    step()
                     continue
-                if (
-                    b.fn(emu, cpu, mem) if obs is None else self._observed(b, obs)
-                ):
+                if b.fn(emu, cpu, mem, self, b, obs, limit):
                     self.write_aborts += 1
                     if rec.enabled:
                         rec.record(
@@ -302,104 +444,14 @@ class BlockEngine:
             self.page_revalidations += page_revals
 
     def run_steps(self, n: int) -> None:
-        """Execute exactly ``n`` instructions (attack drivers, tests).
-
-        Blocks that would overshoot the target are replaced by single
-        steps, so the emulator lands on precisely the same instruction
-        boundary as ``n`` calls to :meth:`Emulator.step`.
-        """
-        emu = self.emulator
-        cpu = emu.cpu
-        mem = emu.memory
-        rec = get_recorder()
-        obs = emu.observer
-        target = emu.steps + n
-        while emu.steps < target:
-            b = self._lookup(cpu.eip)
-            watch = emu.tamper_watch
-            if (
-                b is None
-                or emu.steps + b.n > min(target, emu.max_steps)
-                or (
-                    watch is not None
-                    and watch.hit_cycles is None
-                    and watch.overlaps(b.start, b.end)
-                )
-            ):
-                emu.step()
-                continue
-            self.hits += 1
-            if b.fn(emu, cpu, mem) if obs is None else self._observed(b, obs):
-                self.write_aborts += 1
-                if rec.enabled:
-                    rec.record(
-                        "block_invalidate", tier="store", start=b.start, end=b.end
-                    )
-
-    def _observed(self, b: CompiledBlock, obs):
-        """Execute ``b`` and report the instructions that ran to ``obs``.
-
-        Returns what the block returns (truthy on a self-modifying-store
-        abort).  A block cut short by an exception reports its executed
-        prefix before the exception propagates.
-        """
-        emu = self.emulator
-        before = emu.steps
-        try:
-            aborted = b.fn(emu, emu.cpu, emu.memory)
-        except BaseException:
-            if emu.steps != before:
-                obs(b, emu.steps - before)
-            raise
-        obs(b, emu.steps - before)
-        return aborted
-
-    def _lookup(self, eip: int):
-        """Valid cached block for ``eip``, compiling (and caching) on miss."""
-        cache = self._cache
-        b = cache.get(eip)
-        if b is None and self._old:
-            b = self._old.get(eip)
-            if b is not None:
-                cache[eip] = b
-        if b is not None:
-            mem = self.emulator.memory
-            if b.epoch != mem.write_epoch:
-                vget = mem._versions.get
-                if b.v0 != vget(b.p0, 0) or (
-                    b.p1 >= 0 and b.v1 != vget(b.p1, 0)
-                ):
-                    self.invalidated += 1
-                    rec = get_recorder()
-                    if rec.enabled:
-                        rec.record(
-                            "block_invalidate",
-                            tier="page",
-                            start=b.start,
-                            end=b.end,
-                        )
-                    b = None
-                else:
-                    b.epoch = mem.write_epoch
-                    self.page_revalidations += 1
-            else:
-                self.epoch_hits += 1
-        if b is None:
-            b = self._compile(eip)
-            self.compiled += 1
-            if b.cacheable:
-                if len(cache) >= BLOCK_CACHE_GENERATION:
-                    self._old = cache
-                    self._cache = cache = {}
-                cache[eip] = b
-        return b
+        """Execute exactly ``n`` instructions (attack drivers, tests)."""
+        self.run(target=self._emulator().steps + n)
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
 
-    def _compile(self, start: int) -> CompiledBlock:
-        emu = self.emulator
+    def _compile(self, emu, start: int) -> CompiledBlock:
         # BadFetch on the first instruction propagates, exactly as the
         # step engine faults before counting the step.
         insns = [emu._fetch_decode(start)]
@@ -437,8 +489,16 @@ class BlockEngine:
         if last_page != first_page:
             pages.append((last_page, mem._versions.get(last_page, 0)))
         cacheable = all(mem.page_is_versioned(p << 12) for p, _ in pages)
+        last = insns[-1]
+        loops = (
+            cacheable
+            and last.mnemonic == "jmp"
+            and isinstance(last.operands[0], Rel)
+            and last.operands[0].target is not None
+            and last.operands[0].target & MASK32 == start
+        )
 
-        fn, cum = self._generate(start, end, insns)
+        fn, cum = self._generate(mem, start, end, insns, pages, loops)
         rec = get_recorder()
         if rec.enabled:
             rec.record(
@@ -452,7 +512,7 @@ class BlockEngine:
             start, end, fn, pages, cacheable, mem.write_epoch, insns, cum
         )
 
-    def _generate(self, start: int, end: int, insns):
+    def _generate(self, mem, start: int, end: int, insns, pages, loops: bool):
         """Emit, compile and exec the block's specialized source.
 
         Returns the block function and the cumulative cost tuple.
@@ -470,6 +530,7 @@ class BlockEngine:
         handlers = []
         body = []
         n = len(insns)
+        live = _live_flags(insns)
         for i, insn in enumerate(insns):
             handlers.append(DISPATCH.get(insn.mnemonic, _unimplemented))
             body.append(f"# {nexts[i] - insn.length:#x}: {insn.text()}")
@@ -478,34 +539,63 @@ class BlockEngine:
                 nxt=nexts[i], cum=cum[i],
                 start=start, end=end,
                 final=(i == n - 1),
+                live=live[i],
             )
 
-        mem = self.emulator.memory
-        pages = sorted({start >> 12, (end - 1) >> 12})
-        version_checks = " or ".join(
-            f"_VG({p}, 0) != {mem._versions.get(p, 0)}" for p in pages
-        )
+        version_checks = " or ".join(f"_VG({p}, 0) != {v}" for p, v in pages)
         # substitute the placeholder used by generic write-checks
         body = [line.replace("__VERSION_CHECK__", version_checks) for line in body]
 
+        ran = [
+            f"emu.steps += {n}",
+            f"emu.cycles += {total}",
+            "if obs is not None:",
+            f"    obs(b, {n})",
+        ]
+        unwind = [
+            "except BaseException:",
+            "    _eip = cpu.eip",
+            "    if _eip in _NS:",  # false only for async interrupts
+            "        _i = _NEXTS.index(_eip)",
+            "        emu.steps += _i + 1",
+            "        emu.cycles += _CUM[_i]",
+            "        if obs is not None:",
+            "            obs(b, _i + 1)",
+            "    raise",
+        ]
+        code = ["try:"] + ["    " + line for line in body] + unwind + ran
+        if loops:
+            # Re-enter only where the dispatcher would run this block
+            # again: within the limit and still valid (see run()), and
+            # count the re-entry as the dispatcher's hit tiers would.
+            again = [
+                f"if emu.steps + {n} > limit:",
+                "    return",
+                "if mem.write_epoch != b.epoch:",
+                f"    if {version_checks}:",
+                "        return",  # the dispatcher invalidates it
+                "    b.epoch = mem.write_epoch",
+                "    _pr += 1",
+                "else:",
+                "    _eh += 1",
+            ]
+            code = [
+                "_eh = _pr = 0",
+                "try:",
+                "    while True:",
+                *("        " + line for line in code + again),
+                "finally:",
+                "    be.epoch_hits += _eh",
+                "    be.page_revalidations += _pr",
+                "    be.hits += _eh + _pr",
+            ]
+
         name = f"_block_{start:x}"
         lines = [
-            f"def {name}(emu, cpu, mem):",
+            f"def {name}(emu, cpu, mem, be, b, obs, limit):",
             "    regs = cpu.regs",
-            "    try:",
         ]
-        lines.extend("        " + line for line in body)
-        lines.extend([
-            "    except BaseException:",
-            "        _eip = cpu.eip",
-            "        if _eip in _NS:",  # false only for async interrupts
-            "            _i = _NEXTS.index(_eip)",
-            "            emu.steps += _i + 1",
-            "            emu.cycles += _CUM[_i]",
-            "        raise",
-            f"    emu.steps += {n}",
-            f"    emu.cycles += {total}",
-        ])
+        lines.extend("    " + line for line in code)
         source = "\n".join(lines)
         namespace = dict(_SHARED_NS)
         namespace.update(
@@ -548,7 +638,7 @@ class BlockEngine:
         )
         body.append("    mem.fast_stores += 1")
         body.append(f"    _U32P(_g.data, _o, {value_expr})")
-        body.append("    if _g.versioned:")
+        body.append("    if _g.holds_code:")
         body.append("        mem.write_epoch += 1")
         body.append(f"        _n = {addr_var} >> 12")
         body.append("        _VS[_n] = _VG(_n, 0) + 1")
@@ -559,20 +649,26 @@ class BlockEngine:
 
     # -- per-instruction emission --------------------------------------
 
-    def _emit_insn(self, body, i, insn, nxt, cum, start, end, final):
-        m = insn.mnemonic
-        if self._try_specialize(body, i, insn, nxt, cum, start, end, final):
+    def _emit_insn(self, body, i, insn, nxt, cum, start, end, final, live):
+        if self._try_specialize(
+            body, i, insn, nxt, cum, start, end, final, live
+        ):
             return
         # Generic fallback: pre-bound shared handler.
         body.append(f"cpu.eip = {nxt}")
         body.append(f"_H[{i}](emu, _I[{i}])")
         if insn.writes_memory() and not final:
             body.append("if __VERSION_CHECK__:")
-            body.append(f"    emu.steps += {i + 1}")
-            body.append(f"    emu.cycles += {cum}")
-            body.append("    return 1")
+            body.extend("    " + line for line in _leave(i + 1, cum, "1"))
 
-    def _try_specialize(self, body, i, insn, nxt, cum, start, end, final) -> bool:
+    def _try_specialize(
+        self, body, i, insn, nxt, cum, start, end, final, live
+    ) -> bool:
+        """Emit an inlined template for ``insn``; False if it has none.
+
+        ``live`` is the mask of flags read after ``insn``: ALU
+        templates store only those.
+        """
         m = insn.mnemonic
         ops = insn.operands
 
@@ -619,9 +715,7 @@ class BlockEngine:
             # Self-modifying store into this block's own bytes: stop
             # after the store, exactly where re-decode would begin.
             body.append(f"if _a < {end} and _a + 4 > {start}:")
-            body.append(f"    emu.steps += {i + 1}")
-            body.append(f"    emu.cycles += {cum}")
-            body.append("    return 1")
+            body.extend("    " + line for line in _leave(i + 1, cum, "1"))
 
         def alu_src_expr(op) -> Optional[str]:
             if _is_r32(op):
@@ -769,12 +863,18 @@ class BlockEngine:
             else:
                 body.append(f"if {cond}:")  # side exit; else fall through
                 body.append(f"    cpu.eip = {target}")
-                body.append(f"    emu.steps += {i + 1}")
-                body.append(f"    emu.cycles += {cum}")
-                body.append("    return")
+                body.extend("    " + line for line in _leave(i + 1, cum))
             return True
 
         # ---- ALU ----------------------------------------------------
+        # Each template stores only the flags in ``live``; with none of
+        # its flags live, an instruction is a single expression.
+
+        def flag_stores(exprs):
+            for bit, line in exprs:
+                if live & bit:
+                    body.append(line)
+
         if (
             m in ("add", "adc", "sub", "sbb", "cmp")
             and len(ops) == 2
@@ -787,30 +887,50 @@ class BlockEngine:
                 guarded_load(ops[1], "_b")
                 src = "_b"
             d = ops[0].code
-            body.append(f"_a = regs[{d}]")
-            if src != "_b":
-                body.append(f"_b = {src}")
             if m in ("add", "adc"):
-                carry = " + cpu.cf" if m == "adc" else ""
-                body.append(f"_raw = _a + _b{carry}")
-                body.append("_res = _raw & M")
-                body.append("cpu.cf = _raw > M")
-                body.append("cpu.of = bool((~(_a ^ _b)) & (_a ^ _res) & 0x80000000)")
+                op, carry = "+", " + cpu.cf" if m == "adc" else ""
             else:  # sub / sbb / cmp
-                borrow = " - cpu.cf" if m == "sbb" else ""
-                body.append(f"_raw = _a - _b{borrow}")
+                op, carry = "-", " - cpu.cf" if m == "sbb" else ""
+            if not live:
+                if m != "cmp":
+                    body.append(f"regs[{d}] = (regs[{d}] {op} {src}{carry}) & M")
+            elif src == "0" and not carry:
+                # x +/- 0 (``cmp ecx, 0`` heads most loops): the value
+                # stands, with no carry and no overflow
+                body.append(f"_res = regs[{d}]")
+                flag_stores((
+                    (CF, "cpu.cf = False"),
+                    (OF, "cpu.of = False"),
+                    (ZF, "cpu.zf = _res == 0"),
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+            else:
+                body.append(f"_a = regs[{d}]")
+                if src != "_b":
+                    body.append(f"_b = {src}")
+                body.append(f"_raw = _a {op} _b{carry}")
                 body.append("_res = _raw & M")
-                body.append("cpu.cf = _raw < 0")
-                body.append("cpu.of = bool((_a ^ _b) & (_a ^ _res) & 0x80000000)")
-            body.append("cpu.zf = _res == 0")
-            body.append("cpu.sf = _res >= 0x80000000")
-            if m != "cmp":
-                body.append(f"regs[{d}] = _res")
+                if op == "+":
+                    flag_stores((
+                        (CF, "cpu.cf = _raw > M"),
+                        (OF, "cpu.of = bool((~(_a ^ _b)) & (_a ^ _res) & 0x80000000)"),
+                    ))
+                else:
+                    flag_stores((
+                        (CF, "cpu.cf = _raw < 0"),
+                        (OF, "cpu.of = bool((_a ^ _b) & (_a ^ _res) & 0x80000000)"),
+                    ))
+                flag_stores((
+                    (ZF, "cpu.zf = _res == 0"),
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+                if m != "cmp":
+                    body.append(f"regs[{d}] = _res")
             if src != "_b":  # memory source already pinned eip
                 set_eip_if_final()
             return True
 
-        if m in _LOGIC_OPS and len(ops) == 2 and _is_r32(ops[0]):
+        if (m in _LOGIC_OPS or m == "test") and len(ops) == 2 and _is_r32(ops[0]):
             src = alu_src_expr(ops[1])
             if src is None:
                 if not _is_m32(ops[1]):
@@ -818,55 +938,53 @@ class BlockEngine:
                 guarded_load(ops[1], "_b")
                 src = "_b"
             d = ops[0].code
-            body.append(f"_res = regs[{d}] {_LOGIC_OPS[m]} {src}")
-            body.append("cpu.cf = False")
-            body.append("cpu.of = False")
-            body.append("cpu.zf = _res == 0")
-            body.append("cpu.sf = _res >= 0x80000000")
-            body.append(f"regs[{d}] = _res")
-            if src != "_b":
-                set_eip_if_final()
-            return True
-
-        if m == "test" and len(ops) == 2 and _is_r32(ops[0]):
-            src = alu_src_expr(ops[1])
-            if src is None:
-                if not _is_m32(ops[1]):
-                    return False
-                guarded_load(ops[1], "_b")
-                src = "_b"
-            body.append(f"_res = regs[{ops[0].code}] & {src}")
-            body.append("cpu.cf = False")
-            body.append("cpu.of = False")
-            body.append("cpu.zf = _res == 0")
-            body.append("cpu.sf = _res >= 0x80000000")
+            op = _LOGIC_OPS.get(m, "&")
+            if live:
+                body.append(f"_res = regs[{d}] {op} {src}")
+                flag_stores((
+                    (CF, "cpu.cf = False"),
+                    (OF, "cpu.of = False"),
+                    (ZF, "cpu.zf = _res == 0"),
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+                if m != "test":
+                    body.append(f"regs[{d}] = _res")
+            elif m != "test":
+                body.append(f"regs[{d}] = regs[{d}] {op} {src}")
             if src != "_b":
                 set_eip_if_final()
             return True
 
         if m in ("inc", "dec") and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
-            if m == "inc":
-                body.append(f"_res = (regs[{d}] + 1) & M")
-                body.append("cpu.of = _res == 0x80000000")
+            op, edge = ("+", "0x80000000") if m == "inc" else ("-", "0x7FFFFFFF")
+            if live & (OF | ZF | SF):
+                body.append(f"_res = (regs[{d}] {op} 1) & M")
+                flag_stores((
+                    (OF, f"cpu.of = _res == {edge}"),
+                    (ZF, "cpu.zf = _res == 0"),  # CF preserved, as on hardware
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+                body.append(f"regs[{d}] = _res")
             else:
-                body.append(f"_res = (regs[{d}] - 1) & M")
-                body.append("cpu.of = _res == 0x7FFFFFFF")
-            body.append("cpu.zf = _res == 0")  # CF preserved, as on hardware
-            body.append("cpu.sf = _res >= 0x80000000")
-            body.append(f"regs[{d}] = _res")
+                body.append(f"regs[{d}] = (regs[{d}] {op} 1) & M")
             set_eip_if_final()
             return True
 
         if m == "neg" and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
-            body.append(f"_a = regs[{d}]")
-            body.append("_res = (-_a) & M")
-            body.append("cpu.cf = _a != 0")
-            body.append("cpu.of = bool(_a & _res & 0x80000000)")
-            body.append("cpu.zf = _res == 0")
-            body.append("cpu.sf = _res >= 0x80000000")
-            body.append(f"regs[{d}] = _res")
+            if live:
+                body.append(f"_a = regs[{d}]")
+                body.append("_res = (-_a) & M")
+                flag_stores((
+                    (CF, "cpu.cf = _a != 0"),
+                    (OF, "cpu.of = bool(_a & _res & 0x80000000)"),
+                    (ZF, "cpu.zf = _res == 0"),
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+                body.append(f"regs[{d}] = _res")
+            else:
+                body.append(f"regs[{d}] = (-regs[{d}]) & M")
             set_eip_if_final()
             return True
 
@@ -887,20 +1005,27 @@ class BlockEngine:
             if count == 0:
                 set_eip_if_final()
                 return True  # no flag/register change, like the handler
-            body.append(f"_v = regs[{d}]")
             if m == "shl":
-                body.append(f"_res = (_v << {count}) & M")
-                body.append(f"cpu.cf = bool((_v >> {32 - count}) & 1)")
+                res = f"(_v << {count}) & M"
+                cf = f"cpu.cf = bool((_v >> {32 - count}) & 1)"
             elif m == "shr":
-                body.append(f"_res = _v >> {count}")
-                body.append(f"cpu.cf = bool((_v >> {count - 1}) & 1)")
-            else:  # sar (count < 32)
-                body.append("_sv = _v - 0x100000000 if _v >= 0x80000000 else _v")
-                body.append(f"cpu.cf = bool((_sv >> {count - 1}) & 1)")
-                body.append(f"_res = (_sv >> {count}) & M")
-            body.append("cpu.zf = _res == 0")
-            body.append("cpu.sf = _res >= 0x80000000")
-            body.append(f"regs[{d}] = _res")
+                res = f"_v >> {count}"
+                cf = f"cpu.cf = bool((_v >> {count - 1}) & 1)"
+            else:  # sar (count < 32), over the sign-extended value
+                signed = "(_v ^ 0x80000000) - 0x80000000"
+                res = f"({signed} >> {count}) & M"
+                cf = f"cpu.cf = bool(({signed} >> {count - 1}) & 1)"
+            if live & (CF | ZF | SF):
+                body.append(f"_v = regs[{d}]")
+                body.append(f"_res = {res}")
+                flag_stores((
+                    (CF, cf),
+                    (ZF, "cpu.zf = _res == 0"),
+                    (SF, "cpu.sf = _res >= 0x80000000"),
+                ))
+                body.append(f"regs[{d}] = _res")
+            else:
+                body.append(f"regs[{d}] = {res.replace('_v', f'regs[{d}]')}")
             set_eip_if_final()
             return True
 

@@ -6,13 +6,16 @@ of instruction semantics (:mod:`repro.emu.dispatch`):
 * the **step engine** interprets one instruction at a time through the
   decode cache — the reference implementation;
 * the **block engine** (:mod:`repro.emu.blocks`, the default) compiles
-  straight-line instruction runs into cached superblocks and executes
-  them without per-instruction dispatch.
+  hot straight-line instruction runs into cached superblocks and
+  executes them without per-instruction dispatch; cold code runs
+  through :meth:`Emulator.step`.
 
 Profilers watch either engine through one **block observer**
 (:attr:`Emulator.observer`), a callable ``observer(block, count)``.
-The block engine calls it once per executed superblock, and
-:meth:`Emulator.step` once per instruction with a :class:`StepBlock`.
+A compiled superblock calls it once per execution — once per iteration
+of a self-loop — and :meth:`Emulator.step` once per instruction with a
+:class:`StepBlock`, so cold code reports one ``StepBlock`` per
+instruction on both engines.
 ``count`` is the exact number of the block's instructions that ran
 (always at least one): a side exit, a self-modifying-store abort or an
 exception raised inside the block — every run ends with ``ExitProgram``
@@ -440,8 +443,10 @@ class Emulator:
         )
         # Unversioned pages (stacks) have no write counter to invalidate
         # on, so code executing from them must be re-decoded every time.
-        if self.memory.page_is_versioned(eip) and (
-            end_version is None or self.memory.page_is_versioned(end_addr)
+        # Claiming marks the segments code-bearing, so their stores
+        # bump the versions stamped here from now on.
+        if self.memory.claim_code(eip) and (
+            end_version is None or self.memory.claim_code(end_addr)
         ):
             self._decode_cache_store(eip, (insn, version, end_version))
         return insn

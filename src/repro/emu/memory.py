@@ -36,6 +36,14 @@ them skip the per-page write-counter bump that keys the decode and
 superblock caches.  Code is never cached from unversioned pages (see
 :meth:`page_is_versioned`), so cache coherence is unaffected — this
 just removes two dict operations from every ``push``.
+
+Versioned segments bump on a store only once they *hold code*: the
+decode cache marks a segment (:meth:`claim_code`) when it first caches
+code from it — every superblock is decoded through it — and a version
+only has to change after something has stamped it.  Stores to a pure data segment
+(``.data``, ``.bss``) therefore leave ``write_epoch`` alone, so blocks
+stay valid on the one-compare epoch tier.  ``map``, the code-view hooks
+and the paged fallback always bump.
 """
 
 from __future__ import annotations
@@ -55,12 +63,15 @@ _U32 = struct.Struct("<I")
 class FlatSegment:
     """One contiguous page-aligned mapping backed by a single buffer."""
 
-    __slots__ = ("base", "data", "versioned", "limit")
+    __slots__ = ("base", "data", "versioned", "holds_code", "limit")
 
     def __init__(self, base: int, data: bytearray, versioned: bool):
         self.base = base
         self.data = data
         self.versioned = versioned
+        #: set by :meth:`Memory.claim_code` once code from this segment
+        #: is cached; stores bump page versions only while it is set.
+        self.holds_code = False
         #: largest offset at which a dword access stays in-bounds; the
         #: block engine's inline fast paths bounds-check against this.
         self.limit = len(data) - 4
@@ -107,6 +118,20 @@ class Memory:
         """
         seg = self._seg_by_page.get(vaddr >> 12)
         return seg.versioned if seg is not None else True
+
+    def claim_code(self, vaddr: int) -> bool:
+        """Mark ``vaddr``'s segment as code-bearing before caching code.
+
+        From then on, stores to the segment bump its page versions.
+        Returns :meth:`page_is_versioned`: ``False`` means the code must
+        not be cached (and the segment stays unmarked).
+        """
+        seg = self._seg_by_page.get(vaddr >> 12)
+        if seg is None:
+            return True
+        if seg.versioned:
+            seg.holds_code = True
+        return seg.versioned
 
     def _bump(self, vaddr: int, length: int = 1) -> None:
         self.write_epoch += 1
@@ -232,7 +257,7 @@ class Memory:
             if offset + length <= len(segment.data):
                 self.fast_stores += 1
                 segment.data[offset : offset + length] = payload
-                if segment.versioned:
+                if segment.holds_code:
                     self._bump(vaddr, length)
                 return
         self.slow_stores += 1
@@ -259,7 +284,7 @@ class Memory:
         if segment is not None:
             self.fast_stores += 1
             segment.data[vaddr - segment.base] = value & 0xFF
-            if segment.versioned:
+            if segment.holds_code:
                 self.write_epoch += 1
                 number = vaddr >> 12
                 self._versions[number] = self._versions.get(number, 0) + 1
@@ -298,7 +323,7 @@ class Memory:
             if offset + 2 <= len(segment.data):
                 self.fast_stores += 1
                 _U16.pack_into(segment.data, offset, value & 0xFFFF)
-                if segment.versioned:
+                if segment.holds_code:
                     self._bump(vaddr, 2)
                 return
         self.write(vaddr, (value & 0xFFFF).to_bytes(2, "little"))
@@ -310,7 +335,7 @@ class Memory:
             if offset + 4 <= len(segment.data):
                 self.fast_stores += 1
                 _U32.pack_into(segment.data, offset, value & 0xFFFFFFFF)
-                if segment.versioned:
+                if segment.holds_code:
                     self._bump(vaddr, 4)
                 return
         off = vaddr & PAGE_MASK

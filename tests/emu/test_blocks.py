@@ -1,12 +1,19 @@
 """The superblock engine: caching, invalidation, self-modifying-code
-aborts, step-budget parity and exact-step execution."""
+aborts, step-budget parity, exact-step execution, tiering and
+self-loop superblocks."""
+
+import gc
+import weakref
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.emu.blocks as blocks_mod
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import Emulator, StepLimitExceeded
-from repro.x86 import Assembler, EAX, EBX, ECX, EDX, ESI, ESP, Imm, mem32
+from repro.emu import Emulator, StepLimitExceeded, run_image
+from repro.x86 import (
+    AL, Assembler, EAX, EBX, ECX, EDI, EDX, ESI, ESP, Imm, mem32,
+)
 
 BASE = 0x1000
 DATA = 0x8000
@@ -105,7 +112,8 @@ def test_blocks_are_cached_across_calls():
     assert emu.blocks.compiled == compiled  # warm: no recompilation
 
 
-def test_self_modifying_store_aborts_block():
+def test_self_modifying_store_aborts_block(monkeypatch):
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
     # Overwrite four upcoming `inc ebx` with `dec ebx` from within the
     # same straight-line block; execution must see the new bytes.
     probe = Assembler(base=BASE)
@@ -148,6 +156,7 @@ def test_code_write_invalidates_cached_blocks():
 
 def test_block_cache_generations_rotate(monkeypatch):
     monkeypatch.setattr(blocks_mod, "BLOCK_CACHE_GENERATION", 1)
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
     img = make_image(build_loop)
     emu = Emulator(img, max_steps=100_000, engine="block")
     value = emu.call_function(BASE)
@@ -185,7 +194,8 @@ def test_run_steps_lands_on_exact_boundary():
     assert emu.cycles == reference.cycles
 
 
-def test_stack_code_is_never_cached():
+def test_stack_code_is_never_cached(monkeypatch):
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
     # Code on an unversioned page (the stack) has no write counter, so
     # neither the decode cache nor the block cache may retain it.
     code = Assembler(base=0x00BC_0000)
@@ -208,3 +218,272 @@ def test_decode_cache_generations_rotate(monkeypatch):
     emu = Emulator(make_image(build_loop), max_steps=100_000, engine="step")
     assert emu.call_function(BASE) == sum(range(1, 51))
     assert len(emu._decode_cache) <= 2
+
+
+# ----------------------------------------------------------------------
+# Tiering and self-loop superblocks
+# ----------------------------------------------------------------------
+
+#: Store targets of ``self_loop_image``: the loop's own code page
+#: (outside its bytes) and the next page of the same code segment.
+OWN_PAGE = BASE + 0x800
+NEXT_PAGE = BASE + 0x1000
+
+
+def self_loop_image(n=50, body=None):
+    """A counted loop whose body block ends in a jmp to its own start.
+
+    Returns the image and the addresses of the loop start and its add.
+    """
+    a = Assembler(base=BASE)
+    a.mov(ECX, Imm(n, 32))
+    a.mov(EAX, 0)
+    a.label("top")
+    a.cmp(ECX, Imm(0, 32))
+    a.je("done")
+    a.label("add")
+    a.add(EAX, ECX)
+    if body is not None:
+        body(a)
+    a.dec(ECX)
+    a.jmp("top")
+    a.label("done")
+    a.ret()
+    a.pad_to(OWN_PAGE - BASE)
+    a.raw(bytes(16))
+    a.pad_to(NEXT_PAGE - BASE)
+    a.raw(bytes(16))
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RWX))
+    img.add_section(Section(".data", DATA, bytes(256), Perm.RW))
+    return img, a.address_of("top"), a.address_of("add")
+
+
+def state(emu):
+    return (emu.steps, emu.cycles, emu.cpu.eip, list(emu.cpu.regs))
+
+
+def advance(emu, n):
+    if emu.engine == "block":
+        emu.blocks.run_steps(n)
+    else:
+        for _ in range(n):
+            emu.step()
+
+
+@pytest.mark.parametrize("max_steps", range(150, 155))
+def test_budget_expires_mid_self_loop(max_steps):
+    # the loop compiles at its 16th dispatch (step ~83) and then
+    # iterates in its function; each budget lands on a different
+    # instruction of a five-instruction iteration
+    img, _, _ = self_loop_image()
+    outcomes = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=max_steps, engine=engine)
+        with pytest.raises(StepLimitExceeded) as exc:
+            emu.call_function(BASE)
+        outcomes.append((state(emu), exc.value.eip))
+    assert outcomes[0] == outcomes[1]
+    assert emu.blocks.hits > 0  # the limit stopped an in-function loop
+
+
+def test_run_steps_lands_mid_self_loop():
+    img, _, _ = self_loop_image()
+    reference = Emulator(img, max_steps=100_000, engine="step")
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    reference.cpu.eip = emu.cpu.eip = BASE
+    for n in (83, 1, 7, 13, 4, 11, 26):
+        advance(reference, n)
+        advance(emu, n)
+        assert state(emu) == state(reference)
+    assert emu.blocks.hits > 0
+
+
+@pytest.mark.parametrize(
+    "target, invalidates", [(OWN_PAGE, True), (NEXT_PAGE, False)]
+)
+def test_store_to_code_pages_ends_or_revalidates_the_loop(target, invalidates):
+    # Every iteration stores to a code-bearing page outside the loop's
+    # bytes.  On the loop's own page the iteration returns to the
+    # dispatcher, which drops the block; on another page of the segment
+    # the loop revalidates its own page version and keeps iterating.
+    def body(a):
+        a.mov(EDI, Imm(target, 32))
+        a.mov(mem32(EDI), ECX)
+
+    img, _, _ = self_loop_image(body=body)
+    assert call_both(img)[0] == sum(range(1, 51))
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    emu.call_function(BASE)
+    be = emu.blocks
+    assert be.write_aborts == 0  # never inside the block's own bytes
+    assert be.hits == be.epoch_hits + be.page_revalidations
+    iterations = 50 - blocks_mod.HOT_THRESHOLD  # compiled, full
+    if invalidates:
+        assert be.invalidated == iterations
+        assert be.hits == 0
+    else:
+        assert be.invalidated == 0
+        assert be.page_revalidations == iterations
+
+
+def test_code_view_patch_between_run_steps():
+    # A Wurster patch turns the loop's add into a sub while the loop is
+    # compiled: the next run_steps must drop the block and see it.
+    img, _, add = self_loop_image()
+    states = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=100_000, engine=engine)
+        emu.cpu.eip = BASE
+        advance(emu, 120)
+        assert emu.memory.read(add, 1) == b"\x01"  # add r/m32, r32
+        emu.memory.patch_code_view(add, b"\x29")  # sub r/m32, r32
+        advance(emu, 100)
+        states.append(state(emu))
+    assert states[0] == states[1]
+    assert emu.blocks.invalidated >= 1
+
+
+def test_self_loop_reports_each_iteration_once():
+    img, top, _ = self_loop_image()
+    calls = []
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    emu.add_observer(lambda block, count: calls.append((block, count)))
+    emu.call_function(BASE)
+    looped = [
+        count for block, count in calls if block.compiled and block.start == top
+    ]
+    # 51 passes through `top`: the entry's dispatch and the next
+    # HOT_THRESHOLD - 1 run interpreted, the rest in the compiled loop,
+    # whose last pass leaves through the je after two instructions
+    assert looped == [5] * (50 - blocks_mod.HOT_THRESHOLD) + [2]
+    assert sum(count for _, count in calls) == emu.steps
+    assert emu.blocks.hits == len(looped) - 1  # every re-entry is a hit
+
+
+def test_cold_code_runs_interpreted():
+    img, top, _ = self_loop_image(n=blocks_mod.HOT_THRESHOLD - 2)
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    assert emu.call_function(BASE) == sum(range(blocks_mod.HOT_THRESHOLD - 1))
+    assert emu.blocks.compiled == 0
+    img, top, _ = self_loop_image(n=blocks_mod.HOT_THRESHOLD)
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    emu.call_function(BASE)
+    assert top in emu.blocks._cache
+
+
+@pytest.mark.parametrize("threshold", [1, blocks_mod.HOT_THRESHOLD])
+def test_hit_tiers_add_up_after_run_and_run_steps(
+    monkeypatch, small_gzip, threshold
+):
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", threshold)
+    emu = Emulator(small_gzip.image, max_steps=10_000_000, engine="block")
+    be = emu.blocks
+    emu.blocks.run_steps(200_000)
+    assert emu.steps == 200_000
+    assert be.compiled > 0 and be.hits > 0
+    assert be.hits == be.epoch_hits + be.page_revalidations
+    assert not emu.run().crashed
+    assert be.hits == be.epoch_hits + be.page_revalidations
+
+
+def test_finished_emulator_is_freed_without_a_collection(monkeypatch, small_gzip):
+    # The block engine refers back to its emulator weakly, so a finished
+    # run frees the emulator (stack, caches, compiled blocks) at once.
+    refs = []
+    run = Emulator.run
+
+    def tracked(self):
+        refs.append(weakref.ref(self))
+        return run(self)
+
+    monkeypatch.setattr(Emulator, "run", tracked)
+    gc.disable()
+    try:
+        result = run_image(small_gzip.image, max_steps=10_000_000, engine="block")
+        alive = refs[0]() is not None
+    finally:
+        gc.enable()
+    assert not result.crashed
+    assert not alive
+
+
+# ----------------------------------------------------------------------
+# Flag liveness: dropped flag stores never change what is observable
+# ----------------------------------------------------------------------
+
+_REGS = (EAX, EBX, ECX, EDX, ESI)
+_BINARY = ("add", "adc", "sub", "sbb", "cmp", "and", "or", "xor", "test")
+_UNARY = ("inc", "dec", "neg", "not")
+_SHIFTS = ("shl", "shr", "sar")
+_CCS = ("e", "ne", "b", "ae", "l", "ge", "le", "g", "s", "o", "be", "a")
+
+_binary_insn = st.tuples(
+    st.sampled_from(_BINARY), st.sampled_from(_REGS),
+    st.one_of(st.sampled_from(_REGS), st.integers(0, 2**32 - 1)),
+)
+_alu_insn = st.one_of(
+    _binary_insn, _binary_insn, _binary_insn,  # mostly flag writers
+    st.tuples(st.sampled_from(_UNARY), st.sampled_from(_REGS)),
+    st.tuples(st.sampled_from(_SHIFTS), st.sampled_from(_REGS), st.integers(0, 31)),
+    st.tuples(st.just("set"), st.sampled_from(_CCS)),  # generic: reads flags
+    st.tuples(st.just("j"), st.sampled_from(_CCS)),  # side exit
+    st.tuples(st.just("load"), st.sampled_from(_REGS)),  # can fault
+)
+
+
+def _alu_image(seeds, program):
+    a = Assembler(base=BASE)
+    for reg, value in zip(_REGS, seeds):
+        a.mov(reg, Imm(value, 32))
+    for insn in program:
+        m = insn[0]
+        if m in _BINARY:
+            src = Imm(insn[2], 32) if isinstance(insn[2], int) else insn[2]
+            a.emit(m, insn[1], src)
+        elif m in _UNARY:
+            a.emit(m, insn[1])
+        elif m in _SHIFTS:
+            a.emit(m, insn[1], Imm(insn[2], 8))
+        elif m == "set":
+            a.emit("set" + insn[1], AL)
+        elif m == "j":
+            a.emit("j" + insn[1], "out")
+        else:
+            a.mov(insn[1], mem32(disp=DATA))
+    a.label("out")
+    a.ret()
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    img.add_section(Section(".data", DATA, bytes(range(256)), Perm.RW))
+    return img
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5),
+    st.lists(_alu_insn, min_size=1, max_size=24),
+)
+@example(  # a carry chain: adc must keep the shr's CF store alive
+    seeds=[0] * 5,
+    program=[("add", ECX, 1), ("shr", ECX, 1), ("adc", EAX, EAX)],
+)
+def test_flag_liveness_keeps_flags_exact(monkeypatch, seeds, program):
+    # Random ALU blocks with flag readers (adc/sbb, setcc), side exits
+    # and faultable loads: registers, flags, steps and cycles must match
+    # the step engine with every block compiled.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    img = _alu_image(seeds, program)
+    outcomes = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=10_000, engine=engine)
+        emu.call_function(BASE)
+        cpu = emu.cpu
+        outcomes.append(
+            (state(emu), cpu.cf, cpu.of, cpu.zf, cpu.sf, emu.ret_mispredicts)
+        )
+    assert outcomes[0] == outcomes[1]

@@ -1,5 +1,6 @@
 """Engine hot-spot profiler: sampling, aggregation, metrics export."""
 
+import repro.emu.blocks as blocks
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import Emulator, HotspotProfiler, StepBlock
 from repro.telemetry import MetricsRegistry, telemetry_session
@@ -108,7 +109,8 @@ def test_step_engine_samples_every_instruction():
     assert not emu.hotspots.block_samples  # no blocks in the step engine
 
 
-def test_block_engine_samples_block_executions():
+def test_block_engine_samples_block_executions(monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
     emu.hotspots = HotspotProfiler()
     emu.call_function(BASE)

@@ -43,9 +43,15 @@ def test_icache_split_view():
 
 
 def test_page_versions_bump_on_write():
+    # A store bumps its page version only once code has been cached
+    # from the segment: until something stamps a version, it need not
+    # change.
     mem = Memory()
     mem.map(0x1000, b"\x00" * 8)
     v0 = mem.page_version(0x1000)
+    mem.write_u8(0x1004, 7)
+    assert mem.page_version(0x1000) == v0
+    assert mem.claim_code(0x1000)
     mem.write_u8(0x1004, 7)
     assert mem.page_version(0x1000) > v0
     v1 = mem.page_version(0x1000)
@@ -111,11 +117,19 @@ def test_write_epoch_skips_unversioned_pages():
     mem.map(0x1000, bytes(16))
     mem.map_zero(0x10000, 0x1000)
     epoch = mem.write_epoch
+    assert not mem.claim_code(0x10000)  # code is never cached from stacks
     mem.write_u32(0x10000, 1)       # stack store: no epoch bump
     mem.write_u8(0x10004, 2)
     assert mem.write_epoch == epoch
     assert mem.page_version(0x10000) == 0
-    mem.write_u8(0x1000, 3)         # versioned store: epoch moves
+    mem.write_u8(0x1000, 3)         # no code cached from it yet: no bump
+    mem.write_u16(0x1002, 3)
+    mem.write_u32(0x1004, 3)
+    mem.write(0x1008, b"\x03")
+    assert mem.write_epoch == epoch
+    assert mem.page_version(0x1000) == 1  # the map's bump alone
+    assert mem.claim_code(0x1000)
+    mem.write_u8(0x1000, 3)         # code-bearing segment: epoch moves
     assert mem.write_epoch > epoch
     epoch = mem.write_epoch
     mem.write_u32(0x1004, 4)

@@ -10,6 +10,7 @@ cycles, the same hot-spot mnemonic counts and the same ``RunResult``.
 
 import pytest
 
+import repro.emu.blocks as blocks
 from repro.binary import BinaryImage, Perm, Section
 from repro.corpus import (
     build_bzip2, build_gcc, build_gzip, build_lame, build_nginx, build_wget,
@@ -102,7 +103,8 @@ def assert_engines_agree(image, **kwargs):
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_CORPUS))
-def test_corpus_profiles_match_across_engines(name):
+def test_corpus_profiles_match_across_engines(monkeypatch, name):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     result, profiler, runs = assert_engines_agree(SMALL_CORPUS[name]().image)
     assert not result.crashed
     assert profiler.call_count(f"digest_{name}") >= 1
@@ -202,7 +204,8 @@ def test_block_ended_by_exit_program():
     assert profiler.profiles["main"].steps == 1 + 20 * 4 + 4
 
 
-def test_fault_mid_block_charges_the_faulting_instruction():
+def test_fault_mid_block_charges_the_faulting_instruction(monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     def build(a):
         a.label("main")
         a.add(ECX, Imm(1, 32))
@@ -241,7 +244,8 @@ def test_tamper_watch_single_steps_are_observed():
     assert block[3].single_steps, "the watched block must be single-stepped"
 
 
-def test_self_modifying_store_abort_charges_the_executed_prefix():
+def test_self_modifying_store_abort_charges_the_executed_prefix(monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     # Overwrite four upcoming `inc ebx` with `dec ebx` from within the
     # same block: the block aborts right after the store.
     probe = Assembler(base=BASE)

@@ -12,6 +12,8 @@ over the affected bytes.
 
 from hypothesis import given, settings, strategies as st
 
+import repro.emu.blocks as blocks
+
 from repro.attacks.patching import corrupt_byte
 from repro.core import Parallax, ProtectConfig
 from repro.corpus import builders
@@ -220,7 +222,7 @@ def _tamper_restore_run(program, target, tamper_byte, engine):
     return emulator, tuple(phases), _signature(emulator.run())
 
 
-def test_midrun_tamper_of_cold_code_invalidates_and_matches():
+def test_midrun_tamper_of_cold_code_invalidates_and_matches(monkeypatch):
     """Tampering never-executed code still bumps the page version, so
     superblocks sharing the page recompile; behaviour is unchanged."""
     program = _make_program(SEED)
@@ -235,7 +237,10 @@ def test_midrun_tamper_of_cold_code_invalidates_and_matches():
         assert sig == baseline  # cold-code tamper is behaviour-neutral
     assert all(r == results["step"] for r in results.values()), results
 
-    # the block engine must have dropped blocks compiled over that page
+    # the block engine must have dropped blocks compiled over that page;
+    # compile on first dispatch, so blocks exist before the tamper (this
+    # 2.6k-step program reaches the default threshold only afterwards)
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
     emulator, _, _ = _tamper_restore_run(program, target, 0x90, "block")
     assert emulator.blocks.invalidated >= 1
 
