@@ -165,8 +165,8 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
     mismatches = []
     for name in programs:
         row = {}
-        for kind in WORKLOADS:
-            ips, sigs = MEASURES[kind](name)
+        for kind, measure in MEASURES.items():
+            ips, sigs = measure(name)
             identical = sigs["step"] == sigs["block"]
             if not identical:
                 mismatches.append({

@@ -257,18 +257,14 @@ def _reg_read_expr(op: Register) -> Optional[str]:
     return f"((regs[{op.code - 4}] >> 8) & 0xFF)"  # ah/ch/dh/bh
 
 
-def _leave(count: int, cum: int, value: str = "") -> list:
-    """Lines that leave the block after its first ``count`` instructions.
-
-    Charges their steps and ``cum`` cycles, reports them to the
-    observer, and returns ``value`` (truthy: a self-modifying abort).
-    """
+def _charge(count: int, cum: int) -> list:
+    """Lines that charge the block's first ``count`` instructions (``cum``
+    cycles) and report them to the observer."""
     return [
         f"emu.steps += {count}",
         f"emu.cycles += {cum}",
         "if obs is not None:",
         f"    obs(b, {count})",
-        f"return {value}".rstrip(),
     ]
 
 
@@ -546,12 +542,6 @@ class BlockEngine:
         # substitute the placeholder used by generic write-checks
         body = [line.replace("__VERSION_CHECK__", version_checks) for line in body]
 
-        ran = [
-            f"emu.steps += {n}",
-            f"emu.cycles += {total}",
-            "if obs is not None:",
-            f"    obs(b, {n})",
-        ]
         unwind = [
             "except BaseException:",
             "    _eip = cpu.eip",
@@ -563,7 +553,8 @@ class BlockEngine:
             "            obs(b, _i + 1)",
             "    raise",
         ]
-        code = ["try:"] + ["    " + line for line in body] + unwind + ran
+        code = ["try:"] + ["    " + line for line in body] + unwind
+        code += _charge(n, total)
         if loops:
             # Re-enter only where the dispatcher would run this block
             # again: within the limit and still valid (see run()), and
@@ -659,7 +650,7 @@ class BlockEngine:
         body.append(f"_H[{i}](emu, _I[{i}])")
         if insn.writes_memory() and not final:
             body.append("if __VERSION_CHECK__:")
-            body.extend("    " + line for line in _leave(i + 1, cum, "1"))
+            body.extend("    " + line for line in _charge(i + 1, cum) + ["return 1"])
 
     def _try_specialize(
         self, body, i, insn, nxt, cum, start, end, final, live
@@ -715,7 +706,7 @@ class BlockEngine:
             # Self-modifying store into this block's own bytes: stop
             # after the store, exactly where re-decode would begin.
             body.append(f"if _a < {end} and _a + 4 > {start}:")
-            body.extend("    " + line for line in _leave(i + 1, cum, "1"))
+            body.extend("    " + line for line in _charge(i + 1, cum) + ["return 1"])
 
         def alu_src_expr(op) -> Optional[str]:
             if _is_r32(op):
@@ -863,7 +854,7 @@ class BlockEngine:
             else:
                 body.append(f"if {cond}:")  # side exit; else fall through
                 body.append(f"    cpu.eip = {target}")
-                body.extend("    " + line for line in _leave(i + 1, cum))
+                body.extend("    " + line for line in _charge(i + 1, cum) + ["return"])
             return True
 
         # ---- ALU ----------------------------------------------------
