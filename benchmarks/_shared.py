@@ -17,10 +17,9 @@ import time
 from functools import lru_cache
 
 from repro import telemetry
-from repro.core import ProtectConfig, STRATEGIES
+from repro.core import Parallax, ProtectConfig, STRATEGIES
 from repro.corpus import PROGRAM_NAMES, build_program_cached
 from repro.emu import Emulator
-from repro.pipeline import protect_one
 
 MAX_STEPS = 300_000_000
 
@@ -138,7 +137,7 @@ def protected(name, strategy):
     config = ProtectConfig(
         strategy=strategy, verification_functions=[f"digest_{name}"]
     )
-    return protect_one(program(name), config)
+    return Parallax(config).protect(program(name))
 
 
 @lru_cache(maxsize=None)

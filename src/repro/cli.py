@@ -298,7 +298,7 @@ def _cmd_protect(args) -> int:
     program = build_program(args.program)
     baseline = program.run(engine=args.engine)
     config = ProtectConfig(strategy=args.strategy, guard_chains=args.guard_chains)
-    protected = Parallax(config, jobs=args.jobs).protect(program)
+    protected = Parallax(config).protect(program)
     result = protected.run(engine=args.engine)
     divergence = result.divergence(baseline)
     overhead = 100 * (result.cycles / baseline.cycles - 1)
@@ -530,10 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_protect.add_argument("program", choices=PROGRAM_NAMES)
     p_protect.add_argument("--strategy", choices=STRATEGIES, default="cleartext")
     _add_engine_arg(p_protect)
-    p_protect.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes for the gadget finder's "
-                                "per-section scans (output is identical "
-                                "for any value)")
     p_protect.add_argument("--guard-chains", action="store_true",
                            help="enable the §VI-C chain-guard network")
     p_protect.add_argument("--json", action="store_true",

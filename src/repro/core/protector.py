@@ -111,19 +111,10 @@ class ProtectedProgram:
 
 
 class Parallax:
-    """The protector.
+    """The protector."""
 
-    ``jobs`` fans the gadget finder's per-section scans across the
-    pipeline worker pool.  It is an execution knob, not a semantic one:
-    output is byte-identical for any value, so it is deliberately *not*
-    part of :meth:`ProtectConfig.cache_key`.
-    """
-
-    def __init__(self, config: Optional[ProtectConfig] = None, jobs: int = 1):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+    def __init__(self, config: Optional[ProtectConfig] = None):
         self.config = config or ProtectConfig()
-        self.jobs = jobs
 
     # ------------------------------------------------------------------
 
@@ -223,7 +214,7 @@ class Parallax:
             self._redirect_entry(image, name, stub_addrs[name])
 
         # -- step 3: gadget mapping --------------------------------------
-        existing = find_gadgets(image, jobs=self.jobs)
+        existing = find_gadgets(image)
         catalog = GadgetCatalog(existing)
         report.existing_gadgets = len(existing)
         metrics.counter("protect.gadgets_existing").inc(len(existing))

@@ -12,7 +12,6 @@ from .emulator import (
     ENGINE_STEP,
     ENGINES,
     Emulator,
-    EmulatorConfig,
     RunResult,
     StepBlock,
     TamperWatch,
@@ -42,7 +41,7 @@ from .syscalls import (
 )
 
 __all__ = [
-    "CPUState", "Emulator", "EmulatorConfig", "RunResult", "TamperWatch",
+    "CPUState", "Emulator", "RunResult", "TamperWatch",
     "StepBlock", "run_image",
     "CALL_SENTINEL", "CYCLE_COSTS", "Memory", "PAGE_SIZE",
     "BlockEngine", "DISPATCH",

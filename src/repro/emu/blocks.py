@@ -29,7 +29,7 @@ early exit (taken jcc, fault, syscall, self-modifying write) charges
 the exact prefix the step engine would have charged, so ``RunResult``s
 are byte-identical between engines.
 
-Self-loops: a cacheable block whose final ``jmp rel`` targets its own
+Self-loops: a block whose final ``jmp rel`` targets its own
 start iterates inside its generated function.  Each iteration makes the
 dispatcher's checks itself — step budget (or ``run_steps`` target),
 block validity by the two tiers below, and the hit counters — and
@@ -58,8 +58,6 @@ Coherence model (what keys a block):
   engine would first re-decode modified bytes.  Generic (non-inlined)
   stores compare page versions instead, which is conservative but never
   wrong.
-* Blocks whose bytes live on unversioned pages (the stack) are executed
-  but never cached.
 
 Blocks also end where the image's symbol lookup changes, so every
 instruction of a block belongs to the same function.  That is what
@@ -272,13 +270,12 @@ class CompiledBlock:
     """One compiled superblock and its validity stamp."""
 
     __slots__ = (
-        "start", "end", "n", "fn", "p0", "v0", "p1", "v1", "cacheable", "epoch",
-        "insns", "cum",
+        "start", "end", "n", "fn", "p0", "v0", "p1", "v1", "epoch", "insns", "cum",
     )
 
     compiled = True
 
-    def __init__(self, start, end, fn, pages, cacheable, epoch, insns, cum):
+    def __init__(self, start, end, fn, pages, epoch, insns, cum):
         self.start = start
         self.end = end
         self.n = len(insns)
@@ -293,7 +290,6 @@ class CompiledBlock:
         self.cum = cum
         (self.p0, self.v0) = pages[0]
         (self.p1, self.v1) = pages[1] if len(pages) > 1 else (-1, 0)
-        self.cacheable = cacheable
         #: memory.write_epoch at stamp time; equality proves validity
         #: without per-page probes (refreshed on successful re-check).
         self.epoch = epoch
@@ -403,11 +399,10 @@ class BlockEngine:
                         continue
                     b = self._compile(emu, eip)
                     self.compiled += 1
-                    if b.cacheable:
-                        if len(cache) >= BLOCK_CACHE_GENERATION:
-                            self._old = old = cache
-                            self._cache = cache = {}
-                        cache[eip] = b
+                    if len(cache) >= BLOCK_CACHE_GENERATION:
+                        self._old = old = cache
+                        self._cache = cache = {}
+                    cache[eip] = b
                 if emu.steps + b.n > limit:
                     # Near the budget or target: single-step so the run
                     # stops on exactly the same instruction as the step
@@ -484,11 +479,9 @@ class BlockEngine:
         pages = [(first_page, mem._versions.get(first_page, 0))]
         if last_page != first_page:
             pages.append((last_page, mem._versions.get(last_page, 0)))
-        cacheable = all(mem.page_is_versioned(p << 12) for p, _ in pages)
         last = insns[-1]
         loops = (
-            cacheable
-            and last.mnemonic == "jmp"
+            last.mnemonic == "jmp"
             and isinstance(last.operands[0], Rel)
             and last.operands[0].target is not None
             and last.operands[0].target & MASK32 == start
@@ -497,16 +490,8 @@ class BlockEngine:
         fn, cum = self._generate(mem, start, end, insns, pages, loops)
         rec = get_recorder()
         if rec.enabled:
-            rec.record(
-                "block_compile",
-                start=start,
-                end=end,
-                n=len(insns),
-                cacheable=cacheable,
-            )
-        return CompiledBlock(
-            start, end, fn, pages, cacheable, mem.write_epoch, insns, cum
-        )
+            rec.record("block_compile", start=start, end=end, n=len(insns))
+        return CompiledBlock(start, end, fn, pages, mem.write_epoch, insns, cum)
 
     def _generate(self, mem, start: int, end: int, insns, pages, loops: bool):
         """Emit, compile and exec the block's specialized source.
@@ -606,9 +591,9 @@ class BlockEngine:
 
     # -- inline memory templates ---------------------------------------
     #
-    # These replicate Memory.read_u32/write_u32 (flat-segment fast path
-    # plus paged fallback) without the method call.  The fallback call
-    # keeps its own fast/slow counters, so telemetry stays accurate.
+    # These replicate Memory.read_u32/write_u32 without the method call;
+    # an access that leaves its segment falls back to the method, which
+    # raises the fault.
 
     @staticmethod
     def _load32(body, addr_var, dest):
@@ -616,18 +601,18 @@ class BlockEngine:
         body.append(
             f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:"
         )
-        body.append("    mem.fast_loads += 1")
         body.append(f"    {dest} = _U32U(_g.data, _o)[0]")
         body.append("else:")
         body.append(f"    {dest} = mem.read_u32({addr_var})")
 
     @staticmethod
-    def _store32(body, addr_var, value_expr):
+    def _store32(body, addr_var, value_expr, own=()):
+        """``own``: lines run after a store to a code-bearing segment,
+        the only kind that can hold the block's own bytes."""
         body.append(f"_g = _SG({addr_var} >> 12)")
         body.append(
             f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:"
         )
-        body.append("    mem.fast_stores += 1")
         body.append(f"    _U32P(_g.data, _o, {value_expr})")
         body.append("    if _g.holds_code:")
         body.append("        mem.write_epoch += 1")
@@ -635,6 +620,7 @@ class BlockEngine:
         body.append("        _VS[_n] = _VG(_n, 0) + 1")
         body.append(f"        if ({addr_var} + 3) >> 12 != _n:")
         body.append("            _VS[_n + 1] = _VG(_n + 1, 0) + 1")
+        body.extend("        " + line for line in own)
         body.append("else:")
         body.append(f"    mem.write_u32({addr_var}, {value_expr})")
 
@@ -678,14 +664,12 @@ class BlockEngine:
             elif mem_op.width == 8:
                 sub.append("_g = _SG(_a >> 12)")
                 sub.append("if _g is not None:")
-                sub.append("    mem.fast_loads += 1")
                 sub.append(f"    {dest} = _g.data[_a - _g.base]")
                 sub.append("else:")
                 sub.append(f"    {dest} = mem.read_u8(_a)")
             else:  # 16
                 sub.append("_g = _SG(_a >> 12)")
                 sub.append("if _g is not None and (_o := _a - _g.base) <= _g.limit:")
-                sub.append("    mem.fast_loads += 1")
                 sub.append(f"    {dest} = _U16U(_g.data, _o)[0]")
                 sub.append("else:")
                 sub.append(f"    {dest} = mem.read_u16(_a)")
@@ -693,20 +677,24 @@ class BlockEngine:
             body.append("except BME as exc:")
             body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
 
+        def own_bytes_abort(addr_var):
+            """Self-modifying store into this block's own bytes: stop
+            after the store, exactly where re-decode would begin."""
+            return [
+                f"if {addr_var} < {end} and {addr_var} + 4 > {start}:",
+                *("    " + line for line in _charge(i + 1, cum) + ["return 1"]),
+            ]
+
         def guarded_store32(mem_op, value_expr):
             """Faulting dword store + self-modifying-range abort check."""
             body.append(f"cpu.eip = {nxt}")
             body.append(f"_a = {_ea_expr(mem_op)}")
             body.append("try:")
             sub = []
-            self._store32(sub, "_a", value_expr)
+            self._store32(sub, "_a", value_expr, own_bytes_abort("_a"))
             body.extend("    " + line for line in sub)
             body.append("except BME as exc:")
             body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
-            # Self-modifying store into this block's own bytes: stop
-            # after the store, exactly where re-decode would begin.
-            body.append(f"if _a < {end} and _a + 4 > {start}:")
-            body.extend("    " + line for line in _charge(i + 1, cum) + ["return 1"])
 
         def alu_src_expr(op) -> Optional[str]:
             if _is_r32(op):
@@ -788,7 +776,8 @@ class BlockEngine:
             body.append(f"_v = {value}")  # read before esp moves (push esp)
             body.append("_s = (regs[4] - 4) & M")
             body.append("regs[4] = _s")
-            self._store32(body, "_s", "_v")  # unwrapped, like Emulator.push
+            # unwrapped, like Emulator.push
+            self._store32(body, "_s", "_v", own_bytes_abort("_s"))
             return True
 
         if m == "pop" and len(ops) == 1 and _is_r32(ops[0]):

@@ -65,16 +65,16 @@ from .syscalls import ExitProgram, OperatingSystem
 #: Return-address sentinel used by ``call_function``; never mapped.
 CALL_SENTINEL = 0xDEAD0000
 
-_STACK_TOP_DEFAULT = 0x00C0_0000
-_STACK_SIZE_DEFAULT = 0x4_0000
+_STACK_TOP = 0x00C0_0000
+_STACK_SIZE = 0x4_0000
 
-#: Engine names accepted by :class:`EmulatorConfig` and the CLI.
+#: Engine names accepted by :class:`Emulator` and the CLI.
 ENGINE_BLOCK = "block"
 ENGINE_STEP = "step"
 
 #: name -> one-line description; the single source of truth for which
 #: engines exist.  The CLI derives its ``--engine`` choices and help
-#: text from this mapping, and :class:`EmulatorConfig` validates
+#: text from this mapping, and :class:`Emulator` validates
 #: against it, so a new engine registered here is automatically
 #: selectable everywhere.
 ENGINE_DESCRIPTIONS = {
@@ -87,32 +87,6 @@ DEFAULT_ENGINE = ENGINE_BLOCK
 #: Per-generation bound of the decode cache; two generations are kept,
 #: so at most ~2x this many decoded instructions are resident.
 DECODE_CACHE_GENERATION = 1 << 15
-
-
-class EmulatorConfig:
-    """Execution-engine configuration, separate from what to run.
-
-    Attributes:
-        engine: one of :data:`ENGINES` — ``"block"`` (superblock
-            compiler, default) or ``"step"`` (single-instruction
-            reference interpreter).
-        max_steps: default instruction budget.
-        stack_top: default initial esp (grows down).
-    """
-
-    __slots__ = ("engine", "max_steps", "stack_top")
-
-    def __init__(
-        self,
-        engine: str = DEFAULT_ENGINE,
-        max_steps: int = 5_000_000,
-        stack_top: int = _STACK_TOP_DEFAULT,
-    ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
-        self.max_steps = max_steps
-        self.stack_top = stack_top
 
 
 class TamperWatch:
@@ -218,35 +192,27 @@ class Emulator:
         image: the program to load; all sections are mapped at their
             virtual addresses.
         os: toy OS instance (fresh one created if omitted).
-        stack_top: initial esp (grows down).
         max_steps: instruction budget; exceeded → :class:`StepLimitExceeded`.
-        engine: ``"block"`` or ``"step"``; overrides ``config``.
-        config: an :class:`EmulatorConfig` supplying defaults.
+        engine: one of :data:`ENGINES` (default :data:`DEFAULT_ENGINE`).
     """
 
     def __init__(
         self,
         image: Optional[BinaryImage] = None,
         os: Optional[OperatingSystem] = None,
-        stack_top: Optional[int] = None,
-        max_steps: Optional[int] = None,
+        max_steps: int = 5_000_000,
         engine: Optional[str] = None,
-        config: Optional[EmulatorConfig] = None,
     ):
-        if config is None:
-            config = EmulatorConfig()
         if engine is None:
-            engine = config.engine
+            engine = DEFAULT_ENGINE
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if stack_top is None:
-            stack_top = config.stack_top
         self.memory = Memory()
         self.cpu = CPUState()
         self.os = os if os is not None else OperatingSystem()
         self.image = image
         self.engine = engine
-        self.max_steps = max_steps if max_steps is not None else config.max_steps
+        self.max_steps = max_steps
         self.steps = 0
         self.cycles = 0
         self.ret_mispredicts = 0
@@ -271,8 +237,8 @@ class Emulator:
         #: bytes; ``None`` keeps the hot path to one identity check.
         self.tamper_watch: Optional[TamperWatch] = None
 
-        self.memory.map_zero(stack_top - _STACK_SIZE_DEFAULT, _STACK_SIZE_DEFAULT)
-        self.cpu.esp = stack_top - 64
+        self.memory.map(_STACK_TOP - _STACK_SIZE, bytes(_STACK_SIZE))
+        self.cpu.esp = _STACK_TOP - 64
 
         if image is not None:
             for section in image.sections:
@@ -441,14 +407,11 @@ class Emulator:
         end_version = (
             self.memory.page_version(end_addr) if (end_addr >> 12) != (eip >> 12) else None
         )
-        # Unversioned pages (stacks) have no write counter to invalidate
-        # on, so code executing from them must be re-decoded every time.
-        # Claiming marks the segments code-bearing, so their stores
-        # bump the versions stamped here from now on.
-        if self.memory.claim_code(eip) and (
-            end_version is None or self.memory.claim_code(end_addr)
-        ):
-            self._decode_cache_store(eip, (insn, version, end_version))
+        # Claiming marks the segment code-bearing, so its stores bump
+        # the versions stamped here from now on.  The fetch window ends
+        # with the segment, so the instruction lies inside it.
+        self.memory.claim_code(eip)
+        self._decode_cache_store(eip, (insn, version, end_version))
         return insn
 
     def _decode_cache_store(self, eip: int, entry) -> None:
@@ -588,17 +551,6 @@ class Emulator:
                 # repeated run() calls don't double-count.  A profiler
                 # installed by the caller is left intact for them.
                 hot.clear()
-        mem = self.memory
-        loads = mem.fast_loads + mem.slow_loads
-        stores = mem.fast_stores + mem.slow_stores
-        metrics.counter("emu.mem.fast_loads").inc(mem.fast_loads)
-        metrics.counter("emu.mem.slow_loads").inc(mem.slow_loads)
-        metrics.counter("emu.mem.fast_stores").inc(mem.fast_stores)
-        metrics.counter("emu.mem.slow_stores").inc(mem.slow_stores)
-        if loads:
-            metrics.gauge("emu.mem.fast_load_ratio").set(mem.fast_loads / loads)
-        if stores:
-            metrics.gauge("emu.mem.fast_store_ratio").set(mem.fast_stores / stores)
 
     def call_function(self, vaddr: int, args=(), max_steps: Optional[int] = None):
         """Call a function at ``vaddr`` with cdecl int args; returns eax.
@@ -658,11 +610,7 @@ def run_image(
     debugger_attached: bool = False,
     max_steps: int = 5_000_000,
     engine: Optional[str] = None,
-    config: Optional[EmulatorConfig] = None,
 ) -> RunResult:
     """Convenience: load ``image`` into a fresh emulator and run it."""
     os = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
-    emulator = Emulator(
-        image, os=os, max_steps=max_steps, engine=engine, config=config
-    )
-    return emulator.run()
+    return Emulator(image, os=os, max_steps=max_steps, engine=engine).run()

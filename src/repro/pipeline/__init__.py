@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.pipeline import protect_all, protect_one
+    from repro.pipeline import protect_all
 
     results = protect_all(jobs=4, cache_dir=".parallax-cache")
     for r in results:
@@ -22,13 +22,12 @@ from ..cache import (
     reset_caches,
 )
 from .pool import mp_context, run_tasks, worker_init
-from .runner import PipelineResult, config_for_program, protect_all, protect_one
+from .runner import PipelineResult, config_for_program, protect_all
 
 __all__ = [
     "PipelineResult",
     "config_for_program",
     "protect_all",
-    "protect_one",
     "mp_context",
     "run_tasks",
     "worker_init",

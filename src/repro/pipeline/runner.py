@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 from ..cache import cache_manager, configure_cache
 from ..core.config import ProtectConfig
-from ..core.protector import Parallax, ProtectedProgram
+from ..core.protector import Parallax
 from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..telemetry import adopt, capture, get_metrics, get_recorder, get_tracer
 from .pool import run_tasks
@@ -41,7 +41,6 @@ __all__ = [
     "PipelineResult",
     "config_for_program",
     "protect_all",
-    "protect_one",
 ]
 
 
@@ -118,19 +117,6 @@ def config_for_program(name: str, base: Optional[ProtectConfig]) -> ProtectConfi
         time_threshold=base.time_threshold,
         guard_chains=base.guard_chains,
     )
-
-
-def protect_one(
-    program,
-    config: Optional[ProtectConfig] = None,
-    use_cache: bool = True,
-) -> ProtectedProgram:
-    """Protect one already-built program through the cached pipeline.
-
-    The single-program entry point the benchmarks use; equivalent to
-    ``Parallax(config).protect(program)`` but named for intent.
-    """
-    return Parallax(config).protect(program, use_cache=use_cache)
 
 
 # ----------------------------------------------------------------------

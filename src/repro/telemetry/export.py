@@ -461,22 +461,6 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
         lines.append(f"    tier-2 page-version      {int(invalidated):>12,}")
         lines.append(f"    tier-3 in-block store    {int(write_aborts):>12,}")
 
-    # -- memory fast/slow paths ---------------------------------------
-    fast_loads = _counter(samples, "emu.mem.fast_loads")
-    slow_loads = _counter(samples, "emu.mem.slow_loads")
-    fast_stores = _counter(samples, "emu.mem.fast_stores")
-    slow_stores = _counter(samples, "emu.mem.slow_stores")
-    if fast_loads or slow_loads or fast_stores or slow_stores:
-        lines.append("memory paths")
-        lines.append(
-            f"  loads  fast {int(fast_loads):>12,} / slow {int(slow_loads):>10,}"
-            f"   (fast {_fmt_rate(fast_loads, fast_loads + slow_loads)})"
-        )
-        lines.append(
-            f"  stores fast {int(fast_stores):>12,} / slow {int(slow_stores):>10,}"
-            f"   (fast {_fmt_rate(fast_stores, fast_stores + slow_stores)})"
-        )
-
     # -- chains & attacks ---------------------------------------------
     evaluated = _counter(samples, "attacks.evaluated")
     detected = _counter(samples, "attacks.detected")

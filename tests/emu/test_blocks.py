@@ -136,6 +136,34 @@ def test_self_modifying_store_aborts_block(monkeypatch):
     assert emu.blocks.write_aborts >= 1
 
 
+def test_self_modifying_push_aborts_block(monkeypatch):
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    # The same overwrite through a push, with esp pivoted just past the
+    # upcoming `inc ebx` bytes.
+    def prefix(a, target):
+        a.mov(ESI, ESP)
+        a.mov(ESP, Imm(target + 4, 32))
+        a.push(Imm(0x4B4B4B4B, 32))
+
+    probe = Assembler(base=BASE)
+    prefix(probe, 0)
+    target = probe.here
+
+    def build(a):
+        prefix(a, target)
+        a.raw(b"\x43\x43\x43\x43")  # inc ebx x4 -> becomes dec ebx x4
+        a.mov(ESP, ESI)
+        a.mov(EAX, EBX)
+
+    img = make_image(build)
+    value, _, _, _ = call_both(img)
+    assert value == 0xFFFFFFFC  # the dec's ran, not the inc's
+
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    emu.call_function(BASE)
+    assert emu.blocks.write_aborts >= 1
+
+
 def test_code_write_invalidates_cached_blocks():
     a = Assembler(base=BASE)
     build_loop(a)
@@ -194,21 +222,29 @@ def test_run_steps_lands_on_exact_boundary():
     assert emu.cycles == reference.cycles
 
 
-def test_stack_code_is_never_cached(monkeypatch):
+@pytest.mark.parametrize("engine", ["step", "block"])
+def test_stack_code_is_cached_and_invalidated(monkeypatch, engine):
+    """Code on the stack is cached like any other code, and a store
+    into it makes the next call run the new bytes."""
     monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
-    # Code on an unversioned page (the stack) has no write counter, so
-    # neither the decode cache nor the block cache may retain it.
-    code = Assembler(base=0x00BC_0000)
-    code.mov(EAX, Imm(7, 32))
-    code.ret()
-    img = make_image(build_loop)
-    emu = Emulator(img, max_steps=100_000, engine="block")
-    assert not emu.memory.page_is_versioned(0x00BC_0000)
-    emu.memory.write(0x00BC_0000, code.assemble())
-    assert emu.call_function(0x00BC_0000) == 7
-    compiled = emu.blocks.compiled
-    assert emu.call_function(0x00BC_0000) == 7
-    assert emu.blocks.compiled == compiled + 1  # recompiled, not cached
+    stack_code = 0x00BC_0000
+
+    def returns(value):
+        code = Assembler(base=stack_code)
+        code.mov(EAX, Imm(value, 32))
+        code.ret()
+        return code.assemble()
+
+    emu = Emulator(make_image(build_loop), max_steps=100_000, engine=engine)
+    emu.memory.write(stack_code, returns(7))
+    assert emu.call_function(stack_code) == 7
+    assert stack_code in emu._decode_cache
+    compiled = emu.blocks.compiled if engine == "block" else None
+    assert emu.call_function(stack_code) == 7
+    if engine == "block":
+        assert emu.blocks.compiled == compiled  # cached, not recompiled
+    emu.memory.write(stack_code, returns(9))
+    assert emu.call_function(stack_code) == 9
 
 
 def test_decode_cache_generations_rotate(monkeypatch):

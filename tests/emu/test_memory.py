@@ -1,8 +1,9 @@
-"""Paged memory and the instruction/data split view."""
+"""Flat-segment memory and the instruction/data split view."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.emu import BadMemoryAccess, Memory
+from repro.emu import BadMemoryAccess, Emulator, Memory
 
 
 def test_map_read_write_roundtrip():
@@ -61,37 +62,37 @@ def test_page_versions_bump_on_write():
 
 def test_fetch_window_clamps_at_unmapped():
     mem = Memory()
-    mem.map_zero(0x1000, 0x1000)
+    mem.map(0x1000, bytes(0x1000))
     window = mem.fetch_window(0x1FFA, 16)
     assert len(window) == 6
 
 
 # ----------------------------------------------------------------------
-# Flat segments (the block engine's fast paths)
+# Flat segments
 # ----------------------------------------------------------------------
 
 def test_fresh_map_installs_flat_segment():
     mem = Memory()
     mem.map(0x1000, bytes(range(64)))
     assert mem._seg_by_page.get(1) is not None
-    before = mem.fast_loads
     assert mem.read_u32(0x1004) == 0x07060504
-    assert mem.fast_loads == before + 1
-    before = mem.fast_stores
     mem.write_u32(0x1008, 0xAABBCCDD)
-    assert mem.fast_stores == before + 1
     assert mem.read(0x1008, 4) == b"\xdd\xcc\xbb\xaa"
 
 
-def test_segment_and_paged_views_stay_coherent():
-    """Segment word accessors and byte-wise paged accessors must see the
-    same backing store (the memoryview write-through installation)."""
+def test_abutting_maps_merge_into_one_segment():
+    """Ranges that share or abut pages become one segment, so word
+    accessors read across what were separate mappings."""
     mem = Memory()
-    mem.map(0x2000, bytes(16))
-    mem.write_u32(0x2004, 0x11223344)      # segment fast path
-    assert mem.read_u8(0x2004) == 0x44     # byte path, same bytes
-    mem.write_u8(0x2007, 0x99)             # byte path
-    assert mem.read_u32(0x2004) == 0x99223344
+    mem.map(0x3000, b"\x11" * 16)
+    mem.map(0x1FFC, b"\x22" * 4)          # page 1: its own segment so far
+    mem.map(0x2800, b"\x33" * 4)          # page 2 abuts both
+    segment = mem._seg_by_page[1]
+    assert mem._seg_by_page[2] is segment is mem._seg_by_page[3]
+    assert mem.read_u32(0x2FFE) == 0x11110000
+    mem.write_u32(0x1FFE, 0x44434241)
+    assert mem.read(0x1FFC, 8) == b"\x22\x22ABCD\x00\x00"
+    assert mem.fetch_window(0x2FFC, 8) == b"\x00" * 4 + b"\x11" * 4
 
 
 def test_map_overlapping_existing_pages_bulk_copies():
@@ -102,38 +103,42 @@ def test_map_overlapping_existing_pages_bulk_copies():
     assert mem.read(0x27FC, 4) == b"\xBB" * 4
 
 
-def test_map_zero_versioned_flag():
-    mem = Memory()
-    mem.map_zero(0x10000, 0x1000)                    # stack-style region
-    mem.map_zero(0x20000, 0x1000, versioned=True)    # heap-style region
-    assert not mem.page_is_versioned(0x10000)
-    assert mem.page_is_versioned(0x20000)
-    # unmapped pages count as versioned (nothing to go stale)
-    assert mem.page_is_versioned(0x90000)
+def test_stack_is_a_plain_data_segment():
+    """Stack stores leave versions alone until code runs from the stack;
+    then they bump like stores to any other code-bearing segment."""
+    emu = Emulator()
+    mem = emu.memory
+    esp = emu.cpu.esp
+    epoch = mem.write_epoch
+    version = mem.page_version(esp)
+    emu.push(1)
+    assert (mem.write_epoch, mem.page_version(esp)) == (epoch, version)
+    mem.claim_code(esp - 0x1000)   # code cached from a lower stack page
+    emu.push(2)
+    assert mem.write_epoch == epoch + 1
+    assert mem.page_version(esp) == version + 1
 
 
-def test_write_epoch_skips_unversioned_pages():
+def test_write_epoch_skips_data_segments():
     mem = Memory()
     mem.map(0x1000, bytes(16))
-    mem.map_zero(0x10000, 0x1000)
+    mem.map(0x10000, bytes(16))
     epoch = mem.write_epoch
-    assert not mem.claim_code(0x10000)  # code is never cached from stacks
-    mem.write_u32(0x10000, 1)       # stack store: no epoch bump
-    mem.write_u8(0x10004, 2)
-    assert mem.write_epoch == epoch
-    assert mem.page_version(0x10000) == 0
     mem.write_u8(0x1000, 3)         # no code cached from it yet: no bump
     mem.write_u16(0x1002, 3)
     mem.write_u32(0x1004, 3)
     mem.write(0x1008, b"\x03")
     assert mem.write_epoch == epoch
     assert mem.page_version(0x1000) == 1  # the map's bump alone
-    assert mem.claim_code(0x1000)
+    mem.claim_code(0x1000)
     mem.write_u8(0x1000, 3)         # code-bearing segment: epoch moves
     assert mem.write_epoch > epoch
     epoch = mem.write_epoch
     mem.write_u32(0x1004, 4)
     assert mem.write_epoch > epoch
+    epoch = mem.write_epoch
+    mem.write_u32(0x10000, 5)       # the other segment is still data
+    assert mem.write_epoch == epoch
 
 
 def test_unaligned_segment_access_crossing_pages():
@@ -144,3 +149,163 @@ def test_unaligned_segment_access_crossing_pages():
     # both spanned pages must have their versions bumped
     assert mem.page_version(0x1000) > 0
     assert mem.page_version(0x2000) > 0
+
+
+# ----------------------------------------------------------------------
+# Reference model
+# ----------------------------------------------------------------------
+
+class ByteModel:
+    """``Memory``'s contract over a ``dict[int, int]`` of bytes.
+
+    Mapped pages read as zero until written; a segment is a maximal run
+    of consecutive mapped pages.  Stores bump versions only on runs that
+    hold code; ``map`` and code-view patches always bump.
+    """
+
+    def __init__(self):
+        self.bytes = {}
+        self.pages = set()
+        self.code_pages = set()
+        self.overlay = {}
+        self.versions = {}
+        self.epoch = 0
+
+    def run_of(self, page):
+        first = last = page
+        while first - 1 in self.pages:
+            first -= 1
+        while last + 1 in self.pages:
+            last += 1
+        return set(range(first, last + 1))
+
+    def bump(self, addr, length):
+        self.epoch += 1
+        for page in range(addr >> 12, ((addr + length - 1) >> 12) + 1):
+            self.versions[page] = self.versions.get(page, 0) + 1
+
+    def check(self, addr, length):
+        for a in range(addr, addr + length):
+            if a >> 12 not in self.pages:
+                raise BadMemoryAccess(f"unmapped address {a:#x}")
+
+    def map(self, addr, data):
+        self.pages.update(range(addr >> 12, ((addr + len(data) - 1) >> 12) + 1))
+        run = self.run_of(addr >> 12)
+        if run & self.code_pages:
+            self.code_pages |= run
+        for i, byte in enumerate(data):
+            self.bytes[addr + i] = byte
+        self.bump(addr, len(data))
+
+    def read(self, addr, length):
+        self.check(addr, length)
+        return bytes(self.bytes.get(a, 0) for a in range(addr, addr + length))
+
+    def write(self, addr, data):
+        self.check(addr, len(data))
+        for i, byte in enumerate(data):
+            self.bytes[addr + i] = byte
+        if data and addr >> 12 in self.code_pages:
+            self.bump(addr, len(data))
+
+    def claim_code(self, addr):
+        if addr >> 12 in self.pages:
+            self.code_pages |= self.run_of(addr >> 12)
+
+    def fetch_window(self, addr, length):
+        out = bytearray()
+        for a in range(addr, addr + length):
+            if a >> 12 not in self.pages:
+                break
+            out.append(self.overlay.get(a, self.bytes.get(a, 0)))
+        return bytes(out)
+
+    def patch_code_view(self, addr, data):
+        for i, byte in enumerate(data):
+            self.check(addr + i, 1)
+            self.overlay[addr + i] = byte
+        self.bump(addr, len(data))
+
+
+def _pattern(length, seed):
+    return bytes((seed + 7 * i) & 0xFF for i in range(length))
+
+
+#: Addresses within a few bytes of page (hence segment) edges, or
+#: anywhere across a 16-page window with an unmapped margin.
+_addr = st.one_of(
+    st.builds(
+        lambda page, delta: (page << 12) + delta,
+        st.integers(0x10, 0x20),
+        st.integers(-6, 6),
+    ),
+    st.integers(0xF000, 0x21000),
+)
+_width = st.one_of(st.sampled_from([1, 2, 4]), st.integers(0, 24))
+_op = st.one_of(
+    st.tuples(st.just("map"), _addr, st.integers(1, 0x2100), st.integers(0, 255)),
+    st.tuples(st.just("read"), _addr, _width),
+    st.tuples(st.just("write"), _addr, _width, st.integers(0, 255)),
+    st.tuples(st.just("claim"), _addr),
+    st.tuples(st.just("fetch"), _addr, st.integers(0, 16)),
+    st.tuples(st.just("patch"), _addr, st.integers(1, 4), st.integers(0, 255)),
+)
+
+_READ = {1: Memory.read_u8, 2: Memory.read_u16, 4: Memory.read_u32}
+_WRITE = {1: Memory.write_u8, 2: Memory.write_u16, 4: Memory.write_u32}
+
+
+def _same(memory_call, model_call):
+    """Both calls return the same value, or both raise BadMemoryAccess."""
+    try:
+        expected = model_call()
+    except BadMemoryAccess as exc:
+        with pytest.raises(BadMemoryAccess) as raised:
+            memory_call()
+        assert str(raised.value) == str(exc)
+        return
+    assert memory_call() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op, max_size=30), st.booleans())
+def test_memory_matches_byte_model(ops, word_accessors):
+    mem, model = Memory(), ByteModel()
+    for op in ops:
+        kind, addr = op[0], op[1]
+        if kind == "map":
+            data = _pattern(op[2], op[3])
+            mem.map(addr, data)
+            model.map(addr, data)
+        elif kind == "read":
+            width = op[2]
+            if word_accessors and width in _READ:
+                _same(
+                    lambda: _READ[width](mem, addr),
+                    lambda: int.from_bytes(model.read(addr, width), "little"),
+                )
+            else:
+                _same(lambda: mem.read(addr, width), lambda: model.read(addr, width))
+        elif kind == "write":
+            data = _pattern(op[2], op[3])
+            if word_accessors and len(data) in _WRITE:
+                value = int.from_bytes(data, "little")
+                store = lambda: _WRITE[len(data)](mem, addr, value)  # noqa: E731
+            else:
+                store = lambda: mem.write(addr, data)  # noqa: E731
+            _same(store, lambda: model.write(addr, data))
+        elif kind == "claim":
+            mem.claim_code(addr)
+            model.claim_code(addr)
+        elif kind == "fetch":
+            assert mem.fetch_window(addr, op[2]) == model.fetch_window(addr, op[2])
+        else:
+            data = _pattern(op[2], op[3])
+            _same(
+                lambda: mem.patch_code_view(addr, data),
+                lambda: model.patch_code_view(addr, data),
+            )
+        assert mem.write_epoch == model.epoch
+        for page in range(0xE, 0x25):
+            assert mem.page_version(page << 12) == model.versions.get(page, 0)

@@ -9,9 +9,9 @@ equal to the uncached sequential reference.
 import pytest
 
 from repro.cache import cache_session
-from repro.core import ProtectConfig
+from repro.core import Parallax, ProtectConfig
 from repro.corpus import PROGRAM_NAMES
-from repro.pipeline import config_for_program, protect_all, protect_one
+from repro.pipeline import config_for_program, protect_all
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +99,11 @@ def test_config_for_program_defaults_to_digest_function():
 def test_protect_one_respects_session_cache(small_wget):
     config = ProtectConfig(verification_functions=["digest_wget"])
     with cache_session():
-        first = protect_one(small_wget, config)
-        second = protect_one(small_wget, config)
+        first = Parallax(config).protect(small_wget)
+        second = Parallax(config).protect(small_wget)
     assert first.image.canonical_bytes() == second.image.canonical_bytes()
     # store_blobs: the hit deserializes a fresh image, never an alias
     assert first.image is not second.image
     with cache_session(enabled=False):
-        recomputed = protect_one(small_wget, config)
+        recomputed = Parallax(config).protect(small_wget)
     assert recomputed.image.canonical_bytes() == first.image.canonical_bytes()
