@@ -106,7 +106,7 @@ class Memory:
     def _bump(self, vaddr: int, length: int = 1) -> None:
         self.write_epoch += 1
         versions = self._versions
-        for number in range(vaddr >> 12, ((vaddr + max(length - 1, 0)) >> 12) + 1):
+        for number in range(vaddr >> 12, ((vaddr + length - 1) >> 12) + 1):
             versions[number] = versions.get(number, 0) + 1
 
     def _unmapped(self, vaddr: int, segment: Optional[FlatSegment]):

@@ -232,32 +232,31 @@ def _pattern(length, seed):
     return bytes((seed + 7 * i) & 0xFF for i in range(length))
 
 
-#: Addresses within a few bytes of page (hence segment) edges, or
-#: anywhere across a 16-page window with an unmapped margin.
-_addr = st.one_of(
-    st.builds(
-        lambda page, delta: (page << 12) + delta,
-        st.integers(0x10, 0x20),
-        st.integers(-6, 6),
-    ),
-    st.integers(0xF000, 0x21000),
-)
-_width = st.one_of(st.sampled_from([1, 2, 4]), st.integers(0, 24))
-_op = st.one_of(
-    st.tuples(st.just("map"), _addr, st.integers(1, 0x2100), st.integers(0, 255)),
-    st.tuples(st.just("read"), _addr, _width),
-    st.tuples(st.just("write"), _addr, _width, st.integers(0, 255)),
-    st.tuples(st.just("claim"), _addr),
-    st.tuples(st.just("fetch"), _addr, st.integers(0, 16)),
-    st.tuples(st.just("patch"), _addr, st.integers(1, 4), st.integers(0, 255)),
-)
+def _addresses(model):
+    """Anywhere across a 16-page window with an unmapped margin, or
+    within a few bytes of the start or end of a mapped run."""
+    anywhere = st.integers(0xF000, 0x21000)
+    edges = sorted(
+        {page << 12 for page in model.pages if page - 1 not in model.pages}
+        | {(page + 1) << 12 for page in model.pages if page + 1 not in model.pages}
+    )
+    if not edges:
+        return anywhere
+    near_edge = st.builds(
+        lambda edge, delta: edge + delta, st.sampled_from(edges), st.integers(-6, 6)
+    )
+    return st.one_of(anywhere, near_edge, near_edge)
 
+
+_KINDS = ["map", "read", "read", "read", "write", "write", "claim", "fetch", "patch"]
+_width = st.one_of(st.sampled_from([1, 2, 4]), st.integers(0, 24))
 _READ = {1: Memory.read_u8, 2: Memory.read_u16, 4: Memory.read_u32}
 _WRITE = {1: Memory.write_u8, 2: Memory.write_u16, 4: Memory.write_u32}
 
 
 def _same(memory_call, model_call):
-    """Both calls return the same value, or both raise BadMemoryAccess."""
+    """Both calls return the same value, or both raise BadMemoryAccess
+    naming the same address."""
     try:
         expected = model_call()
     except BadMemoryAccess as exc:
@@ -269,17 +268,23 @@ def _same(memory_call, model_call):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_op, max_size=30), st.booleans())
-def test_memory_matches_byte_model(ops, word_accessors):
+@given(st.data())
+def test_memory_matches_byte_model(draw):
+    """Random maps (disjoint, abutting, overlapping, page-straddling),
+    accesses of every width on both sides of segment edges, code claims
+    and code-view patches: contents, faults, page versions and
+    ``write_epoch`` all follow the model."""
     mem, model = Memory(), ByteModel()
-    for op in ops:
-        kind, addr = op[0], op[1]
+    word_accessors = draw.draw(st.booleans())
+    for _ in range(draw.draw(st.integers(1, 40))):
+        kind = draw.draw(st.sampled_from(_KINDS)) if model.pages else "map"
+        addr = draw.draw(_addresses(model))
         if kind == "map":
-            data = _pattern(op[2], op[3])
+            data = _pattern(draw.draw(st.integers(1, 0x2100)), addr)
             mem.map(addr, data)
             model.map(addr, data)
         elif kind == "read":
-            width = op[2]
+            width = draw.draw(_width)
             if word_accessors and width in _READ:
                 _same(
                     lambda: _READ[width](mem, addr),
@@ -288,7 +293,7 @@ def test_memory_matches_byte_model(ops, word_accessors):
             else:
                 _same(lambda: mem.read(addr, width), lambda: model.read(addr, width))
         elif kind == "write":
-            data = _pattern(op[2], op[3])
+            data = _pattern(draw.draw(_width), draw.draw(st.integers(0, 255)))
             if word_accessors and len(data) in _WRITE:
                 value = int.from_bytes(data, "little")
                 store = lambda: _WRITE[len(data)](mem, addr, value)  # noqa: E731
@@ -299,13 +304,15 @@ def test_memory_matches_byte_model(ops, word_accessors):
             mem.claim_code(addr)
             model.claim_code(addr)
         elif kind == "fetch":
-            assert mem.fetch_window(addr, op[2]) == model.fetch_window(addr, op[2])
+            length = draw.draw(st.integers(0, 16))
+            assert mem.fetch_window(addr, length) == model.fetch_window(addr, length)
         else:
-            data = _pattern(op[2], op[3])
+            data = _pattern(draw.draw(st.integers(1, 4)), addr + 1)
             _same(
                 lambda: mem.patch_code_view(addr, data),
                 lambda: model.patch_code_view(addr, data),
             )
+            assert mem.fetch_window(addr, 8) == model.fetch_window(addr, 8)
         assert mem.write_epoch == model.epoch
         for page in range(0xE, 0x25):
             assert mem.page_version(page << 12) == model.versions.get(page, 0)
