@@ -269,22 +269,22 @@ def _same(memory_call, model_call):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_memory_matches_byte_model(draw):
+def test_memory_matches_byte_model(choices):
     """Random maps (disjoint, abutting, overlapping, page-straddling),
     accesses of every width on both sides of segment edges, code claims
     and code-view patches: contents, faults, page versions and
     ``write_epoch`` all follow the model."""
     mem, model = Memory(), ByteModel()
-    word_accessors = draw.draw(st.booleans())
-    for _ in range(draw.draw(st.integers(1, 40))):
-        kind = draw.draw(st.sampled_from(_KINDS)) if model.pages else "map"
-        addr = draw.draw(_addresses(model))
+    word_accessors = choices.draw(st.booleans())
+    for _ in range(choices.draw(st.integers(1, 40))):
+        kind = choices.draw(st.sampled_from(_KINDS)) if model.pages else "map"
+        addr = choices.draw(_addresses(model))
         if kind == "map":
-            data = _pattern(draw.draw(st.integers(1, 0x2100)), addr)
+            data = _pattern(choices.draw(st.integers(1, 0x2100)), addr)
             mem.map(addr, data)
             model.map(addr, data)
         elif kind == "read":
-            width = draw.draw(_width)
+            width = choices.draw(_width)
             if word_accessors and width in _READ:
                 _same(
                     lambda: _READ[width](mem, addr),
@@ -293,7 +293,7 @@ def test_memory_matches_byte_model(draw):
             else:
                 _same(lambda: mem.read(addr, width), lambda: model.read(addr, width))
         elif kind == "write":
-            data = _pattern(draw.draw(_width), draw.draw(st.integers(0, 255)))
+            data = _pattern(choices.draw(_width), choices.draw(st.integers(0, 255)))
             if word_accessors and len(data) in _WRITE:
                 value = int.from_bytes(data, "little")
                 store = lambda: _WRITE[len(data)](mem, addr, value)  # noqa: E731
@@ -304,10 +304,10 @@ def test_memory_matches_byte_model(draw):
             mem.claim_code(addr)
             model.claim_code(addr)
         elif kind == "fetch":
-            length = draw.draw(st.integers(0, 16))
+            length = choices.draw(st.integers(0, 16))
             assert mem.fetch_window(addr, length) == model.fetch_window(addr, length)
         else:
-            data = _pattern(draw.draw(st.integers(1, 4)), addr + 1)
+            data = _pattern(choices.draw(st.integers(1, 4)), addr + 1)
             _same(
                 lambda: mem.patch_code_view(addr, data),
                 lambda: model.patch_code_view(addr, data),

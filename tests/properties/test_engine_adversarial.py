@@ -96,15 +96,15 @@ def _text_offsets(text_size):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), _thresholds)
-def test_pivoted_chains_into_text_run_identically(small_gzip, draw, threshold):
+def test_pivoted_chains_into_text_run_identically(small_gzip, choices, threshold):
     image = small_gzip.image
     text = image.section(".text")
-    chain = draw.draw(
+    chain = choices.draw(
         st.lists(_text_offsets(len(text.data)), min_size=1, max_size=12)
     )
     words = [text.vaddr + offset for offset in chain]
     data = image.section(".data")
-    regs = draw.draw(
+    regs = choices.draw(
         st.lists(st.integers(0, len(data.data) - 1), min_size=8, max_size=8)
     )
 
