@@ -112,10 +112,12 @@ def run_matrix():
 
 def test_attack_matrix(benchmark):
     cells, coverage = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-    _report(cells, coverage)
+    assert gate_failures(_report(cells, coverage)) == []
 
 
 def _report(cells, coverage):
+    """Print the matrix, write the artifact and history; return the
+    artifact payload."""
     print()
     print("=== Attack matrix: detected? / cycles to corruption / detection ===")
     for label, (static, wurster) in cells.items():
@@ -134,29 +136,26 @@ def _report(cells, coverage):
     detected = [
         o for pair in cells.values() for o in pair if o.detected
     ]
-    # Every detected attack must carry a finite latency stamp.
-    assert all(o.cycles_to_detection is not None for o in detected)
-    assert all(o.cycles_to_detection >= 0 for o in detected)
     detection_geomean = _geomean([o.cycles_to_detection for o in detected])
     corruption_geomean = _geomean(
         [o.cycles_to_corruption for o in detected
          if o.cycles_to_corruption is not None]
     )
 
+    payload = {
+        "matrix": {
+            label: {
+                "static": pair[0].to_dict(),
+                "wurster": pair[1].to_dict(),
+            }
+            for label, pair in cells.items()
+        },
+        "coverage_percent": round(coverage_percent, 3),
+        "spof_bytes": len(coverage.spof_addresses()),
+        "cycles_to_detection_geomean": detection_geomean,
+        "cycles_to_corruption_geomean": corruption_geomean,
+    }
     if OUTPUT:
-        payload = {
-            "matrix": {
-                label: {
-                    "static": pair[0].to_dict(),
-                    "wurster": pair[1].to_dict(),
-                }
-                for label, pair in cells.items()
-            },
-            "coverage_percent": round(coverage_percent, 3),
-            "spof_bytes": len(coverage.spof_addresses()),
-            "cycles_to_detection_geomean": detection_geomean,
-            "cycles_to_corruption_geomean": corruption_geomean,
-        }
         with open(OUTPUT, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -166,22 +165,54 @@ def _report(cells, coverage):
         # reciprocal (detections per emulated gigacycle).
         history["detection_speed"] = 1e9 / detection_geomean
     _shared.record_history("attack_matrix", history)
+    return payload
 
-    rows = {
-        label: (pair[0].detected, pair[1].detected)
-        for label, pair in cells.items()
-    }
-    assert rows["unprotected"] == (False, False)
-    assert rows["checksumming"] == (True, False)   # Wurster defeats it
-    assert rows["parallax"] == (True, True)        # Parallax does not care
+
+#: scheme -> (static detected, wurster detected), the table above.
+EXPECTED_ROWS = {
+    "unprotected": (False, False),
+    "checksumming": (True, False),   # Wurster defeats it
+    "parallax": (True, True),        # Parallax does not care
+}
+
+
+def gate_failures(payload):
+    """Why ``payload`` fails its gates; empty when it passes.
+
+    Every scheme must match the expected table, every detected attack
+    must carry a finite, non-negative latency stamp, and coverage and
+    the detection-latency geomean must be positive.
+    """
+    failures = []
+    for label, cells in payload["matrix"].items():
+        row = (cells["static"]["detected"], cells["wurster"]["detected"])
+        if row != EXPECTED_ROWS[label]:
+            failures.append(
+                f"{label}: detected {row}, expected {EXPECTED_ROWS[label]}"
+            )
+        for attack, outcome in cells.items():
+            latency = outcome["cycles_to_detection"]
+            if outcome["detected"] and (latency is None or latency < 0):
+                failures.append(
+                    f"{label}/{attack}: detected with latency {latency}, "
+                    "expected a stamp >= 0"
+                )
+    if not payload["coverage_percent"] > 0:
+        failures.append("parallax covers no protected byte")
+    if not (payload["cycles_to_detection_geomean"] or 0) > 0:
+        failures.append("no positive detection-latency geomean")
+    return failures
 
 
 def main() -> int:
     """Standalone entry (no pytest-benchmark): run once, report,
-    append history — used by the CI bench-smoke job so the regression
-    gate always compares against a fresh same-job candidate."""
-    _report(*run_matrix())
-    return 0
+    append history, exit 1 on a failed gate — used by the CI jobs so
+    the regression gate always compares against a fresh same-job
+    candidate."""
+    failures = gate_failures(_report(*run_matrix()))
+    for failure in failures:
+        print(f"ERROR: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

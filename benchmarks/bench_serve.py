@@ -6,7 +6,7 @@ asyncio load generator at several concurrency levels.  Each level runs
 two passes over the same request set:
 
 * **cold** — every request is unique (fresh seeds), so each one rides
-  admission → single-flight → batched pool dispatch → full protection
+  admission → single-flight → one pool submit → full protection
   pipeline; this measures the compute path.
 * **warm** — the identical requests replayed, so every one is a
   serve-cache hit that never touches the pool; this measures the
@@ -159,15 +159,13 @@ def run_suite(
     levels=DEFAULT_LEVELS,
     requests_per_level=None,
     jobs=None,
-    batch_max=4,
     coalesce_n=100,
     output=DEFAULT_OUTPUT,
 ):
     jobs = jobs or min(4, os.cpu_count() or 2)
     seed_base = time.time_ns() % 1_000_000_000
     config = ServeConfig(
-        port=0, jobs=jobs, batch_max=batch_max,
-        queue_depth=max(levels) * 4,
+        port=0, jobs=jobs, queue_depth=max(levels) * 4,
     )
     curve = {}
     with ServerThread(config) as srv:
@@ -196,7 +194,6 @@ def run_suite(
         )
     payload = {
         "jobs": jobs,
-        "batch_max": batch_max,
         "levels": list(levels),
         "curve": curve,
         "coalesce": coalesce,
@@ -214,8 +211,7 @@ def run_suite(
 
 
 def _print_report(payload):
-    print(f"serve curve (jobs={payload['jobs']}, "
-          f"batch_max={payload['batch_max']})")
+    print(f"serve curve (jobs={payload['jobs']})")
     print(f"{'conc':>5} {'pass':<5} {'req/s':>9} {'p50':>9} {'p95':>9} "
           f"{'p99':>9}  roles")
     for key in (f"c{level}" for level in payload["levels"]):
@@ -244,8 +240,6 @@ def main(argv=None) -> int:
                         help="requests per pass (default: max(2*level, 24))")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker pool size (default: min(4, cpus))")
-    parser.add_argument("--batch-max", type=int, default=4,
-                        help="scheduler batch cap (default: 4)")
     parser.add_argument("--coalesce-n", type=int, default=100,
                         help="herd size for the single-flight check")
     parser.add_argument("--min-warm-speedup", type=float, default=0.0,
@@ -259,7 +253,6 @@ def main(argv=None) -> int:
         levels=args.levels,
         requests_per_level=args.requests_per_level,
         jobs=args.jobs,
-        batch_max=args.batch_max,
         coalesce_n=args.coalesce_n,
         output=args.output,
     )

@@ -17,9 +17,9 @@ Commands:
   in parallel (``--jobs``) and cached on disk (``--cache-dir``);
 * ``serve``                     — protection-as-a-service daemon:
   protect / verify / attack-matrix over HTTP with single-flight
-  deduplication, a sharded response cache, per-tenant quotas, batched
-  pool scheduling, and ``/metrics`` + ``/stats`` + ``/journal``
-  introspection;
+  deduplication, a sharded response cache, per-tenant quotas, one
+  worker-pool submit per job, and ``/metrics`` + ``/stats`` +
+  ``/journal`` introspection;
 * ``stats ARTIFACT...``         — human dashboard over any exported
   telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace);
 * ``top JOURNAL``               — live, self-refreshing dashboard over
@@ -460,7 +460,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         queue_depth=args.queue_depth,
-        batch_max=args.batch_max,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
         window_seconds=args.window,
@@ -470,8 +469,7 @@ def _cmd_serve(args) -> int:
     def announce(server) -> None:
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(jobs={config.jobs}, batch_max={config.batch_max}, "
-            f"queue_depth={config.queue_depth})",
+            f"(jobs={config.jobs}, queue_depth={config.queue_depth})",
             flush=True,
         )
 
@@ -613,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-depth", type=int, default=64, metavar="N",
                          help="max pending jobs before 429 backpressure "
                               "(default: 64)")
-    p_serve.add_argument("--batch-max", type=int, default=4, metavar="N",
-                         help="max jobs packed into one pool dispatch "
-                              "(default: 4)")
     p_serve.add_argument("--quota-rate", type=float, default=0.0,
                          metavar="PER_SECOND",
                          help="per-tenant token-bucket refill rate "

@@ -84,12 +84,23 @@ class _Allocator:
 
 
 class ProtectedProgram:
-    """A protected binary plus its provenance."""
+    """A protected binary plus its provenance.
 
-    def __init__(self, program: Program, image: BinaryImage, report: ProtectionReport):
+    ``cached`` is true when :meth:`Parallax.protect` answered from the
+    protect cache instead of running the pipeline.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        image: BinaryImage,
+        report: ProtectionReport,
+        cached: bool = False,
+    ):
         self.program = program
         self.image = image
         self.report = report
+        self.cached = cached
 
     def run(
         self,
@@ -128,6 +139,7 @@ class Parallax:
         a recompute; ``use_cache=False`` forces the full pipeline.
         """
         cache = key = None
+        hit = False
         if use_cache:
             from ..cache import content_key, get_cache
 
@@ -140,29 +152,17 @@ class Parallax:
                 self.config.cache_key(),
             )
             hit, value = cache.get(key)
-            if hit:
-                image, report = value
-                with get_tracer().span(
-                    "protect",
-                    program=program.name,
-                    strategy=self.config.strategy,
-                    cached=True,
-                ) as span:
-                    span.set_attribute("chains", len(report.chains))
-                recorder = get_recorder()
-                if recorder.enabled:
-                    recorder.record(
-                        "protect",
-                        program=program.name,
-                        strategy=self.config.strategy,
-                        chains=len(report.chains),
-                        cached=True,
-                    )
-                return ProtectedProgram(program, image, report)
+        attributes = {"cached": True} if hit else {}
         with get_tracer().span(
-            "protect", program=program.name, strategy=self.config.strategy
+            "protect",
+            program=program.name,
+            strategy=self.config.strategy,
+            **attributes,
         ) as span:
-            protected = self._protect(program)
+            if hit:
+                protected = ProtectedProgram(program, *value, cached=True)
+            else:
+                protected = self._protect(program)
             span.set_attribute("chains", len(protected.report.chains))
         recorder = get_recorder()
         if recorder.enabled:
@@ -171,9 +171,9 @@ class Parallax:
                 program=program.name,
                 strategy=self.config.strategy,
                 chains=len(protected.report.chains),
-                cached=False,
+                cached=hit,
             )
-        if cache is not None:
+        if cache is not None and not hit:
             cache.put(key, (protected.image, protected.report))
         return protected
 

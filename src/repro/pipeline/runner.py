@@ -127,12 +127,15 @@ def config_for_program(name: str, base: Optional[ProtectConfig]) -> ProtectConfi
 def _run_task(task: dict) -> dict:
     """Build, protect (and optionally verify) one program.
 
-    Runs under :func:`~repro.telemetry.capture`, collecting spans and
-    events too when the parent traces (``task["tracing"]``) or records
-    (``task["recording"]``); returns only picklable data, telemetry
-    payload included.  Used both by pool workers and the ``jobs=1``
-    inline path, which is why the captured scope is unlabeled even
-    inline: the *parent* labels the payload exactly once, at adoption.
+    Runs under :func:`~repro.telemetry.capture`, collecting metrics,
+    spans and events only when the parent has them enabled
+    (``task["metrics"]``, ``task["tracing"]``, ``task["recording"]``),
+    so with metrics off a verify run pays for no hot-spot profile.
+    Returns only picklable data, telemetry payload included.  The
+    cache verdict comes from the protect call itself.  Used both by
+    pool workers and the ``jobs=1`` inline path, which is why the
+    captured scope is unlabeled even inline: the *parent* labels the
+    payload exactly once, at adoption.
     """
     name = task["name"]
     config: ProtectConfig = task["config"]
@@ -152,16 +155,18 @@ def _run_task(task: dict) -> dict:
         return protected, elapsed, behaviour
 
     (protected, elapsed, behaviour), telemetry = capture(
-        body, tracing=task["tracing"], recording=task["recording"]
+        body,
+        metrics=task["metrics"],
+        tracing=task["tracing"],
+        recording=task["recording"],
     )
-    hits = telemetry["metrics"].get("cache.protect.hits", {}).get("value", 0)
     return {
         "name": name,
         "blob": pickle.dumps(
             (protected.image, protected.report), protocol=pickle.HIGHEST_PROTOCOL
         ),
         "elapsed": elapsed,
-        "cache_hit": hits > 0,
+        "cache_hit": protected.cached,
         "behaviour_preserved": behaviour,
         "telemetry": telemetry,
         "pid": os.getpid(),
@@ -218,6 +223,7 @@ def protect_all(
             "use_cache": use_cache,
             "verify": verify,
             "max_steps": max_steps,
+            "metrics": get_metrics().enabled,
             "tracing": get_tracer().enabled,
             "recording": get_recorder().enabled,
         }

@@ -13,9 +13,9 @@ within one.  This package supplies that layer, stdlib-only:
   waiter (``serve.singleflight.{leader,follower}`` metrics);
 * :mod:`repro.serve.quota` — per-tenant token-bucket admission;
 * :mod:`repro.serve.jobs` — the picklable job bodies executed on the
-  worker pool, batched to amortize per-task dispatch;
-* :mod:`repro.serve.server` — admission → single-flight → batched pool
-  → sharded cache, plus ``/metrics``, ``/stats``, ``/journal``,
+  worker pool, one pool submit per job;
+* :mod:`repro.serve.server` — admission → single-flight → pool →
+  sharded cache, plus ``/metrics``, ``/stats``, ``/journal``,
   graceful SIGTERM drain;
 * :mod:`repro.serve.client` — blocking and asyncio clients used by the
   tests, the CI smoke job, and the load generator
@@ -23,7 +23,7 @@ within one.  This package supplies that layer, stdlib-only:
 """
 
 from .client import AsyncServeClient, ServeClient
-from .jobs import JOB_KINDS, execute_batch, execute_job, job_key, make_task
+from .jobs import JOB_KINDS, execute_job, job_key, make_task
 from .quota import QuotaManager, TokenBucket
 from .server import ProtectionServer, ServeConfig, ServerThread, serve
 from .singleflight import SingleFlight
@@ -32,7 +32,6 @@ __all__ = [
     "AsyncServeClient",
     "ServeClient",
     "JOB_KINDS",
-    "execute_batch",
     "execute_job",
     "job_key",
     "make_task",

@@ -1,4 +1,4 @@
-"""Job bodies for the serving layer: picklable, batched, pure.
+"""Job bodies for the serving layer: picklable and pure.
 
 The asyncio front-end never touches the protection pipeline itself; it
 ships small task dicts to the worker pool and gets JSON-ready payload
@@ -7,16 +7,15 @@ both ``fork`` and ``spawn`` start methods, and everything is a pure
 function of the task dict — which is what makes the serve-level cache
 and single-flight sound.
 
-Batching: :func:`execute_batch` runs a list of tasks in one pool
-dispatch, amortizing the per-task IPC/pickle round trip when the
-admission queue is deep.  One failing job yields an ``error`` payload
-for that job only; it never poisons its batchmates.
+The server submits one :func:`execute_job` per pool call.  A job that
+fails raises; the exception travels back to the server, which answers
+``500`` to that job's waiters and caches nothing.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from ..cache import content_key, package_source_digest
 from ..core import Parallax, ProtectConfig, STRATEGIES
@@ -30,7 +29,6 @@ __all__ = [
     "make_task",
     "job_key",
     "execute_job",
-    "execute_batch",
 ]
 
 JOB_KINDS = ("protect", "verify", "attack-matrix")
@@ -198,24 +196,3 @@ _EXECUTORS = {
 def execute_job(task: Dict[str, Any]) -> Dict[str, Any]:
     """Run one task to its JSON-ready payload (raises on failure)."""
     return _EXECUTORS[task["kind"]](task)
-
-
-def execute_batch(tasks: List[Dict[str, Any]]) -> List[Optional[Dict[str, Any]]]:
-    """Run a batch of tasks in one pool dispatch, order-preserving.
-
-    A failing job produces ``{"error": ..., "kind": ...}`` in its slot
-    instead of raising, so batchmates still get their results.
-    """
-    payloads: List[Optional[Dict[str, Any]]] = []
-    for task in tasks:
-        try:
-            payloads.append(execute_job(task))
-        except Exception as exc:  # noqa: BLE001 — shipped to the waiter
-            payloads.append(
-                {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "kind": task.get("kind", "?"),
-                    "program": task.get("program", "?"),
-                }
-            )
-    return payloads

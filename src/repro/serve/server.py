@@ -10,12 +10,11 @@ One asyncio event loop fronts the existing protection pipeline:
   (:func:`~repro.serve.jobs.job_key`) coalesce onto one execution
   (:class:`~repro.serve.singleflight.SingleFlight`); the leader's
   payload fans out to every waiter byte-identically.
-* **Batched pool scheduling** — admitted jobs land on an asyncio queue
-  drained by a scheduler task that greedily packs up to ``batch_max``
-  ready jobs into one :func:`~repro.serve.jobs.execute_batch` pool
-  dispatch (``run_in_executor``), amortizing IPC/pickle overhead when
-  the queue is deep while adding zero latency when it is not (a lone
-  job ships immediately).
+* **Pool execution** — an admitted leader submits its one job to the
+  worker pool (``run_in_executor`` of
+  :func:`~repro.serve.jobs.execute_job`).  A job that raises and a
+  broken pool fail the same way: ``500`` with ``{"error": "<Type>:
+  <msg>"}`` to that job's leader and followers only, nothing cached.
 * **Cache** — completed payloads persist in the ``serve`` namespace of
   the content-addressed cache (:mod:`repro.cache`: an LRU memory tier
   over a sharded disk tier), so a warm request never touches the pool
@@ -28,9 +27,9 @@ One asyncio event loop fronts the existing protection pipeline:
   flight-recorder dumps.  ``--journal-follow`` NDJSON feeds
   ``repro top``'s serve lane.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (bounded by ``drain_timeout``), retire the scheduler,
-  and leave telemetry export to the CLI's normal exit path, so a killed
-  daemon still ships its journal.
+  requests finish (bounded by ``drain_timeout``), and leave telemetry
+  export to the CLI's normal exit path, so a killed daemon still ships
+  its journal.
 
 The worker pool comes from :func:`serving_pool`, the one place serving
 configures its cache and calls :func:`repro.pipeline.pool.worker_pool`.
@@ -47,7 +46,7 @@ import json
 import threading
 import time
 from concurrent.futures import Executor
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .. import telemetry
 from ..cache import cache_manager, configure_cache, get_cache
@@ -57,7 +56,7 @@ from .http import HttpError, Request, json_response, read_request, response_byte
 from .jobs import (
     DEFAULT_MAX_STEPS,
     JobValidationError,
-    execute_batch,
+    execute_job,
     job_key,
     make_task,
 )
@@ -98,7 +97,6 @@ class ServeConfig:
         "jobs",
         "cache_dir",
         "queue_depth",
-        "batch_max",
         "quota_rate",
         "quota_burst",
         "window_seconds",
@@ -112,7 +110,6 @@ class ServeConfig:
         jobs: int = 2,
         cache_dir: Optional[str] = None,
         queue_depth: int = 64,
-        batch_max: int = 4,
         quota_rate: float = 0.0,
         quota_burst: Optional[float] = None,
         window_seconds: float = 30.0,
@@ -122,14 +119,11 @@ class ServeConfig:
             raise ValueError("jobs must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         self.host = host
         self.port = port
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.queue_depth = queue_depth
-        self.batch_max = batch_max
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
         self.window_seconds = window_seconds
@@ -159,7 +153,7 @@ class ProtectionServer:
     """One serving instance; see the module docstring for the flow.
 
     ``pool`` is the caller's :func:`serving_pool`; the server submits
-    batches to it and never shuts it down.
+    jobs to it and never shuts it down.
     """
 
     def __init__(self, config: ServeConfig, pool: Executor):
@@ -169,9 +163,6 @@ class ProtectionServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._singleflight = SingleFlight()
         self._quota = QuotaManager(config.quota_rate, config.quota_burst)
-        self._queue: Optional[asyncio.Queue] = None
-        self._scheduler_task: Optional[asyncio.Task] = None
-        self._batch_tasks: set = set()
         self._client_tasks: set = set()
         self._windows: Optional[WindowSet] = None
         self._pending = 0
@@ -187,12 +178,10 @@ class ProtectionServer:
         config = self.config
         telemetry.configure(metrics=True, recorder=True)
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
         self._windows = WindowSet(
             window_seconds=config.window_seconds
         ).subscribe_to(telemetry.get_recorder())
-        self._scheduler_task = self._loop.create_task(self._scheduler())
         self._server = await asyncio.start_server(
             self._handle_client, config.host, config.port
         )
@@ -231,7 +220,7 @@ class ProtectionServer:
         await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, finish in-flight work, retire the scheduler."""
+        """Stop accepting, then wait for in-flight requests."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -240,13 +229,6 @@ class ProtectionServer:
         deadline = time.monotonic() + self.config.drain_timeout
         while self._requests_inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
-        if self._queue is not None:
-            self._queue.put_nowait(None)
-        if self._scheduler_task is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._scheduler_task
-        if self._batch_tasks:
-            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
         for task in list(self._client_tasks):
             task.cancel()
         if self._client_tasks:
@@ -261,74 +243,18 @@ class ProtectionServer:
                 uptime=round(time.time() - self._started, 3),
             )
 
-    # -- batched pool scheduling ---------------------------------------
-
-    async def _scheduler(self) -> None:
-        """Drain the admission queue into batched pool dispatches.
-
-        Greedy, latency-free batching: whatever is ready right now (up
-        to ``batch_max``) ships as one ``execute_batch`` call; a lone
-        job never waits for company.  Dispatches are not awaited here —
-        the pool's own queue provides depth — so the scheduler keeps
-        the pool saturated under thousands of in-flight requests.
-        """
-        metrics = get_metrics()
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                return
-            batch = [item]
-            while len(batch) < self.config.batch_max:
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is None:
-                    # Shutdown sentinel mid-drain: ship this batch,
-                    # then exit on the re-queued sentinel.
-                    self._queue.put_nowait(None)
-                    break
-                batch.append(extra)
-            metrics.counter("serve.batches").inc()
-            metrics.histogram(
-                "serve.batch.size", buckets=(1, 2, 4, 8, 16, 32)
-            ).observe(len(batch))
-            task = self._loop.create_task(self._dispatch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _dispatch(self, batch: List[Tuple[dict, asyncio.Future]]) -> None:
-        """Run one batch on the pool and resolve its waiters.
-
-        Any failure — a job raising, or a dead worker's
-        ``BrokenProcessPool``, which a broken pool also raises on every
-        later submit — fails this batch's waiters only; the scheduler
-        keeps running.
-        """
-        try:
-            payloads = await self._loop.run_in_executor(
-                self._pool, execute_batch, [task for task, _f in batch]
-            )
-        except BaseException as exc:  # noqa: BLE001 — fan out to waiters
-            for _task, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        metrics = get_metrics()
-        metrics.counter("serve.jobs.executed").inc(len(payloads))
-        for (_task, future), payload in zip(batch, payloads):
-            if not future.done():
-                future.set_result(payload)
-
     # -- job execution (the single-flight leader's path) ---------------
 
     async def _execute(self, task: dict, key: str) -> Tuple[dict, str]:
-        """Serve-cache lookup, then admission + pool execution.
+        """Serve-cache lookup, then admission + one pool submit.
 
-        Returns ``(payload, source)`` with source ``"hit"`` (cache) or
-        ``"computed"`` (pool).  Only single-flight leaders run this, so
-        under a thundering herd the cache is probed once and the
-        pipeline executes once.
+        Returns ``(payload, source)`` with source ``"hit"`` (cache),
+        ``"computed"`` (pool) or ``"error"``.  Only single-flight
+        leaders run this, so under a thundering herd the cache is
+        probed once and the pipeline executes once.  A job that raises
+        in the worker and a dead worker's ``BrokenProcessPool`` both
+        become an uncached ``{"error": "<Type>: <msg>"}`` payload for
+        this leader's waiters.
         """
         cache = get_cache("serve")
         if cache is not None:
@@ -344,14 +270,17 @@ class ProtectionServer:
             )
         self._pending += 1
         get_metrics().gauge("serve.queue.depth").set(self._pending)
-        future = self._loop.create_future()
-        self._queue.put_nowait((task, future))
         try:
-            payload = await future
+            payload = await self._loop.run_in_executor(
+                self._pool, execute_job, task
+            )
+        except Exception as exc:  # noqa: BLE001 — answered as a 500
+            return {"error": f"{type(exc).__name__}: {exc}"}, "error"
         finally:
             self._pending -= 1
             get_metrics().gauge("serve.queue.depth").set(self._pending)
-        if cache is not None and "error" not in payload:
+        get_metrics().counter("serve.jobs.executed").inc()
+        if cache is not None:
             cache.put(key, payload)
         return payload, "computed"
 
@@ -468,8 +397,6 @@ class ProtectionServer:
         metrics = get_metrics()
         metrics.gauge("serve.inflight").set(self._requests_inflight)
         started = time.perf_counter()
-        status = 200
-        role = "leader"
         try:
             with TelemetryContext(labels):
                 try:
@@ -492,8 +419,7 @@ class ProtectionServer:
                     if sf_role == FOLLOWER
                     else ("cache-hit" if source == "hit" else "leader")
                 )
-                if "error" in payload:
-                    status = 500
+                status = 500 if source == "error" else 200
                 elapsed = time.perf_counter() - started
                 ctx_metrics = get_metrics()
                 ctx_metrics.counter(

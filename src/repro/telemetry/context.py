@@ -225,18 +225,22 @@ def clear_context() -> None:
 
 
 def capture(
-    body: Callable[[], Any], tracing: bool = False, recording: bool = False
+    body: Callable[[], Any],
+    metrics: bool = True,
+    tracing: bool = False,
+    recording: bool = False,
 ) -> Tuple[Any, dict]:
     """Run ``body()`` under a private, unlabeled scope.
 
     Returns ``(result, payload)`` where ``payload`` is the picklable
-    ``{"metrics", "spans", "events"}`` telemetry of the body: always
-    its metric samples, its spans when ``tracing``, its flight-recorder
-    events when ``recording``.  Merge it with :func:`adopt`.
+    ``{"metrics", "spans", "events"}`` telemetry of the body: its
+    metric samples when ``metrics``, its spans when ``tracing``, its
+    flight-recorder events when ``recording``.  Merge it with
+    :func:`adopt`.
     """
     scope = Scope(
         {},
-        MetricsRegistry(enabled=True),
+        MetricsRegistry(enabled=metrics),
         Tracer(enabled=tracing),
         FlightRecorder(enabled=recording),
     )

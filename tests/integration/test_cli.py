@@ -202,9 +202,25 @@ def test_coverage_json_artifact_round_trips_through_stats(
     assert stdout_payload == file_payload
     assert file_payload["type"] == "coverage"
     assert file_payload["program"] == "wget"
+    for key in (
+        "strategy", "chains", "protected_bytes", "covered_bytes",
+        "coverage_fraction", "overlap_density", "spof_bytes",
+        "spof_regions", "uncovered_bytes", "uncovered_regions",
+        "rule_breakdown", "functions", "byte_map",
+    ):
+        assert key in file_payload, f"missing key {key}"
+    assert file_payload["protected_bytes"] > 0
     assert file_payload["covered_bytes"] > 0
     assert 0.0 < file_payload["coverage_fraction"] <= 1.0
-    assert file_payload["byte_map"]
+    assert file_payload["covered_bytes"] + file_payload["uncovered_bytes"] \
+        == file_payload["protected_bytes"]
+    # the RLE byte map tiles the protected set exactly
+    byte_map = file_payload["byte_map"]
+    assert sum(row[1] for row in byte_map) == file_payload["protected_bytes"]
+    assert sum(row[1] for row in byte_map if row[2] > 0) \
+        == file_payload["covered_bytes"]
+    assert file_payload["rule_breakdown"], "no rule attribution"
+    assert file_payload["functions"], "no per-function stats"
 
     assert main(["stats", str(out_path)]) == 0
     out = capsys.readouterr().out

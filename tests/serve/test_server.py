@@ -12,15 +12,18 @@ import base64
 import json
 import os
 import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro.cache as cache_mod
+import repro.serve.jobs as jobs_mod
 from repro import telemetry
 from repro.core import Parallax, ProtectConfig
 from repro.corpus import build_program_cached
 from repro.pipeline import config_for_program
+from repro.pipeline.pool import mp_context
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.jobs import make_task
 from repro.serve.server import ProtectionServer, serving_pool
@@ -211,9 +214,7 @@ def test_quota_exhaustion_returns_429_with_retry_after(serve_env):
 
 
 def test_queue_backpressure_returns_429(serve_env):
-    config = ServeConfig(
-        port=0, jobs=1, queue_depth=1, batch_max=1
-    )
+    config = ServeConfig(port=0, jobs=1, queue_depth=1)
     with ServerThread(config) as srv:
 
         def one(seed):
@@ -317,3 +318,67 @@ def test_dead_worker_fails_requests_with_a_typed_error(serve_env, tmp_path):
                 assert status == 500
                 assert payload["error"].startswith("BrokenProcessPool")
             assert c.get("/healthz")[0] == 200
+
+
+def test_failing_job_fails_only_its_own_herd(serve_env, monkeypatch, tmp_path):
+    """A job that raises in the worker answers 500 with its error to its
+    leader and every follower, each journaled, is not cached, and runs
+    again on the next identical request; a concurrent job with another
+    key gets 200.
+    """
+    context = mp_context()
+    if context.get_start_method() != "fork":
+        pytest.skip("the patched executor reaches the workers only by fork")
+    release = context.Event()
+    runs = context.Value("i", 0)
+    protect = jobs_mod._EXECUTORS["protect"]
+
+    def failing_on_seed_13(task):
+        if task["seed"] != 13:
+            return protect(task)
+        with runs.get_lock():
+            runs.value += 1
+        release.wait(60)
+        raise RuntimeError("boom on seed 13")
+
+    # Patched before serving_pool forks the workers, which inherit it.
+    monkeypatch.setitem(jobs_mod._EXECUTORS, "protect", failing_on_seed_13)
+    herd = 8
+    error = {"error": "RuntimeError: boom on seed 13"}
+    config = ServeConfig(port=0, jobs=2, cache_dir=str(tmp_path))
+    with ServerThread(config) as srv:
+
+        def one(seed):
+            with ServeClient("127.0.0.1", srv.port, timeout=120) as c:
+                return c.job("protect", "gzip", seed=seed, request=f"s{seed}")
+
+        with ServeClient("127.0.0.1", srv.port, timeout=30) as c, \
+                ThreadPoolExecutor(herd + 1) as pool:
+            failing = [pool.submit(one, 13) for _ in range(herd)]
+            deadline = time.monotonic() + 60
+            while c.get("/stats")[2]["singleflight"]["followers"] < herd - 1:
+                assert time.monotonic() < deadline, "the herd never formed"
+                time.sleep(0.01)
+            # The other key runs on the second worker while the failing
+            # leader still holds the first.
+            status, _headers, payload = pool.submit(one, 14).result(timeout=120)
+            assert status == 200 and payload["seed"] == 14
+            release.set()
+            results = [f.result(timeout=120) for f in failing]
+            assert [(s, p) for s, _h, p in results] == [(500, error)] * herd
+            roles = sorted(h["x-singleflight"] for _s, h, _p in results)
+            assert roles == ["follower"] * (herd - 1) + ["leader"]
+            assert runs.value == 1
+            journal = c.get("/journal?request=s13")[2].splitlines()
+            statuses = [
+                event["status"] for event in map(json.loads, journal)
+                if event["kind"] == "serve.request"
+            ]
+            assert statuses == [500] * herd
+            stats = c.get("/stats")[2]["singleflight"]
+            assert stats == {"leaders": 2, "followers": herd - 1, "in_flight": 0}
+
+            status, headers, payload = c.job("protect", "gzip", seed=13)
+            assert (status, payload) == (500, error)
+            assert headers["x-singleflight"] == "leader"
+            assert runs.value == 2
