@@ -14,8 +14,8 @@ two passes over the same request set:
 
 Per-request latencies feed :class:`repro.telemetry.windows.RollingWindow`
 instances, whose nearest-rank quantiles produce the p50/p95/p99 columns
-— the same machinery ``/stats`` and ``repro top`` use, so the numbers
-in this artifact are directly comparable to the live dashboards.
+— the same machinery ``/stats`` uses, so the numbers in this artifact
+are directly comparable to the live ``/stats`` windows.
 
 A separate coalescing section fires N *concurrent identical* requests
 at a fresh key and checks the single-flight invariant end to end:

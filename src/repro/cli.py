@@ -21,16 +21,13 @@ Commands:
   worker-pool submit per job, and ``/metrics`` + ``/stats`` +
   ``/journal`` introspection;
 * ``stats ARTIFACT...``         — human dashboard over any exported
-  telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace);
-* ``top JOURNAL``               — live, self-refreshing dashboard over
-  another command's ``--journal-follow`` NDJSON stream.
+  telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace).
 
 Observability: the heavier commands take ``--metrics FILE`` (metrics
 JSON), ``--trace FILE`` (span JSONL), ``--chrome-trace FILE``
 (Perfetto-loadable trace-event JSON), ``--prom FILE`` (Prometheus text
-format), ``--journal FILE`` (flight-recorder event JSONL) and
-``--journal-follow FILE`` (the same events streamed live as NDJSON);
-``-`` writes the on-exit exports to stdout.  ``--label KEY=VALUE``
+format) and ``--journal FILE`` (flight-recorder event JSONL);
+``-`` writes the exports to stdout.  ``--label KEY=VALUE``
 (repeatable) runs the command under a labeled telemetry context, and
 ``--recorder-events N`` sizes the flight-recorder ring.  Exports run
 even when the command faults — and from SIGTERM/SIGINT handlers when
@@ -83,12 +80,6 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         "--journal", metavar="FILE", default=None,
         help="enable the flight recorder and export its event journal "
         "as JSONL on exit (written even if the command faults)",
-    )
-    parser.add_argument(
-        "--journal-follow", metavar="FILE", default=None,
-        help="enable the flight recorder and stream events to FILE as "
-        "NDJSON while the command runs — point 'repro top FILE' at it "
-        "from another terminal for a live dashboard",
     )
     parser.add_argument(
         "--recorder-events", type=int, default=None, metavar="N",
@@ -153,42 +144,6 @@ def _parse_labels(pairs):
     return labels
 
 
-def _start_journal_follow(args):
-    """Stream recorder events to ``--journal-follow FILE`` as NDJSON.
-
-    Line-buffered and written from a recorder subscription, so a
-    ``repro top`` tailing the file sees events within one line of them
-    happening.  Returns ``(recorder, callback, fh)`` for teardown.
-    """
-    path = getattr(args, "journal_follow", None)
-    if path is None:
-        return None
-    from .telemetry.metrics import _ensure_parent_dir
-
-    _ensure_parent_dir(path)
-    fh = open(path, "w", buffering=1)
-    recorder = telemetry.get_recorder()
-
-    def write(event):
-        fh.write(json.dumps(event, sort_keys=True))
-        fh.write("\n")
-
-    recorder.subscribe(write)
-    return recorder, write, fh
-
-
-def _stop_journal_follow(stream) -> None:
-    if stream is None:
-        return
-    recorder, write, fh = stream
-    recorder.unsubscribe(write)
-    # Trailing summary line tells a following `repro top` the run is
-    # over (it stops refreshing) and carries the drop count.
-    fh.write(json.dumps(recorder.summary(), sort_keys=True))
-    fh.write("\n")
-    fh.close()
-
-
 def _install_signal_dumps(args, metrics, tracer):
     """Dump telemetry artifacts on SIGTERM/SIGINT, then die normally.
 
@@ -246,10 +201,7 @@ def _telemetry_from_args(args):
         getattr(args, "trace", None) is not None
         or getattr(args, "chrome_trace", None) is not None
     )
-    want_recorder = (
-        getattr(args, "journal", None) is not None
-        or getattr(args, "journal_follow", None) is not None
-    )
+    want_recorder = getattr(args, "journal", None) is not None
     labels = _parse_labels(getattr(args, "label", None))
     if not (want_metrics or want_tracing or want_recorder):
         yield
@@ -260,7 +212,6 @@ def _telemetry_from_args(args):
         recorder=want_recorder,
         recorder_capacity=getattr(args, "recorder_events", None),
     ) as (metrics, tracer):
-        stream = _start_journal_follow(args) if want_recorder else None
         restore_signals = _install_signal_dumps(args, metrics, tracer)
         try:
             if labels:
@@ -270,7 +221,6 @@ def _telemetry_from_args(args):
                 yield
         finally:
             restore_signals()
-            _stop_journal_follow(stream)
             _export_telemetry(args, metrics, tracer)
 
 
@@ -476,19 +426,6 @@ def _cmd_serve(args) -> int:
     return serve(config, announce=announce)
 
 
-def _cmd_top(args) -> int:
-    from .telemetry.top import run_top
-
-    run_top(
-        args.journal,
-        interval=args.interval,
-        duration=args.duration,
-        once=args.once,
-        window_seconds=args.window,
-    )
-    return 0
-
-
 def _cmd_attack(args) -> int:
     from .attacks import tamper_chain_gadget
 
@@ -638,27 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="metrics JSON, span/journal JSONL, or Chrome trace files",
     )
     p_stats.set_defaults(func=_cmd_stats)
-
-    p_top = sub.add_parser(
-        "top", help="live dashboard over a run's --journal-follow stream"
-    )
-    p_top.add_argument(
-        "journal", metavar="JOURNAL",
-        help="NDJSON journal file another repro command is writing via "
-        "--journal-follow (a finished journal renders post-hoc)",
-    )
-    p_top.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                       help="refresh interval (default: 1s)")
-    p_top.add_argument("--duration", type=float, default=None, metavar="SECONDS",
-                       help="stop after this long (default: until the "
-                       "producing run finishes or Ctrl-C)")
-    p_top.add_argument("--once", action="store_true",
-                       help="render one frame from the journal's current "
-                       "content and exit (no screen clearing)")
-    p_top.add_argument("--window", type=float, default=30.0, metavar="SECONDS",
-                       help="rolling-window width for rates and "
-                       "percentiles (default: 30s)")
-    p_top.set_defaults(func=_cmd_top)
 
     p_attack = sub.add_parser("attack", help="tamper demo on a protected program")
     p_attack.add_argument("program", choices=PROGRAM_NAMES)

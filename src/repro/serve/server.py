@@ -24,8 +24,10 @@ One asyncio event loop fronts the existing protection pipeline:
   ``request=`` when the client names one); ``/metrics`` serves the
   live Prometheus text export, ``/stats`` the rolling-window
   throughput/latency snapshot, and ``/journal`` per-request
-  flight-recorder dumps.  ``--journal-follow`` NDJSON feeds
-  ``repro top``'s serve lane.
+  flight-recorder dumps.  ``repro stats`` over the ``--journal`` dump
+  renders the serve lane.  Process-wide gauges and counters (queue
+  depth, in-flight requests, jobs executed, rejections) go to the
+  unlabeled registry captured at start, never to a request's context.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
   requests finish (bounded by ``drain_timeout``), and leave telemetry
   export to the CLI's normal exit path, so a killed daemon still ships
@@ -51,7 +53,7 @@ from typing import Optional, Tuple
 from .. import telemetry
 from ..cache import cache_manager, configure_cache, get_cache
 from ..pipeline.pool import worker_pool
-from ..telemetry import TelemetryContext, WindowSet, get_metrics
+from ..telemetry import MetricsRegistry, TelemetryContext, WindowSet, get_metrics
 from .http import HttpError, Request, json_response, read_request, response_bytes
 from .jobs import (
     DEFAULT_MAX_STEPS,
@@ -165,6 +167,7 @@ class ProtectionServer:
         self._quota = QuotaManager(config.quota_rate, config.quota_burst)
         self._client_tasks: set = set()
         self._windows: Optional[WindowSet] = None
+        self._metrics: Optional[MetricsRegistry] = None
         self._pending = 0
         self._requests_inflight = 0
         self._draining = False
@@ -186,9 +189,9 @@ class ProtectionServer:
             self._handle_client, config.host, config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        metrics = get_metrics()
-        metrics.gauge("serve.jobs").set(config.jobs)
-        metrics.gauge("serve.queue.capacity").set(config.queue_depth)
+        self._metrics = get_metrics()
+        self._metrics.gauge("serve.jobs").set(config.jobs)
+        self._metrics.gauge("serve.queue.capacity").set(config.queue_depth)
 
     def install_signal_handlers(self) -> None:
         """Graceful drain on SIGTERM/SIGINT (event-loop signal handling
@@ -262,14 +265,14 @@ class ProtectionServer:
             if hit:
                 return payload, "hit"
         if self._pending >= self.config.queue_depth:
-            get_metrics().counter(
+            self._metrics.counter(
                 "serve.rejections", labels={"reason": "queue"}
             ).inc()
             raise BusyError(
                 f"admission queue full ({self.config.queue_depth} pending)"
             )
         self._pending += 1
-        get_metrics().gauge("serve.queue.depth").set(self._pending)
+        self._metrics.gauge("serve.queue.depth").set(self._pending)
         try:
             payload = await self._loop.run_in_executor(
                 self._pool, execute_job, task
@@ -278,8 +281,8 @@ class ProtectionServer:
             return {"error": f"{type(exc).__name__}: {exc}"}, "error"
         finally:
             self._pending -= 1
-            get_metrics().gauge("serve.queue.depth").set(self._pending)
-        get_metrics().counter("serve.jobs.executed").inc()
+            self._metrics.gauge("serve.queue.depth").set(self._pending)
+        self._metrics.counter("serve.jobs.executed").inc()
         if cache is not None:
             cache.put(key, payload)
         return payload, "computed"
@@ -379,7 +382,7 @@ class ProtectionServer:
             raise HttpError(400, str(exc)) from exc
         wait = self._quota.try_acquire(tenant)
         if wait > 0:
-            get_metrics().counter(
+            self._metrics.counter(
                 "serve.rejections", labels={"reason": "quota"}
             ).inc()
             self._record_reject(request.path, "quota", tenant=tenant)
@@ -394,8 +397,7 @@ class ProtectionServer:
             labels["request"] = str(request_id)
 
         self._requests_inflight += 1
-        metrics = get_metrics()
-        metrics.gauge("serve.inflight").set(self._requests_inflight)
+        self._metrics.gauge("serve.inflight").set(self._requests_inflight)
         started = time.perf_counter()
         try:
             with TelemetryContext(labels):
@@ -453,7 +455,7 @@ class ProtectionServer:
                     recorder.record("serve.request", **event)
         finally:
             self._requests_inflight -= 1
-            metrics.gauge("serve.inflight").set(self._requests_inflight)
+            self._metrics.gauge("serve.inflight").set(self._requests_inflight)
         headers = {"X-Singleflight": role, "X-Content-Key": key}
         return json_response(
             status, payload, headers, keep_alive=request.keep_alive

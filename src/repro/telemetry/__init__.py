@@ -26,8 +26,8 @@ into the active scope (see :mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
 JSON from the tracer, Prometheus text from the registry, and the
-``repro stats`` / ``repro top`` dashboards over exported (or live)
-artifacts.  Rolling-window aggregation for live views lives in
+``repro stats`` dashboard over exported artifacts.  Rolling-window
+aggregation for the serve daemon's ``/stats`` lives in
 :mod:`repro.telemetry.windows`; the enabled-overhead self-accounting
 and budget checks in :mod:`repro.telemetry.overhead`.
 """

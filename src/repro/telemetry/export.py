@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .metrics import MetricsRegistry, _ensure_parent_dir
+from .metrics import Histogram, MetricsRegistry, _ensure_parent_dir
 from .tracing import Tracer
+from .windows import nearest_rank
 
 __all__ = [
     "chrome_trace",
@@ -193,17 +195,6 @@ def _prom_value(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _sample_identity(key: str, sample: dict) -> Tuple[str, Dict[str, str]]:
-    """Bare metric name + labels for one exported sample.
-
-    Current exports carry ``name``/``labels`` fields; older artifacts
-    only have the series key, where the bare name precedes any ``{``.
-    """
-    name = sample.get("name") or key.split("{", 1)[0]
-    labels = sample.get("labels") or {}
-    return name, labels
-
-
 def prometheus_text(registry) -> str:
     """Prometheus text format from a registry or an exported samples dict.
 
@@ -224,15 +215,16 @@ def prometheus_text(registry) -> str:
     kinds: Dict[str, str] = {}
     for key in sorted(samples):
         sample = samples[key]
-        name, labels = _sample_identity(key, sample)
         kind = sample.get("type")
-        base = _prom_name(name)
+        if kind not in ("counter", "gauge", "histogram"):
+            raise ValueError(f"cannot export sample of type {kind!r}")
+        base = _prom_name(sample["name"])
         if kinds.setdefault(base, kind) != kind:
             raise ValueError(
                 f"family {base!r} mixes sample types "
                 f"({kinds[base]!r} and {kind!r})"
             )
-        families.setdefault(base, []).append((labels, sample))
+        families.setdefault(base, []).append((sample.get("labels", {}), sample))
     lines: List[str] = []
     for base in sorted(families):
         kind = kinds[base]
@@ -251,7 +243,7 @@ def prometheus_text(registry) -> str:
                     f"{base}{_prom_labels(labels)}"
                     f" {_prom_value(sample['value'])}"
                 )
-        elif kind == "histogram":
+        else:
             lines.append(f"# TYPE {base} histogram")
             stddev_lines: List[str] = []
             for labels, sample in series:
@@ -280,8 +272,6 @@ def prometheus_text(registry) -> str:
             if stddev_lines:
                 lines.append(f"# TYPE {base}_stddev gauge")
                 lines.extend(stddev_lines)
-        else:
-            raise ValueError(f"cannot export sample of type {kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -345,39 +335,6 @@ def _counter(samples: Dict[str, dict], name: str) -> float:
     return samples.get(name, {}).get("value", 0)
 
 
-def _sample_quantile(sample: dict, q: float) -> float:
-    """Quantile estimate from an exported histogram sample dict —
-    mirrors :meth:`repro.telemetry.metrics.Histogram.quantile`."""
-    count = sample.get("count", 0)
-    if not count:
-        return 0.0
-    lo = sample.get("min")
-    hi = sample.get("max")
-    if q == 0.0:
-        return lo if lo is not None else 0.0
-    target = q * count
-    cumulative = 0
-    previous_bound = lo if lo is not None else 0.0
-    for bucket in sample.get("buckets", []):
-        bound = bucket["le"]
-        in_bucket = bucket["count"]
-        if bound == "+Inf":
-            break
-        bound = float(bound)
-        if cumulative + in_bucket >= target:
-            lower = min(previous_bound, bound)
-            fraction = (target - cumulative) / in_bucket
-            estimate = lower + (bound - lower) * fraction
-            if lo is not None:
-                estimate = max(estimate, lo)
-            if hi is not None:
-                estimate = min(estimate, hi)
-            return estimate
-        cumulative += in_bucket
-        previous_bound = bound
-    return hi if hi is not None else previous_bound
-
-
 def _fmt_rate(num: float, den: float) -> str:
     return f"{num / den:.2%}" if den else "n/a"
 
@@ -399,8 +356,8 @@ def _stats_context_slices(samples: Dict[str, dict]) -> List[str]:
     run mixed labeled contexts.
     """
     slices: Dict[Tuple[Tuple[str, str], ...], Dict[str, float]] = {}
-    for key, sample in samples.items():
-        name, labels = _sample_identity(key, sample)
+    for sample in samples.values():
+        name, labels = sample["name"], sample.get("labels", {})
         scope = tuple(
             sorted(
                 (k, v) for k, v in labels.items() if k not in _DIMENSION_LABELS
@@ -486,30 +443,25 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
         sample = samples.get(name)
         if sample is not None and sample.get("type") == "histogram":
             latency_rows.append((name.rsplit(".", 1)[-1], sample))
-    # Per attack x rule cells: labeled series on the family (current),
-    # with dotted-suffix names still understood for older artifacts.
-    cell_rows = []
-    for key, sample in samples.items():
-        if sample.get("type") != "histogram":
-            continue
-        name, labels = _sample_identity(key, sample)
-        if name == "attacks.cycles_to_detection" and "attack" in labels:
-            cell_rows.append(
-                (f"{labels['attack']}.{labels.get('rule', '?')}", sample)
-            )
-        elif key.startswith("attacks.cycles_to_detection.") and not labels:
-            cell_rows.append(
-                (key[len("attacks.cycles_to_detection."):], sample)
-            )
-    cells = sorted(cell_rows)
+    # Per attack x rule cells: labeled series on the family.
+    cells = sorted(
+        (
+            (f"{s['labels']['attack']}.{s['labels'].get('rule', '?')}", s)
+            for s in samples.values()
+            if s["name"] == "attacks.cycles_to_detection"
+            and "attack" in s.get("labels", {})
+        ),
+        key=lambda row: row[0],
+    )
     if latency_rows or cells:
         lines.append("detection latency (emulated cycles from tamper)")
         for label, sample in latency_rows:
+            histogram = Histogram.from_sample(sample)
             lines.append(
                 f"  {label:<22} n={sample['count']:<5}"
                 f" mean={sample['mean']:>12,.0f}"
-                f" p50={_sample_quantile(sample, 0.5):>12,.0f}"
-                f" p90={_sample_quantile(sample, 0.9):>12,.0f}"
+                f" p50={histogram.quantile(0.5):>12,.0f}"
+                f" p90={histogram.quantile(0.9):>12,.0f}"
                 f" max={sample['max'] or 0:>12,.0f}"
             )
         if cells:
@@ -524,11 +476,9 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
     # -- hottest mnemonics --------------------------------------------
     def _hot_series(family: str, label: str):
         rows = []
-        for key, sample in samples.items():
-            if sample.get("type") != "counter":
-                continue
-            name, labels = _sample_identity(key, sample)
-            if name == family and label in labels:
+        for sample in samples.values():
+            labels = sample.get("labels", {})
+            if sample["name"] == family and label in labels:
                 rows.append((labels[label], sample["value"]))
         return sorted(rows, key=lambda pair: (-pair[1], pair[0]))
 
@@ -583,25 +533,97 @@ def _stats_spans(records: List[dict]) -> List[str]:
     return lines
 
 
+def _ranked(counts: Counter) -> List[str]:
+    """Keys by descending count, ties by name."""
+    return sorted(counts, key=lambda key: (-counts[key], key))
+
+
 def _stats_journal(records: List[dict]) -> List[str]:
+    """Per-kind counts and ``seconds`` totals/p50/p95, the pipeline
+    cache hit rate, the serve lane and one lane per ``ctx`` label set."""
     events = [r for r in records if r.get("type") == "event"]
     summary = next(
         (r for r in records if r.get("type") == "journal_summary"), None
     )
-    kinds: Dict[str, int] = {}
+    kinds: Counter = Counter()
+    seconds: Dict[str, List[float]] = {}
+    lanes: Dict[str, Counter] = {}
+    tasks: Counter = Counter()
+    roles: Counter = Counter()
+    rejects: Counter = Counter()
+    tenants: Counter = Counter()
     for event in events:
-        kinds[event.get("kind", "?")] = kinds.get(event.get("kind", "?"), 0) + 1
+        kind = event.get("kind", "?")
+        kinds[kind] += 1
+        value = event.get("seconds")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            seconds.setdefault(kind, []).append(value)
+        ctx = event.get("ctx") or {}
+        if ctx:
+            lane = ",".join(f"{k}={v}" for k, v in sorted(ctx.items()))
+            lanes.setdefault(lane, Counter())[kind] += 1
+        if kind == "pipeline.task":
+            tasks["hit" if event.get("cache_hit") else "miss"] += 1
+        elif kind == "serve.request":
+            roles[event.get("singleflight", "?")] += 1
+            if "tenant" in ctx:
+                tenants[ctx["tenant"]] += 1
+        elif kind == "serve.reject":
+            rejects[event.get("reason", "?")] += 1
+
     lines = [f"journal: {len(events)} events retained"]
     if summary is not None:
         lines[0] += (
             f" ({summary.get('recorded', len(events))} recorded,"
             f" {summary.get('dropped', 0)} dropped)"
         )
-    for kind in sorted(kinds, key=lambda k: (-kinds[k], k)):
-        lines.append(f"  {kind:<18} {kinds[kind]:>8,}")
+    for kind in _ranked(kinds):
+        row = f"  {kind:<18} {kinds[kind]:>8,}"
+        values = sorted(seconds.get(kind, ()))
+        if values:
+            row += (
+                f"   total {sum(values):>10.4f}s"
+                f"  p50 {nearest_rank(values, 0.5) * 1e3:>9.2f}ms"
+                f"  p95 {nearest_rank(values, 0.95) * 1e3:>9.2f}ms"
+            )
+        lines.append(row)
     if events:
         span = events[-1].get("ts", 0.0) - events[0].get("ts", 0.0)
         lines.append(f"  time span          {span:>8.3f}s")
+
+    if tasks:
+        total = sum(tasks.values())
+        lines.append(
+            f"pipeline cache     hit {_fmt_rate(tasks['hit'], total)}"
+            f"   ({tasks['hit']:,}/{total:,} tasks)"
+        )
+
+    requests = sum(roles.values())
+    if requests or rejects:
+        role_bits = "".join(
+            f"   {role} {roles[role]:,}"
+            for role in ("leader", "cache-hit", "follower")
+            if role in roles
+        )
+        lines.append(
+            f"serve              {requests:>8,} req"
+            f"   coalesced {_fmt_rate(requests - roles['leader'], requests)}"
+            f"{role_bits}"
+        )
+        if rejects:
+            reasons = ", ".join(f"{r} {rejects[r]:,}" for r in sorted(rejects))
+            lines.append(
+                f"  rejected         {sum(rejects.values()):>8,}   ({reasons})"
+            )
+        for tenant in _ranked(tenants):
+            lines.append(f"  tenant {tenant:<11} {tenants[tenant]:>8,} req")
+
+    if lanes:
+        lines.append("contexts")
+        for lane in sorted(lanes):
+            per = lanes[lane]
+            top = "  ".join(f"{kind} {per[kind]:,}" for kind in _ranked(per)[:4])
+            lines.append(f"  {{{lane}}}  {top}")
     return lines
 
 

@@ -289,6 +289,35 @@ class Histogram:
         # is the largest observation.
         return self.max if self.max is not None else self.buckets[-1]
 
+    @classmethod
+    def from_sample(cls, sample: dict) -> "Histogram":
+        """Rebuild a histogram from its exported :meth:`to_dict` sample."""
+        bounds = [float(b["le"]) for b in sample["buckets"] if b["le"] != "+Inf"]
+        histogram = cls(sample["name"], buckets=bounds, labels=sample.get("labels"))
+        histogram.counts = [b["count"] for b in sample["buckets"]]
+        histogram.count = sample["count"]
+        histogram.sum = sample["sum"]
+        histogram.sum_sq = sample["sum_sq"]
+        histogram.min = sample["min"]
+        histogram.max = sample["max"]
+        return histogram
+
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations; the bucket bounds must match."""
+        if other.buckets != self.buckets:
+            raise ValueError(
+                f"histogram {self.series_key}: bucket bounds differ, cannot merge"
+            )
+        for index, count in enumerate(other.counts):
+            self.counts[index] += count
+        self.count += other.count
+        self.sum += other.sum
+        self.sum_sq += other.sum_sq
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) pairs; the last bound is +Inf."""
         pairs = list(zip(self.buckets, self.counts))
@@ -626,9 +655,9 @@ class MetricsRegistry:
         if not self.enabled:
             return
         extra = _normalize_labels(extra_labels)
-        for key_name, sample in samples.items():
+        for sample in samples.values():
             kind = sample.get("type")
-            name = sample.get("name") or key_name.split("{", 1)[0]
+            name = sample["name"]
             labels = dict(extra)
             labels.update(sample.get("labels") or {})
             if kind == "counter":
@@ -636,32 +665,10 @@ class MetricsRegistry:
             elif kind == "gauge":
                 self.gauge(name, labels=labels).set(sample["value"])
             elif kind == "histogram":
-                bounds = tuple(
-                    float(b["le"]) for b in sample["buckets"] if b["le"] != "+Inf"
-                )
-                histogram = self.histogram(
-                    name, buckets=bounds or (1.0,), labels=labels
-                )
-                if histogram.buckets != bounds:
-                    raise ValueError(
-                        f"histogram {key_name}: bucket bounds differ, cannot merge"
-                    )
-                for index, bucket in enumerate(sample["buckets"]):
-                    histogram.counts[index] += bucket["count"]
-                histogram.count += sample["count"]
-                histogram.sum += sample["sum"]
-                histogram.sum_sq += sample.get("sum_sq", 0.0)
-                for attr in ("min", "max"):
-                    incoming = sample.get(attr)
-                    if incoming is None:
-                        continue
-                    current = getattr(histogram, attr)
-                    if current is None:
-                        setattr(histogram, attr, incoming)
-                    elif attr == "min":
-                        setattr(histogram, attr, min(current, incoming))
-                    else:
-                        setattr(histogram, attr, max(current, incoming))
+                incoming = Histogram.from_sample(sample)
+                self.histogram(
+                    name, buckets=incoming.buckets, labels=labels
+                ).merge(incoming)
             else:
                 raise ValueError(f"cannot merge sample of type {kind!r}")
 

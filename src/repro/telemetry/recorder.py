@@ -39,9 +39,9 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
   offsets from the recorder's creation, plus one wall-clock anchor
   (``start_wall``) so exports can be correlated with span traces.
 * **Subscribable.**  :meth:`subscribe` registers a callback that sees
-  every event as a dict, live — the feed that powers rolling windows
-  (:mod:`repro.telemetry.windows`) and ``--journal-follow`` NDJSON
-  streaming.  With no subscribers the cost is one truthiness check.
+  every event as a dict, live — the feed that powers the serve
+  daemon's rolling windows (:mod:`repro.telemetry.windows`).  With no
+  subscribers the cost is one truthiness check.
 * **Labeled by scope.**  ``record`` stamps the active telemetry
   scope's labels (a :class:`~repro.telemetry.context.TelemetryContext`)
   onto the event as a ``ctx`` field; keys the event already carries in

@@ -1,27 +1,24 @@
 """Rolling-window aggregation over the flight-recorder event stream.
 
 The flight recorder answers *what happened*; this module answers *what
-is happening right now*.  A :class:`RollingWindow` keeps a ring of
-one-second buckets (count, sum, and a capped sample list per bucket)
-and derives per-window rates, an exponentially weighted moving average
-of the per-bucket rate, and sliding quantiles (p50/p95/p99) from the
-retained samples — all O(buckets) to read and O(1) to feed.
+is happening right now* for the serve daemon's ``/stats`` route.  A
+:class:`RollingWindow` keeps a ring of one-second buckets (count, sum,
+and a capped sample list per bucket) and derives per-window rates, an
+exponentially weighted moving average of the per-bucket rate, and
+sliding quantiles (p50/p95/p99) from the retained samples — all
+O(buckets) to read and O(1) to feed.
 
 A :class:`WindowSet` owns one rate window per event kind plus one value
-window per ``(kind, numeric field)`` pair it is told to watch, and
-plugs directly into :meth:`FlightRecorder.subscribe
-<repro.telemetry.recorder.FlightRecorder.subscribe>` — every recorded
-event advances the windows immediately, which is what makes the
-``repro top`` dashboard and ``--journal-follow`` live rather than
-post-hoc.
+window per ``(kind, numeric field)`` pair, and plugs directly into
+:meth:`FlightRecorder.subscribe
+<repro.telemetry.recorder.FlightRecorder.subscribe>`, so every recorded
+event advances the windows immediately.
 
 Time handling: windows never call ``time`` themselves on the feed
 path.  Events carry their own ``ts`` (the recorder's perf-counter
-offset) and that is the time base, so replaying a journal file through
-a :class:`WindowSet` reconstructs exactly the rates a live run saw.
-Reads take an explicit ``now`` (defaulting to the injectable ``clock``,
-then to the newest fed timestamp), which keeps every derived number
-deterministic under test.
+offset) and that is the time base.  Reads take an explicit ``now``
+(defaulting to the injectable ``clock``, then to the newest fed
+timestamp), which keeps every derived number deterministic under test.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["RollingWindow", "WindowSet"]
+__all__ = ["RollingWindow", "WindowSet", "nearest_rank"]
 
 #: Per-bucket cap on retained samples for quantile estimation.  Buckets
 #: past the cap keep counting/summing but stop retaining values; the
@@ -39,6 +36,13 @@ DEFAULT_BUCKET_SAMPLES = 512
 
 #: Default EWMA smoothing factor (weight of the newest bucket).
 DEFAULT_ALPHA = 0.3
+
+
+def nearest_rank(values: List[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of ascending ``values`` (0.0 if empty)."""
+    if not values:
+        return 0.0
+    return values[min(len(values) - 1, max(0, math.ceil(q * len(values)) - 1))]
 
 
 class RollingWindow:
@@ -185,11 +189,8 @@ class RollingWindow:
         values: List[float] = []
         for slot in self._live_slots(now):
             values.extend(self._samples[slot])
-        if not values:
-            return 0.0
         values.sort()
-        rank = min(len(values) - 1, max(0, int(math.ceil(q * len(values))) - 1))
-        return values[rank]
+        return nearest_rank(values, q)
 
     def snapshot(self, now: Optional[float] = None) -> dict:
         now = self._resolve_now(now)
@@ -218,43 +219,20 @@ class WindowSet:
     """Per-event-kind rolling windows fed by a recorder subscription.
 
     One rate window per event kind, plus one value window per
-    ``(kind, field)`` for the numeric fields named in ``value_fields``
-    — by default ``seconds`` (stage durations), ``cycles`` and
-    ``detected_at`` (attack latencies).  Optionally keys windows by a
-    context label too (``group_by="request"`` splits each kind per
-    request id), which is how ``repro top`` shows per-request lanes.
+    ``(kind, field)`` for the numeric fields in :attr:`VALUE_FIELDS`:
+    ``seconds`` (stage durations), ``cycles`` and ``detected_at``
+    (attack latencies).
     """
 
-    __slots__ = (
-        "window_seconds",
-        "value_fields",
-        "group_by",
-        "_clock",
-        "_rates",
-        "_values",
-        "_recorder",
-        "_events_fed",
-    )
+    __slots__ = ("window_seconds", "_rates", "_values", "_recorder")
 
-    DEFAULT_VALUE_FIELDS: Tuple[str, ...] = ("seconds", "cycles", "detected_at")
+    VALUE_FIELDS: Tuple[str, ...] = ("seconds", "cycles", "detected_at")
 
-    def __init__(
-        self,
-        window_seconds: float = 60.0,
-        value_fields: Optional[Iterable[str]] = None,
-        group_by: Optional[str] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, window_seconds: float = 60.0):
         self.window_seconds = float(window_seconds)
-        self.value_fields = tuple(
-            self.DEFAULT_VALUE_FIELDS if value_fields is None else value_fields
-        )
-        self.group_by = group_by
-        self._clock = clock
         self._rates: Dict[str, RollingWindow] = {}
         self._values: Dict[str, RollingWindow] = {}
         self._recorder = None
-        self._events_fed = 0
 
     # -- wiring ---------------------------------------------------------
 
@@ -271,59 +249,27 @@ class WindowSet:
 
     # -- feeding --------------------------------------------------------
 
-    def _key(self, kind: str, event: dict) -> str:
-        if self.group_by:
-            ctx = event.get("ctx") or {}
-            value = ctx.get(self.group_by)
-            if value is not None:
-                return f"{kind}[{self.group_by}={value}]"
-        return kind
-
     def _window(self, table: Dict[str, RollingWindow], key: str) -> RollingWindow:
         window = table.get(key)
         if window is None:
-            window = table[key] = RollingWindow(
-                window_seconds=self.window_seconds, clock=self._clock
-            )
+            window = table[key] = RollingWindow(window_seconds=self.window_seconds)
         return window
 
     def feed_event(self, event: dict) -> None:
-        """Recorder-subscription callback; also usable for replay."""
+        """Recorder-subscription callback."""
         if event.get("type") != "event":
             return
         kind = event.get("kind", "?")
         ts = event.get("ts")
-        key = self._key(kind, event)
-        self._window(self._rates, key).observe(1.0, now=ts)
-        for field in self.value_fields:
+        self._window(self._rates, kind).observe(1.0, now=ts)
+        for field in self.VALUE_FIELDS:
             value = event.get(field)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self._window(self._values, f"{key}.{field}").observe(
+                self._window(self._values, f"{kind}.{field}").observe(
                     float(value), now=ts
                 )
-        self._events_fed += 1
-
-    def replay(self, events: Iterable[dict]) -> int:
-        """Feed a journal (e.g. loaded from JSONL) through the windows."""
-        fed = self._events_fed
-        for event in events:
-            self.feed_event(event)
-        return self._events_fed - fed
 
     # -- reading --------------------------------------------------------
-
-    @property
-    def events_fed(self) -> int:
-        return self._events_fed
-
-    def kinds(self) -> List[str]:
-        return sorted(self._rates)
-
-    def rate_window(self, key: str) -> Optional[RollingWindow]:
-        return self._rates.get(key)
-
-    def value_window(self, key: str, field: str) -> Optional[RollingWindow]:
-        return self._values.get(f"{key}.{field}")
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, dict]:
         """Every window's snapshot, keyed ``kind`` / ``kind.field``."""
@@ -335,7 +281,4 @@ class WindowSet:
         return out
 
     def __repr__(self) -> str:
-        return (
-            f"<WindowSet {len(self._rates)} kinds, "
-            f"{self._events_fed} events fed>"
-        )
+        return f"<WindowSet {len(self._rates)} kinds>"

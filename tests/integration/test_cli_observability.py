@@ -1,5 +1,5 @@
-"""CLI observability surface: labels, journal streaming, `repro top`,
-recorder sizing, and signal-triggered telemetry dumps."""
+"""CLI observability surface: labels, the journal dump, recorder
+sizing, and signal-triggered telemetry dumps."""
 
 import json
 import os
@@ -47,52 +47,33 @@ def test_malformed_label_rejected():
         main(["protect", "wget", "--label", "no-equals-sign"])
 
 
-def test_journal_follow_streams_ndjson_with_summary(
-    tmp_path, capsys, cli_small_wget
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--label", "request=r7"], id="labeled"),
+        pytest.param(["--recorder-events", "4"], id="capped"),
+    ],
+)
+def test_journal_flag_dumps_events_and_summary(
+    tmp_path, capsys, cli_small_wget, flags
 ):
-    follow_path = tmp_path / "live.ndjson"
-    assert main([
-        "protect", "wget", "--label", "request=r7",
-        "--journal-follow", str(follow_path),
-    ]) == 0
-    records = _read_ndjson(follow_path)
-    assert records, "stream is empty"
-    # events stream in recorded order, labeled, and a summary trailer
-    # marks the run finished for `repro top`
-    assert records[-1]["type"] == "journal_summary"
-    events = [r for r in records if r["type"] == "event"]
-    assert any(e["kind"] == "protect" for e in events)
-    assert all(e.get("ctx") == {"request": "r7"} for e in events)
-    assert records[-1]["recorded"] == len(events)
-
-
-def test_recorder_events_caps_the_journal(tmp_path, capsys, cli_small_wget):
     journal_path = tmp_path / "j.ndjson"
-    assert main([
-        "protect", "wget",
-        "--recorder-events", "4", "--journal", str(journal_path),
-    ]) == 0
+    assert main(["protect", "wget", *flags, "--journal", str(journal_path)]) == 0
     records = _read_ndjson(journal_path)
-    events = [r for r in records if r["type"] == "event"]
-    assert len(events) == 4
-    summary = next(r for r in records if r["type"] == "journal_summary")
-    assert summary["capacity"] == 4
-    assert summary["dropped"] > 0
-
-
-def test_top_once_renders_dashboard_from_stream(
-    tmp_path, capsys, cli_small_wget
-):
-    follow_path = tmp_path / "live.ndjson"
-    assert main(
-        ["protect", "wget", "--journal-follow", str(follow_path)]
-    ) == 0
-    capsys.readouterr()
-    assert main(["top", str(follow_path), "--once"]) == 0
-    out = capsys.readouterr().out
-    assert "repro top" in out
-    assert "protect" in out
-    assert "run finished" in out
+    # events in recorded order, then one summary trailer
+    assert records[-1]["type"] == "journal_summary"
+    summary = records[-1]
+    events = records[:-1]
+    assert events and all(e["type"] == "event" for e in events)
+    if "--label" in flags:
+        assert any(e["kind"] == "protect" for e in events)
+        assert all(e.get("ctx") == {"request": "r7"} for e in events)
+        assert summary["recorded"] == len(events)
+        assert summary["dropped"] == 0
+    else:
+        assert len(events) == 4
+        assert summary["capacity"] == 4
+        assert summary["dropped"] > 0
 
 
 def test_sigterm_dumps_telemetry_before_dying(tmp_path):

@@ -1,13 +1,13 @@
 """``repro serve`` as a real daemon process: start, load, drain, export.
 
 One module-scoped run starts ``python -m repro serve --port 0`` with a
-disk cache, a journal, a live NDJSON stream and a Prometheus snapshot,
-reads the bound port off the ``listening on http://HOST:PORT`` line
-(the prefix the perfbench harness parses too), drives a thundering
-herd plus mixed jobs across tenants, probes the introspection routes,
-then sends SIGTERM.  The tests below assert on what that run observed
-and exported.  The artifacts land under pytest's basetemp
-(``serve0/``), so ``--basetemp`` keeps them for ``repro top``.
+disk cache, a journal and a Prometheus snapshot, reads the bound port
+off the ``listening on http://HOST:PORT`` line (the prefix the
+perfbench harness parses too), drives a thundering herd plus mixed
+jobs across tenants, probes the introspection routes, then sends
+SIGTERM.  The tests below assert on what that run observed and
+exported.  The artifacts land under pytest's basetemp (``serve0/``),
+so ``--basetemp`` keeps them for ``repro stats``.
 """
 
 import json
@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.serve import ServeClient
+from repro.telemetry import render_stats
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
 LISTENING = re.compile(r"listening on http://([0-9.]+):(\d+)")
@@ -54,7 +55,6 @@ def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("serve")
     paths = {
         "journal": str(out / "serve-journal.jsonl"),
-        "live": str(out / "serve-live.ndjson"),
         "prom": str(out / "serve-metrics.prom"),
     }
     env = dict(os.environ)
@@ -64,7 +64,6 @@ def run(tmp_path_factory):
          "--jobs", "2", "--cache-dir", str(out / "cache"),
          "--quota-rate", "200",
          "--journal", paths["journal"],
-         "--journal-follow", paths["live"],
          "--prom", paths["prom"]],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -171,9 +170,9 @@ def test_sigterm_drains_and_exports_the_journal(run):
     assert {"serve.request", "serve.drained"} <= kinds, kinds
     summaries = [e for e in exported if e.get("type") == "journal_summary"]
     assert len(summaries) == 1
+    # the serve lane `repro stats` renders from the dump
+    assert re.search(
+        r"^serve .*coalesced", render_stats("journal", exported), re.M
+    )
     assert os.path.getsize(run["paths"]["prom"]) > 0
 
-
-def test_follow_stream_ends_with_a_summary(run):
-    live = _read_ndjson(run["paths"]["live"])
-    assert live and live[-1]["type"] == "journal_summary"

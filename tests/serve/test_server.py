@@ -166,6 +166,20 @@ def test_metrics_endpoint_serves_prometheus_text(client):
     assert 'tenant="acme"' in text
 
 
+def test_process_wide_queue_depth_gauge_is_unlabeled(client):
+    for index in range(3):
+        status, headers, _payload = client.job(
+            "protect", "gzip", seed=40 + index, tenant="t", request=f"r{index}"
+        )
+        assert status == 200 and headers["x-singleflight"] == "leader"
+    _status, _headers, text = client.get("/metrics")
+    series = [
+        line for line in text.splitlines()
+        if line.startswith(("serve_queue_depth ", "serve_queue_depth{"))
+    ]
+    assert series == ["serve_queue_depth 0"]
+
+
 def test_stats_endpoint_exposes_windows_and_singleflight(client):
     client.job("protect", "gzip", seed=1)
     status, _headers, payload = client.get("/stats")

@@ -2,6 +2,7 @@
 the ``repro stats`` renderer, and cross-tracer span ingestion."""
 
 import json
+import re
 
 import pytest
 
@@ -180,6 +181,17 @@ def _engine_samples():
     for mnemonic, count in (("mov", 500), ("add", 300), ("ret", 200)):
         registry.counter("emu.hot.mnemonic", labels={"mnemonic": mnemonic}).inc(count)
     registry.counter("emu.hot.block", labels={"addr": "0x00001000"}).inc(42)
+    buckets = (10, 100, 1000, 10000, 100000)
+    for cycles in (5, 40, 70, 80, 300, 2000, 50000):
+        registry.histogram(
+            "attacks.cycles_to_detection", buckets=buckets
+        ).observe(cycles)
+    for request in ("r1", "r2"):
+        registry.histogram(
+            "attacks.cycles_to_detection", buckets=buckets,
+            labels={"attack": "wurster", "rule": "immediate_mod",
+                    "request": request},
+        ).observe(40)
     return registry.to_dict()
 
 
@@ -197,6 +209,14 @@ def test_render_stats_metrics_dashboard():
     assert "50.00%" in out
     assert "hottest blocks (executions)" in out
     assert "run totals" in out and "12,345" in out
+    # bucket-interpolated quantiles: p50 inside (10, 100], p90 inside
+    # (10000, 100000]
+    assert (
+        "  cycles_to_detection    n=7     mean=       7,499"
+        " p50=          85 p90=      37,000 max=      50,000"
+    ) in out.splitlines()
+    # one row per series, even when two share an attack x rule cell
+    assert out.count("    wurster.immediate_mod        n=1") == 2
 
 
 def test_render_stats_metrics_without_engine_samples():
@@ -224,6 +244,99 @@ def test_render_stats_trace_and_journal_and_chrome(tmp_path):
 
     with pytest.raises(ValueError):
         render_stats("mystery", {})
+
+
+def _event(kind, ts, **fields):
+    return {"type": "event", "seq": 0, "ts": ts, "kind": kind, **fields}
+
+
+def _serve_event(ts, role="leader", tenant="acme", seconds=0.05):
+    return _event(
+        "serve.request", ts, route="/protect", program="gzip",
+        seconds=seconds, status=200, singleflight=role, ctx={"tenant": tenant},
+    )
+
+
+def _reject_event(ts, reason):
+    return _event("serve.reject", ts, route="/protect", reason=reason)
+
+
+_ROLE_MIX = (
+    [_serve_event(0.1, role="leader")] * 2
+    + [_serve_event(0.2, role="follower")] * 5
+    + [_serve_event(0.3, role="cache-hit")] * 3
+)
+
+
+@pytest.mark.parametrize(
+    "events, present, absent",
+    [
+        pytest.param(
+            _ROLE_MIX,
+            # 8 of 10 coalesced: everything that was not a leader
+            [r"^serve +10 req +coalesced 80\.00% +leader 2 +cache-hit 3"
+             r" +follower 5$"],
+            [r"rejected"],
+            id="role-mix-and-coalesce",
+        ),
+        pytest.param(
+            [_serve_event(0.1), _reject_event(0.2, "queue"),
+             _reject_event(0.3, "queue"), _reject_event(0.4, "quota")],
+            [r"^  rejected +3 +\(queue 2, quota 1\)$"],
+            [],
+            id="rejections-by-reason",
+        ),
+        pytest.param(
+            [_reject_event(0.1, "draining")],
+            [r"^serve +0 req", r"^  rejected +1 +\(draining 1\)$"],
+            [],
+            id="rejections-without-successes",
+        ),
+        pytest.param(
+            [_serve_event(0.1 * i, tenant="acme") for i in range(8)]
+            + [_serve_event(0.1 * i, tenant="beta") for i in range(3)],
+            [r"^  tenant acme +8 req$", r"^  tenant beta +3 req$"],
+            [],
+            id="tenants",
+        ),
+        pytest.param(
+            [_event("pipeline.task", 0.1, program="wget", cache_hit=True),
+             _event("pipeline.task", 0.2, program="gzip", cache_hit=False)],
+            [r"^pipeline cache +hit 50\.00% +\(1/2 tasks\)$"],
+            [r"^serve "],
+            id="pipeline-cache-hit-rate",
+        ),
+        pytest.param(
+            [_event("protect", 0.1, ctx={"request": "r1"}),
+             _event("protect", 0.2, ctx={"request": "r2"}),
+             _event("protect", 0.3)],
+            [r"^contexts$", r"^  \{request=r1\}  protect 1$",
+             r"^  \{request=r2\}  protect 1$"],
+            [r"^serve "],
+            id="context-lanes",
+        ),
+        pytest.param(
+            [_serve_event(0.1 * i, seconds=0.1 * i) for i in range(1, 6)],
+            [r"^  serve\.request +5 +total +1\.5000s +p50 +300\.00ms"
+             r" +p95 +500\.00ms$"],
+            [],
+            id="seconds-total-and-percentiles",
+        ),
+        pytest.param(
+            [_event("protect", 0.1),
+             {"type": "journal_summary", "recorded": 6, "dropped": 5}],
+            [r"^journal: 1 events retained \(6 recorded, 5 dropped\)$"],
+            [],
+            id="summary-trailer",
+        ),
+    ],
+)
+def test_render_stats_journal_lanes(events, present, absent):
+    out = render_stats("journal", events)
+    for pattern in present:
+        assert re.search(pattern, out, re.M), (pattern, out)
+    for pattern in absent:
+        assert not re.search(pattern, out, re.M), (pattern, out)
 
 
 # ----------------------------------------------------------------------

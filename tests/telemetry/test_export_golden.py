@@ -1,15 +1,14 @@
 """Golden telemetry exports: every artifact format, frozen end to end.
 
-Four scenarios run end to end, and each of the six exported artifacts
+Four scenarios run end to end, and each of the five exported artifacts
 is compared with a frozen copy under ``tests/telemetry/golden/``.  The
 artifacts are metrics JSON, span-trace JSONL, Chrome trace-event JSON,
-Prometheus text, journal JSONL and the ``--journal-follow`` NDJSON
-stream.  The scenarios:
+Prometheus text and journal JSONL.  The scenarios:
 
 * ``protect``: ``repro protect gzip`` with ``--metrics --trace
   --chrome-trace --prom --journal``;
 * ``protect_labeled``: the same command under ``--label request=ci
-  --label tenant=smoke``, plus ``--journal-follow``;
+  --label tenant=smoke``;
 * ``protect_all``: ``repro protect-all --jobs 2`` on a fresh cache
   directory, so pool-worker telemetry is shipped home and merged;
 * ``finder``: ``find_gadgets(jobs=3)`` over a three-section image under
@@ -56,17 +55,10 @@ ARTIFACTS = (
     "chrome.json",
     "metrics.prom",
     "journal.jsonl",
-    "follow.ndjson",
 )
 
-#: scenario -> the artifacts it exports (only ``protect`` runs without
-#: ``--journal-follow``).
-SCENARIOS = {
-    "protect": ARTIFACTS[:-1],
-    "protect_labeled": ARTIFACTS,
-    "protect_all": ARTIFACTS,
-    "finder": ARTIFACTS,
-}
+#: The scenarios; each exports every artifact.
+SCENARIOS = ("protect", "protect_labeled", "protect_all", "finder")
 
 #: JSON keys whose values are wall-clock measurements.
 TIME_KEYS = frozenset({
@@ -84,8 +76,6 @@ _EXPORT_FLAGS = (
     "--chrome-trace", "chrome.json", "--prom", "metrics.prom",
     "--journal", "journal.jsonl",
 )
-
-_FOLLOW_FLAGS = ("--journal-follow", "follow.ndjson")
 
 
 # ----------------------------------------------------------------------
@@ -123,24 +113,13 @@ def _multi_section_image():
 
 def _run_finder(outdir):
     """``find_gadgets(jobs=3)`` under a labeled context, exported the
-    way the CLI exports (same writers, same NDJSON follow stream)."""
-    follow = open(os.path.join(outdir, "follow.ndjson"), "w")
-
-    def write(event):
-        follow.write(json.dumps(event, sort_keys=True) + "\n")
-
+    way the CLI exports (same writers)."""
     with cache_session(enabled=False), telemetry.telemetry_session(
         recorder=True
     ) as (metrics, tracer):
+        with telemetry.telemetry_context(request="r1"):
+            find_gadgets(_multi_section_image(), jobs=3)
         recorder = telemetry.get_recorder()
-        recorder.subscribe(write)
-        try:
-            with telemetry.telemetry_context(request="r1"):
-                find_gadgets(_multi_section_image(), jobs=3)
-        finally:
-            recorder.unsubscribe(write)
-        follow.write(json.dumps(recorder.summary(), sort_keys=True) + "\n")
-        follow.close()
         metrics.write_json(os.path.join(outdir, "metrics.json"))
         tracer.write_jsonl(os.path.join(outdir, "trace.jsonl"))
         telemetry.write_chrome_trace(tracer, os.path.join(outdir, "chrome.json"))
@@ -155,13 +134,13 @@ def run_scenario(name, outdir):
         return _run_cli(outdir, ["protect", "gzip", *_EXPORT_FLAGS, "--json"])
     if name == "protect_labeled":
         return _run_cli(outdir, [
-            "protect", "gzip", *_EXPORT_FLAGS, *_FOLLOW_FLAGS,
+            "protect", "gzip", *_EXPORT_FLAGS,
             "--label", "request=ci", "--label", "tenant=smoke", "--json",
         ])
     if name == "protect_all":
         return _run_cli(outdir, [
             "protect-all", "--jobs", "2", "--cache-dir", "cache",
-            *_EXPORT_FLAGS, *_FOLLOW_FLAGS,
+            *_EXPORT_FLAGS,
         ])
     if name == "finder":
         return _run_finder(outdir)
@@ -250,7 +229,7 @@ def normalized_artifacts(name, outdir):
     stdout, pid = run_scenario(name, outdir)
     normalizer = _Normalizer(pid)
     out = {}
-    for artifact in SCENARIOS[name]:
+    for artifact in ARTIFACTS:
         with open(os.path.join(outdir, artifact)) as fh:
             out[artifact] = normalizer.artifact(artifact, fh.read())
     return out, stdout
@@ -281,7 +260,7 @@ def scenario_run(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "scenario,artifact",
-    [(s, a) for s, artifacts in SCENARIOS.items() for a in artifacts],
+    [(s, a) for s in SCENARIOS for a in ARTIFACTS],
 )
 def test_export_matches_golden(scenario, artifact, scenario_run):
     artifacts, _stdout = scenario_run(scenario)

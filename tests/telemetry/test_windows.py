@@ -104,7 +104,6 @@ def test_windowset_feeds_rates_and_value_fields():
     assert snap["protect.seconds"]["sum"] == pytest.approx(1.0)
     # booleans are not numeric values
     assert "attack.detected" not in snap
-    assert ws.events_fed == 3
 
 
 def test_windowset_subscription_sees_recorder_events_live():
@@ -112,36 +111,15 @@ def test_windowset_subscription_sees_recorder_events_live():
     ws = WindowSet(window_seconds=30).subscribe_to(recorder)
     recorder.record("protect", program="wget", seconds=0.1)
     recorder.record("attack", detected=False)
-    assert ws.events_fed == 2
-    assert ws.rate_window("protect").count() == 1
+    snap = ws.snapshot()
+    assert snap["protect"]["count"] == 1
+    assert snap["attack"]["count"] == 1
     ws.close()
     recorder.record("protect", program="gzip")
-    assert ws.events_fed == 2  # unsubscribed
-
-
-def test_windowset_replay_reconstructs_live_feed():
-    recorder = FlightRecorder(capacity=64)
-    live = WindowSet(window_seconds=30).subscribe_to(recorder)
-    for i in range(5):
-        recorder.record("protect", seconds=0.1 * i)
-    replayed = WindowSet(window_seconds=30)
-    assert replayed.replay(recorder.to_events()) == 5
-    now = max(e["ts"] for e in recorder.to_events())
-    assert replayed.snapshot(now) == live.snapshot(now)
-
-
-def test_windowset_group_by_context_label():
-    ws = WindowSet(window_seconds=30, group_by="request")
-    ws.feed_event(_event("protect", 0.5, ctx={"request": "r1"}))
-    ws.feed_event(_event("protect", 0.6, ctx={"request": "r2"}))
-    ws.feed_event(_event("protect", 0.7))  # unlabeled
-    snap = ws.snapshot(now=1.0)
-    assert snap["protect[request=r1]"]["count"] == 1
-    assert snap["protect[request=r2]"]["count"] == 1
-    assert snap["protect"]["count"] == 1
+    assert ws.snapshot()["protect"]["count"] == 1  # unsubscribed
 
 
 def test_windowset_ignores_non_event_records():
     ws = WindowSet()
     ws.feed_event({"type": "journal_summary", "recorded": 10})
-    assert ws.events_fed == 0
+    assert ws.snapshot() == {}
