@@ -307,6 +307,12 @@ _ROLE_MIX = (
             id="pipeline-cache-hit-rate",
         ),
         pytest.param(
+            [_event("protect", 0.1)],
+            [r"^  protect +1$"],
+            [r"serve"],
+            id="no-serve-lane-without-serve-events",
+        ),
+        pytest.param(
             [_event("protect", 0.1, ctx={"request": "r1"}),
              _event("protect", 0.2, ctx={"request": "r2"}),
              _event("protect", 0.3)],
