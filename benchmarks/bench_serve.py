@@ -12,10 +12,10 @@ two passes over the same request set:
   serve-cache hit that never touches the pool; this measures the
   serving overhead floor.
 
-Per-request latencies feed :class:`repro.telemetry.windows.RollingWindow`
-instances, whose nearest-rank quantiles produce the p50/p95/p99 columns
-— the same machinery ``/stats`` uses, so the numbers in this artifact
-are directly comparable to the live ``/stats`` windows.
+The p50/p95/p99 columns are nearest-rank quantiles
+(:func:`repro.telemetry.export.nearest_rank`, the rule ``repro stats``
+uses) over every client-observed request latency of a pass; the mean
+is over the same latencies.
 
 A separate coalescing section fires N *concurrent identical* requests
 at a fresh key and checks the single-flight invariant end to end:
@@ -43,7 +43,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import _shared  # noqa: E402
 
 from repro.serve import AsyncServeClient, ServeConfig, ServerThread  # noqa: E402
-from repro.telemetry.windows import RollingWindow  # noqa: E402
+from repro.telemetry.export import nearest_rank  # noqa: E402
 
 DEFAULT_OUTPUT = os.environ.get(
     "REPRO_BENCH_SERVE",
@@ -103,18 +103,14 @@ async def _drive(host, port, concurrency, bodies):
     return time.perf_counter() - start, latencies, roles, statuses
 
 
-def _window_stats(latencies):
-    """Percentiles via the telemetry rolling-window machinery."""
-    window = RollingWindow(window_seconds=3600.0, clock=lambda: 0.0)
-    now = 0.0
-    for latency in latencies:
-        window.observe(latency, now=now)
-        now += 1e-6
+def _latency_stats(latencies):
+    """Nearest-rank percentiles and the mean of one pass's latencies."""
+    ranked = sorted(latencies)
     return {
-        "p50_ms": round(window.quantile(0.50, now) * 1e3, 3),
-        "p95_ms": round(window.quantile(0.95, now) * 1e3, 3),
-        "p99_ms": round(window.quantile(0.99, now) * 1e3, 3),
-        "mean_ms": round(window.mean(now) * 1e3, 3),
+        "p50_ms": round(nearest_rank(ranked, 0.50) * 1e3, 3),
+        "p95_ms": round(nearest_rank(ranked, 0.95) * 1e3, 3),
+        "p99_ms": round(nearest_rank(ranked, 0.99) * 1e3, 3),
+        "mean_ms": round(sum(latencies) / len(latencies) * 1e3, 3),
     }
 
 
@@ -126,7 +122,7 @@ def _pass_row(wall, latencies, roles, statuses):
         "req_per_s": round(len(latencies) / wall, 2),
         "roles": roles,
     }
-    row.update(_window_stats(latencies))
+    row.update(_latency_stats(latencies))
     return row
 
 

@@ -246,7 +246,8 @@ class DiskTier:
         except OSError:
             return None
 
-    def put_blob(self, namespace: str, key: str, blob: bytes) -> None:
+    def put_blob(self, namespace: str, key: str, blob: bytes) -> bool:
+        """Store ``blob``; ``False`` when the disk refused the write."""
         path = self._path(namespace, key)
         directory = os.path.dirname(path)
         try:
@@ -265,7 +266,8 @@ class DiskTier:
         except OSError:
             # Cache writes are best-effort: a full or read-only disk
             # must never fail the protection run itself.
-            pass
+            return False
+        return True
 
     def entry_count(self, namespace: Optional[str] = None) -> int:
         count = 0
@@ -346,7 +348,9 @@ class ContentCache:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         self.memory.put(key, blob if self.store_blobs else value)
         if self.disk is not None and self.use_disk and blob is not None:
-            self.disk.put_blob(self.namespace, key, blob)
+            if not self.disk.put_blob(self.namespace, key, blob):
+                # The memory tier still holds the value and serves it.
+                self._count("disk_errors")
         self._count("stores")
 
     def get_or_compute(self, key: str, compute):

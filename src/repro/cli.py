@@ -18,8 +18,9 @@ Commands:
 * ``serve``                     — protection-as-a-service daemon:
   protect / verify / attack-matrix over HTTP with single-flight
   deduplication, a sharded response cache, per-tenant quotas, one
-  worker-pool submit per job, and ``/metrics`` + ``/stats`` +
-  ``/journal`` introspection;
+  worker-pool submit per job, and ``/metrics`` (request counters and
+  latency histograms), ``/stats`` (in-flight, single-flight and tenant
+  state) and ``/journal`` introspection;
 * ``stats ARTIFACT...``         — human dashboard over any exported
   telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace).
 
@@ -412,7 +413,6 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
-        window_seconds=args.window,
         drain_timeout=args.drain_timeout,
     )
 
@@ -556,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="TOKENS",
                          help="per-tenant burst capacity "
                               "(default: max(1, 2x rate))")
-    p_serve.add_argument("--window", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="rolling-window width for /stats "
-                              "(default: 30s)")
     p_serve.add_argument("--drain-timeout", type=float, default=30.0,
                          metavar="SECONDS",
                          help="max seconds to wait for in-flight requests "

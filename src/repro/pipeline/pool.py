@@ -17,6 +17,11 @@ pending result raises
 waiting forever.  :func:`run_tasks` maps a function over tasks on such a
 pool and yields results in input order, so they merge deterministically
 no matter which worker finishes first.
+
+Shutting a pool down normally waits for its running jobs
+(``with worker_pool(n) as pool:`` does).  :func:`stop_pool` is the one
+way to stop a pool without waiting: the serve daemon calls it after its
+bounded drain, so a long job cannot hold up shutdown.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Optional, Sequence
 
-__all__ = ["mp_context", "worker_init", "worker_pool", "run_tasks"]
+__all__ = ["mp_context", "worker_init", "worker_pool", "stop_pool", "run_tasks"]
 
 
 def mp_context():
@@ -78,6 +83,26 @@ def worker_pool(jobs: int) -> ProcessPoolExecutor:
     # starts them all now, from the caller's thread.
     list(pool.map(int, range(jobs)))
     return pool
+
+
+def stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Stop ``pool`` without waiting for its running jobs.
+
+    Pending futures are cancelled; every worker still alive (one running
+    a job, or one that has not yet read its shutdown sentinel) is then
+    terminated and joined, so no worker outlives the call.  A running
+    job's future fails with
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  Calling it
+    again is a no-op.
+    """
+    # The executor keeps no public handle on its workers.
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        if worker.is_alive():
+            worker.terminate()
+    for worker in workers:
+        worker.join()
 
 
 def run_tasks(

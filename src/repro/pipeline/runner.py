@@ -239,8 +239,8 @@ def protect_all(
         """Adopt one finished task into the parent's telemetry.
 
         Called per result *as it arrives* (not after the whole batch),
-        so labeled contexts, recorder subscribers and rolling windows
-        see pool progress live.
+        so the journal and the active labeled context see pool progress
+        as each task merges.
         The task's payload is adopted into the active scope — under a
         TelemetryContext its labels are applied exactly once, here —
         with its spans under this program's span, laned per worker.

@@ -22,21 +22,25 @@ One asyncio event loop fronts the existing protection pipeline:
 * **Observability** — every request runs under a
   :class:`~repro.telemetry.TelemetryContext` labeled ``tenant=`` (and
   ``request=`` when the client names one); ``/metrics`` serves the
-  live Prometheus text export, ``/stats`` the rolling-window
-  throughput/latency snapshot, and ``/journal`` per-request
+  live Prometheus text export (the ``serve.requests`` counters and the
+  ``serve.request.seconds`` histogram, from which a scraper derives
+  request rates and latency quantiles), ``/stats`` the in-flight,
+  single-flight and per-tenant state, and ``/journal`` per-request
   flight-recorder dumps.  ``repro stats`` over the ``--journal`` dump
   renders the serve lane.  Process-wide gauges and counters (queue
   depth, in-flight requests, jobs executed, rejections) go to the
   unlabeled registry captured at start, never to a request's context.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (bounded by ``drain_timeout``), and leave telemetry
-  export to the CLI's normal exit path, so a killed daemon still ships
-  its journal.
+  requests finish (bounded by ``drain_timeout``), then stop the pool
+  without waiting for jobs still running, and leave telemetry export
+  to the CLI's normal exit path, so a killed daemon still ships its
+  journal.
 
 The worker pool comes from :func:`serving_pool`, the one place serving
 configures its cache and calls :func:`repro.pipeline.pool.worker_pool`.
 :func:`serve` and :class:`ServerThread` build it before the event loop
-starts (so workers fork clean) and shut it down after the loop exits;
+starts (so workers fork clean) and stop it with
+:func:`~repro.pipeline.pool.stop_pool` after the loop exits;
 :class:`ProtectionServer` only submits to it.
 """
 
@@ -52,8 +56,8 @@ from typing import Optional, Tuple
 
 from .. import telemetry
 from ..cache import cache_manager, configure_cache, get_cache
-from ..pipeline.pool import worker_pool
-from ..telemetry import MetricsRegistry, TelemetryContext, WindowSet, get_metrics
+from ..pipeline.pool import stop_pool, worker_pool
+from ..telemetry import MetricsRegistry, TelemetryContext, get_metrics
 from .http import HttpError, Request, json_response, read_request, response_bytes
 from .jobs import (
     DEFAULT_MAX_STEPS,
@@ -101,7 +105,6 @@ class ServeConfig:
         "queue_depth",
         "quota_rate",
         "quota_burst",
-        "window_seconds",
         "drain_timeout",
     )
 
@@ -114,7 +117,6 @@ class ServeConfig:
         queue_depth: int = 64,
         quota_rate: float = 0.0,
         quota_burst: Optional[float] = None,
-        window_seconds: float = 30.0,
         drain_timeout: float = 30.0,
     ):
         if jobs < 1:
@@ -128,7 +130,6 @@ class ServeConfig:
         self.queue_depth = queue_depth
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
-        self.window_seconds = window_seconds
         self.drain_timeout = drain_timeout
 
 
@@ -140,8 +141,8 @@ def serving_pool(config: ServeConfig) -> Executor:
     it is replaced — memory-only when no directory is given, which still
     coalesces and serves warm hits, just not across a restart.  Then
     :func:`~repro.pipeline.pool.worker_pool` starts ``config.jobs``
-    workers.  Call it before any event loop runs; the caller shuts
-    the pool down.
+    workers.  Call it before any event loop runs; the caller stops
+    the pool with :func:`~repro.pipeline.pool.stop_pool`.
     """
     manager = cache_manager()
     if not manager.enabled or (
@@ -166,7 +167,6 @@ class ProtectionServer:
         self._singleflight = SingleFlight()
         self._quota = QuotaManager(config.quota_rate, config.quota_burst)
         self._client_tasks: set = set()
-        self._windows: Optional[WindowSet] = None
         self._metrics: Optional[MetricsRegistry] = None
         self._pending = 0
         self._requests_inflight = 0
@@ -182,9 +182,6 @@ class ProtectionServer:
         telemetry.configure(metrics=True, recorder=True)
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
-        self._windows = WindowSet(
-            window_seconds=config.window_seconds
-        ).subscribe_to(telemetry.get_recorder())
         self._server = await asyncio.start_server(
             self._handle_client, config.host, config.port
         )
@@ -236,8 +233,6 @@ class ProtectionServer:
             task.cancel()
         if self._client_tasks:
             await asyncio.gather(*self._client_tasks, return_exceptions=True)
-        if self._windows is not None:
-            self._windows.close()
         recorder = telemetry.get_recorder()
         if recorder.enabled:
             recorder.record(
@@ -493,7 +488,6 @@ class ProtectionServer:
             return json_response(
                 200,
                 {
-                    "windows": self._windows.snapshot() if self._windows else {},
                     "in_flight": self._requests_inflight,
                     "queued": self._pending,
                     "singleflight": {
@@ -547,10 +541,13 @@ async def _serve_async(
 
 def serve(config: ServeConfig, announce=None) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns 0 on clean drain."""
-    with serving_pool(config) as pool:
+    pool = serving_pool(config)
+    try:
         asyncio.run(
             _serve_async(config, pool, install_signals=True, announce=announce)
         )
+    finally:
+        stop_pool(pool)
     return 0
 
 
@@ -567,7 +564,7 @@ class ServerThread:
     ``.port`` once the context is entered.  Entering builds the
     :func:`serving_pool` from the entering thread, before the server's
     loop thread exists; ``stop()`` performs the same graceful drain a
-    SIGTERM would, and exiting shuts the pool down.
+    SIGTERM would, and exiting stops the pool as :func:`serve` does.
     """
 
     def __init__(self, config: ServeConfig):
@@ -587,7 +584,7 @@ class ServerThread:
         )
         self._thread.start()
         if not self._ready.wait(timeout=30) or self._error is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            stop_pool(self._pool)
             raise RuntimeError(
                 f"server failed to start: {self._error or 'timed out after 30s'}"
             )
@@ -625,7 +622,7 @@ class ServerThread:
     def __exit__(self, *exc) -> bool:
         self.stop()
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            stop_pool(self._pool)
         return False
 
     @property

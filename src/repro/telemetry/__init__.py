@@ -26,10 +26,11 @@ into the active scope (see :mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
 JSON from the tracer, Prometheus text from the registry, and the
-``repro stats`` dashboard over exported artifacts.  Rolling-window
-aggregation for the serve daemon's ``/stats`` lives in
-:mod:`repro.telemetry.windows`; the enabled-overhead self-accounting
-and budget checks in :mod:`repro.telemetry.overhead`.
+``repro stats`` dashboard over exported artifacts; the enabled-overhead
+self-accounting and budget checks live in
+:mod:`repro.telemetry.overhead`.  Live rates and latency quantiles are
+not kept in-process: a Prometheus scraper derives them from the
+counters and histograms that ``/metrics`` exports.
 """
 
 from __future__ import annotations
@@ -63,14 +64,7 @@ from .export import (
     write_chrome_trace,
     write_prometheus,
 )
-from .metrics import (
-    Counter,
-    DEFAULT_TIME_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .overhead import (
     OverheadReport,
     measure_overhead,
@@ -79,17 +73,14 @@ from .overhead import (
 )
 from .recorder import FlightRecorder
 from .tracing import Span, Tracer
-from .windows import RollingWindow, WindowSet
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry",
-    "DEFAULT_TIME_BUCKETS",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Span", "Tracer",
     "FlightRecorder", "get_recorder", "set_recorder",
     "ChainStep", "ChainExecutionTracer", "trace_chain_run",
     "Scope", "TelemetryContext", "telemetry_context", "current_context",
     "current_labels", "clear_context", "capture", "adopt",
-    "RollingWindow", "WindowSet",
     "OverheadReport", "measure_overhead", "publish_overhead",
     "self_accounting",
     "chrome_trace", "write_chrome_trace",

@@ -13,8 +13,8 @@ A :class:`TelemetryContext` is the labeled scope.  It carries a label
 set (request id, tenant, engine — any ``str -> str`` mapping), a child
 registry whose ``base_labels`` stamp the labels on every instrument,
 and a child tracer; it shares its parent's flight recorder, which
-stamps the active labels onto each event as a ``ctx`` field, so
-subscribers and rolling windows see labeled events live.
+stamps the active labels onto each event as a ``ctx`` field, so the
+journal holds labeled events as they are recorded.
 On exit the context **flushes**: its labeled samples and its spans
 (tagged ``ctx.*``) are adopted into the parent scope.  Per-label sums
 therefore always equal what an unlabeled run would have recorded — the

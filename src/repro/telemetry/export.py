@@ -17,6 +17,7 @@ artifacts) into the formats external tools speak:
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from collections import Counter
@@ -24,7 +25,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .metrics import Histogram, MetricsRegistry, _ensure_parent_dir
 from .tracing import Tracer
-from .windows import nearest_rank
 
 __all__ = [
     "chrome_trace",
@@ -34,11 +34,19 @@ __all__ = [
     "load_artifact",
     "render_stats",
     "ARTIFACT_KINDS",
+    "nearest_rank",
 ]
 
 #: Artifact kinds :func:`load_artifact` can sniff — the CLI names these
 #: when a path holds none of them.
 ARTIFACT_KINDS = ("metrics", "trace", "journal", "chrome", "coverage")
+
+
+def nearest_rank(values: List[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of ascending ``values`` (0.0 if empty)."""
+    if not values:
+        return 0.0
+    return values[min(len(values) - 1, max(0, math.ceil(q * len(values)) - 1))]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, wall-clock timers.
+"""Metrics registry: counters, gauges and histograms.
 
 The registry is the machine-readable counterpart of the ad-hoc
 ``summary()``/``report()`` strings scattered through the pipeline.  All
@@ -12,8 +12,6 @@ Design constraints (see DESIGN.md §Observability):
   instruments whose methods do nothing, so instrumented code pays one
   attribute call and nothing else.  The process-wide default registry
   starts *disabled*; :func:`configure` switches it on.
-* **Monotonic timing.**  Timers use :func:`time.perf_counter`, never
-  wall-clock time, so measured durations cannot go backwards.
 * **Explicit buckets.**  Histograms take explicit upper bounds
   (``le`` semantics, like Prometheus): an observation lands in the
   first bucket whose bound is >= the value, else in the +Inf overflow.
@@ -34,29 +32,20 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "NULL_TIMER",
-    "DEFAULT_TIME_BUCKETS",
     "DEFAULT_CYCLE_BUCKETS",
     "DEFAULT_MAX_SERIES",
     "format_series",
 ]
-
-#: Default histogram buckets for durations in seconds (1µs .. 30s).
-DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
 
 #: Default buckets for size-ish quantities (words, bytes, counts).
 DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
@@ -352,61 +341,6 @@ class Histogram:
         return f"<Histogram {self.series_key} n={self.count} mean={self.mean:.3g}>"
 
 
-class Timer:
-    """Wall-clock timer over a histogram of seconds.
-
-    Usable three ways::
-
-        with registry.timer("protect.duration"):
-            ...
-        @registry.timer("find_gadgets.duration")
-        def find(...): ...
-        t = registry.timer("x"); handle = t.start(); ... ; handle.stop()
-
-    All measurements use the monotonic :func:`time.perf_counter`.
-    """
-
-    __slots__ = ("histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self.histogram = histogram
-        self._start: Optional[float] = None
-
-    @property
-    def name(self) -> str:
-        return self.histogram.name
-
-    def start(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError(f"timer {self.name} was never started")
-        elapsed = time.perf_counter() - self._start
-        self._start = None
-        self.histogram.observe(elapsed)
-        return elapsed
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def __call__(self, func: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                self.histogram.observe(time.perf_counter() - start)
-
-        wrapper.__name__ = getattr(func, "__name__", "wrapped")
-        wrapper.__doc__ = func.__doc__
-        return wrapper
-
-
 class _NullCounter(Counter):
     __slots__ = ()
 
@@ -431,24 +365,10 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def start(self) -> "Timer":
-        return self
-
-    def stop(self) -> float:
-        return 0.0
-
-    def __call__(self, func: Callable) -> Callable:
-        return func
-
-
 #: Shared no-op instruments handed out by disabled registries.
 NULL_COUNTER = _NullCounter("null")
 NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null", buckets=(1.0,))
-NULL_TIMER = _NullTimer(NULL_HISTOGRAM)
 
 
 class MetricsRegistry:
@@ -556,16 +476,6 @@ class MetricsRegistry:
             labels,
             lambda lb: Histogram(name, buckets=buckets, help=help, labels=lb),
         )
-
-    def timer(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-        labels: Optional[Mapping] = None,
-    ) -> Timer:
-        if not self.enabled:
-            return NULL_TIMER
-        return Timer(self.histogram(name, buckets=buckets, labels=labels))
 
     # -- introspection --------------------------------------------------
 

@@ -38,15 +38,15 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
 * **Monotonic timestamps.**  Events carry :func:`time.perf_counter`
   offsets from the recorder's creation, plus one wall-clock anchor
   (``start_wall``) so exports can be correlated with span traces.
-* **Subscribable.**  :meth:`subscribe` registers a callback that sees
-  every event as a dict, live — the feed that powers the serve
-  daemon's rolling windows (:mod:`repro.telemetry.windows`).  With no
-  subscribers the cost is one truthiness check.
+* **Append-only.**  :meth:`record` appends one tuple to the ring and
+  does nothing else; events become dicts only when exported.  Live
+  rates and latencies come from the metrics registry's ``/metrics``
+  export, not from the journal.
 * **Labeled by scope.**  ``record`` stamps the active telemetry
   scope's labels (a :class:`~repro.telemetry.context.TelemetryContext`)
   onto the event as a ``ctx`` field; keys the event already carries in
   its own ``ctx`` win.  One process-wide recorder therefore serves every
-  concurrent request, and labeled events stream live.
+  concurrent request.
 * **Self-accounting.**  Every 256th ``record`` times itself and
   extrapolates into ``self_seconds`` — the recorder's own overhead,
   exported as ``telemetry.overhead.*`` (see
@@ -61,7 +61,7 @@ import os
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .metrics import _ensure_parent_dir
 
@@ -106,7 +106,6 @@ class FlightRecorder:
         "_t0",
         "_events",
         "_seq",
-        "_subscribers",
     )
 
     def __init__(self, capacity: Optional[int] = None, enabled: bool = True):
@@ -122,7 +121,6 @@ class FlightRecorder:
         self._t0 = time.perf_counter()
         self._events: deque = deque(maxlen=capacity)
         self._seq = 0
-        self._subscribers: List[Callable[[dict], None]] = []
 
     # -- recording ------------------------------------------------------
 
@@ -132,8 +130,6 @@ class FlightRecorder:
         ``fields`` must be JSON-serializable; ``seq``, ``ts`` and
         ``kind`` are reserved names.  The active scope's labels become
         the ``ctx`` field (the event's own ``ctx`` keys win).
-        Subscribers see the event as a dict immediately after it is
-        retained.
         """
         if not self.enabled:
             return
@@ -150,11 +146,6 @@ class FlightRecorder:
         started = time.perf_counter() if sampled else 0.0
         ts = time.perf_counter() - self._t0
         self._events.append((seq, ts, kind, fields))
-        if self._subscribers:
-            event = {"type": "event", "seq": seq, "ts": round(ts, 9), "kind": kind}
-            event.update(fields)
-            for subscriber in self._subscribers:
-                subscriber(event)
         if sampled:
             self.self_seconds += (
                 (time.perf_counter() - started) * _SELF_SAMPLE_EVERY
@@ -167,8 +158,6 @@ class FlightRecorder:
         recorder's clock, the active scope's labels (see :meth:`record`)
         — preserving the original fields; the worker's own relative
         timestamp survives as ``worker_ts`` and ``pid`` rides along.
-        Ingested events flow through subscribers like locally recorded
-        ones, so live views see pool workers' events as results merge.
         Returns the number of events adopted.
         """
         if not self.enabled:
@@ -189,20 +178,6 @@ class FlightRecorder:
             self.record(event.get("kind", "?"), **fields)
             adopted += 1
         return adopted
-
-    # -- subscriptions ---------------------------------------------------
-
-    def subscribe(self, callback: Callable[[dict], None]) -> Callable:
-        """Register ``callback`` for every future event; returns it."""
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: Callable[[dict], None]) -> None:
-        """Remove a subscriber registered with :meth:`subscribe`."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     # -- introspection --------------------------------------------------
 

@@ -1,5 +1,6 @@
 """The content-addressed cache engine: keys, tiers, counters."""
 
+import errno
 import os
 import pickle
 
@@ -262,3 +263,21 @@ def test_cache_counters_track_hits_misses_stores():
     assert samples["cache.unit.stores"]["value"] == 1
     assert samples["cache.unit.hits"]["value"] == 2
     assert samples["cache.unit.memory_hits"]["value"] == 2
+
+
+def test_failed_disk_put_is_counted_and_served_from_memory(
+    tmp_path, monkeypatch
+):
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with telemetry.telemetry_session(metrics=True) as (metrics, _tracer):
+        cache = ContentCache("unit", disk=DiskTier(str(tmp_path)))
+        monkeypatch.setattr(os, "replace", disk_full)
+        cache.put("k", {"answer": 42})
+        hit, value = cache.get("k")
+        samples = metrics.to_dict()
+    assert samples["cache.unit.disk_errors"]["value"] == 1
+    assert hit and value == {"answer": 42}
+    assert samples["cache.unit.memory_hits"]["value"] == 1
+    assert cache.disk.entry_count("unit") == 0

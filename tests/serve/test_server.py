@@ -180,13 +180,20 @@ def test_process_wide_queue_depth_gauge_is_unlabeled(client):
     assert series == ["serve_queue_depth 0"]
 
 
-def test_stats_endpoint_exposes_windows_and_singleflight(client):
+def test_stats_singleflight_and_metrics_request_latency(client):
     client.job("protect", "gzip", seed=1)
     status, _headers, payload = client.get("/stats")
     assert status == 200
     assert payload["singleflight"]["leaders"] >= 1
-    assert "serve.request" in payload["windows"]
-    assert payload["windows"]["serve.request"]["count"] >= 1
+    assert {"in_flight", "queued", "singleflight", "tenants"} <= set(payload)
+    # Request rates and latencies come from /metrics, not /stats.
+    _status, _headers, text = client.get("/metrics")
+    counts = [
+        float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+        if line.startswith("serve_request_seconds_count{")
+        and 'route="/protect"' in line
+    ]
+    assert counts and sum(counts) >= 1
 
 
 def test_journal_filters_by_request_label(client):
@@ -269,6 +276,46 @@ def test_drain_finishes_inflight_and_journals_shutdown(serve_env):
     kinds = [e["kind"] for e in telemetry.get_recorder().iter_events()]
     assert "serve.drain" in kinds
     assert "serve.drained" in kinds
+
+
+def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
+    """A job still running when the drain gives up does not hold up exit:
+    leaving the server takes about ``drain_timeout``, not the job's 8 s,
+    and the worker that ran it is gone afterwards."""
+    context = mp_context()
+    if context.get_start_method() != "fork":
+        pytest.skip("the patched executor reaches the workers only by fork")
+    started = context.Event()
+
+    def sleeping(task):
+        started.set()
+        time.sleep(8)
+        return {"slept": 8}
+
+    # Patched before serving_pool forks the workers, which inherit it.
+    monkeypatch.setitem(jobs_mod._EXECUTORS, "protect", sleeping)
+    drain_timeout = 1.0
+    config = ServeConfig(
+        port=0, jobs=1, cache_dir=str(tmp_path), drain_timeout=drain_timeout
+    )
+
+    def one(port):
+        with ServeClient("127.0.0.1", port, timeout=30) as c:
+            return c.job("protect", "gzip", seed=31)
+
+    with ThreadPoolExecutor(1) as clients:
+        with ServerThread(config) as srv:
+            workers = list(srv._pool._processes)
+            request = clients.submit(one, srv.port)
+            assert started.wait(60), "the job never reached the worker"
+            began = time.monotonic()
+        elapsed = time.monotonic() - began
+        # The cut-short request gets no answer; the connection just closes.
+        assert request.exception(timeout=30) is not None
+    assert elapsed <= drain_timeout + 3.0, elapsed
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_post_during_drain_is_503(serve_env):

@@ -135,19 +135,14 @@ def test_adopt_labels_payload_once_in_active_scope():
 def test_recorder_stamps_active_scope_labels_live():
     with telemetry_session(recorder=True):
         recorder = get_recorder()
-        seen = []
-        recorder.subscribe(seen.append)
-        try:
-            with telemetry_context(request="r1", tenant="acme"):
-                # one real recorder, no per-context view
-                assert get_recorder() is recorder
-                get_recorder().record("protect", program="wget")
-                get_recorder().record("attack", ctx={"request": "own"})
-        finally:
-            recorder.unsubscribe(seen.append)
-        # the event reached the global ring (and subscribers) while the
-        # context was still open — labeled live, not at flush time
-        event, own = seen
+        with telemetry_context(request="r1", tenant="acme"):
+            # one real recorder, no per-context view
+            assert get_recorder() is recorder
+            get_recorder().record("protect", program="wget")
+            get_recorder().record("attack", ctx={"request": "own"})
+            # the event reached the global ring while the context was
+            # still open — labeled live, not at flush time
+            event, own = recorder.to_events()
         assert event["kind"] == "protect"
         assert event["ctx"] == {"request": "r1", "tenant": "acme"}
         # the event's own ctx keys win over the scope's labels

@@ -1,7 +1,6 @@
-"""Metrics registry: instruments, buckets, timers, no-op mode, export."""
+"""Metrics registry: instruments, buckets, no-op mode, export."""
 
 import json
-import time
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
-    NULL_TIMER,
 )
 
 
@@ -77,49 +75,17 @@ def test_type_conflicts_rejected():
         registry.histogram("name")
 
 
-def test_timer_uses_monotonic_clock_and_records():
-    registry = MetricsRegistry()
-    with registry.timer("t", buckets=(0.001, 0.1, 10.0)):
-        time.sleep(0.01)
-    hist = registry.get("t")
-    assert hist.count == 1
-    # Slept 10ms: the measured duration must be >= the sleep (a wall
-    # clock stepping backwards would violate this) and well under 10s.
-    assert 0.009 <= hist.sum < 10.0
-
-
-def test_timer_as_decorator():
-    registry = MetricsRegistry()
-
-    @registry.timer("decorated")
-    def work():
-        return 7
-
-    assert work() == 7
-    assert work() == 7
-    assert registry.get("decorated").count == 2
-
-
-def test_timer_stop_without_start_raises():
-    registry = MetricsRegistry()
-    with pytest.raises(RuntimeError):
-        registry.timer("t").stop()
-
-
 def test_disabled_registry_emits_nothing():
     registry = MetricsRegistry(enabled=False)
     registry.counter("c").inc(100)
     registry.gauge("g").set(5)
     registry.histogram("h").observe(1)
-    with registry.timer("t"):
-        pass
     assert len(registry) == 0
     assert registry.to_dict() == {}
     # Disabled accessors hand out the shared null instruments.
     assert registry.counter("c") is NULL_COUNTER
     assert registry.gauge("g") is NULL_GAUGE
     assert registry.histogram("h") is NULL_HISTOGRAM
-    assert registry.timer("t") is NULL_TIMER
     assert NULL_COUNTER.value == 0  # the null counter never moves
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import Emulator
 from repro.telemetry import FlightRecorder, MetricsRegistry, Tracer
-from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM, NULL_TIMER
+from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM
 from repro.telemetry.tracing import NULL_SPAN
 from repro.x86 import Assembler, EAX, ECX, Imm
 
@@ -41,7 +41,6 @@ def test_disabled_calls_allocate_nothing():
     tracer = Tracer(enabled=False)
     # disabled accessors hand out the shared null singletons
     assert counter is NULL_COUNTER and hist is NULL_HISTOGRAM
-    assert registry.timer("t") is NULL_TIMER
     assert tracer.span("x") is NULL_SPAN
 
     def batch(n):
