@@ -28,10 +28,6 @@ MAX_STEPS = 300_000_000
 #: REPRO_EMU_ENGINE=step to benchmark the reference interpreter.
 ENGINE = os.environ.get("REPRO_EMU_ENGINE", "block")
 
-# Hot-spot sampling would show up in throughput numbers; benchmarks
-# force it off (it otherwise auto-enables with the metrics registry).
-os.environ.setdefault("REPRO_HOTSPOTS", "0")
-
 #: Where append-only benchmark history lives (one JSONL file per
 #: benchmark), consumed by benchmarks/check_regression.py.  Path
 #: overridable via REPRO_BENCH_HISTORY; empty string disables.

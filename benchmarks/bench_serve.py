@@ -8,9 +8,10 @@ two passes over the same request set:
 * **cold** — every request is unique (fresh seeds), so each one rides
   admission → single-flight → one pool submit → full protection
   pipeline; this measures the compute path.
-* **warm** — the identical requests replayed, so every one is a
+* **warm** — the cold requests replayed, round after round, until the
+  pass holds at least :data:`WARM_REQUESTS`, so every one is a
   serve-cache hit that never touches the pool; this measures the
-  serving overhead floor.
+  serving overhead floor over a pass long enough to time.
 
 The p50/p95/p99 columns are nearest-rank quantiles
 (:func:`repro.telemetry.export.nearest_rank`, the rule ``repro stats``
@@ -56,6 +57,10 @@ DEFAULT_LEVELS = (4, 16, 64)
 #: cheapest kind — the curve measures the serving layer, not the
 #: emulator.
 PROGRAMS = tuple(_shared.PROGRAM_NAMES)
+
+#: Minimum requests in a warm pass.  One round of 24-128 cache hits
+#: ends within a few tenths of a second, too short to time reliably.
+WARM_REQUESTS = 1000
 
 
 def _requests_for_level(level: int, seed_base: int, count: int):
@@ -171,7 +176,10 @@ def run_suite(
             bodies = _requests_for_level(level, seed_base, count)
             seed_base += count
             cold = _pass_row(*asyncio.run(_drive(host, port, level, bodies)))
-            warm = _pass_row(*asyncio.run(_drive(host, port, level, bodies)))
+            rounds = -(-WARM_REQUESTS // count)
+            warm = _pass_row(
+                *asyncio.run(_drive(host, port, level, bodies * rounds))
+            )
             warm_hits = warm["roles"].get("cache-hit", 0) + warm["roles"].get(
                 "follower", 0
             )
@@ -179,7 +187,7 @@ def run_suite(
                 "concurrency": level,
                 "cold": cold,
                 "warm": warm,
-                "warm_hit_fraction": round(warm_hits / count, 4),
+                "warm_hit_fraction": round(warm_hits / warm["requests"], 4),
                 "warm_speedup": round(
                     warm["req_per_s"] / cold["req_per_s"], 2
                 ),

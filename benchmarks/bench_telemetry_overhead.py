@@ -1,11 +1,12 @@
 """Telemetry enabled-overhead gate: measure it, publish it, enforce it.
 
 Runs a representative workload — a whole corpus-program emulation on
-the block engine, the paper's fig. 5b shape — twice under
-:func:`repro.telemetry.measure_overhead`: once with telemetry fully
-disabled, once with metrics + tracing + flight recorder all on.  The
-relative slowdown is the *enabled overhead* of the observability
-stack, and this benchmark fails (exit 1) when it exceeds the budget
+the block engine, the paper's fig. 5b shape — under
+:func:`repro.telemetry.measure_overhead`, alternating runs with
+telemetry fully disabled and with metrics + tracing + flight recorder
+all on, at their defaults.  The relative slowdown is the *enabled
+overhead* of the observability stack, and this benchmark fails
+(exit 1) when it exceeds the budget
 (default 5%, ``REPRO_TELEMETRY_BUDGET`` to override) — the CI gate
 that keeps "cheap enough to leave running" an enforced property
 instead of a docstring claim.

@@ -272,17 +272,15 @@ def _cmd_protect(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .corpus.program import RUN_MAX_STEPS
-    from .emu import HotspotProfiler, profile_run
+    from .emu import profile_run
 
     program = build_program(args.program)
-    hotspots = HotspotProfiler()
     result, profiler = profile_run(
-        program.image, max_steps=RUN_MAX_STEPS,
-        debugger_attached=args.debugger, hotspots=hotspots,
+        program.image, max_steps=RUN_MAX_STEPS, debugger_attached=args.debugger,
     )
     print(profiler.report())
     print()
-    print(hotspots.report())
+    print(profiler.hotspot_report())
     print(f"\ntotal: {result.steps:,} instructions, {result.cycles:,} cycles")
     if result.crashed:
         print(f"FAULT  : {result.fault}")

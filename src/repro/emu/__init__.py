@@ -26,7 +26,6 @@ from .errors import (
     StepLimitExceeded,
     UnsupportedSyscall,
 )
-from .hotspots import HotspotProfiler
 from .memory import PAGE_SIZE, Memory
 from .profiler import FunctionProfile, Profiler, profile_run
 from .syscalls import (
@@ -49,7 +48,7 @@ __all__ = [
     "ENGINE_DESCRIPTIONS", "DEFAULT_ENGINE",
     "BadFetch", "BadMemoryAccess", "DivideError", "EmulationError",
     "Halted", "StepLimitExceeded", "UnsupportedSyscall",
-    "FunctionProfile", "Profiler", "profile_run", "HotspotProfiler",
+    "FunctionProfile", "Profiler", "profile_run",
     "ExitProgram", "OperatingSystem",
     "SYS_EXIT", "SYS_GETPID", "SYS_PTRACE", "SYS_READ", "SYS_TIME", "SYS_WRITE",
 ]

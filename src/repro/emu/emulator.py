@@ -36,7 +36,6 @@ view — this is what makes the Wurster attack expressible.
 
 from __future__ import annotations
 
-import os as _os
 from typing import Callable, Optional
 
 from ..binary.image import BinaryImage
@@ -219,11 +218,9 @@ class Emulator:
         self._ras = []  # shadow return-address stack (branch predictor)
         #: the block observer both engines call (see the module
         #: docstring): ``None``, the one registered observer, or a
-        #: fan-out over several.  Rebuilt by ``add_observer`` and by
-        #: assigning ``hotspots``.
+        #: fan-out over several.  Rebuilt by ``add_observer``.
         self.observer: Optional[Callable[[object, int], None]] = None
         self._observers = []
-        self._hotspots = None
         self._step_blocks = {}
         # Two-generation decode cache: hits promote entries from the old
         # generation into the young one; when the young generation fills
@@ -232,7 +229,6 @@ class Emulator:
         self._decode_cache = {}
         self._decode_cache_old = {}
         self._block_engine = None
-        self._hotspots_auto = False
         #: optional TamperWatch stamping the first execution of tampered
         #: bytes; ``None`` keeps the hot path to one identity check.
         self.tamper_watch: Optional[TamperWatch] = None
@@ -258,29 +254,10 @@ class Emulator:
             self._block_engine = BlockEngine(self)
         return self._block_engine
 
-    @property
-    def hotspots(self):
-        """Optional HotspotProfiler, one more block observer.
-
-        Installed lazily by run() (see REPRO_HOTSPOTS) or explicitly by
-        callers.  ``None`` keeps the hot paths to one identity check.
-        """
-        return self._hotspots
-
-    @hotspots.setter
-    def hotspots(self, hotspots) -> None:
-        self._hotspots = hotspots
-        self._rebuild_observer()
-
     def add_observer(self, observer: Callable[[object, int], None]) -> None:
         """Register a block observer (see the module docstring)."""
         self._observers.append(observer)
-        self._rebuild_observer()
-
-    def _rebuild_observer(self) -> None:
         observers = list(self._observers)
-        if self._hotspots is not None:
-            observers.append(self._hotspots)
         if len(observers) > 1:
             def fan_out(block, count):
                 for observer in observers:
@@ -288,7 +265,7 @@ class Emulator:
 
             self.observer = fan_out
         else:
-            self.observer = observers[0] if observers else None
+            self.observer = observer
 
     def _step_block(self, eip: int, insn: Instruction) -> StepBlock:
         """The memoized :class:`StepBlock` for ``insn`` at ``eip``."""
@@ -462,7 +439,6 @@ class Emulator:
         """
         from ..telemetry import get_metrics, get_tracer
 
-        self._maybe_enable_hotspots(get_metrics())
         start_steps = self.steps
         compiled = self._compiled_engine()
         with get_tracer().span("emulate") as span:
@@ -486,7 +462,11 @@ class Emulator:
                 metrics.counter(
                     f"emu.faults.{type(fault).__name__}"
                 ).inc()
-            self._record_engine_metrics(metrics)
+            be = self._block_engine
+            if be is not None:
+                for counter in ("compiled", "hits", "epoch_hits",
+                                "page_revalidations", "invalidated", "write_aborts"):
+                    metrics.counter(f"emu.blocks.{counter}").inc(getattr(be, counter))
             span.set_attribute(
                 "engine", ENGINE_BLOCK if compiled is not None else ENGINE_STEP
             )
@@ -504,53 +484,6 @@ class Emulator:
             stdout=bytes(self.os.stdout),
             fault=fault,
         )
-
-    def _maybe_enable_hotspots(self, metrics) -> None:
-        """Install a hot-spot profiler per the ``REPRO_HOTSPOTS`` env.
-
-        ``auto`` (default) samples whenever the metrics registry is
-        enabled; ``1`` forces sampling on and ``0`` forces it off (the
-        throughput benchmarks set ``0`` so profiling never skews their
-        numbers).  Never replaces a profiler a caller installed.
-        """
-        if self.hotspots is not None:
-            return
-        mode = _os.environ.get("REPRO_HOTSPOTS", "auto")
-        if mode == "1" or (mode != "0" and metrics.enabled):
-            from .hotspots import HotspotProfiler
-
-            self.hotspots = HotspotProfiler()
-            self._hotspots_auto = True
-
-    def _record_engine_metrics(self, metrics) -> None:
-        be = self._block_engine
-        if be is not None:
-            metrics.counter("emu.blocks.compiled").inc(be.compiled)
-            metrics.counter("emu.blocks.hits").inc(be.hits)
-            metrics.counter("emu.blocks.epoch_hits").inc(be.epoch_hits)
-            metrics.counter("emu.blocks.page_revalidations").inc(
-                be.page_revalidations
-            )
-            metrics.counter("emu.blocks.invalidated").inc(be.invalidated)
-            metrics.counter("emu.blocks.write_aborts").inc(be.write_aborts)
-        hot = self.hotspots
-        if hot is not None:
-            # One labeled family per hot-spot dimension: the mnemonic /
-            # address is a label, not a name suffix, so Prometheus sees
-            # one family and the cardinality guard bounds the series.
-            for mnemonic, count in hot.top_mnemonics(16):
-                metrics.counter(
-                    "emu.hot.mnemonic", labels={"mnemonic": mnemonic}
-                ).inc(count)
-            for start, execs in hot.top_blocks(16):
-                metrics.counter(
-                    "emu.hot.block", labels={"addr": f"{start:#010x}"}
-                ).inc(execs)
-            if self._hotspots_auto:
-                # Counts were flushed into the registry; clear so
-                # repeated run() calls don't double-count.  A profiler
-                # installed by the caller is left intact for them.
-                hot.clear()
 
     def call_function(self, vaddr: int, args=(), max_steps: Optional[int] = None):
         """Call a function at ``vaddr`` with cdecl int args; returns eax.

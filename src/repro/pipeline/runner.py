@@ -129,8 +129,7 @@ def _run_task(task: dict) -> dict:
 
     Runs under :func:`~repro.telemetry.capture`, collecting metrics,
     spans and events only when the parent has them enabled
-    (``task["metrics"]``, ``task["tracing"]``, ``task["recording"]``),
-    so with metrics off a verify run pays for no hot-spot profile.
+    (``task["metrics"]``, ``task["tracing"]``, ``task["recording"]``).
     Returns only picklable data, telemetry payload included.  The
     cache verdict comes from the protect call itself.  Used both by
     pool workers and the ``jobs=1`` inline path, which is why the

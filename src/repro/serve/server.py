@@ -31,8 +31,10 @@ One asyncio event loop fronts the existing protection pipeline:
   depth, in-flight requests, jobs executed, rejections) go to the
   unlabeled registry captured at start, never to a request's context.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (bounded by ``drain_timeout``), then stop the pool
-  without waiting for jobs still running, and leave telemetry export
+  requests finish (bounded by ``drain_timeout``), answer the ones still
+  waiting with a 503 ``{"error": "draining: ..."}``, counted and
+  journaled like any response, then stop the pool without waiting for
+  jobs still running, and leave telemetry export
   to the CLI's normal exit path, so a killed daemon still ships its
   journal.
 
@@ -67,7 +69,7 @@ from .jobs import (
     make_task,
 )
 from .quota import QuotaManager
-from .singleflight import FOLLOWER, SingleFlight
+from .singleflight import FOLLOWER, LEADER, SingleFlight
 
 __all__ = [
     "ServeConfig",
@@ -220,7 +222,8 @@ class ProtectionServer:
         await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, then wait for in-flight requests."""
+        """Stop accepting, wait for in-flight requests, then cut them
+        short: a job request still waiting answers 503 and closes."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -312,7 +315,7 @@ class ProtectionServer:
                     await writer.drain()
                 except ConnectionError:
                     return
-                if not request.keep_alive:
+                if not request.keep_alive or self._draining:
                     return
         except asyncio.CancelledError:
             pass
@@ -394,12 +397,23 @@ class ProtectionServer:
         self._requests_inflight += 1
         self._metrics.gauge("serve.inflight").set(self._requests_inflight)
         started = time.perf_counter()
+        joined = self._singleflight.is_inflight(key)
         try:
             with TelemetryContext(labels):
                 try:
                     (payload, source), sf_role = await self._singleflight.run(
                         key, lambda: self._execute(task, key)
                     )
+                except asyncio.CancelledError:
+                    if not self._draining:
+                        raise
+                    # The drain timed out with this job still running:
+                    # answer it rather than drop the connection.
+                    payload = {
+                        "error": "draining: the job did not finish within "
+                        f"the {self.config.drain_timeout:g}s drain timeout"
+                    }
+                    source, sf_role = "draining", FOLLOWER if joined else LEADER
                 except BusyError as exc:
                     self._record_reject(request.path, "queue", tenant=tenant)
                     raise HttpError(
@@ -416,7 +430,7 @@ class ProtectionServer:
                     if sf_role == FOLLOWER
                     else ("cache-hit" if source == "hit" else "leader")
                 )
-                status = 500 if source == "error" else 200
+                status = {"error": 500, "draining": 503}.get(source, 200)
                 elapsed = time.perf_counter() - started
                 ctx_metrics = get_metrics()
                 ctx_metrics.counter(
@@ -453,7 +467,8 @@ class ProtectionServer:
             self._metrics.gauge("serve.inflight").set(self._requests_inflight)
         headers = {"X-Singleflight": role, "X-Content-Key": key}
         return json_response(
-            status, payload, headers, keep_alive=request.keep_alive
+            status, payload, headers,
+            keep_alive=request.keep_alive and not self._draining,
         )
 
     def _record_reject(self, route: str, reason: str, **fields) -> None:

@@ -89,15 +89,10 @@ class OverheadReport:
         )
 
 
-def _best_of(workload: Callable[[], None], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        workload()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return best
+def _timed(workload: Callable[[], None]) -> float:
+    started = time.perf_counter()
+    workload()
+    return time.perf_counter() - started
 
 
 def measure_overhead(
@@ -106,24 +101,28 @@ def measure_overhead(
     budget: Optional[float] = None,
     warmup: int = 1,
 ) -> OverheadReport:
-    """Time ``workload`` telemetry-off vs telemetry-on (best of
-    ``repeats``); interleaving-free: all off runs, then all on runs,
-    after ``warmup`` untimed calls to absorb import/JIT warm-up.
+    """Time ``workload`` telemetry-off vs telemetry-on, best of
+    ``repeats`` per arm, after ``warmup`` untimed calls to absorb
+    import/JIT warm-up.  The arms alternate — one off run, then one on
+    run, per repeat — so drift in the host's speed lands on both.
 
-    The "on" configuration is the most expensive supported one —
-    metrics, tracing *and* the flight recorder enabled — so the
-    reported fraction upper-bounds what any real run pays.
+    The "on" configuration is the most expensive one a user can turn
+    on — metrics, tracing *and* the flight recorder, at their defaults
+    — so the reported fraction upper-bounds what any real run pays.
     """
     from . import get_recorder, telemetry_session
 
     budget = configured_budget() if budget is None else budget
     for _ in range(warmup):
         workload()
-    with telemetry_session(metrics=False, tracing=False):
-        off_seconds = _best_of(workload, repeats)
-    with telemetry_session(metrics=True, tracing=True, recorder=True):
-        on_seconds = _best_of(workload, repeats)
-        recorder_self = get_recorder().self_seconds
+    off_seconds = on_seconds = float("inf")
+    recorder_self = 0.0
+    for _ in range(repeats):
+        with telemetry_session(metrics=False, tracing=False):
+            off_seconds = min(off_seconds, _timed(workload))
+        with telemetry_session(metrics=True, tracing=True, recorder=True):
+            on_seconds = min(on_seconds, _timed(workload))
+            recorder_self += get_recorder().self_seconds
     return OverheadReport(
         off_seconds=off_seconds,
         on_seconds=on_seconds,

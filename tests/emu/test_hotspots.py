@@ -1,9 +1,9 @@
-"""Engine hot-spot profiler: sampling, aggregation, metrics export."""
+"""The profiler's hot-spot view: sampling, aggregation, metrics export."""
 
 import repro.emu.blocks as blocks
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import Emulator, HotspotProfiler, StepBlock
-from repro.telemetry import MetricsRegistry, telemetry_session
+from repro.emu import Emulator, Profiler, StepBlock, profile_run
+from repro.telemetry import telemetry_session
 from repro.x86 import Assembler, EAX, ECX, Imm, Instruction
 
 BASE = 0x1000
@@ -46,7 +46,7 @@ def step(hot, mnemonic, eip=0x9000):
 
 
 def test_step_and_block_samples_merge():
-    hot = HotspotProfiler()
+    hot = Profiler(BinaryImage("t"))
     for _ in range(3):
         step(hot, "mov")
     step(hot, "ret", eip=0x9001)
@@ -65,7 +65,7 @@ def test_step_and_block_samples_merge():
 
 
 def test_partial_block_runs_count_only_executed_instructions():
-    hot = HotspotProfiler()
+    hot = Profiler(BinaryImage("t"))
     block = FakeBlock(0x1000, ("cmp", "jne", "add", "ret"))
     hot(block, 4)
     hot(block, 2)  # side exit at the jne
@@ -75,20 +75,20 @@ def test_partial_block_runs_count_only_executed_instructions():
 
 
 def test_ties_rank_deterministically_and_clear_resets():
-    hot = HotspotProfiler()
+    hot = Profiler(BinaryImage("t"))
     step(hot, "b")
     step(hot, "a", eip=0x9001)
     assert hot.top_mnemonics(2) == [("a", 1), ("b", 1)]  # count desc, then name
     hot.clear()
     assert hot.total_samples == 0
-    assert hot.report() == "no hot-spot samples recorded"
+    assert hot.hotspot_report() == "no hot-spot samples recorded"
 
 
 def test_report_renders_mnemonic_and_block_tables():
-    hot = HotspotProfiler()
+    hot = Profiler(BinaryImage("t"))
     step(hot, "mov")
     hot(FakeBlock(0x2000, ("ret",)), 1)
-    out = hot.report()
+    out = hot.hotspot_report()
     assert "engine hot spots" in out
     assert "mov" in out and "ret" in out
     assert "0x00002000" in out  # block table keyed by start address
@@ -100,21 +100,24 @@ def test_report_renders_mnemonic_and_block_tables():
 
 
 def test_step_engine_samples_every_instruction():
-    emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.hotspots = HotspotProfiler()
+    img = make_loop_image()
+    emu = Emulator(img, max_steps=100_000, engine="step")
+    hot = Profiler(img)
+    hot.attach(emu)
     emu.call_function(BASE)
-    counts = emu.hotspots.mnemonic_counts()
+    counts = hot.mnemonic_counts()
     assert sum(counts.values()) == emu.steps
     assert counts.get("add", 0) >= 50
-    assert not emu.hotspots.block_samples  # no blocks in the step engine
+    assert not hot.block_samples  # no blocks in the step engine
 
 
 def test_block_engine_samples_block_executions(monkeypatch):
     monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
-    emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
-    emu.hotspots = HotspotProfiler()
+    img = make_loop_image()
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    hot = Profiler(img)
+    hot.attach(emu)
     emu.call_function(BASE)
-    hot = emu.hotspots
     assert hot.block_samples, "block engine must record block executions"
     assert max(hot.block_samples.values()) >= 40  # the loop body re-enters
     counts = hot.mnemonic_counts()
@@ -128,10 +131,11 @@ def test_block_engine_mnemonic_counts_are_exact_on_gzip(small_gzip):
     counts = {}
     for engine in ("step", "block"):
         emu = Emulator(small_gzip.image, max_steps=10_000_000, engine=engine)
-        emu.hotspots = HotspotProfiler()
+        hot = Profiler(small_gzip.image)
+        hot.attach(emu)
         result = emu.run()
         assert not result.crashed
-        counts[engine] = emu.hotspots.mnemonic_counts()
+        counts[engine] = hot.mnemonic_counts()
         assert sum(counts[engine].values()) == result.steps
     assert counts["block"] == counts["step"]
 
@@ -139,76 +143,43 @@ def test_block_engine_mnemonic_counts_are_exact_on_gzip(small_gzip):
 def test_no_sampling_without_a_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
     emu.call_function(BASE)
-    assert emu.hotspots is None  # call_function never auto-installs
+    assert emu.observer is None  # call_function never installs one
 
 
 # ----------------------------------------------------------------------
-# Auto-install policy (REPRO_HOTSPOTS) and metrics export
+# Metrics export: only a profile run publishes hot spots
 # ----------------------------------------------------------------------
 
 
-def test_auto_install_follows_metrics_and_env(monkeypatch):
-    img = make_loop_image()
-    monkeypatch.delenv("REPRO_HOTSPOTS", raising=False)
-    emu = Emulator(img, max_steps=100_000, engine="step")
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=False))
-    assert emu.hotspots is None  # auto + metrics off -> no profiler
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert emu.hotspots is not None and emu._hotspots_auto
-
-    monkeypatch.setenv("REPRO_HOTSPOTS", "0")
-    forced_off = Emulator(img, max_steps=100_000, engine="step")
-    forced_off._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert forced_off.hotspots is None  # "0" beats enabled metrics
-
-    monkeypatch.setenv("REPRO_HOTSPOTS", "1")
-    forced_on = Emulator(img, max_steps=100_000, engine="step")
-    forced_on._maybe_enable_hotspots(MetricsRegistry(enabled=False))
-    assert forced_on.hotspots is not None  # "1" beats disabled metrics
-
-
-def test_auto_install_never_replaces_a_caller_profiler(monkeypatch):
-    monkeypatch.setenv("REPRO_HOTSPOTS", "1")
-    emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    mine = HotspotProfiler()
-    emu.hotspots = mine
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert emu.hotspots is mine and not emu._hotspots_auto
-
-
-def test_metrics_export_flushes_auto_profiler():
-    emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.hotspots = HotspotProfiler()
-    emu._hotspots_auto = True
-    emu.call_function(BASE)
-    registry = MetricsRegistry(enabled=True)
-    emu._record_engine_metrics(registry)
-    samples = registry.to_dict()
-    assert samples['emu.hot.mnemonic{mnemonic="add"}']["value"] >= 50
-    # auto-installed profilers are cleared after the flush so repeated
-    # runs do not double-count
-    assert emu.hotspots.total_samples == 0
-
-
-def test_metrics_export_retains_explicit_profiler():
-    emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
-    mine = HotspotProfiler()
-    emu.hotspots = mine  # caller-installed: _hotspots_auto stays False
-    emu.call_function(BASE)
-    registry = MetricsRegistry(enabled=True)
-    emu._record_engine_metrics(registry)
-    samples = registry.to_dict()
-    assert any(name.startswith("emu.hot.block{") for name in samples)
-    assert mine.total_samples > 0  # left intact for the caller
-
-
-def test_run_under_metrics_session_exports_hot_counters(monkeypatch):
-    monkeypatch.delenv("REPRO_HOTSPOTS", raising=False)
-    with telemetry_session(metrics=True) as (metrics, _tracer):
+def test_plain_run_under_telemetry_registers_no_observer():
+    with telemetry_session(metrics=True, tracing=True, recorder=True) as (
+        metrics, _tracer,
+    ):
         emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
         emu.cpu.eip = BASE
         emu.run()  # the bare `ret` faults; metrics still flush
         samples = metrics.to_dict()
-    hot_names = [n for n in samples if n.startswith("emu.hot.mnemonic{")]
-    assert hot_names, "run() must auto-install and flush the profiler"
-    assert emu.hotspots is not None and emu.hotspots.total_samples == 0
+    assert emu.observer is None
+    assert samples["emu.runs"]["value"] == 1
+    assert not [name for name in samples if name.startswith("emu.hot.")]
+
+
+def test_profile_run_under_metrics_exports_its_top_hot_spots(small_gzip):
+    with telemetry_session(metrics=True) as (metrics, _tracer):
+        result, profiler = profile_run(small_gzip.image, max_steps=10_000_000)
+        samples = metrics.to_dict()
+    assert not result.crashed
+
+    def series(family, label):
+        return sorted(
+            (sample["labels"][label], sample["value"])
+            for sample in samples.values()
+            if sample["name"] == family
+        )
+
+    assert series("emu.hot.mnemonic", "mnemonic") == sorted(
+        profiler.top_mnemonics(16)
+    )
+    assert series("emu.hot.block", "addr") == sorted(
+        (f"{start:#010x}", execs) for start, execs in profiler.top_blocks(16)
+    )

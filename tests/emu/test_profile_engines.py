@@ -16,8 +16,7 @@ from repro.corpus import (
     build_bzip2, build_gcc, build_gzip, build_lame, build_nginx, build_wget,
 )
 from repro.emu import (
-    Emulator, HotspotProfiler, OperatingSystem, Profiler, StepLimitExceeded,
-    TamperWatch,
+    Emulator, OperatingSystem, Profiler, StepLimitExceeded, TamperWatch,
 )
 from repro.emu.dispatch import RET_MISPREDICT_PENALTY
 from repro.x86 import Assembler, EAX, EBX, ECX, EDX, ESI, Imm, mem32
@@ -56,13 +55,12 @@ class Runs:
 
 
 def profile(image, engine, max_steps=1_000_000, watch=None):
-    """One run under ``engine`` with a profiler, hot spots and a recorder."""
+    """One run under ``engine`` with a profiler and a recorder."""
     emu = Emulator(image, os=OperatingSystem(), max_steps=max_steps, engine=engine)
     profiler = Profiler(image)
     profiler.attach(emu)
     runs = Runs()
     emu.add_observer(runs)
-    emu.hotspots = HotspotProfiler()
     if watch is not None:
         emu.tamper_watch = TamperWatch([watch])
     result = emu.run()
@@ -78,7 +76,7 @@ def signature(emu, result, profiler):
         },
         "call_edges": dict(profiler.call_edges),
         "total_cycles": profiler.total_cycles,
-        "mnemonics": emu.hotspots.mnemonic_counts(),
+        "mnemonics": profiler.mnemonic_counts(),
         "result": (
             result.exit_status, result.steps, result.cycles, result.stdout,
             type(fault).__name__ if fault else None,

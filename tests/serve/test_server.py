@@ -281,7 +281,8 @@ def test_drain_finishes_inflight_and_journals_shutdown(serve_env):
 def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
     """A job still running when the drain gives up does not hold up exit:
     leaving the server takes about ``drain_timeout``, not the job's 8 s,
-    and the worker that ran it is gone afterwards."""
+    and the worker that ran it is gone afterwards.  The cut-short request
+    is answered 503, counted and journaled."""
     context = mp_context()
     if context.get_start_method() != "fork":
         pytest.skip("the patched executor reaches the workers only by fork")
@@ -303,6 +304,16 @@ def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
         with ServeClient("127.0.0.1", port, timeout=30) as c:
             return c.job("protect", "gzip", seed=31)
 
+    def drained_503s():
+        return sum(
+            sample["value"]
+            for sample in telemetry.get_metrics().to_dict().values()
+            if sample["name"] == "serve.requests"
+            and sample["labels"].get("route") == "/protect"
+            and sample["labels"].get("status") == "503"
+        )
+
+    before = drained_503s()
     with ThreadPoolExecutor(1) as clients:
         with ServerThread(config) as srv:
             workers = list(srv._pool._processes)
@@ -310,9 +321,19 @@ def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
             assert started.wait(60), "the job never reached the worker"
             began = time.monotonic()
         elapsed = time.monotonic() - began
-        # The cut-short request gets no answer; the connection just closes.
-        assert request.exception(timeout=30) is not None
+        status, headers, payload = request.result(timeout=30)
     assert elapsed <= drain_timeout + 3.0, elapsed
+    assert status == 503, payload
+    assert payload["error"].startswith("draining: ")
+    assert headers["connection"] == "close"
+    assert drained_503s() == before + 1
+    events = [
+        e for e in telemetry.get_recorder().iter_events()
+        if e["kind"] == "serve.request" and e.get("status") == 503
+    ]
+    assert [(e["route"], e["singleflight"]) for e in events] == [
+        ("/protect", "leader")
+    ]
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
