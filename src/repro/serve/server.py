@@ -96,6 +96,10 @@ class BusyError(Exception):
         self.retry_after = retry_after
 
 
+class DrainCut(Exception):
+    """The drain timed out before the request's job finished."""
+
+
 class ServeConfig:
     """Knobs for one server instance (all have serving-sane defaults)."""
 
@@ -231,6 +235,14 @@ class ProtectionServer:
                 await self._server.wait_closed()
         deadline = time.monotonic() + self.config.drain_timeout
         while self._requests_inflight and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
+        # Every request still in flight waits on a single-flight key;
+        # failing them all lets each answer its 503 before the cancel.
+        self._singleflight.fail_all(DrainCut(
+            f"the job did not finish within the "
+            f"{self.config.drain_timeout:g}s drain timeout"
+        ))
+        while self._requests_inflight:
             await asyncio.sleep(0.02)
         for task in list(self._client_tasks):
             task.cancel()
@@ -404,15 +416,8 @@ class ProtectionServer:
                     (payload, source), sf_role = await self._singleflight.run(
                         key, lambda: self._execute(task, key)
                     )
-                except asyncio.CancelledError:
-                    if not self._draining:
-                        raise
-                    # The drain timed out with this job still running:
-                    # answer it rather than drop the connection.
-                    payload = {
-                        "error": "draining: the job did not finish within "
-                        f"the {self.config.drain_timeout:g}s drain timeout"
-                    }
+                except DrainCut as exc:
+                    payload = {"error": f"draining: {exc}"}
                     source, sf_role = "draining", FOLLOWER if joined else LEADER
                 except BusyError as exc:
                     self._record_reject(request.path, "queue", tenant=tenant)

@@ -19,7 +19,10 @@ Semantics pinned by ``tests/serve/test_singleflight.py``:
   failure never poisons later requests, which start a fresh leader;
 * the computation runs in its own task, so a follower (or even the
   leader's own request) being cancelled — a client disconnect — does
-  not cancel the shared work other waiters depend on.
+  not cancel the shared work other waiters depend on;
+* :meth:`fail_all` hands every current waiter an exception without
+  touching the computations, which the server uses to cut a drain
+  short.
 """
 
 from __future__ import annotations
@@ -75,6 +78,14 @@ class SingleFlight:
             # Keep a reference until done so the task is never GC'd
             # mid-flight; exceptions are delivered via the future.
             del task
+
+    def fail_all(self, exc: BaseException) -> None:
+        """Raise ``exc`` in every waiter of every in-flight key."""
+        for future in self._inflight.values():
+            if not future.done():
+                future.set_exception(exc)
+                future.exception()  # retrieved: no warning without waiters
+        self._inflight.clear()
 
     async def _lead(self, key: str, future: asyncio.Future, compute) -> None:
         try:

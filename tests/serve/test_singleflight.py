@@ -170,3 +170,31 @@ def test_is_inflight_tracks_lifecycle():
         assert not sf.is_inflight("key")
 
     run(body())
+
+
+def test_fail_all_raises_in_every_waiter_and_frees_the_keys():
+    async def body():
+        sf = SingleFlight()
+        release = asyncio.Event()
+
+        async def compute():
+            await release.wait()
+            return "late"
+
+        waiters = [
+            asyncio.ensure_future(sf.run(key, compute))
+            for key in ("a", "a", "b")
+        ]
+        await asyncio.sleep(0)  # every waiter reaches its await
+        sf.fail_all(RuntimeError("cut"))
+        outcomes = await asyncio.gather(*waiters, return_exceptions=True)
+        in_flight = len(sf)
+        release.set()  # the computations were left running
+        await asyncio.sleep(0.01)
+        return outcomes, in_flight, sf
+
+    outcomes, in_flight, sf = run(body())
+    assert [str(o) for o in outcomes] == ["cut", "cut", "cut"]
+    assert all(isinstance(o, RuntimeError) for o in outcomes)
+    assert in_flight == 0 and len(sf) == 0
+    assert sf.leaders == 2 and sf.followers == 1
