@@ -34,9 +34,8 @@ One asyncio event loop fronts the existing protection pipeline:
   requests finish (bounded by ``drain_timeout``), answer the ones still
   waiting with a 503 ``{"error": "draining: ..."}``, counted and
   journaled like any response, then stop the pool without waiting for
-  jobs still running, and leave telemetry export
-  to the CLI's normal exit path, so a killed daemon still ships its
-  journal.
+  jobs still running, and leave telemetry export to the CLI's normal
+  exit path, so a killed daemon still ships its journal.
 
 The worker pool comes from :func:`serving_pool`, the one place serving
 configures its cache and calls :func:`repro.pipeline.pool.worker_pool`.
