@@ -333,8 +333,9 @@ class BlockEngine:
         until ``emulator.steps`` reaches ``target``.
 
         Blocks that would overshoot the step budget or ``target`` are
-        replaced by single steps, so the emulator stops on precisely
-        the instruction the step engine would.  Exceptions propagate
+        replaced by single steps, and blocks compiled while ``stop`` is
+        pending end there, so the emulator stops on precisely the
+        instruction the step engine would.  Exceptions propagate
         with step/cycle accounting already exact, so the caller handles
         them exactly as it would the step engine's.
         """
@@ -397,7 +398,7 @@ class BlockEngine:
                         ):
                             pass
                         continue
-                    b = self._compile(emu, eip)
+                    b = self._compile(emu, eip, stop)
                     self.compiled += 1
                     if len(cache) >= BLOCK_CACHE_GENERATION:
                         self._old = old = cache
@@ -435,16 +436,17 @@ class BlockEngine:
             self.page_revalidations += page_revals
 
     def run_steps(self, n: int) -> None:
-        """Execute exactly ``n`` instructions (attack drivers, tests)."""
+        """Execute exactly ``n`` instructions."""
         self.run(target=self._emulator().steps + n)
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
 
-    def _compile(self, emu, start: int) -> CompiledBlock:
+    def _compile(self, emu, start: int, stop: Optional[int]) -> CompiledBlock:
         # BadFetch on the first instruction propagates, exactly as the
-        # step engine faults before counting the step.
+        # step engine faults before counting the step.  The block ends
+        # at ``stop``, so the dispatcher sees eip reach it.
         insns = [emu._fetch_decode(start)]
         addr = start + insns[0].length
         symbol_at = emu.image.symbols.at if emu.image is not None else None
@@ -460,6 +462,8 @@ class BlockEngine:
                 and last.operands[0].target is not None
             ):
                 break  # can't side-exit a jcc we can't specialize
+            if addr == stop:
+                break
             try:
                 insn = emu._fetch_decode(addr)
             except BadFetch:

@@ -232,6 +232,9 @@ class Emulator:
         #: optional TamperWatch stamping the first execution of tampered
         #: bytes; ``None`` keeps the hot path to one identity check.
         self.tamper_watch: Optional[TamperWatch] = None
+        #: the ``ExitProgram`` or fault that ended an ``advance``, until
+        #: ``run`` reports it (and drops it: its traceback holds us)
+        self._ended: Optional[Exception] = None
 
         self.memory.map(_STACK_TOP - _STACK_SIZE, bytes(_STACK_SIZE))
         self.cpu.esp = _STACK_TOP - 64
@@ -427,6 +430,41 @@ class Emulator:
         self._execute(insn)
         return insn
 
+    def advance(
+        self, stop: Optional[int] = None, steps: Optional[int] = None
+    ) -> bool:
+        """Execute until eip reaches ``stop``, until ``steps`` more
+        instructions have run, or until the program ends; returns
+        whether it is still running.
+
+        The exit or fault that ends the program is kept rather than
+        raised, so a caller can pause a run here (to tamper with memory
+        between two calls, say) and still finish it with :meth:`run`,
+        which reports however it ended.  Both engines stop
+        on the same instruction; the block engine ends every block it
+        compiles while a ``stop`` is pending there, so on a fresh
+        emulator ``stop`` may lie anywhere in a function.
+        """
+        if self._ended is not None:
+            return False
+        target = None if steps is None else self.steps + steps
+        compiled = self._compiled_engine()
+        try:
+            if compiled is not None:
+                compiled.run(stop=stop, target=target)
+            elif stop is None and target is None:
+                while True:
+                    self.step()
+            else:
+                while self.cpu.eip != stop and (
+                    target is None or self.steps < target
+                ):
+                    self.step()
+            return True
+        except (ExitProgram, EmulationError) as exc:
+            self._ended = exc
+            return False
+
     def run(self) -> RunResult:
         """Run until the program exits (or faults).
 
@@ -442,17 +480,11 @@ class Emulator:
         start_steps = self.steps
         compiled = self._compiled_engine()
         with get_tracer().span("emulate") as span:
-            fault = None
-            try:
-                if compiled is not None:
-                    compiled.run()
-                else:
-                    while True:
-                        self.step()
-            except ExitProgram:
-                pass
-            except EmulationError as exc:
-                fault = exc
+            self.advance()
+            fault = self._ended
+            if not isinstance(fault, EmulationError):
+                fault = None  # a clean exit
+            self._ended = None
             metrics = get_metrics()
             metrics.counter("emu.runs").inc()
             metrics.counter("emu.instructions").inc(self.steps - start_steps)

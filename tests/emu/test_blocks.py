@@ -222,6 +222,36 @@ def test_run_steps_lands_on_exact_boundary():
     assert emu.cycles == reference.cycles
 
 
+def test_advance_stops_inside_a_hot_block_like_the_step_engine():
+    """``stop`` first reached inside a block compiled before: the block
+    engine must stop there too, not run the block through it."""
+    a = Assembler(base=BASE)
+    a.mov(ECX, Imm(40, 32))
+    a.mov(EAX, 0)
+    a.label("top")
+    a.dec(ECX)
+    a.cmp(ECX, Imm(3, 32))
+    a.ja("top")                 # taken 36 times: "top" turns hot
+    a.label("late")             # falls through only once ecx == 3
+    a.inc(EAX)
+    a.test(ECX, ECX)
+    a.jne("top")
+    a.ret()
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    states = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=100_000, engine=engine)
+        emu.cpu.eip = BASE
+        assert emu.advance(stop=a.address_of("late"))
+        states.append((emu.steps, emu.cycles, emu.cpu.eip, list(emu.cpu.regs)))
+        assert emu.advance(steps=5)
+        states.append((emu.steps, emu.cycles, emu.cpu.eip, list(emu.cpu.regs)))
+    assert emu.blocks.compiled > 0
+    assert states[0] == states[2] and states[1] == states[3]
+    assert states[0][2] == a.address_of("late")
+
+
 @pytest.mark.parametrize("engine", ["step", "block"])
 def test_stack_code_is_cached_and_invalidated(monkeypatch, engine):
     """Code on the stack is cached like any other code, and a store
