@@ -31,7 +31,7 @@ import json
 import math
 import os
 
-from repro.attacks import evaluate_patch_attack, evaluate_wurster_attack
+from repro.attacks import evaluate_attack
 from repro.baselines import ChecksummedProgram
 from repro.binary import Patch
 from repro.core import Parallax, ProtectConfig
@@ -104,8 +104,10 @@ def run_matrix():
         patch = _patch(image, prot)
         rule = rules.get(patch.vaddr) if prot is not None else None
         cells[label] = (
-            evaluate_patch_attack(image, [patch], goal, label, rule=rule),
-            evaluate_wurster_attack(image, [patch], goal, label, rule=rule),
+            evaluate_attack(image, [patch], goal, label, rule=rule),
+            evaluate_attack(
+                image, [patch], goal, label, rule=rule, code_view=True
+            ),
         )
     return cells, coverage
 

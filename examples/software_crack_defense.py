@@ -18,7 +18,7 @@ cannot protect the non-deterministic ptrace check at all.
 Run:  python examples/software_crack_defense.py
 """
 
-from repro.attacks import evaluate_patch_attack, evaluate_wurster_attack
+from repro.attacks import evaluate_attack
 from repro.baselines import ChecksummedProgram, OHProgram
 from repro.binary import Patch
 from repro.core import Parallax, ProtectConfig
@@ -76,8 +76,8 @@ def main():
     print(f"{'scheme':<14} {'static patch':<16} {'wurster i-cache patch'}")
     for label, image in rows:
         patch = patch_at(image, name, offset)
-        static = evaluate_patch_attack(image, [patch], goal, label)
-        wurster = evaluate_wurster_attack(image, [patch], goal, label)
+        static = evaluate_attack(image, [patch], goal, label)
+        wurster = evaluate_attack(image, [patch], goal, label, code_view=True)
         print(f"{label:<14} {verdict(static):<16} {verdict(wurster)}")
 
     print()

@@ -6,22 +6,21 @@ they pick the same target and score it the same way.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..emu import RunResult
-from .harness import AttackOutcome, evaluate_patch_attack
+from .harness import AttackOutcome, evaluate_attack
 from .patching import corrupt_byte
-from .wurster import evaluate_wurster_attack
 
 
 def tamper_chain_gadget(
-    protected, goal: RunResult
+    protected, goal: RunResult, engine: Optional[str] = None
 ) -> Tuple[int, AttackOutcome, AttackOutcome]:
     """Corrupt the first ``.text`` gadget of ``protected``'s first chain.
 
     The byte is tampered twice: patched into the image (``static``) and
     into the instruction view only (``wurster``).  Each run is scored
-    against ``goal``, the pristine run.  Returns
+    against ``goal``, the pristine run, on ``engine``.  Returns
     ``(target, static, wurster)``; Parallax should detect both.
     """
     image = protected.image
@@ -31,6 +30,8 @@ def tamper_chain_gadget(
         if image.section_at(addr).name == ".text"
     )
     patch = corrupt_byte(image, target)
-    static = evaluate_patch_attack(image, [patch], goal, "static")
-    wurster = evaluate_wurster_attack(image, [patch], goal, "wurster")
+    static = evaluate_attack(image, [patch], goal, "static", engine=engine)
+    wurster = evaluate_attack(
+        image, [patch], goal, "wurster", code_view=True, engine=engine
+    )
     return target, static, wurster

@@ -1,7 +1,36 @@
-"""Attack evaluation harness.
+"""The attack harness: one tamper driver and one scorer over it.
 
-Applies an attack to a (protected or unprotected) image, runs the
-result, and scores the outcome against the pristine behaviour:
+:func:`run_tampered` loads an image, lands the attacker's patches and
+runs the program to its end.  Where the bytes land and when:
+
+* **Static patching** (the default): the patches are written into
+  memory before entry, so code and data reads both see them.
+* **The Wurster et al. instruction-cache split** (§VI, §IX;
+  ``code_view=True``): the patches go into the instruction view only
+  (:meth:`repro.emu.memory.Memory.patch_code_view`).  In the original
+  work a kernel patch lets fetch see tampered bytes while data reads
+  keep returning pristine ones, so checksumming code computes correct
+  checksums over tampered code and is completely defeated.  Parallax is
+  immune: its verification chains *execute* the protected bytes (the
+  gadgets), and execution uses the instruction view, so the tampered
+  bytes are exactly what a chain trips over.
+* **Code restore** (§VI-A; ``trigger`` and ``restore_after_steps``): a
+  runtime adversary modifies code, lets it execute, and restores the
+  original bytes before any verification runs.  "No self-sufficient
+  tamperproofing algorithm can completely prevent code restore
+  attacks"; Parallax only *narrows the window*, because its chains run
+  repeatedly, so a restore that is too slow is caught.  The patches
+  land when execution first reaches ``trigger`` and are reverted
+  ``restore_after_steps`` instructions later.  A small window models a
+  fast attacker (modify, use, restore at once); a large one models a
+  lazy attacker whose window overlaps a chain run.
+
+The driver pauses the run with :meth:`Emulator.advance
+<repro.emu.Emulator.advance>` and finishes it with
+:meth:`Emulator.run <repro.emu.Emulator.run>`, on the caller's engine.
+
+:func:`evaluate_attack` scores that run against the pristine behaviour
+(:func:`score_run`):
 
 * ``detected`` — the tampered program crashed or its observable
   behaviour (stdout/exit status) diverged from what the attacker
@@ -14,20 +43,21 @@ under a debugger", so the goal reference is the pristine run *without*
 a debugger.
 
 Detection latency: every evaluation stamps three points on the cycle
-axis — when the tamper landed (``tamper_cycles``; 0 for pre-run static
-and Wurster tampers), when the corruption first became architecturally
-visible (``corruption_cycles``; the :class:`~repro.emu.TamperWatch`
-stamp of the first instruction executed from tampered bytes, ``None``
-for data-only tampers), and when the failure became externally
-observable (``detection_cycles``; the run's cycle count when detected,
-``None`` when the attack succeeds).  The derived
-``cycles_to_corruption`` / ``cycles_to_detection`` feed the attack
-matrix and the telemetry histograms.
+axis — when the tamper landed (``tamper_cycles``; 0 before entry,
+``None`` when the trigger was never reached), when the corruption first
+became architecturally visible (``corruption_cycles``; the
+:class:`~repro.emu.TamperWatch` stamp of the first instruction executed
+from tampered bytes while they were tampered, ``None`` for data-only
+tampers), and when the failure became externally observable
+(``detection_cycles``; the run's cycle count when detected, ``None``
+when the attack succeeds).  The derived ``cycles_to_corruption`` /
+``cycles_to_detection`` feed the attack matrix and the telemetry
+histograms.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional
 
 from ..binary.image import BinaryImage
 from ..binary.patch import Patch
@@ -106,48 +136,85 @@ class AttackOutcome:
         return f"<AttackOutcome {self.attack}: {verdict}{latency} ({self.reason})>"
 
 
-def patch_ranges(patches: Iterable[Patch]) -> List[Tuple[int, int]]:
-    """Half-open byte ranges the patches modify."""
-    return [(p.vaddr, p.vaddr + len(p.new)) for p in patches]
+class TamperedRun(NamedTuple):
+    """A tampered program's run and its two tamper stamps."""
+
+    run: RunResult
+    #: cycle counter when the patches landed (``None``: never)
+    tamper_cycles: Optional[int]
+    #: cycle counter at the first execution of tampered bytes
+    corruption_cycles: Optional[int]
 
 
-def evaluate_patch_attack(
+def run_tampered(
+    image: BinaryImage,
+    patches: Iterable[Patch],
+    code_view: bool = False,
+    trigger: Optional[int] = None,
+    restore_after_steps: Optional[int] = None,
+    debugger_attached: bool = False,
+    max_steps: int = 200_000_000,
+    engine: Optional[str] = None,
+) -> TamperedRun:
+    """Run ``image`` with ``patches`` landed as the module docstring says.
+
+    ``code_view`` puts them in the instruction view only; ``trigger``
+    lands them when eip first reaches it instead of before entry;
+    ``restore_after_steps`` reverts them that many instructions after
+    they landed.  One :class:`~repro.emu.TamperWatch` over the patched
+    bytes is armed while they are tampered: after a revert the bytes
+    are pristine again, so later executions are not corruption.
+    """
+    patches = list(patches)
+    os = OperatingSystem(debugger_attached=debugger_attached)
+    emulator = Emulator(image, os=os, max_steps=max_steps, engine=engine)
+    memory = emulator.memory
+    watch = TamperWatch((patch.vaddr, patch.end) for patch in patches)
+    tamper_cycles = None
+    if trigger is None or emulator.advance(stop=trigger):
+        for patch in patches:
+            if code_view:
+                memory.patch_code_view(patch.vaddr, patch.new)
+            else:
+                memory.write(patch.vaddr, patch.new)
+        tamper_cycles = emulator.cycles
+        emulator.tamper_watch = watch
+        if restore_after_steps is not None and emulator.advance(
+            steps=restore_after_steps
+        ):
+            for patch in patches:
+                if code_view:
+                    memory.clear_code_view(patch.vaddr, patch.size)
+                else:
+                    memory.write(patch.vaddr, patch.old)
+            emulator.tamper_watch = None
+    return TamperedRun(emulator.run(), tamper_cycles, watch.hit_cycles)
+
+
+def evaluate_attack(
     image: BinaryImage,
     patches: Iterable[Patch],
     goal: RunResult,
     attack_name: str = "patch",
-    debugger_attached: bool = False,
-    max_steps: int = 200_000_000,
-    engine: Optional[str] = None,
     rule: Optional[str] = None,
+    **tamper,
 ) -> AttackOutcome:
-    """Apply ``patches`` to a clone of ``image``, run, score vs ``goal``.
-
-    ``goal`` is the behaviour the attacker wants to reach (typically the
-    pristine no-debugger run).  The tamper happens before the program
-    starts, so ``tamper_cycles`` is 0 and ``cycles_to_detection`` is the
-    full time-to-failure.
-    """
+    """:func:`run_tampered` (``tamper`` are its keyword arguments), then
+    :func:`score_run` against ``goal``, the behaviour the attacker wants
+    to reach (typically the pristine no-debugger run)."""
     patches = list(patches)
     with get_tracer().span(
         "evaluate_attack", attack=attack_name, patches=len(patches)
     ) as span:
-        tampered = image.clone()
-        for patch in patches:
-            patch.apply(tampered)
-        os = OperatingSystem(debugger_attached=debugger_attached)
-        emulator = Emulator(
-            tampered, os=os, max_steps=max_steps, engine=engine
+        run, tamper_cycles, corruption_cycles = run_tampered(
+            image, patches, **tamper
         )
-        watch = TamperWatch(patch_ranges(patches))
-        emulator.tamper_watch = watch
-        run = emulator.run()
         outcome = score_run(
             attack_name,
             run,
             goal,
-            tamper_cycles=0,
-            corruption_cycles=watch.hit_cycles,
+            tamper_cycles=tamper_cycles,
+            corruption_cycles=corruption_cycles,
             rule=rule,
         )
         span.set_attribute("detected", outcome.detected)

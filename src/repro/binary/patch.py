@@ -2,8 +2,8 @@
 
 Used by the rewriting engine (gadget insertion) and by the attack
 simulations (tampering).  Every patch remembers the original bytes so it
-can be reverted — the code-restore attack in
-:mod:`repro.attacks.restore` depends on that.
+can be reverted — the code-restore attack of
+:func:`repro.attacks.run_tampered` depends on that.
 """
 
 from __future__ import annotations

@@ -431,7 +431,9 @@ def _cmd_attack(args) -> int:
     goal = program.run(engine=args.engine)
     config = ProtectConfig(strategy=args.strategy)
     protected = Parallax(config).protect(program)
-    target, static, wurster = tamper_chain_gadget(protected, goal)
+    target, static, wurster = tamper_chain_gadget(
+        protected, goal, engine=args.engine
+    )
     print(f"tampering one byte of a chain gadget at {target:#x}")
     print(f"static  patch: {'DETECTED' if static.detected else 'undetected'} "
           f"({static.reason})")

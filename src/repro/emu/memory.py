@@ -8,11 +8,12 @@ modified code.
 
 :class:`Memory` models exactly that: normal reads/writes go to the
 unified store; :meth:`patch_code_view` installs bytes that are visible
-only to :meth:`fetch` (instruction fetch).  The Wurster attack in
-:mod:`repro.attacks.wurster` is implemented on top of this hook, letting
-us demonstrate that checksumming baselines are blind to it while Parallax
-is not (Parallax chains *execute* the protected bytes, so they see the
-instruction view).
+only to :meth:`fetch` (instruction fetch).  The Wurster attack
+(:func:`repro.attacks.run_tampered` with ``code_view=True``) is
+implemented on top of this hook, letting us demonstrate that
+checksumming baselines are blind to it while Parallax is not (Parallax
+chains *execute* the protected bytes, so they see the instruction
+view).
 
 Storage model
 -------------

@@ -18,7 +18,7 @@ import struct
 
 import pytest
 
-from repro.attacks import run_with_restore_attack
+from repro.attacks import run_tampered
 from repro.attacks.patching import corrupt_byte
 from repro.rewrite import RewriteEngine
 from repro.rewrite.report import FIG6_RULES, RULE_FAR, RULE_IMM, RULE_JUMP, RULE_NEAR
@@ -146,5 +146,7 @@ def test_slow_restore_attack_is_caught(matrix, rule):
     old = image.read(target, 1)
     patch = corrupt_byte(image, target)
     assert image.read(target, 1) == old  # corrupt_byte must not mutate
-    result = run_with_restore_attack(image, patch, image.entry, 10**9)
+    result = run_tampered(
+        image, [patch], trigger=image.entry, restore_after_steps=10**9
+    ).run
     assert _malfunctioned(result, matrix["baseline"]), rule

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.attacks import (
-    evaluate_patch_attack, force_branch, invert_branch, nop_out,
+    evaluate_attack, force_branch, invert_branch, nop_out,
     nop_out_instruction, stub_out_function, wipe_chain_patch,
-    garbage_chain_patch, run_with_icache_patches,
+    garbage_chain_patch, run_tampered,
 )
 from repro.x86 import decode
 
@@ -33,7 +33,7 @@ def test_antidebug_crack_succeeds_on_unprotected(small_wget, small_wget_baseline
     """Without Parallax the classic crack works: the program runs
     normally under a debugger."""
     patch = stub_out_function(small_wget.image, "ptrace_detect", 1)
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         small_wget.image, [patch], small_wget_baseline,
         "crack-unprotected", debugger_attached=True,
     )
@@ -46,13 +46,13 @@ def test_tampering_used_gadget_detected(protected_wget_cleartext, small_wget_bas
     image = protected_wget_cleartext.image
     target = next(a for a in record.gadget_addresses if image.section_at(a).name != ".gadgets")
     patch = nop_out(image, target, 1)
-    outcome = evaluate_patch_attack(image, [patch], small_wget_baseline, "gadget-tamper")
+    outcome = evaluate_attack(image, [patch], small_wget_baseline, "gadget-tamper")
     assert outcome.detected
 
 
 def test_wipe_chain_detected(protected_wget_cleartext, small_wget_baseline):
     patch = wipe_chain_patch(protected_wget_cleartext)
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         protected_wget_cleartext.image, [patch], small_wget_baseline, "wipe"
     )
     assert outcome.detected
@@ -60,7 +60,7 @@ def test_wipe_chain_detected(protected_wget_cleartext, small_wget_baseline):
 
 def test_garbage_chain_detected(protected_wget_cleartext, small_wget_baseline):
     patch = garbage_chain_patch(protected_wget_cleartext)
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         protected_wget_cleartext.image, [patch], small_wget_baseline, "garbage"
     )
     assert outcome.detected
@@ -69,5 +69,7 @@ def test_garbage_chain_detected(protected_wget_cleartext, small_wget_baseline):
 def test_icache_patch_changes_execution_only(small_wget):
     """Sanity: the Wurster primitive affects fetch, not data reads."""
     patch = stub_out_function(small_wget.image, "ptrace_detect", 1)
-    run = run_with_icache_patches(small_wget.image, [patch], debugger_attached=True)
+    run = run_tampered(
+        small_wget.image, [patch], code_view=True, debugger_attached=True
+    ).run
     assert run.exit_status != 99  # crack took effect via the i-view

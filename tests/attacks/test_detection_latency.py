@@ -8,11 +8,7 @@ cell.
 
 import pytest
 
-from repro.attacks import (
-    evaluate_patch_attack,
-    evaluate_restore_attack,
-    evaluate_wurster_attack,
-)
+from repro.attacks import evaluate_attack
 from repro.attacks.patching import corrupt_byte
 from repro.binary import Patch
 from repro.telemetry import telemetry_session
@@ -31,7 +27,7 @@ def gadget_patch(protected_wget_cleartext):
 def test_static_patch_latency_is_finite(
     protected_wget_cleartext, small_wget_baseline, gadget_patch
 ):
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         protected_wget_cleartext.image, [gadget_patch],
         small_wget_baseline, "static",
     )
@@ -47,9 +43,9 @@ def test_static_patch_latency_is_finite(
 def test_wurster_patch_latency_is_finite(
     protected_wget_cleartext, small_wget_baseline, gadget_patch
 ):
-    outcome = evaluate_wurster_attack(
+    outcome = evaluate_attack(
         protected_wget_cleartext.image, [gadget_patch],
-        small_wget_baseline, "wurster",
+        small_wget_baseline, "wurster", code_view=True,
     )
     assert outcome.detected
     assert outcome.tamper_cycles == 0
@@ -63,7 +59,7 @@ def test_stamps_identical_under_both_engines(
 ):
     stamps = {}
     for engine in ("step", "block"):
-        outcome = evaluate_patch_attack(
+        outcome = evaluate_attack(
             protected_wget_cleartext.image, [gadget_patch],
             small_wget_baseline, "static", engine=engine,
         )
@@ -82,7 +78,7 @@ def test_undetected_attack_has_no_detection_latency(
     from repro.attacks import stub_out_function
 
     patch = stub_out_function(small_wget.image, "ptrace_detect", 1)
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         small_wget.image, [patch], small_wget_baseline,
         "crack", debugger_attached=True,
     )
@@ -98,8 +94,9 @@ def test_restore_attack_stamps_tamper_midrun(
 ):
     image = protected_wget_cleartext.image
     # never restoring == static attack from the trigger onwards: caught
-    outcome = evaluate_restore_attack(
-        image, gadget_patch, image.entry, 10**9, small_wget_baseline,
+    outcome = evaluate_attack(
+        image, [gadget_patch], small_wget_baseline, "code_restore",
+        trigger=image.entry, restore_after_steps=10**9,
     )
     assert outcome.detected
     assert outcome.tamper_cycles is not None
@@ -113,8 +110,9 @@ def test_fast_restore_window_leaves_no_corruption(
     """A tamper window too small to overlap a chain call: undetected,
     and the tampered gadget never executed while corrupt."""
     image = protected_wget_cleartext.image
-    outcome = evaluate_restore_attack(
-        image, gadget_patch, image.entry, 5, small_wget_baseline,
+    outcome = evaluate_attack(
+        image, [gadget_patch], small_wget_baseline, "code_restore",
+        trigger=image.entry, restore_after_steps=5,
     )
     assert not outcome.detected
     assert outcome.corruption_cycles is None
@@ -125,7 +123,7 @@ def test_latency_histograms_per_attack_rule_cell(
     protected_wget_cleartext, small_wget_baseline, gadget_patch
 ):
     with telemetry_session(metrics=True, tracing=False) as (metrics, _):
-        outcome = evaluate_patch_attack(
+        outcome = evaluate_attack(
             protected_wget_cleartext.image, [gadget_patch],
             small_wget_baseline, "static", rule="existing_near_ret",
         )
@@ -147,7 +145,7 @@ def test_latency_histograms_per_attack_rule_cell(
 def test_outcome_to_dict_round_trips(
     protected_wget_cleartext, small_wget_baseline, gadget_patch
 ):
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         protected_wget_cleartext.image, [gadget_patch],
         small_wget_baseline, "static",
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.attacks import (
     garbage_chain_patch,
     reconstruct_function_patch,
-    run_with_restore_attack,
+    run_tampered,
     wipe_chain_patch,
 )
 from repro.binary import Patch
@@ -24,12 +24,16 @@ def test_restore_attack_applies_and_reverts(protected_wget_cleartext,
     patch = Patch(addr, old, bytes([old[0] ^ 0xFF]))
 
     # immediate restore: window too small to overlap a chain call
-    fast = run_with_restore_attack(image, patch, image.entry, 5)
+    fast = run_tampered(
+        image, [patch], trigger=image.entry, restore_after_steps=5
+    ).run
     assert not fast.crashed
     assert fast.stdout == small_wget_baseline.stdout
 
     # never restoring is equivalent to the static attack: caught
-    slow = run_with_restore_attack(image, patch, image.entry, 10**9)
+    slow = run_tampered(
+        image, [patch], trigger=image.entry, restore_after_steps=10**9
+    ).run
     assert slow.crashed or slow.stdout != small_wget_baseline.stdout
 
 

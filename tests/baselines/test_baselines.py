@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attacks import evaluate_patch_attack, run_with_icache_patches, stub_out_function
+from repro.attacks import evaluate_attack, run_tampered, stub_out_function
 from repro.baselines import ChecksummedProgram, OHProgram
 
 
@@ -30,7 +30,7 @@ def test_checksummed_behaviour_preserved(checksummed, gzip_baseline):
 
 def test_checksumming_detects_static_tamper(checksummed, gzip_baseline):
     patch = stub_out_function(checksummed.image, "checksum_words", 0)
-    outcome = evaluate_patch_attack(checksummed.image, [patch], gzip_baseline, "static")
+    outcome = evaluate_attack(checksummed.image, [patch], gzip_baseline, "static")
     assert outcome.detected
     assert outcome.run.exit_status == 66  # the guard fired
 
@@ -38,7 +38,7 @@ def test_checksumming_detects_static_tamper(checksummed, gzip_baseline):
 def test_wurster_defeats_checksumming(checksummed, gzip_baseline):
     """The headline negative result: i-cache tampering sails through."""
     patch = stub_out_function(checksummed.image, "lz_match_len", 0)
-    run = run_with_icache_patches(checksummed.image, [patch])
+    run = run_tampered(checksummed.image, [patch], code_view=True).run
     assert not run.crashed
     assert run.exit_status != 66          # guards never fire
     assert run.stdout != gzip_baseline.stdout  # yet tampered code ran
@@ -58,7 +58,7 @@ def test_oh_behaviour_preserved(oh_protected, gzip_baseline):
 
 def test_oh_detects_tampering(oh_protected, gzip_baseline):
     patch = stub_out_function(oh_protected.image, "checksum_words", 0)
-    outcome = evaluate_patch_attack(oh_protected.image, [patch], gzip_baseline, "oh")
+    outcome = evaluate_attack(oh_protected.image, [patch], gzip_baseline, "oh")
     assert outcome.detected
     assert outcome.run.exit_status == 66
 
@@ -66,7 +66,7 @@ def test_oh_detects_tampering(oh_protected, gzip_baseline):
 def test_oh_survives_wurster(oh_protected, gzip_baseline):
     """OH hashes execution state, so the i-cache attack IS caught."""
     patch = stub_out_function(oh_protected.image, "checksum_words", 0)
-    run = run_with_icache_patches(oh_protected.image, [patch])
+    run = run_tampered(oh_protected.image, [patch], code_view=True).run
     assert run.exit_status == 66
 
 

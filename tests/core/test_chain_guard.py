@@ -8,7 +8,7 @@ ever read as data).
 
 import pytest
 
-from repro.attacks import run_with_icache_patches
+from repro.attacks import run_tampered
 from repro.binary import Patch
 from repro.core import Parallax, ProtectConfig
 
@@ -61,7 +61,7 @@ def test_guard_immune_to_wurster(guarded):
     section = _chain_blob_section(image)
     old = image.read(section.vaddr + 3, 1)
     patch = Patch(section.vaddr + 3, old, bytes([old[0] ^ 0xFF]))
-    run = run_with_icache_patches(image, [patch])
+    run = run_tampered(image, [patch], code_view=True).run
     assert not run.crashed
     assert run.exit_status != 66
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.attacks import (
-    evaluate_patch_attack,
-    evaluate_wurster_attack,
+    evaluate_attack,
     nop_out,
-    run_with_restore_attack,
+    run_tampered,
     stub_out_function,
 )
 from repro.baselines import ChecksummedProgram
@@ -49,7 +48,7 @@ def cold_patch(image, protected=None):
 
 def test_cold_tamper_invisible_without_protection(setting):
     program, goal, _, _ = setting
-    outcome = evaluate_patch_attack(
+    outcome = evaluate_attack(
         program.image, [cold_patch(program.image)], goal, "plain"
     )
     assert not outcome.detected
@@ -58,18 +57,22 @@ def test_cold_tamper_invisible_without_protection(setting):
 def test_checksumming_detects_static_but_not_wurster(setting):
     _, goal, _, checksummed = setting
     patch = cold_patch(checksummed.image)
-    static = evaluate_patch_attack(checksummed.image, [patch], goal, "csum")
+    static = evaluate_attack(checksummed.image, [patch], goal, "csum")
     assert static.detected and static.run.exit_status == 66
-    wurster = evaluate_wurster_attack(checksummed.image, [patch], goal, "csum")
+    wurster = evaluate_attack(
+        checksummed.image, [patch], goal, "csum", code_view=True
+    )
     assert not wurster.detected  # the Wurster result
 
 
 def test_parallax_detects_both(setting):
     _, goal, parallax, _ = setting
     patch = cold_patch(parallax.image, parallax)
-    static = evaluate_patch_attack(parallax.image, [patch], goal, "parallax")
+    static = evaluate_attack(parallax.image, [patch], goal, "parallax")
     assert static.detected
-    wurster = evaluate_wurster_attack(parallax.image, [patch], goal, "parallax")
+    wurster = evaluate_attack(
+        parallax.image, [patch], goal, "parallax", code_view=True
+    )
     assert wurster.detected  # immune to the i-cache split
 
 
@@ -79,14 +82,15 @@ def test_restore_attack_window(setting):
     patch = cold_patch(parallax.image, parallax)
     trigger = parallax.image.entry
 
-    fast = run_with_restore_attack(
-        parallax.image, patch, trigger, restore_after_steps=50
-    )
+    fast = run_tampered(
+        parallax.image, [patch], trigger=trigger, restore_after_steps=50
+    ).run
     assert not fast.crashed and fast.stdout == goal.stdout
 
-    slow = run_with_restore_attack(
-        parallax.image, patch, trigger, restore_after_steps=10_000_000
-    )
+    slow = run_tampered(
+        parallax.image, [patch], trigger=trigger,
+        restore_after_steps=10_000_000,
+    ).run
     assert slow.crashed or slow.stdout != goal.stdout
 
 
@@ -98,5 +102,5 @@ def test_reconstruction_attack_is_the_admitted_limit(setting):
 
     _, goal, parallax, _ = setting
     patch = reconstruct_function_patch(parallax, "digest_gzip")
-    outcome = evaluate_patch_attack(parallax.image, [patch], goal, "reconstruct")
+    outcome = evaluate_attack(parallax.image, [patch], goal, "reconstruct")
     assert not outcome.detected
