@@ -24,7 +24,8 @@ from __future__ import annotations
 import copy
 from typing import Iterable, List, Optional
 
-from ..corpus.program import Program
+from ..corpus.program import RUN_MAX_STEPS, Program
+from ..emu import Emulator
 from ..ropc import ir
 from ..x86.registers import EAX, EBX, ECX, EDI, EDX
 
@@ -67,28 +68,18 @@ class OHProgram:
             raise ValueError("program lacks a stats cell for the OH state")
         self.cell = cell + 4  # second word of the stats blob
         if expected is None and check:
-            # Training run: build without the check, record the hash.
-            trainer = self._build(program, check=False)
+            # Training run: build without the check, record the hash
+            # the run leaves in the cell.
+            trainer = Emulator(
+                self._build(program, check=False).image, max_steps=RUN_MAX_STEPS
+            )
             result = trainer.run()
             if result.crashed:
                 raise RuntimeError(f"training run crashed: {result.fault}")
-            expected = self._read_hash(trainer)
+            expected = trainer.memory.read_u32(self.cell)
         self.expected = expected
         self.program = self._build(program, check=check, expected=expected)
         self.image = self.program.image
-
-    def _read_hash(self, built: Program) -> int:
-        # The emulator's final memory is gone; re-run and capture.
-        from ..emu import Emulator, OperatingSystem
-        from ..emu.syscalls import ExitProgram
-
-        emulator = Emulator(built.image, max_steps=200_000_000)
-        try:
-            while True:
-                emulator.step()
-        except ExitProgram:
-            pass
-        return emulator.memory.read_u32(self.cell)
 
     def _build(self, program: Program, check: bool, expected: Optional[int] = None) -> Program:
         functions: List[ir.IRFunction] = []
