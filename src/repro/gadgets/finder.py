@@ -44,7 +44,7 @@ from ..x86.opcodes import (
     RETF_IMM16_OPCODE,
     RETF_OPCODE,
 )
-from ..telemetry import adopt, capture, get_metrics, get_tracer
+from ..telemetry import get_metrics, get_tracer
 from .semantics import classify
 from .types import Gadget
 
@@ -362,72 +362,27 @@ def find_gadgets_in_bytes_cached(
     )
 
 
-def _scan_section_task(task: dict) -> dict:
-    """Worker body for parallel per-section scans.
-
-    Runs one section's cached scan under
-    :func:`~repro.telemetry.capture` so the parent can adopt its counter
-    samples deterministically, in section order, regardless of worker
-    completion order — and label them once, same as the protect-all
-    pipeline.
-    """
-    gadgets, telemetry = capture(
-        lambda: find_gadgets_in_bytes_cached(
-            task["data"],
-            base=task["base"],
-            max_insns=task["max_insns"],
-            include_far=task["include_far"],
-        )
-    )
-    return {"gadgets": gadgets, "telemetry": telemetry}
-
-
 def find_gadgets(
     image: BinaryImage,
     max_insns: int = MAX_GADGET_INSNS,
     include_far: bool = True,
-    jobs: int = 1,
 ) -> List[Gadget]:
     """Find all gadgets in every executable section of ``image``.
 
     Each section is looked up in the content-addressed gadget cache
     individually, so sections shared between runs (or untouched by a
     rewrite) are never re-scanned.
-
-    ``jobs > 1`` fans per-section scans across the pipeline worker pool
-    (:mod:`repro.pipeline.pool`); results merge in section order and
-    per-worker telemetry counters merge in the same order, so parallel
-    and serial runs produce identical gadget lists *and* identical
-    metrics.  A single-section image always scans inline.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with get_tracer().span("find_gadgets", image=image.name, jobs=jobs) as span:
-        tasks = [
-            {
-                "data": bytes(section.data),
-                "base": section.vaddr,
-                "max_insns": max_insns,
-                "include_far": include_far,
-            }
-            for section in image.executable_sections()
-        ]
+    with get_tracer().span("find_gadgets", image=image.name) as span:
         gadgets: List[Gadget] = []
-        if jobs == 1 or len(tasks) <= 1:
-            for task in tasks:
-                gadgets.extend(
-                    find_gadgets_in_bytes_cached(
-                        task["data"],
-                        base=task["base"],
-                        max_insns=task["max_insns"],
-                        include_far=task["include_far"],
-                    )
+        for section in image.executable_sections():
+            gadgets.extend(
+                find_gadgets_in_bytes_cached(
+                    bytes(section.data),
+                    base=section.vaddr,
+                    max_insns=max_insns,
+                    include_far=include_far,
                 )
-        else:
-            from ..pipeline.pool import run_tasks
-
-            for result in run_tasks(_scan_section_task, tasks, jobs=jobs):
-                adopt(result["telemetry"])
-                gadgets.extend(result["gadgets"])
+            )
         span.set_attribute("found", len(gadgets))
         return gadgets

@@ -1,19 +1,10 @@
-"""Finder cache correctness: version invalidation and parallel identity.
+"""Finder cache correctness: version invalidation and replay.
 
 * A :data:`FINDER_VERSION` bump must orphan every entry written by an
   older finder — a stale gadget list can never be replayed into a new
   algorithm's pipeline.
-* Parallel per-section scans (``find_gadgets(jobs=N)``) must leave the
-  on-disk cache **byte-identical** to a serial run's: same keys, same
-  pickled payloads.  That is what lets pool workers and later serial
-  runs share one cache directory without re-scanning.
+* A warm per-section scan replays the cold one exactly.
 """
-
-import contextlib
-import os
-import pickle
-
-import pytest
 
 from repro.binary import BinaryImage, Perm, Section
 from repro.cache import cache_session, content_key
@@ -24,7 +15,6 @@ from repro.gadgets import (
     find_gadgets_in_bytes_cached,
     reference_find_gadgets,
 )
-from repro.telemetry import MetricsRegistry, TelemetryContext, set_metrics
 from repro.x86 import Assembler, EAX, EBX, ECX
 
 
@@ -45,16 +35,6 @@ def _multi_section_image():
     image.add_section(Section(".text3", 0x3000, c.assemble(), Perm.RX))
     image.add_section(Section(".data", 0x4000, b"\xc3" * 16, Perm.R))
     return image
-
-
-def _disk_snapshot(root):
-    snapshot = {}
-    for directory, _subdirs, files in os.walk(root):
-        for name in files:
-            path = os.path.join(directory, name)
-            with open(path, "rb") as fh:
-                snapshot[os.path.relpath(path, root)] = fh.read()
-    return snapshot
 
 
 def test_finder_version_is_bumped_for_the_memoized_scanner():
@@ -94,54 +74,3 @@ def test_cached_scan_replays_identically(tmp_path):
         warm = find_gadgets(image)
     assert _fingerprint(cold) == _fingerprint(warm)
     assert _fingerprint(cold) == _fingerprint(reference_find_gadgets(image))
-
-
-def test_parallel_and_serial_scans_write_identical_cache_bytes(tmp_path):
-    serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / "parallel"
-
-    with cache_session(cache_dir=str(serial_dir)):
-        serial = find_gadgets(_multi_section_image(), jobs=1)
-    with cache_session(cache_dir=str(parallel_dir)):
-        parallel = find_gadgets(_multi_section_image(), jobs=3)
-
-    assert _fingerprint(serial) == _fingerprint(parallel)
-    serial_snapshot = _disk_snapshot(str(serial_dir))
-    parallel_snapshot = _disk_snapshot(str(parallel_dir))
-    assert serial_snapshot.keys() == parallel_snapshot.keys()
-    assert serial_snapshot == parallel_snapshot
-    # And the payloads really are gadget lists for the image's sections.
-    assert len(serial_snapshot) == 3
-    for blob in serial_snapshot.values():
-        assert pickle.loads(blob)
-
-
-@pytest.mark.parametrize(
-    "labels", [None, {"request": "r1"}], ids=["no-context", "context"]
-)
-def test_parallel_scan_merges_worker_metrics_deterministically(labels):
-    """Worker samples are adopted once, under the caller's labels."""
-
-    def counters(jobs):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        scope = TelemetryContext(labels) if labels else contextlib.nullcontext()
-        try:
-            with cache_session(enabled=False), scope:
-                find_gadgets(_multi_section_image(), jobs=jobs)
-        finally:
-            set_metrics(previous)
-        return {
-            key: sample["value"]
-            for key, sample in registry.to_dict().items()
-            if sample["name"].startswith("gadgets.")
-        }
-
-    series = '{request="r1"}' if labels else ""
-    serial = counters(1)
-    # one series per family, carrying exactly the caller's labels
-    assert set(serial) == {
-        f"gadgets.{name}{series}"
-        for name in ("offsets_scanned", "accepted", "rejected")
-    }
-    assert counters(3) == serial

@@ -11,8 +11,8 @@ Prometheus text and journal JSONL.  The scenarios:
   --label tenant=smoke``;
 * ``protect_all``: ``repro protect-all --jobs 2`` on a fresh cache
   directory, so pool-worker telemetry is shipped home and merged;
-* ``finder``: ``find_gadgets(jobs=3)`` over a three-section image under
-  ``telemetry_context(request="r1")``, in process.
+* ``finder``: a serial ``find_gadgets`` over a three-section image
+  under ``telemetry_context(request="r1")``, in process.
 
 Only wall-clock and pid values are normalized.  Wall-clock values are
 the time keys in :data:`TIME_KEYS`, ``telemetry.overhead.*``, and the
@@ -112,13 +112,13 @@ def _multi_section_image():
 
 
 def _run_finder(outdir):
-    """``find_gadgets(jobs=3)`` under a labeled context, exported the
-    way the CLI exports (same writers)."""
+    """``find_gadgets`` under a labeled context, exported the way the
+    CLI exports (same writers)."""
     with cache_session(enabled=False), telemetry.telemetry_session(
         recorder=True
     ) as (metrics, tracer):
         with telemetry.telemetry_context(request="r1"):
-            find_gadgets(_multi_section_image(), jobs=3)
+            find_gadgets(_multi_section_image())
         recorder = telemetry.get_recorder()
         metrics.write_json(os.path.join(outdir, "metrics.json"))
         tracer.write_jsonl(os.path.join(outdir, "trace.jsonl"))
