@@ -1,13 +1,9 @@
-"""Program analysis helpers: call graphs, CFGs, selection metrics."""
+"""Program analysis helpers: call graphs."""
 
 from .callgraph import CallGraph, callgraph_from_binary, callgraph_from_ir
-from .cfg import BasicBlock, FunctionCFG, cfg_for_function
 
 __all__ = [
     "CallGraph",
     "callgraph_from_binary",
     "callgraph_from_ir",
-    "BasicBlock",
-    "FunctionCFG",
-    "cfg_for_function",
 ]

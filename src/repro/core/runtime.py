@@ -251,27 +251,6 @@ def rt_lincomb() -> ir.IRFunction:
     return f
 
 
-def lincomb_reference(dst_words, table, nwords, state, mask, basis):
-    """Pure-Python reference of rt_lincomb (for tests).
-
-    Returns (words, new_state).
-    """
-    out = []
-    for word in range(nwords):
-        state = (state * LCG_MUL + LCG_ADD) & 0xFFFFFFFF
-        variant = (state >> 16) & mask
-        entry = table[variant * nwords + word]
-        acc = 0
-        bit = 0
-        while entry:
-            if entry & 1:
-                acc ^= basis[bit]
-            entry >>= 1
-            bit += 1
-        out.append(acc)
-    return out, state
-
-
 def rt_guard() -> ir.IRFunction:
     """rt_guard(start, nwords, expected): §VI-C chain checksumming.
 

@@ -1,8 +1,6 @@
-"""Call graphs and CFGs."""
+"""Call graphs."""
 
-from repro.analysis import (
-    callgraph_from_binary, callgraph_from_ir, cfg_for_function,
-)
+from repro.analysis import callgraph_from_binary, callgraph_from_ir
 from repro.ropc import ir
 from repro.x86 import EAX, EBX
 
@@ -34,14 +32,3 @@ def test_binary_callgraph_matches_ir(small_wget):
     assert from_bin.call_sites("digest_wget") >= 2
     assert from_bin.fan_in("to_hex") >= 1
     assert from_ir.call_sites("digest_wget") == from_bin.call_sites("digest_wget")
-
-
-def test_cfg_blocks_and_targets(small_wget):
-    image = small_wget.image
-    cfg = cfg_for_function(image, image.symbols["digest_wget"])
-    assert len(cfg.blocks) > 3
-    assert cfg.branch_instructions()
-    assert cfg.immediate_instructions()
-    # blocks partition the instruction list
-    total = sum(len(b.instructions) for b in cfg.blocks)
-    assert total == len(cfg.instructions)
