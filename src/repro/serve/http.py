@@ -110,7 +110,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed "[" IPv6 host
+        raise HttpError(400, f"malformed request target: {target!r}") from exc
     query = dict(parse_qsl(split.query))
 
     headers: Dict[str, str] = {}
@@ -124,15 +127,15 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
-            raise HttpError(400, "malformed Content-Length") from exc
-        if length < 0:
+        digits = headers["content-length"]
+        # ASCII digits only (int() also takes "+5" and "1_0"), and few
+        # enough of them for int(), which refuses thousands.
+        if not (digits.isascii() and digits.isdigit()):
             raise HttpError(400, "malformed Content-Length")
-        if length > MAX_BODY_BYTES:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise HttpError(413, "body too large")
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(int(digits))
     return Request(method.upper(), split.path, query, headers, body)
 
 
