@@ -19,9 +19,10 @@ its own collection.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -57,10 +58,15 @@ class OverheadReport:
     budget: float
     repeats: int
     recorder_self_seconds: float = 0.0
+    #: ``(on - off) / off`` of each off/on pair, in run order
+    pair_fractions: Tuple[float, ...] = ()
 
     @property
     def fraction(self) -> float:
-        """Enabled overhead relative to the disabled runtime (>= 0)."""
+        """Enabled overhead relative to the disabled runtime (>= 0): the
+        median over the pairs, else from the two arms' times."""
+        if self.pair_fractions:
+            return max(0.0, statistics.median(self.pair_fractions))
         if self.off_seconds <= 0:
             return 0.0
         return max(0.0, (self.on_seconds - self.off_seconds) / self.off_seconds)
@@ -78,6 +84,7 @@ class OverheadReport:
             "within_budget": self.within_budget,
             "repeats": self.repeats,
             "recorder_self_seconds": self.recorder_self_seconds,
+            "pair_fractions": list(self.pair_fractions),
         }
 
     def __str__(self) -> str:
@@ -101,10 +108,12 @@ def measure_overhead(
     budget: Optional[float] = None,
     warmup: int = 1,
 ) -> OverheadReport:
-    """Time ``workload`` telemetry-off vs telemetry-on, best of
-    ``repeats`` per arm, after ``warmup`` untimed calls to absorb
-    import/JIT warm-up.  The arms alternate — one off run, then one on
-    run, per repeat — so drift in the host's speed lands on both.
+    """Time ``workload`` telemetry-off vs telemetry-on in ``repeats``
+    pairs, after ``warmup`` untimed calls to absorb import/JIT warm-up.
+    Each pair is one off run, then one on run, so drift in the host's
+    speed lands on both halves of a pair; the overhead is the median of
+    the per-pair ``(on - off) / off``, which one slow run cannot move.
+    The reported arm times are each arm's median.
 
     The "on" configuration is the most expensive one a user can turn
     on — metrics, tracing *and* the flight recorder, at their defaults
@@ -115,20 +124,23 @@ def measure_overhead(
     budget = configured_budget() if budget is None else budget
     for _ in range(warmup):
         workload()
-    off_seconds = on_seconds = float("inf")
+    offs, ons = [], []
     recorder_self = 0.0
     for _ in range(repeats):
         with telemetry_session(metrics=False, tracing=False):
-            off_seconds = min(off_seconds, _timed(workload))
+            offs.append(_timed(workload))
         with telemetry_session(metrics=True, tracing=True, recorder=True):
-            on_seconds = min(on_seconds, _timed(workload))
+            ons.append(_timed(workload))
             recorder_self += get_recorder().self_seconds
     return OverheadReport(
-        off_seconds=off_seconds,
-        on_seconds=on_seconds,
+        off_seconds=statistics.median(offs),
+        on_seconds=statistics.median(ons),
         budget=budget,
         repeats=repeats,
         recorder_self_seconds=recorder_self,
+        pair_fractions=tuple(
+            (on - off) / off if off > 0 else 0.0 for off, on in zip(offs, ons)
+        ),
     )
 
 

@@ -62,6 +62,24 @@ def test_measure_overhead_runs_workload_both_ways():
     assert report.to_dict()["within_budget"] == report.within_budget
 
 
+def test_overhead_is_the_median_of_per_pair_fractions(monkeypatch):
+    """Scripted (off, on) timings whose three candidate statistics all
+    differ: the verdict is the median of the pairs' own fractions (3%),
+    not the ratio of the arms' medians (50%) or of their bests (4%)."""
+    import repro.telemetry.overhead as overhead
+
+    pairs = [(1.0, 1.02), (2.0, 2.06), (1.0, 1.5), (0.5, 0.52), (3.0, 3.03)]
+    times = iter(t for pair in pairs for t in pair)
+    monkeypatch.setattr(overhead, "_timed", lambda workload: next(times))
+    report = measure_overhead(lambda: None, repeats=5, warmup=0, budget=0.05)
+    assert report.pair_fractions == pytest.approx((0.02, 0.03, 0.5, 0.04, 0.01))
+    assert report.fraction == pytest.approx(0.03)
+    assert report.within_budget
+    assert (report.off_seconds, report.on_seconds) == (1.0, 1.5)
+    assert report.to_dict()["pair_fractions"] == list(report.pair_fractions)
+    assert report.to_dict()["fraction"] == pytest.approx(0.03)
+
+
 def test_publish_overhead_gauges():
     report = OverheadReport(
         off_seconds=1.0, on_seconds=1.02, budget=0.05, repeats=3,
