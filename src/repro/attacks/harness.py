@@ -182,7 +182,7 @@ def run_tampered(
         if restore_after_steps is not None and emulator.advance(
             steps=restore_after_steps
         ):
-            for patch in patches:
+            for patch in reversed(patches):
                 if code_view:
                     memory.clear_code_view(patch.vaddr, patch.size)
                 else:

@@ -473,11 +473,11 @@ class Emulator:
 
         Telemetry is recorded only here, at run end — the per-step hot
         path carries no instrumentation, so disabled telemetry costs
-        nothing per instruction.
+        nothing per instruction.  It counts the whole run, including any
+        part an :meth:`advance` executed before.
         """
         from ..telemetry import get_metrics, get_tracer
 
-        start_steps = self.steps
         compiled = self._compiled_engine()
         with get_tracer().span("emulate") as span:
             self.advance()
@@ -487,7 +487,7 @@ class Emulator:
             self._ended = None
             metrics = get_metrics()
             metrics.counter("emu.runs").inc()
-            metrics.counter("emu.instructions").inc(self.steps - start_steps)
+            metrics.counter("emu.instructions").inc(self.steps)
             metrics.counter("emu.cycles").inc(self.cycles)
             metrics.counter("emu.ret_mispredicts").inc(self.ret_mispredicts)
             if fault is not None:
@@ -502,7 +502,7 @@ class Emulator:
             span.set_attribute(
                 "engine", ENGINE_BLOCK if compiled is not None else ENGINE_STEP
             )
-            span.set_attribute("steps", self.steps - start_steps)
+            span.set_attribute("steps", self.steps)
             span.set_attribute("cycles", self.cycles)
             if fault is not None:
                 span.set_attribute("fault", type(fault).__name__)

@@ -13,6 +13,7 @@ import pytest
 from repro.attacks import evaluate_attack
 from repro.attacks.patching import corrupt_byte
 from repro.emu import ENGINES
+from repro.telemetry import telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +68,22 @@ def test_attack_is_identical_on_every_engine(
             # the tampered bytes never ran while tampered
             assert outcome.corruption_cycles is None
     assert len(set(map(repr, signatures.values()))) == 1, signatures
+
+
+def test_paused_run_is_counted_whole(
+    protected_wget_cleartext, small_wget_baseline, gadget_patch
+):
+    """A restore run executes its trigger prefix and its window outside
+    ``Emulator.run``; the run's telemetry still counts every step."""
+    image = protected_wget_cleartext.image
+    with telemetry_session(metrics=True, tracing=False) as (metrics, _):
+        outcome = evaluate_attack(
+            image, [gadget_patch], small_wget_baseline, "restore",
+            trigger=image.symbols["checksum_words"].vaddr,
+            restore_after_steps=300,
+        )
+        samples = metrics.to_dict()
+    assert outcome.tamper_cycles > 0
+    assert samples["emu.runs"]["value"] == 1
+    assert samples["emu.instructions"]["value"] == outcome.run.steps
+    assert samples["emu.cycles"]["value"] == outcome.run.cycles
