@@ -440,10 +440,10 @@ class Emulator:
         The exit or fault that ends the program is kept rather than
         raised, so a caller can pause a run here (to tamper with memory
         between two calls, say) and still finish it with :meth:`run`,
-        which reports however it ended.  Both engines stop
-        on the same instruction; the block engine ends every block it
-        compiles while a ``stop`` is pending there, so on a fresh
-        emulator ``stop`` may lie anywhere in a function.
+        which reports however it ended.  Both engines stop on the same
+        instruction: the block engine ends every block it compiles while
+        a ``stop`` is pending there, so on a fresh emulator ``stop`` may
+        lie anywhere in a function.
         """
         if self._ended is not None:
             return False
@@ -478,7 +478,6 @@ class Emulator:
         """
         from ..telemetry import get_metrics, get_tracer
 
-        compiled = self._compiled_engine()
         with get_tracer().span("emulate") as span:
             self.advance()
             fault = self._ended
@@ -499,9 +498,7 @@ class Emulator:
                 for counter in ("compiled", "hits", "epoch_hits",
                                 "page_revalidations", "invalidated", "write_aborts"):
                     metrics.counter(f"emu.blocks.{counter}").inc(getattr(be, counter))
-            span.set_attribute(
-                "engine", ENGINE_BLOCK if compiled is not None else ENGINE_STEP
-            )
+            span.set_attribute("engine", self.engine)
             span.set_attribute("steps", self.steps)
             span.set_attribute("cycles", self.cycles)
             if fault is not None:
