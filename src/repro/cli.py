@@ -84,8 +84,7 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--recorder-events", type=int, default=None, metavar="N",
-        help="flight-recorder ring capacity (default: "
-        "$REPRO_RECORDER_EVENTS or 8192)",
+        help="flight-recorder ring capacity (default 8192)",
     )
     parser.add_argument(
         "--label", action="append", default=None, metavar="KEY=VALUE",
@@ -96,13 +95,6 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _export_telemetry(args, metrics, tracer) -> None:
-    if metrics.enabled and telemetry.get_recorder().enabled:
-        # Stamp the recorder's own sampled cost into the artifact, so
-        # exported metrics carry the price of their own collection.
-        from .telemetry.overhead import self_accounting
-
-        self_accounting(metrics)
-
     trace_path = getattr(args, "trace", None)
     if trace_path == "-":
         for event in tracer.to_events():

@@ -26,11 +26,11 @@ into the active scope (see :mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
 JSON from the tracer, Prometheus text from the registry, and the
-``repro stats`` dashboard over exported artifacts; the enabled-overhead
-self-accounting and budget checks live in
-:mod:`repro.telemetry.overhead`.  Live rates and latency quantiles are
-not kept in-process: a Prometheus scraper derives them from the
-counters and histograms that ``/metrics`` exports.
+``repro stats`` dashboard over exported artifacts.  Live rates and
+latency quantiles are not kept in-process: a Prometheus scraper derives
+them from the counters and histograms that ``/metrics`` exports.  The
+enabled-overhead budget is measured from outside, by the off/on gate in
+``benchmarks/bench_telemetry_overhead.py``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ from .export import (
     write_prometheus,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .overhead import (
-    OverheadReport,
-    measure_overhead,
-    publish_overhead,
-    self_accounting,
-)
 from .recorder import FlightRecorder
 from .tracing import Span, Tracer
 
@@ -81,8 +75,6 @@ __all__ = [
     "ChainStep", "ChainExecutionTracer", "trace_chain_run",
     "Scope", "TelemetryContext", "telemetry_context", "current_context",
     "current_labels", "clear_context", "capture", "adopt",
-    "OverheadReport", "measure_overhead", "publish_overhead",
-    "self_accounting",
     "chrome_trace", "write_chrome_trace",
     "prometheus_text", "write_prometheus",
     "ARTIFACT_KINDS", "load_artifact", "render_stats",

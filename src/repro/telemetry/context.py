@@ -336,8 +336,7 @@ def telemetry_session(
     objects (and their enabled state) are restored on exit.  When
     ``recorder`` is true a fresh :class:`FlightRecorder` is installed
     for the block too — fetch it with :func:`get_recorder` — sized
-    ``recorder_capacity`` events (default: ``REPRO_RECORDER_EVENTS``
-    or 8192).
+    ``recorder_capacity`` events (default 8192).
     """
     new_metrics = MetricsRegistry(enabled=metrics)
     new_tracer = Tracer(enabled=tracing)

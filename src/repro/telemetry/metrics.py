@@ -59,7 +59,7 @@ DEFAULT_CYCLE_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Default cap on distinct label sets per metric family; overridable
-#: per registry or via ``REPRO_METRICS_MAX_SERIES``.
+#: per registry.
 DEFAULT_MAX_SERIES = 64
 
 #: Name of the counter bumped every time the cardinality guard trips.
@@ -400,9 +400,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self.base_labels: Dict[str, str] = _normalize_labels(base_labels)
         if max_series is None:
-            max_series = int(
-                os.environ.get("REPRO_METRICS_MAX_SERIES", DEFAULT_MAX_SERIES)
-            )
+            max_series = DEFAULT_MAX_SERIES
         if max_series < 1:
             raise ValueError("max_series must be >= 1")
         self.max_series = max_series

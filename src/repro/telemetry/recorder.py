@@ -29,8 +29,8 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
   ``maxlen``); the newest ``capacity`` events are kept and ``dropped``
   counts the overwritten ones.  The journal can never grow without
   bound, so it is safe to leave enabled in long runs.  The default
-  capacity (8192) is overridable via ``REPRO_RECORDER_EVENTS`` or the
-  CLI's ``--recorder-events``.
+  capacity (8192) is overridable via ``FlightRecorder(capacity=)`` or
+  the CLI's ``--recorder-events``.
 * **Near-zero when disabled.**  The process-wide recorder starts
   disabled; :meth:`FlightRecorder.record` returns immediately and hot
   call sites additionally guard with ``if recorder.enabled`` so the
@@ -47,17 +47,15 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
   onto the event as a ``ctx`` field; keys the event already carries in
   its own ``ctx`` win.  One process-wide recorder therefore serves every
   concurrent request.
-* **Self-accounting.**  Every 256th ``record`` times itself and
-  extrapolates into ``self_seconds`` — the recorder's own overhead,
-  exported as ``telemetry.overhead.*`` (see
-  :mod:`repro.telemetry.overhead`) so the <5% enabled-overhead budget
-  is measurable from inside a run.
+
+The recorder does not time itself: its cost is part of the enabled
+overhead that ``benchmarks/bench_telemetry_overhead.py`` measures by
+comparing telemetry-off and telemetry-on runs of one workload.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from contextvars import ContextVar
@@ -65,7 +63,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .metrics import _ensure_parent_dir
 
-__all__ = ["FlightRecorder", "default_capacity"]
+__all__ = ["FlightRecorder"]
 
 #: The active :class:`~repro.telemetry.context.Scope` for this thread /
 #: task (``None`` = the process-wide scope).  It is defined here, below
@@ -73,36 +71,17 @@ __all__ = ["FlightRecorder", "default_capacity"]
 #: :meth:`FlightRecorder.record` reads the active scope's labels.
 _SCOPE: ContextVar = ContextVar("repro.telemetry.scope", default=None)
 
-#: Environment variable overriding the default ring capacity.
-CAPACITY_ENV = "REPRO_RECORDER_EVENTS"
-
-#: One in this many ``record`` calls is timed for self-accounting.
-_SELF_SAMPLE_EVERY = 256
-
-
-def default_capacity() -> int:
-    """The configured default ring capacity (env override or 8192)."""
-    raw = os.environ.get(CAPACITY_ENV)
-    if raw is None:
-        return FlightRecorder.DEFAULT_CAPACITY
-    capacity = int(raw)
-    if capacity < 1:
-        raise ValueError(f"{CAPACITY_ENV} must be >= 1, got {capacity}")
-    return capacity
-
 
 class FlightRecorder:
     """Ring-buffered structured event journal."""
 
-    #: Built-in default ring capacity (events retained) when neither a
-    #: constructor argument nor ``REPRO_RECORDER_EVENTS`` overrides it.
+    #: Ring capacity (events retained) when the constructor names none.
     DEFAULT_CAPACITY = 8192
 
     __slots__ = (
         "enabled",
         "capacity",
         "start_wall",
-        "self_seconds",
         "_t0",
         "_events",
         "_seq",
@@ -110,14 +89,12 @@ class FlightRecorder:
 
     def __init__(self, capacity: Optional[int] = None, enabled: bool = True):
         if capacity is None:
-            capacity = default_capacity()
+            capacity = self.DEFAULT_CAPACITY
         if capacity < 1:
             raise ValueError("recorder capacity must be >= 1")
         self.enabled = enabled
         self.capacity = capacity
         self.start_wall = time.time()
-        #: Extrapolated seconds spent inside ``record`` (sampled).
-        self.self_seconds = 0.0
         self._t0 = time.perf_counter()
         self._events: deque = deque(maxlen=capacity)
         self._seq = 0
@@ -142,14 +119,8 @@ class FlightRecorder:
                 fields["ctx"] = {**scope.labels, **ctx}
         seq = self._seq + 1
         self._seq = seq
-        sampled = not seq % _SELF_SAMPLE_EVERY
-        started = time.perf_counter() if sampled else 0.0
         ts = time.perf_counter() - self._t0
         self._events.append((seq, ts, kind, fields))
-        if sampled:
-            self.self_seconds += (
-                (time.perf_counter() - started) * _SELF_SAMPLE_EVERY
-            )
 
     def ingest(self, events: Iterable[dict], pid: Optional[int] = None) -> int:
         """Adopt events exported by another recorder (a pool worker).
@@ -199,7 +170,6 @@ class FlightRecorder:
     def clear(self) -> None:
         self._events.clear()
         self._seq = 0
-        self.self_seconds = 0.0
 
     # -- export ---------------------------------------------------------
 
@@ -221,7 +191,6 @@ class FlightRecorder:
             "dropped": self.dropped,
             "capacity": self.capacity,
             "start_wall": self.start_wall,
-            "self_seconds": round(self.self_seconds, 9),
             "kinds": self.kinds(),
         }
 

@@ -88,12 +88,13 @@ def test_sigterm_dumps_telemetry_before_dying(tmp_path):
             "--metrics", {str(metrics_path)!r},
             "--journal", {str(journal_path)!r},
         ]
-        import repro.cli, repro.corpus
+        import repro.cli, repro.corpus, repro.telemetry
 
         real_build = repro.corpus.build_program
 
         def build_and_signal(name):
             program = real_build(name)
+            repro.telemetry.get_metrics().counter("before_kill").inc()
             os.kill(os.getpid(), {int(signal.SIGTERM)})
             time.sleep(60)  # never reached: SIGTERM fires on return
             return program
@@ -112,6 +113,6 @@ def test_sigterm_dumps_telemetry_before_dying(tmp_path):
     # the handler re-raises, so the process still dies by SIGTERM
     assert proc.returncode == -signal.SIGTERM, proc.stderr.decode()
     samples = json.loads(metrics_path.read_text())
-    assert samples, "metrics dump is empty"
+    assert samples["before_kill"]["value"] == 1, samples
     records = _read_ndjson(journal_path)
     assert any(r["type"] == "journal_summary" for r in records)

@@ -15,8 +15,8 @@ Prometheus text and journal JSONL.  The scenarios:
   under ``telemetry_context(request="r1")``, in process.
 
 Only wall-clock and pid values are normalized.  Wall-clock values are
-the time keys in :data:`TIME_KEYS`, ``telemetry.overhead.*``, and the
-sums and buckets of time-valued histograms.  Pids become ordinals: the
+the time keys in :data:`TIME_KEYS` and the sums and buckets of
+time-valued histograms.  Pids become ordinals: the
 exporting process is ``<pid:0>`` and every pool worker is ``<pid:1>``,
 because which worker runs which task is up to the scheduler.
 Everything else must match exactly, key order included.
@@ -63,7 +63,7 @@ SCENARIOS = ("protect", "protect_labeled", "protect_all", "finder")
 #: JSON keys whose values are wall-clock measurements.
 TIME_KEYS = frozenset({
     "start_ts", "duration_s", "ts", "worker_ts", "dur", "elapsed_s",
-    "seconds", "start_wall", "self_seconds",
+    "seconds", "start_wall",
 })
 
 #: JSON keys whose values are process ids.
@@ -153,9 +153,7 @@ def run_scenario(name, outdir):
 
 
 def _is_time_family(name):
-    return name.startswith(("telemetry.overhead.", "telemetry_overhead_")) or (
-        "seconds" in name
-    )
+    return "seconds" in name
 
 
 class _Normalizer:

@@ -80,11 +80,7 @@ def test_unlabeled_series_is_always_admitted():
     assert registry.get(CARDINALITY_OVERFLOW_COUNTER) is None
 
 
-def test_max_series_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS_MAX_SERIES", "2")
-    registry = MetricsRegistry()
-    assert registry.max_series == 2
-    monkeypatch.delenv("REPRO_METRICS_MAX_SERIES")
+def test_max_series_default():
     assert MetricsRegistry().max_series == DEFAULT_MAX_SERIES
 
 
