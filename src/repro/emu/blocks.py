@@ -31,7 +31,7 @@ are byte-identical between engines.
 
 Self-loops: a block whose final ``jmp rel`` targets its own
 start iterates inside its generated function.  Each iteration makes the
-dispatcher's checks itself — step budget (or ``run_steps`` target),
+dispatcher's checks itself — step budget (or ``advance`` target),
 block validity by the two tiers below, and the hit counters — and
 returns to the dispatcher as soon as one fails.  The dispatcher never
 enters a block at its ``stop`` address, so re-entering the same start
@@ -434,10 +434,6 @@ class BlockEngine:
             self.hits += hits
             self.epoch_hits += epoch_hits
             self.page_revalidations += page_revals
-
-    def run_steps(self, n: int) -> None:
-        """Execute exactly ``n`` instructions."""
-        self.run(target=self._emulator().steps + n)
 
     # ------------------------------------------------------------------
     # Compilation

@@ -481,7 +481,16 @@ class Emulator:
         with get_tracer().span("emulate") as span:
             self.advance()
             fault = self._ended
-            if not isinstance(fault, EmulationError):
+            if isinstance(fault, EmulationError):
+                # The tracebacks of the fault and of the exception it was
+                # raised from run through advance's frame back to this
+                # one, which holds ``fault``: a cycle that would keep the
+                # emulator alive until the cyclic GC ran.
+                exc = fault
+                while exc is not None:
+                    exc.__traceback__ = None
+                    exc = exc.__context__
+            else:
                 fault = None  # a clean exit
             self._ended = None
             metrics = get_metrics()
@@ -517,8 +526,8 @@ class Emulator:
     def call_function(self, vaddr: int, args=(), max_steps: Optional[int] = None):
         """Call a function at ``vaddr`` with cdecl int args; returns eax.
 
-        Raises on fault (unlike :meth:`run`) so unit tests see precise
-        errors.
+        Raises the exit or fault that ends the program (unlike
+        :meth:`run`) so unit tests see precise errors.
         """
         if max_steps is not None:
             self.max_steps = self.steps + max_steps
@@ -526,12 +535,9 @@ class Emulator:
             self.push(arg & MASK32)
         self.push(CALL_SENTINEL)
         self.cpu.eip = vaddr
-        compiled = self._compiled_engine()
-        if compiled is not None:
-            compiled.run(stop=CALL_SENTINEL)
-        else:
-            while self.cpu.eip != CALL_SENTINEL:
-                self.step()
+        if not self.advance(stop=CALL_SENTINEL):
+            ended, self._ended = self._ended, None
+            raise ended
         # Caller cleans up arguments, as with cdecl.
         self.cpu.esp = (self.cpu.esp + 4 * len(args)) & MASK32
         return self.cpu.eax

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.emu.blocks as blocks_mod
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import Emulator, StepLimitExceeded, run_image
+from repro.emu import ENGINES, Emulator, StepLimitExceeded, run_image
 from repro.x86 import (
     AL, Assembler, EAX, EBX, ECX, EDI, EDX, ESI, ESP, Imm, mem32,
 )
@@ -215,7 +215,7 @@ def test_run_steps_lands_on_exact_boundary():
 
     emu = Emulator(img, max_steps=100_000, engine="block")
     emu.cpu.eip = BASE
-    emu.blocks.run_steps(17)
+    advance(emu, 17)
     assert emu.steps == reference.steps == 17
     assert emu.cpu.eip == reference.cpu.eip
     assert emu.cpu.regs == reference.cpu.regs
@@ -330,11 +330,7 @@ def state(emu):
 
 
 def advance(emu, n):
-    if emu.engine == "block":
-        emu.blocks.run_steps(n)
-    else:
-        for _ in range(n):
-            emu.step()
+    assert emu.advance(steps=n)
 
 
 @pytest.mark.parametrize("max_steps", range(150, 155))
@@ -445,7 +441,7 @@ def test_hit_tiers_add_up_after_run_and_run_steps(
     monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", threshold)
     emu = Emulator(small_gzip.image, max_steps=10_000_000, engine="block")
     be = emu.blocks
-    emu.blocks.run_steps(200_000)
+    advance(emu, 200_000)
     assert emu.steps == 200_000
     assert be.compiled > 0 and be.hits > 0
     assert be.hits == be.epoch_hits + be.page_revalidations
@@ -471,6 +467,35 @@ def test_finished_emulator_is_freed_without_a_collection(monkeypatch, small_gzip
     finally:
         gc.enable()
     assert not result.crashed
+    assert not alive
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_crashed_emulator_is_freed_without_a_collection(monkeypatch, engine):
+    # A fault kept in the RunResult must not hold the emulator alive
+    # through its traceback's frames.
+    a = Assembler(base=BASE)
+    a.mov(EAX, mem32(disp=0))  # unmapped: BadMemoryAccess
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    img.entry = BASE
+    refs = []
+    run = Emulator.run
+
+    def tracked(self):
+        refs.append(weakref.ref(self))
+        return run(self)
+
+    monkeypatch.setattr(Emulator, "run", tracked)
+    gc.disable()
+    try:
+        result = run_image(img, max_steps=100, engine=engine)
+        fault = type(result.fault).__name__
+        del result
+        alive = refs[0]() is not None
+    finally:
+        gc.enable()
+    assert fault == "BadMemoryAccess"
     assert not alive
 
 

@@ -197,11 +197,7 @@ SEED = 0xD1FF
 
 
 def _advance(emulator, n):
-    if emulator.engine == "block":
-        emulator.blocks.run_steps(n)
-    else:
-        for _ in range(n):
-            emulator.step()
+    assert emulator.advance(steps=n)
 
 
 def _tamper_restore_run(program, target, tamper_byte, engine):
