@@ -23,10 +23,9 @@ from repro.emu import Emulator
 
 MAX_STEPS = 300_000_000
 
-#: Engine every benchmark emulation routes through.  Defaults to the
-#: block engine so published numbers reflect the fast path; set
-#: REPRO_EMU_ENGINE=step to benchmark the reference interpreter.
-ENGINE = os.environ.get("REPRO_EMU_ENGINE", "block")
+#: Engine every benchmark emulation routes through: the block engine,
+#: so published numbers reflect the fast path.
+ENGINE = "block"
 
 #: Where append-only benchmark history lives (one JSONL file per
 #: benchmark), consumed by benchmarks/check_regression.py.  Path

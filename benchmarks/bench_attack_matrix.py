@@ -24,12 +24,15 @@ coverage (fraction of protected bytes guarded by at least one chain)
 and appends both to ``benchmarks/history/attack_matrix.jsonl``:
 ``coverage_percent`` directly and the latency as ``detection_speed``
 (reciprocal geomean, so higher is better — the regression gate assumes
-that).  Raw geomeans land in ``BENCH_attack_matrix.json``.
+that).  Raw geomeans land in ``BENCH_attack_matrix.json`` next to this
+file (override with ``--output``).
 """
 
+import argparse
 import json
 import math
 import os
+import sys
 
 from repro.attacks import evaluate_attack
 from repro.baselines import ChecksummedProgram
@@ -43,9 +46,8 @@ import _shared
 
 COLD_FUNCTION = "gz_fill_005"
 
-OUTPUT = os.environ.get(
-    "REPRO_BENCH_ATTACK_MATRIX",
-    os.path.join(os.path.dirname(__file__), "BENCH_attack_matrix.json"),
+DEFAULT_OUTPUT = os.path.join(
+    os.path.dirname(__file__), "BENCH_attack_matrix.json"
 )
 
 
@@ -117,7 +119,7 @@ def test_attack_matrix(benchmark):
     assert gate_failures(_report(cells, coverage)) == []
 
 
-def _report(cells, coverage):
+def _report(cells, coverage, output=DEFAULT_OUTPUT):
     """Print the matrix, write the artifact and history; return the
     artifact payload."""
     print()
@@ -157,9 +159,8 @@ def _report(cells, coverage):
         "cycles_to_detection_geomean": detection_geomean,
         "cycles_to_corruption_geomean": corruption_geomean,
     }
-    if OUTPUT:
-        with open(OUTPUT, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(output, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
     history = {"coverage_percent": coverage_percent}
     if detection_geomean:
@@ -206,17 +207,20 @@ def gate_failures(payload):
     return failures
 
 
-def main() -> int:
+def main(argv=None) -> int:
     """Standalone entry (no pytest-benchmark): run once, report,
     append history, exit 1 on a failed gate — used by the CI jobs so
     the regression gate always compares against a fresh same-job
     candidate."""
-    failures = gate_failures(_report(*run_matrix()))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", default=DEFAULT_OUTPUT,
+                        help="result JSON path")
+    args = parser.parse_args(argv)
+    failures = gate_failures(_report(*run_matrix(), output=args.output))
     for failure in failures:
         print(f"ERROR: {failure}")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    import sys
     sys.exit(main())

@@ -22,7 +22,7 @@ Interleaving keeps a transient machine-load spike from landing
 entirely on one engine's number.
 
 Emits ``BENCH_emulator.json`` next to this file (override with
-``--output`` or ``REPRO_BENCH_EMULATOR``).  Runs standalone::
+``--output``).  Runs standalone::
 
     PYTHONPATH=src python benchmarks/bench_emulator_throughput.py \
         --programs gzip nginx bzip2 --min-speedup 2.0
@@ -43,9 +43,8 @@ import _shared  # noqa: E402
 
 from repro.emu import Emulator, Profiler, run_image  # noqa: E402
 
-DEFAULT_OUTPUT = os.environ.get(
-    "REPRO_BENCH_EMULATOR",
-    os.path.join(os.path.dirname(__file__), "BENCH_emulator.json"),
+DEFAULT_OUTPUT = os.path.join(
+    os.path.dirname(__file__), "BENCH_emulator.json"
 )
 
 ENGINES = ("step", "block")

@@ -14,9 +14,8 @@ sets must be *identical* (address, end, classification, stack shape),
 and any difference is recorded and fails the run.
 
 Emits ``BENCH_gadget_finder.json`` next to this file (override with
-``--output`` or ``REPRO_BENCH_GADGET_FINDER``) and appends a
-``gadget_finder`` entry to ``benchmarks/history/`` for
-``check_regression.py``.  Runs standalone::
+``--output``) and appends a ``gadget_finder`` entry to
+``benchmarks/history/`` for ``check_regression.py``.  Runs standalone::
 
     PYTHONPATH=src python benchmarks/bench_gadget_finder.py \
         --programs gzip lame --min-speedup 2.5
@@ -40,9 +39,8 @@ from repro.gadgets import (  # noqa: E402
     reference_find_gadgets_in_bytes,
 )
 
-DEFAULT_OUTPUT = os.environ.get(
-    "REPRO_BENCH_GADGET_FINDER",
-    os.path.join(os.path.dirname(__file__), "BENCH_gadget_finder.json"),
+DEFAULT_OUTPUT = os.path.join(
+    os.path.dirname(__file__), "BENCH_gadget_finder.json"
 )
 
 #: Timing repeats per (program, finder); the best run is kept, which is

@@ -24,9 +24,8 @@ exactly one leader, everyone else a follower, all responses
 byte-identical.
 
 Emits ``BENCH_serve.json`` next to this file (override with
-``--output`` or ``REPRO_BENCH_SERVE``) and appends a ``serve`` entry
-to ``benchmarks/history/`` for ``check_regression.py``.  Runs
-standalone::
+``--output``) and appends a ``serve`` entry to ``benchmarks/history/``
+for ``check_regression.py``.  Runs standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve.py \
         --levels 4 16 64 --min-warm-speedup 5.0
@@ -46,9 +45,8 @@ import _shared  # noqa: E402
 from repro.serve import AsyncServeClient, ServeConfig, ServerThread  # noqa: E402
 from repro.telemetry.export import nearest_rank  # noqa: E402
 
-DEFAULT_OUTPUT = os.environ.get(
-    "REPRO_BENCH_SERVE",
-    os.path.join(os.path.dirname(__file__), "BENCH_serve.json"),
+DEFAULT_OUTPUT = os.path.join(
+    os.path.dirname(__file__), "BENCH_serve.json"
 )
 
 DEFAULT_LEVELS = (4, 16, 64)
