@@ -1,8 +1,8 @@
 """The one worker pool: every worker process in the package starts here.
 
-The protect-all runner, the gadget finder's per-section fan-out and the
-``repro serve`` daemon all get their workers from :func:`worker_pool`,
-a :class:`~concurrent.futures.ProcessPoolExecutor` that
+The protect-all runner and the ``repro serve`` daemon both get their
+workers from :func:`worker_pool`, a
+:class:`~concurrent.futures.ProcessPoolExecutor` that
 
 * prefers the ``fork`` start method;
 * runs :func:`worker_init` in each worker, mirroring the parent's cache
