@@ -449,9 +449,9 @@ def test_hit_tiers_add_up_after_run_and_run_steps(
     assert be.hits == be.epoch_hits + be.page_revalidations
 
 
-def test_finished_emulator_is_freed_without_a_collection(monkeypatch, small_gzip):
-    # The block engine refers back to its emulator weakly, so a finished
-    # run frees the emulator (stack, caches, compiled blocks) at once.
+def _run_tracked(monkeypatch, image, engine, max_steps):
+    """Run ``image`` with the cyclic GC off; return the result and
+    whether its emulator is still alive while the result is held."""
     refs = []
     run = Emulator.run
 
@@ -462,40 +462,34 @@ def test_finished_emulator_is_freed_without_a_collection(monkeypatch, small_gzip
     monkeypatch.setattr(Emulator, "run", tracked)
     gc.disable()
     try:
-        result = run_image(small_gzip.image, max_steps=10_000_000, engine="block")
+        result = run_image(image, max_steps=max_steps, engine=engine)
         alive = refs[0]() is not None
     finally:
         gc.enable()
+    return result, alive
+
+
+def test_finished_emulator_is_freed_without_a_collection(monkeypatch, small_gzip):
+    # The block engine refers back to its emulator weakly, so a finished
+    # run frees the emulator (stack, caches, compiled blocks) at once.
+    result, alive = _run_tracked(
+        monkeypatch, small_gzip.image, "block", 10_000_000
+    )
     assert not result.crashed
     assert not alive
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_crashed_emulator_is_freed_without_a_collection(monkeypatch, engine):
-    # A fault kept in the RunResult must not hold the emulator alive
-    # through its traceback's frames.
+    # The fault a RunResult keeps must not hold the emulator alive
+    # through the frames of its traceback.
     a = Assembler(base=BASE)
     a.mov(EAX, mem32(disp=0))  # unmapped: BadMemoryAccess
     img = BinaryImage("t")
     img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
     img.entry = BASE
-    refs = []
-    run = Emulator.run
-
-    def tracked(self):
-        refs.append(weakref.ref(self))
-        return run(self)
-
-    monkeypatch.setattr(Emulator, "run", tracked)
-    gc.disable()
-    try:
-        result = run_image(img, max_steps=100, engine=engine)
-        fault = type(result.fault).__name__
-        del result
-        alive = refs[0]() is not None
-    finally:
-        gc.enable()
-    assert fault == "BadMemoryAccess"
+    result, alive = _run_tracked(monkeypatch, img, engine, 100)
+    assert type(result.fault).__name__ == "BadMemoryAccess"
     assert not alive
 
 
