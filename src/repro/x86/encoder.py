@@ -309,11 +309,9 @@ def assemble(mnemonic: str, *ops, **options) -> bytes:
         (op,) = ops
         cc = CC_NAMES.index(m[3:])
         return bytes([0x0F, 0x90 + cc]) + encode_modrm(0, op)
-    if m == "movzx":
+    if m in ("movzx", "movsx"):
         dst, src = ops
-        return b"\x0f\xb6" + encode_modrm(dst.code, src)
-    if m == "movsx":
-        dst, src = ops
-        return b"\x0f\xbe" + encode_modrm(dst.code, src)
+        opcode = (0xB6 if m == "movzx" else 0xBE) + (src.width == 16)
+        return bytes([0x0F, opcode]) + encode_modrm(dst.code, src)
 
     raise EncodeError(f"unsupported mnemonic {mnemonic!r}")

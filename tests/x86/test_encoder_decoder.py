@@ -3,7 +3,7 @@
 import pytest
 
 from repro.x86 import (
-    AL, CH, CL, EAX, EBP, EBX, ECX, EDX, ESI, ESP,
+    AL, AX, CH, CL, CX, EAX, EBP, EBX, ECX, EDX, ESI, ESP,
     DecodeError, Imm, Mem, Rel, assemble, decode, decode_all,
     mem8, mem32,
 )
@@ -56,6 +56,19 @@ class TestSpecificEncodings:
 
     def test_int_80(self):
         assert assemble("int", Imm(0x80, 8)) == b"\xcd\x80"
+
+    @pytest.mark.parametrize(
+        "mnemonic, src, encoded",
+        [
+            ("movzx", CL, b"\x0f\xb6\xc1"),
+            ("movzx", CX, b"\x0f\xb7\xc1"),
+            ("movsx", CH, b"\x0f\xbe\xc5"),
+            ("movsx", AX, b"\x0f\xbf\xc0"),
+        ],
+    )
+    def test_movzx_movsx_encode_their_source_width(self, mnemonic, src, encoded):
+        assert assemble(mnemonic, EAX, src) == encoded
+        assert decode(encoded, 0).operands == (EAX, src)
 
 
 class TestRoundTrips:
