@@ -35,7 +35,7 @@ def main():
     snapshots = set()
     digest_addr = protected.image.symbols["digest_wget"].vaddr
 
-    def observe(block, count):
+    def observe(block, count, times):
         if block.start == digest_addr:
             snapshots.add(bytes(emulator.memory.read(section.vaddr, section.size)))
 

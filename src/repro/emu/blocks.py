@@ -35,13 +35,23 @@ dispatcher's checks itself — step budget (or ``advance`` target),
 block validity by the two tiers below, and the hit counters — and
 returns to the dispatcher as soon as one fails.  The dispatcher never
 enters a block at its ``stop`` address, so re-entering the same start
-never reaches it either.
+never reaches it either.  Steps and cycles are charged per iteration;
+the observer hears of the iterations once, when the loop exits.
 
-Flag liveness: a backward pass over the block drops condition-flag
-stores that a later instruction overwrites before anything reads them.
-Side exits, instructions that can fault (memory operands, generic
-handlers) and the block end read every flag, so flags are exact
-wherever execution can leave the block.
+Deferred flags: an inlined flag writer stores no flags.  It binds its
+result (and the operands CF or OF need) to locals named by its index,
+and the specializer records each flag's expression over them; in-block
+readers — jcc conditions, ``adc``/``sbb`` carry-in — use those
+expressions.  ``cpu.cf/of/zf/sf`` receive the pending flags only where
+execution leaves the generated code: a taken side exit, the block end,
+a self-loop's return to the dispatcher, a self-modifying-store abort,
+just before a generic handler, and in the ``except BME`` clause of each
+inline load and store, so a fault sees exact flags without a store on
+the path that does not fault.  Going round a self-loop again stores
+only the flags the loop head can observe.  A backward liveness pass
+(side exits, instructions that can fault and the block end read every
+flag) tells which writers must bind their locals at all: one whose
+flags are all overwritten unobserved is a single expression.
 
 Coherence model (what keys a block):
 
@@ -63,8 +73,9 @@ Blocks also end where the image's symbol lookup changes, so every
 instruction of a block belongs to the same function.  That is what
 lets the block observer (see :mod:`repro.emu.emulator`) attribute a
 whole block to one function: the generated code calls it once per
-executed block — once per iteration of a self-loop — with the exact
-count of instructions that ran.
+executed block with the exact count of instructions that ran, and a
+self-loop once per exit with the count of its completed iterations
+(then once more for a partial last one).
 """
 
 from __future__ import annotations
@@ -98,19 +109,21 @@ BLOCK_CACHE_GENERATION = 4096
 #: fault must be the last thing the block does).
 _TERMINATORS = CONTROL_FLOW - CONDITIONAL_JUMPS
 
-#: Condition-code suffix -> inline Python expression over ``cpu``.
+#: Condition-code suffix -> inline Python expression over the four
+#: flags, each a ``{cf}``-style placeholder for the flag's current
+#: expression (``cpu.cf``, or a pending writer's; see ``_flag_reads``).
 #: Mirrors :meth:`repro.emu.cpu.CPUState.condition` exactly (including
 #: the unmodelled parity flag).
 _CC_EXPR = {
-    "o": "cpu.of", "no": "not cpu.of",
-    "b": "cpu.cf", "ae": "not cpu.cf",
-    "e": "cpu.zf", "ne": "not cpu.zf",
-    "be": "(cpu.cf or cpu.zf)", "a": "not (cpu.cf or cpu.zf)",
-    "s": "cpu.sf", "ns": "not cpu.sf",
+    "o": "{of}", "no": "not {of}",
+    "b": "{cf}", "ae": "not {cf}",
+    "e": "{zf}", "ne": "not {zf}",
+    "be": "({cf} or {zf})", "a": "not ({cf} or {zf})",
+    "s": "{sf}", "ns": "not {sf}",
     "p": "False", "np": "True",
-    "l": "cpu.sf != cpu.of", "ge": "cpu.sf == cpu.of",
-    "le": "(cpu.zf or cpu.sf != cpu.of)",
-    "g": "(not cpu.zf and cpu.sf == cpu.of)",
+    "l": "{sf} != {of}", "ge": "{sf} == {of}",
+    "le": "({zf} or {sf} != {of})",
+    "g": "(not {zf} and {sf} == {of})",
 }
 
 _LOGIC_OPS = {"and": "&", "or": "|", "xor": "^"}
@@ -118,6 +131,9 @@ _LOGIC_OPS = {"and": "&", "or": "|", "xor": "^"}
 #: Condition-flag bits for the liveness pass.
 CF, OF, ZF, SF = 1, 2, 4, 8
 ALL_FLAGS = CF | OF | ZF | SF
+
+#: Each flag bit and its ``CPUState`` attribute.
+_FLAG_NAMES = ((CF, "cf"), (OF, "of"), (ZF, "zf"), (SF, "sf"))
 
 #: Shared globals for every generated block function.
 _SHARED_NS = {
@@ -166,8 +182,8 @@ def _flag_effect(insn):
 
     Only shapes that the specializer inlines *and* that cannot fault
     are precise; everything else — memory operands, generic handlers,
-    control transfers — reads every flag, so flags are exact wherever
-    execution can leave the block.
+    control transfers — reads every flag, so every flag that execution
+    can leave the block with still has its writer's expression bound.
     """
     m = insn.mnemonic
     ops = insn.operands
@@ -207,10 +223,13 @@ def _flag_effect(insn):
 
 
 def _live_flags(insns):
-    """Flags live after each instruction of a block (backward pass).
+    """Flags live after each instruction of a block, and at its start
+    (backward pass).
 
     The block end reads every flag; each instruction kills the flags it
-    writes and revives the ones it reads.
+    writes and revives the ones it reads.  The flags live at the start
+    are the ones a self-loop's next iteration can observe before it
+    writes them.
     """
     live = ALL_FLAGS
     out = [0] * len(insns)
@@ -218,7 +237,25 @@ def _live_flags(insns):
         out[i] = live
         read, written = _flag_effect(insns[i])
         live = (live & ~written) | read
-    return out
+    return out, live
+
+
+def _flag_reads(pending) -> dict:
+    """``_CC_EXPR`` placeholder -> the flag's current expression: its
+    pending writer's, else the ``cpu`` attribute."""
+    return {
+        name: f"({pending[bit]})" if bit in pending else f"cpu.{name}"
+        for bit, name in _FLAG_NAMES
+    }
+
+
+def _flag_stores(pending, mask: int = ALL_FLAGS) -> list:
+    """Lines that write the pending flags in ``mask`` to ``cpu``."""
+    return [
+        f"cpu.{name} = {pending[bit]}"
+        for bit, name in _FLAG_NAMES
+        if mask & bit and bit in pending
+    ]
 
 
 def _imm32(op) -> int:
@@ -255,15 +292,14 @@ def _reg_read_expr(op: Register) -> Optional[str]:
     return f"((regs[{op.code - 4}] >> 8) & 0xFF)"  # ah/ch/dh/bh
 
 
-def _charge(count: int, cum: int) -> list:
+def _charge(count, cum, loops: bool) -> list:
     """Lines that charge the block's first ``count`` instructions (``cum``
-    cycles) and report them to the observer."""
-    return [
-        f"emu.steps += {count}",
-        f"emu.cycles += {cum}",
-        "if obs is not None:",
-        f"    obs(b, {count})",
-    ]
+    cycles; both ints or expressions) and report them to the observer;
+    a self-loop leaves the report to its ``finally`` (``_p``)."""
+    lines = [f"emu.steps += {count}", f"emu.cycles += {cum}"]
+    if loops:
+        return lines + [f"_p = {count}"]
+    return lines + ["if obs is not None:", f"    obs(b, {count}, 1)"]
 
 
 class CompiledBlock:
@@ -511,7 +547,10 @@ class BlockEngine:
         handlers = []
         body = []
         n = len(insns)
-        live = _live_flags(insns)
+        live, live_in = _live_flags(insns)
+        #: flag bit -> expression of its writer, for the flags written
+        #: since ``cpu`` last received them (see ``_try_specialize``)
+        pending = {}
         for i, insn in enumerate(insns):
             handlers.append(DISPATCH.get(insn.mnemonic, _unimplemented))
             body.append(f"# {nexts[i] - insn.length:#x}: {insn.text()}")
@@ -521,6 +560,8 @@ class BlockEngine:
                 start=start, end=end,
                 final=(i == n - 1),
                 live=live[i],
+                pending=pending,
+                loops=loops,
             )
 
         version_checks = " or ".join(f"_VG({p}, 0) != {v}" for p, v in pages)
@@ -532,31 +573,39 @@ class BlockEngine:
             "    _eip = cpu.eip",
             "    if _eip in _NS:",  # false only for async interrupts
             "        _i = _NEXTS.index(_eip)",
-            "        emu.steps += _i + 1",
-            "        emu.cycles += _CUM[_i]",
-            "        if obs is not None:",
-            "            obs(b, _i + 1)",
+            *("        " + line for line in _charge("_i + 1", "_CUM[_i]", loops)),
             "    raise",
         ]
         code = ["try:"] + ["    " + line for line in body] + unwind
-        code += _charge(n, total)
-        if loops:
+        leave = _flag_stores(pending)
+        if not loops:
+            code += leave + _charge(n, total, loops)
+        else:
             # Re-enter only where the dispatcher would run this block
             # again: within the limit and still valid (see run()), and
             # count the re-entry as the dispatcher's hit tiers would.
+            # Leaving stores every pending flag; going round again
+            # stores only the ones the head can observe.
+            leave = ["    " + line for line in leave + ["return"]]
             again = [
+                "_k += 1",
+                f"emu.steps += {n}",
+                f"emu.cycles += {total}",
                 f"if emu.steps + {n} > limit:",
-                "    return",
+                *leave,
                 "if mem.write_epoch != b.epoch:",
                 f"    if {version_checks}:",
-                "        return",  # the dispatcher invalidates it
+                *("    " + line for line in leave),  # the dispatcher invalidates it
                 "    b.epoch = mem.write_epoch",
                 "    _pr += 1",
                 "else:",
                 "    _eh += 1",
+                *_flag_stores(pending, live_in),
             ]
+            # Completed iterations (``_k``) and the partial last one
+            # (``_p``) reach the observer once, however the loop ends.
             code = [
-                "_eh = _pr = 0",
+                "_eh = _pr = _k = _p = 0",
                 "try:",
                 "    while True:",
                 *("        " + line for line in code + again),
@@ -564,6 +613,11 @@ class BlockEngine:
                 "    be.epoch_hits += _eh",
                 "    be.page_revalidations += _pr",
                 "    be.hits += _eh + _pr",
+                "    if obs is not None:",
+                "        if _k:",
+                f"            obs(b, {n}, _k)",
+                "        if _p:",
+                "            obs(b, _p, 1)",
             ]
 
         name = f"_block_{start:x}"
@@ -626,25 +680,36 @@ class BlockEngine:
 
     # -- per-instruction emission --------------------------------------
 
-    def _emit_insn(self, body, i, insn, nxt, cum, start, end, final, live):
+    def _emit_insn(
+        self, body, i, insn, nxt, cum, start, end, final, live, pending, loops
+    ):
         if self._try_specialize(
-            body, i, insn, nxt, cum, start, end, final, live
+            body, i, insn, nxt, cum, start, end, final, live, pending, loops
         ):
             return
-        # Generic fallback: pre-bound shared handler.
+        # Generic fallback: pre-bound shared handler, which may read and
+        # write any flag.
+        body.extend(_flag_stores(pending))
+        pending.clear()
         body.append(f"cpu.eip = {nxt}")
         body.append(f"_H[{i}](emu, _I[{i}])")
         if insn.writes_memory() and not final:
             body.append("if __VERSION_CHECK__:")
-            body.extend("    " + line for line in _charge(i + 1, cum) + ["return 1"])
+            body.extend(
+                "    " + line for line in _charge(i + 1, cum, loops) + ["return 1"]
+            )
 
     def _try_specialize(
-        self, body, i, insn, nxt, cum, start, end, final, live
+        self, body, i, insn, nxt, cum, start, end, final, live, pending, loops
     ) -> bool:
         """Emit an inlined template for ``insn``; False if it has none.
 
-        ``live`` is the mask of flags read after ``insn``: ALU
-        templates store only those.
+        Flag writers store no flags: they bind their result (and, where
+        CF or OF needs them, their operands) to locals named by ``i``
+        and record each flag's expression over them in ``pending``, for
+        the flags in ``live`` (those read after ``insn``).  In-block
+        readers use those expressions; ``cpu`` receives them only where
+        execution leaves the generated code.
         """
         m = insn.mnemonic
         ops = insn.operands
@@ -652,6 +717,11 @@ class BlockEngine:
         def set_eip_if_final():
             if final:
                 body.append(f"cpu.eip = {nxt}")
+
+        def fault_stores():
+            """Lines of an ``except BME`` clause that store the pending
+            flags before the fault propagates."""
+            return ["    " + line for line in _flag_stores(pending)]
 
         def guarded_load(mem_op, dest):
             """Faulting load with the step engine's BME eip wrap."""
@@ -675,14 +745,31 @@ class BlockEngine:
                 sub.append(f"    {dest} = mem.read_u16(_a)")
             body.extend("    " + line for line in sub)
             body.append("except BME as exc:")
+            body.extend(fault_stores())
             body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
+
+        def unwrapped(emit, *args):
+            """A stack access (``emit(sub, *args)``) the step engine does
+            not eip-wrap; pending flags are stored if it faults."""
+            sub = []
+            emit(sub, *args)
+            stores = fault_stores()
+            if not stores:
+                body.extend(sub)
+                return
+            body.append("try:")
+            body.extend("    " + line for line in sub)
+            body.append("except BME:")
+            body.extend(stores)
+            body.append("    raise")
 
         def own_bytes_abort(addr_var):
             """Self-modifying store into this block's own bytes: stop
             after the store, exactly where re-decode would begin."""
+            leave = _flag_stores(pending) + _charge(i + 1, cum, loops)
             return [
                 f"if {addr_var} < {end} and {addr_var} + 4 > {start}:",
-                *("    " + line for line in _charge(i + 1, cum) + ["return 1"]),
+                *("    " + line for line in leave + ["return 1"]),
             ]
 
         def guarded_store32(mem_op, value_expr):
@@ -694,6 +781,7 @@ class BlockEngine:
             self._store32(sub, "_a", value_expr, own_bytes_abort("_a"))
             body.extend("    " + line for line in sub)
             body.append("except BME as exc:")
+            body.extend(fault_stores())
             body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
 
         def alu_src_expr(op) -> Optional[str]:
@@ -777,13 +865,13 @@ class BlockEngine:
             body.append("_s = (regs[4] - 4) & M")
             body.append("regs[4] = _s")
             # unwrapped, like Emulator.push
-            self._store32(body, "_s", "_v", own_bytes_abort("_s"))
+            unwrapped(self._store32, "_s", "_v", own_bytes_abort("_s"))
             return True
 
         if m == "pop" and len(ops) == 1 and _is_r32(ops[0]):
             body.append(f"cpu.eip = {nxt}")
             body.append("_s = regs[4]")
-            self._load32(body, "_s", "_v")  # unwrapped, like Emulator.pop
+            unwrapped(self._load32, "_s", "_v")  # like Emulator.pop
             body.append("regs[4] = (_s + 4) & M")
             body.append(f"regs[{ops[0].code}] = _v")
             return True
@@ -792,7 +880,7 @@ class BlockEngine:
             body.append(f"cpu.eip = {nxt}")
             body.append("_s = regs[5]")
             body.append("regs[4] = _s")  # esp = ebp even if the pop faults
-            self._load32(body, "_s", "_v")
+            unwrapped(self._load32, "_s", "_v")
             body.append("regs[4] = (_s + 4) & M")
             body.append("regs[5] = _v")
             return True
@@ -802,7 +890,7 @@ class BlockEngine:
             extra = 4 + (ops[0].value if ops else 0)
             body.append(f"cpu.eip = {nxt}")
             body.append("_s = regs[4]")
-            self._load32(body, "_s", "_t")
+            unwrapped(self._load32, "_s", "_t")
             body.append(f"regs[4] = (_s + {extra}) & M")
             body.append("cpu.eip = _t")
             body.append("_r = emu._ras")
@@ -823,7 +911,7 @@ class BlockEngine:
             body.append(f"cpu.eip = {nxt}")
             body.append("_s = (regs[4] - 4) & M")
             body.append("regs[4] = _s")
-            self._store32(body, "_s", str(nxt))
+            unwrapped(self._store32, "_s", str(nxt))
             body.append("_r = emu._ras")
             body.append("if len(_r) >= RASD:")
             body.append("    del _r[0]")
@@ -836,24 +924,35 @@ class BlockEngine:
             and isinstance(ops[0], Rel)
             and ops[0].target is not None
         ):
-            cond = _CC_EXPR[m[1:]]
+            cond = _CC_EXPR[m[1:]].format(**_flag_reads(pending))
             target = ops[0].target & MASK32
             if final:
                 body.append(f"cpu.eip = {target} if {cond} else {nxt}")
             else:
+                leave = _flag_stores(pending) + _charge(i + 1, cum, loops)
                 body.append(f"if {cond}:")  # side exit; else fall through
                 body.append(f"    cpu.eip = {target}")
-                body.extend("    " + line for line in _charge(i + 1, cum) + ["return"])
+                body.extend("    " + line for line in leave + ["return"])
             return True
 
         # ---- ALU ----------------------------------------------------
-        # Each template stores only the flags in ``live``; with none of
-        # its flags live, an instruction is a single expression.
+        # A writer with none of its flags live is a single expression.
+        r = f"_r{i}"  # the result, and the operands CF/OF need
+        a = f"_a{i}"
 
-        def flag_stores(exprs):
-            for bit, line in exprs:
-                if live & bit:
-                    body.append(line)
+        def record(written, exprs):
+            """Make the ``written`` flags that are live pending with
+            their ``exprs``; a dead one is rewritten before anything
+            can observe it, so it is dropped."""
+            for bit, _ in _FLAG_NAMES:
+                if written & bit:
+                    if live & bit:
+                        pending[bit] = exprs[bit]
+                    else:
+                        pending.pop(bit, None)
+
+        def zf_sf():
+            return {ZF: f"{r} == 0", SF: f"{r} >= 0x80000000"}
 
         if (
             m in ("add", "adc", "sub", "sbb", "cmp")
@@ -861,110 +960,102 @@ class BlockEngine:
             and _is_r32(ops[0])
         ):
             src = alu_src_expr(ops[1])
-            if src is None:
+            loaded = src is None
+            if loaded:
                 if not _is_m32(ops[1]):
                     return False
-                guarded_load(ops[1], "_b")
-                src = "_b"
+                src = f"_b{i}"
+                guarded_load(ops[1], src)
             d = ops[0].code
-            if m in ("add", "adc"):
-                op, carry = "+", " + cpu.cf" if m == "adc" else ""
-            else:  # sub / sbb / cmp
-                op, carry = "-", " - cpu.cf" if m == "sbb" else ""
+            op = "+" if m in ("add", "adc") else "-"
+            carry = ""
+            if m in ("adc", "sbb"):
+                carry = f" {op} {_flag_reads(pending)['cf']}"
             if not live:
                 if m != "cmp":
                     body.append(f"regs[{d}] = (regs[{d}] {op} {src}{carry}) & M")
+                record(ALL_FLAGS, {})
             elif src == "0" and not carry:
                 # x +/- 0 (``cmp ecx, 0`` heads most loops): the value
                 # stands, with no carry and no overflow
-                body.append(f"_res = regs[{d}]")
-                flag_stores((
-                    (CF, "cpu.cf = False"),
-                    (OF, "cpu.of = False"),
-                    (ZF, "cpu.zf = _res == 0"),
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
+                body.append(f"{r} = regs[{d}]")
+                record(ALL_FLAGS, {CF: "False", OF: "False", **zf_sf()})
             else:
-                body.append(f"_a = regs[{d}]")
-                if src != "_b":
-                    body.append(f"_b = {src}")
-                body.append(f"_raw = _a {op} _b{carry}")
-                body.append("_res = _raw & M")
-                if op == "+":
-                    flag_stores((
-                        (CF, "cpu.cf = _raw > M"),
-                        (OF, "cpu.of = bool((~(_a ^ _b)) & (_a ^ _res) & 0x80000000)"),
-                    ))
+                lhs = f"regs[{d}]"
+                if carry or live & (CF | OF):
+                    if src.startswith("regs["):
+                        # pinned: a later instruction may change it
+                        body.append(f"_b{i} = {src}")
+                        src = f"_b{i}"
+                    body.append(f"{a} = {lhs}")
+                    lhs = a
+                if carry:
+                    body.append(f"_w{i} = {lhs} {op} {src}{carry}")
+                    body.append(f"{r} = _w{i} & M")
+                    cf = f"_w{i} > M" if op == "+" else f"_w{i} < 0"
                 else:
-                    flag_stores((
-                        (CF, "cpu.cf = _raw < 0"),
-                        (OF, "cpu.of = bool((_a ^ _b) & (_a ^ _res) & 0x80000000)"),
-                    ))
-                flag_stores((
-                    (ZF, "cpu.zf = _res == 0"),
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
+                    body.append(f"{r} = ({lhs} {op} {src}) & M")
+                    cf = f"{r} < {a}" if op == "+" else f"{a} < {src}"
+                differ = f"~({a} ^ {src})" if op == "+" else f"({a} ^ {src})"
+                of = f"bool({differ} & ({a} ^ {r}) & 0x80000000)"
+                record(ALL_FLAGS, {CF: cf, OF: of, **zf_sf()})
                 if m != "cmp":
-                    body.append(f"regs[{d}] = _res")
-            if src != "_b":  # memory source already pinned eip
+                    body.append(f"regs[{d}] = {r}")
+            if not loaded:  # a memory source already pinned eip
                 set_eip_if_final()
             return True
 
         if (m in _LOGIC_OPS or m == "test") and len(ops) == 2 and _is_r32(ops[0]):
             src = alu_src_expr(ops[1])
-            if src is None:
+            loaded = src is None
+            if loaded:
                 if not _is_m32(ops[1]):
                     return False
-                guarded_load(ops[1], "_b")
-                src = "_b"
+                src = f"_b{i}"
+                guarded_load(ops[1], src)
             d = ops[0].code
             op = _LOGIC_OPS.get(m, "&")
             if live:
-                body.append(f"_res = regs[{d}] {op} {src}")
-                flag_stores((
-                    (CF, "cpu.cf = False"),
-                    (OF, "cpu.of = False"),
-                    (ZF, "cpu.zf = _res == 0"),
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
+                body.append(f"{r} = regs[{d}] {op} {src}")
+                record(ALL_FLAGS, {CF: "False", OF: "False", **zf_sf()})
                 if m != "test":
-                    body.append(f"regs[{d}] = _res")
-            elif m != "test":
-                body.append(f"regs[{d}] = regs[{d}] {op} {src}")
-            if src != "_b":
+                    body.append(f"regs[{d}] = {r}")
+            else:
+                if m != "test":
+                    body.append(f"regs[{d}] = regs[{d}] {op} {src}")
+                record(ALL_FLAGS, {})
+            if not loaded:
                 set_eip_if_final()
             return True
 
         if m in ("inc", "dec") and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
             op, edge = ("+", "0x80000000") if m == "inc" else ("-", "0x7FFFFFFF")
-            if live & (OF | ZF | SF):
-                body.append(f"_res = (regs[{d}] {op} 1) & M")
-                flag_stores((
-                    (OF, f"cpu.of = _res == {edge}"),
-                    (ZF, "cpu.zf = _res == 0"),  # CF preserved, as on hardware
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
-                body.append(f"regs[{d}] = _res")
+            written = OF | ZF | SF  # CF preserved, as on hardware
+            if live & written:
+                body.append(f"{r} = (regs[{d}] {op} 1) & M")
+                record(written, {OF: f"{r} == {edge}", **zf_sf()})
+                body.append(f"regs[{d}] = {r}")
             else:
                 body.append(f"regs[{d}] = (regs[{d}] {op} 1) & M")
+                record(written, {})
             set_eip_if_final()
             return True
 
         if m == "neg" and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
             if live:
-                body.append(f"_a = regs[{d}]")
-                body.append("_res = (-_a) & M")
-                flag_stores((
-                    (CF, "cpu.cf = _a != 0"),
-                    (OF, "cpu.of = bool(_a & _res & 0x80000000)"),
-                    (ZF, "cpu.zf = _res == 0"),
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
-                body.append(f"regs[{d}] = _res")
+                body.append(f"{a} = regs[{d}]")
+                body.append(f"{r} = (-{a}) & M")
+                record(ALL_FLAGS, {
+                    CF: f"{a} != 0",
+                    OF: f"bool({a} & {r} & 0x80000000)",
+                    **zf_sf(),
+                })
+                body.append(f"regs[{d}] = {r}")
             else:
                 body.append(f"regs[{d}] = (-regs[{d}]) & M")
+                record(ALL_FLAGS, {})
             set_eip_if_final()
             return True
 
@@ -985,27 +1076,26 @@ class BlockEngine:
             if count == 0:
                 set_eip_if_final()
                 return True  # no flag/register change, like the handler
+            v = f"_v{i}"
             if m == "shl":
-                res = f"(_v << {count}) & M"
-                cf = f"cpu.cf = bool((_v >> {32 - count}) & 1)"
+                res = f"({v} << {count}) & M"
+                cf = f"bool(({v} >> {32 - count}) & 1)"
             elif m == "shr":
-                res = f"_v >> {count}"
-                cf = f"cpu.cf = bool((_v >> {count - 1}) & 1)"
+                res = f"{v} >> {count}"
+                cf = f"bool(({v} >> {count - 1}) & 1)"
             else:  # sar (count < 32), over the sign-extended value
-                signed = "(_v ^ 0x80000000) - 0x80000000"
+                signed = f"({v} ^ 0x80000000) - 0x80000000"
                 res = f"({signed} >> {count}) & M"
-                cf = f"cpu.cf = bool(({signed} >> {count - 1}) & 1)"
-            if live & (CF | ZF | SF):
-                body.append(f"_v = regs[{d}]")
-                body.append(f"_res = {res}")
-                flag_stores((
-                    (CF, cf),
-                    (ZF, "cpu.zf = _res == 0"),
-                    (SF, "cpu.sf = _res >= 0x80000000"),
-                ))
-                body.append(f"regs[{d}] = _res")
+                cf = f"bool(({signed} >> {count - 1}) & 1)"
+            written = CF | ZF | SF
+            if live & written:
+                body.append(f"{v} = regs[{d}]")
+                body.append(f"{r} = {res}")
+                record(written, {CF: cf, **zf_sf()})
+                body.append(f"regs[{d}] = {r}")
             else:
-                body.append(f"regs[{d}] = {res.replace('_v', f'regs[{d}]')}")
+                body.append(f"regs[{d}] = {res.replace(v, f'regs[{d}]')}")
+                record(written, {})
             set_eip_if_final()
             return True
 

@@ -11,11 +11,15 @@ of instruction semantics (:mod:`repro.emu.dispatch`):
   through :meth:`Emulator.step`.
 
 Profilers watch either engine through one **block observer**
-(:attr:`Emulator.observer`), a callable ``observer(block, count)``.
-A compiled superblock calls it once per execution — once per iteration
-of a self-loop — and :meth:`Emulator.step` once per instruction with a
-:class:`StepBlock`, so cold code reports one ``StepBlock`` per
-instruction on both engines.
+(:attr:`Emulator.observer`), a callable ``observer(block, count,
+times)``: ``times`` executions of ``block`` each ran ``count`` of its
+instructions.  A compiled superblock calls it once per execution with
+``times = 1``.  A self-loop calls it once when it exits, however it
+exits, with its completed iterations (``count = n``, ``times`` their
+number), then once with ``times = 1`` for a partial last iteration.
+:meth:`Emulator.step` calls it once per instruction with a
+:class:`StepBlock` and ``count = times = 1``, so cold code reports one
+``StepBlock`` per instruction on both engines.
 ``count`` is the exact number of the block's instructions that ran
 (always at least one): a side exit, a self-modifying-store abort or an
 exception raised inside the block — every run ends with ``ExitProgram``
@@ -23,8 +27,8 @@ raised in its last block — report the prefix the step engine would
 have executed, faulting instruction included.  Every block exposes
 ``start``, ``n``, ``insns``, ``cum`` (the cumulative ``cost_of`` of
 its instructions) and ``compiled``, and lies inside one symbol of the
-image, so an observer attributes ``count`` instructions and
-``cum[count - 1]`` cycles to a single function.
+image, so an observer attributes ``count * times`` instructions and
+``cum[count - 1] * times`` cycles to a single function.
 
 ROP chains need no special support: the genuine ``ret`` semantics (pop
 eip from the stack) execute them exactly as real hardware would.
@@ -219,7 +223,7 @@ class Emulator:
         #: the block observer both engines call (see the module
         #: docstring): ``None``, the one registered observer, or a
         #: fan-out over several.  Rebuilt by ``add_observer``.
-        self.observer: Optional[Callable[[object, int], None]] = None
+        self.observer: Optional[Callable[[object, int, int], None]] = None
         self._observers = []
         self._step_blocks = {}
         # Two-generation decode cache: hits promote entries from the old
@@ -257,14 +261,14 @@ class Emulator:
             self._block_engine = BlockEngine(self)
         return self._block_engine
 
-    def add_observer(self, observer: Callable[[object, int], None]) -> None:
+    def add_observer(self, observer: Callable[[object, int, int], None]) -> None:
         """Register a block observer (see the module docstring)."""
         self._observers.append(observer)
         observers = list(self._observers)
         if len(observers) > 1:
-            def fan_out(block, count):
+            def fan_out(block, count, times):
                 for observer in observers:
-                    observer(block, count)
+                    observer(block, count, times)
 
             self.observer = fan_out
         else:
@@ -416,7 +420,7 @@ class Emulator:
         self.steps += 1
         self.cycles += cost_of(insn)
         if self.observer is not None:
-            self.observer(self._step_block(eip, insn), 1)
+            self.observer(self._step_block(eip, insn), 1, 1)
         watch = self.tamper_watch
         if (
             watch is not None

@@ -3,8 +3,10 @@
 The paper's §VII-B selection needs how often each function is called
 and its share of total execution time.  :class:`Profiler` is a block
 observer (see :mod:`repro.emu.emulator`) that keeps, per block, a
-histogram of how many of its instructions each execution ran; both
-views are derived from it when read, exact on both engines:
+histogram of how many of its instructions each execution ran — a call
+reporting ``times`` executions adds ``times`` to one bucket, so a
+self-loop's iterations cost one call per loop exit; both views are
+derived from it when read, exact on both engines:
 
 * per function — every block lies inside one symbol, so an execution
   that ran ``k`` instructions charges its function ``k`` steps and
@@ -60,11 +62,11 @@ class Profiler:
     def attach(self, emulator: Emulator) -> None:
         emulator.add_observer(self)
 
-    def __call__(self, block, count: int) -> None:
+    def __call__(self, block, count: int, times: int) -> None:
         runs = self._runs.get(block)
         if runs is None:
             runs = self._runs[block] = [0] * (block.n + 1)
-        runs[count] += 1
+        runs[count] += times
         self._table = None
 
     def clear(self) -> None:

@@ -132,8 +132,8 @@ class ChainExecutionTracer:
         emulator.add_observer(self)
         return True
 
-    def __call__(self, block, count: int) -> None:
-        # The step engine's blocks are single instructions.
+    def __call__(self, block, count: int, times: int) -> None:
+        # The step engine's blocks are single instructions, run once.
         self.on_step(block.start, block.insns[0])
 
     def on_step(self, eip: int, insn) -> None:

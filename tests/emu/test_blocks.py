@@ -10,9 +10,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.emu.blocks as blocks_mod
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import ENGINES, Emulator, StepLimitExceeded, run_image
+from repro.emu import (
+    CALL_SENTINEL, ENGINES, Emulator, StepLimitExceeded, run_image,
+)
 from repro.x86 import (
-    AL, Assembler, EAX, EBX, ECX, EDI, EDX, ESI, ESP, Imm, mem32,
+    AH, AL, AX, Assembler, BH, BL, CL, CX, DH, DX, EAX, EBX, ECX, EDI, EDX,
+    ESI, ESP, Imm, SI, mem32,
 )
 
 BASE = 0x1000
@@ -39,14 +42,17 @@ def build_loop(a, n=50):
 
 
 def call_both(img, args=(), max_steps=100_000):
-    """Call BASE under both engines; assert identical observable state."""
+    """Call BASE under both engines; assert identical observable state,
+    flags included.  Returns (eax, steps, cycles, ret_mispredicts)."""
     out = []
     for engine in ("step", "block"):
         emu = Emulator(img, max_steps=max_steps, engine=engine)
         value = emu.call_function(BASE, list(args))
-        out.append((value, emu.steps, emu.cycles, emu.ret_mispredicts))
+        out.append(
+            ((value, emu.steps, emu.cycles, emu.ret_mispredicts), emu.cpu.snapshot())
+        )
     assert out[0] == out[1], "engines diverged"
-    return out[0]
+    return out[0][0]
 
 
 def test_loop_matches_step_engine():
@@ -326,7 +332,8 @@ def self_loop_image(n=50, body=None):
 
 
 def state(emu):
-    return (emu.steps, emu.cycles, emu.cpu.eip, list(emu.cpu.regs))
+    """Steps, cycles and the architectural state: registers, eip, flags."""
+    return (emu.steps, emu.cycles, emu.cpu.snapshot())
 
 
 def advance(emu, n):
@@ -355,6 +362,28 @@ def test_run_steps_lands_mid_self_loop():
     emu = Emulator(img, max_steps=100_000, engine="block")
     reference.cpu.eip = emu.cpu.eip = BASE
     for n in (83, 1, 7, 13, 4, 11, 26):
+        advance(reference, n)
+        advance(emu, n)
+        assert state(emu) == state(reference)
+    assert emu.blocks.hits > 0
+
+
+def test_self_loop_returns_with_its_pending_flags():
+    # Every iteration leaves CF = (ecx odd) pending from the neg, which
+    # the dec keeps; however a pause falls into an iteration, the loop
+    # must store it when it returns to the dispatcher.
+    def body(a):
+        a.mov(EDX, ECX)
+        a.and_(EDX, Imm(1, 32))
+        a.neg(EDX)
+
+    img, _, _ = self_loop_image(body=body)
+    reference = Emulator(img, max_steps=100_000, engine="step")
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    reference.cpu.eip = emu.cpu.eip = BASE
+    # eight-step iterations, compiled from about step 122 on; the
+    # pauses after that land on every offset into an iteration
+    for n in (130, *range(8, 17)):
         advance(reference, n)
         advance(emu, n)
         assert state(emu) == state(reference)
@@ -406,21 +435,25 @@ def test_code_view_patch_between_run_steps():
     assert emu.blocks.invalidated >= 1
 
 
-def test_self_loop_reports_each_iteration_once():
+def test_self_loop_reports_its_iterations_once_per_exit():
     img, top, _ = self_loop_image()
     calls = []
     emu = Emulator(img, max_steps=100_000, engine="block")
-    emu.add_observer(lambda block, count: calls.append((block, count)))
+    emu.add_observer(lambda block, count, times: calls.append((block, count, times)))
     emu.call_function(BASE)
     looped = [
-        count for block, count in calls if block.compiled and block.start == top
+        (count, times)
+        for block, count, times in calls
+        if block.compiled and block.start == top
     ]
     # 51 passes through `top`: the entry's dispatch and the next
-    # HOT_THRESHOLD - 1 run interpreted, the rest in the compiled loop,
-    # whose last pass leaves through the je after two instructions
-    assert looped == [5] * (50 - blocks_mod.HOT_THRESHOLD) + [2]
-    assert sum(count for _, count in calls) == emu.steps
-    assert emu.blocks.hits == len(looped) - 1  # every re-entry is a hit
+    # HOT_THRESHOLD - 1 run interpreted, the rest in the compiled loop.
+    # Its full iterations arrive in one call when it exits, followed by
+    # the last pass, which leaves through the je after two instructions.
+    iterations = 50 - blocks_mod.HOT_THRESHOLD
+    assert looped == [(5, iterations), (2, 1)]
+    assert sum(count * times for _, count, times in calls) == emu.steps
+    assert emu.blocks.hits == iterations  # every re-entry is a hit
 
 
 def test_cold_code_runs_interpreted():
@@ -494,10 +527,15 @@ def test_crashed_emulator_is_freed_without_a_collection(monkeypatch, engine):
 
 
 # ----------------------------------------------------------------------
-# Flag liveness: dropped flag stores never change what is observable
+# Deferred flags: flags reach the CPU only where execution leaves the
+# generated code, and that never changes what is observable
 # ----------------------------------------------------------------------
 
+#: Never mapped: a load from it faults.
+UNMAPPED = 0x0050_0000
+
 _REGS = (EAX, EBX, ECX, EDX, ESI)
+_NARROW = (AL, CL, BL, AH, DH, BH, AX, CX, DX, SI)
 _BINARY = ("add", "adc", "sub", "sbb", "cmp", "and", "or", "xor", "test")
 _UNARY = ("inc", "dec", "neg", "not")
 _SHIFTS = ("shl", "shr", "sar")
@@ -511,16 +549,17 @@ _alu_insn = st.one_of(
     _binary_insn, _binary_insn, _binary_insn,  # mostly flag writers
     st.tuples(st.sampled_from(_UNARY), st.sampled_from(_REGS)),
     st.tuples(st.sampled_from(_SHIFTS), st.sampled_from(_REGS), st.integers(0, 31)),
+    st.tuples(  # 8- and 16-bit register sources
+        st.sampled_from(("movzx", "movsx")), st.sampled_from(_REGS),
+        st.sampled_from(_NARROW),
+    ),
     st.tuples(st.just("set"), st.sampled_from(_CCS)),  # generic: reads flags
     st.tuples(st.just("j"), st.sampled_from(_CCS)),  # side exit
     st.tuples(st.just("load"), st.sampled_from(_REGS)),  # can fault
 )
 
 
-def _alu_image(seeds, program):
-    a = Assembler(base=BASE)
-    for reg, value in zip(_REGS, seeds):
-        a.mov(reg, Imm(value, 32))
+def _emit_alu(a, program):
     for insn in program:
         m = insn[0]
         if m in _BINARY:
@@ -530,12 +569,35 @@ def _alu_image(seeds, program):
             a.emit(m, insn[1])
         elif m in _SHIFTS:
             a.emit(m, insn[1], Imm(insn[2], 8))
+        elif m in ("movzx", "movsx"):
+            a.emit(m, insn[1], insn[2])
         elif m == "set":
             a.emit("set" + insn[1], AL)
         elif m == "j":
             a.emit("j" + insn[1], "out")
+        elif m == "fault":
+            a.mov(insn[1], mem32(disp=UNMAPPED))
         else:
             a.mov(insn[1], mem32(disp=DATA))
+
+
+def _alu_image(seeds, program, loop_split=None):
+    """Seed the registers, then run ``program`` once; or, with
+    ``loop_split``, as the body of a self-loop of six iterations whose
+    counter exit (on edi) sits at that index of the program."""
+    a = Assembler(base=BASE)
+    for reg, value in zip(_REGS, seeds):
+        a.mov(reg, Imm(value, 32))
+    if loop_split is None:
+        _emit_alu(a, program)
+    else:
+        a.mov(EDI, Imm(6, 32))
+        a.label("top")
+        _emit_alu(a, program[:loop_split])
+        a.dec(EDI)
+        a.je("out")
+        _emit_alu(a, program[loop_split:])
+        a.jmp("top")
     a.label("out")
     a.ret()
     img = BinaryImage("t")
@@ -544,31 +606,119 @@ def _alu_image(seeds, program):
     return img
 
 
+def _paused_states(img, engine, pauses):
+    """Call BASE on ``engine``, pausing after each of ``pauses`` steps;
+    the state at every pause, then how the run ended."""
+    emu = Emulator(img, max_steps=10_000, engine=engine)
+    emu.push(CALL_SENTINEL)
+    emu.cpu.eip = BASE
+    states = []
+    for steps in pauses:
+        emu.advance(steps=steps)
+        states.append(state(emu))
+    # returning to the sentinel ends the run with a BadFetch there
+    fault = emu.run().fault
+    states.append(
+        (state(emu), emu.ret_mispredicts, type(fault).__name__, str(fault), fault.eip)
+    )
+    return states
+
+
 @settings(
-    max_examples=100,
+    max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5),
-    st.lists(_alu_insn, min_size=1, max_size=24),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5),
+    program=st.lists(_alu_insn, min_size=1, max_size=24),
+    fault_at=st.one_of(st.none(), st.integers(0, 24)),
+    loop=st.booleans(),
+    loop_split=st.integers(0, 24),
+    pauses=st.lists(st.integers(1, 40), max_size=6),
 )
-@example(  # a carry chain: adc must keep the shr's CF store alive
+@example(  # a carry chain: adc must read the shr's CF
     seeds=[0] * 5,
     program=[("add", ECX, 1), ("shr", ECX, 1), ("adc", EAX, EAX)],
+    fault_at=None, loop=False, loop_split=0, pauses=[],
 )
-def test_flag_liveness_keeps_flags_exact(monkeypatch, seeds, program):
-    # Random ALU blocks with flag readers (adc/sbb, setcc), side exits
-    # and faultable loads: registers, flags, steps and cycles must match
-    # the step engine with every block compiled.
+@example(  # the loop head's adc reads the CF the tail's add left
+    # pending, and the add carries on every other iteration
+    seeds=[1, 2, 0x80000000, 0x80000000, 5],
+    program=[("adc", EAX, EBX), ("add", ECX, EDX)],
+    fault_at=None, loop=True, loop_split=1, pauses=[],
+)
+def test_flag_liveness_keeps_flags_exact(
+    monkeypatch, seeds, program, fault_at, loop, loop_split, pauses
+):
+    # Random ALU blocks with flag readers (adc/sbb, setcc), side exits,
+    # loads that can fault and, at ``fault_at``, one that does, run
+    # straight and as a self-loop, paused at drawn step counts.  At
+    # every pause and at the end, registers, flags, eip, steps and
+    # cycles must match the step engine with every block compiled.
     monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
-    img = _alu_image(seeds, program)
+    if fault_at is not None:
+        program = program[:fault_at] + [("fault", EAX)] + program[fault_at:]
+    img = _alu_image(seeds, program, min(loop_split, len(program)) if loop else None)
+    assert _paused_states(img, "block", pauses) == _paused_states(
+        img, "step", pauses
+    )
+
+
+@pytest.mark.parametrize("store", ["mov", "push"])
+def test_self_modifying_store_abort_stores_pending_flags(monkeypatch, store):
+    # The store that aborts the block leaves the sub's flags pending;
+    # the dec's that run after it keep its CF.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+
+    def prefix(a, target):
+        a.mov(ECX, Imm(5, 32))
+        a.sub(ECX, Imm(7, 32))  # borrows: CF and SF set
+        if store == "mov":
+            a.mov(EAX, Imm(target, 32))
+            a.mov(mem32(EAX), Imm(0x4B4B4B4B, 32))
+        else:
+            a.mov(ESI, ESP)
+            a.mov(ESP, Imm(target + 4, 32))
+            a.push(Imm(0x4B4B4B4B, 32))
+
+    probe = Assembler(base=BASE)
+    prefix(probe, 0)
+    target = probe.here
+
+    def build(a):
+        prefix(a, target)
+        a.raw(b"\x43\x43\x43\x43")  # inc ebx x4 -> becomes dec ebx x4
+        if store == "push":
+            a.mov(ESP, ESI)
+        a.mov(EAX, EBX)
+
+    img = make_image(build)
+    assert call_both(img)[0] == 0xFFFFFFFC  # flags compared too
+    emu = Emulator(img, max_steps=100_000, engine="block")
+    emu.call_function(BASE)
+    assert emu.blocks.write_aborts == 1
+    assert emu.cpu.cf  # the sub's borrow, stored when the block aborted
+
+
+@pytest.mark.parametrize("access", ["push", "pop", "ret"])
+def test_faulting_stack_access_sees_pending_flags(monkeypatch, access):
+    # The stack accesses the step engine does not eip-wrap store the
+    # flags left pending before them when they fault.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    a = Assembler(base=BASE)
+    a.mov(ECX, Imm(5, 32))
+    a.mov(ESP, Imm(UNMAPPED, 32))
+    a.sub(ECX, Imm(7, 32))  # borrows: CF and SF set
+    a.emit(access, *([] if access == "ret" else [EAX]))
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
     outcomes = []
     for engine in ("step", "block"):
-        emu = Emulator(img, max_steps=10_000, engine=engine)
-        emu.call_function(BASE)
-        cpu = emu.cpu
-        outcomes.append(
-            (state(emu), cpu.cf, cpu.of, cpu.zf, cpu.sf, emu.ret_mispredicts)
-        )
+        emu = Emulator(img, max_steps=100, engine=engine)
+        emu.cpu.eip = BASE
+        fault = emu.run().fault
+        outcomes.append((state(emu), type(fault).__name__, fault.eip))
     assert outcomes[0] == outcomes[1]
+    assert outcomes[1][1] == "BadMemoryAccess"
+    assert outcomes[1][0][2]["flags"]["cf"]

@@ -37,7 +37,7 @@ class FakeBlock:
 
 def step(hot, mnemonic, eip=0x9000):
     """One instruction run by Emulator.step, as the observer sees it."""
-    hot(StepBlock(eip, Instruction(mnemonic, raw=b"\x90")), 1)
+    hot(StepBlock(eip, Instruction(mnemonic, raw=b"\x90")), 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -51,8 +51,7 @@ def test_step_and_block_samples_merge():
         step(hot, "mov")
     step(hot, "ret", eip=0x9001)
     block = FakeBlock(0x1000, ("mov", "add", "mov"))
-    hot(block, 3)
-    hot(block, 3)
+    hot(block, 3, 2)  # two full executions reported at once
     counts = hot.mnemonic_counts()
     # block executions expand to executions x occurrences
     assert counts["mov"] == 3 + 2 * 2
@@ -67,9 +66,9 @@ def test_step_and_block_samples_merge():
 def test_partial_block_runs_count_only_executed_instructions():
     hot = Profiler(BinaryImage("t"))
     block = FakeBlock(0x1000, ("cmp", "jne", "add", "ret"))
-    hot(block, 4)
-    hot(block, 2)  # side exit at the jne
-    hot(block, 1)  # fault in the cmp
+    hot(block, 4, 1)
+    hot(block, 2, 1)  # side exit at the jne
+    hot(block, 1, 1)  # fault in the cmp
     assert hot.mnemonic_counts() == {"cmp": 3, "jne": 2, "add": 1, "ret": 1}
     assert hot.block_samples == {0x1000: 3}
 
@@ -87,7 +86,7 @@ def test_ties_rank_deterministically_and_clear_resets():
 def test_report_renders_mnemonic_and_block_tables():
     hot = Profiler(BinaryImage("t"))
     step(hot, "mov")
-    hot(FakeBlock(0x2000, ("ret",)), 1)
+    hot(FakeBlock(0x2000, ("ret",)), 1, 1)
     out = hot.hotspot_report()
     assert "engine hot spots" in out
     assert "mov" in out and "ret" in out

@@ -37,13 +37,14 @@ SMALL_CORPUS = {
 
 
 class Runs:
-    """Records every observer call as ``(compiled, n, count)``."""
+    """Records every block execution as ``(compiled, n, count)``, one
+    entry per execution an observer call reports."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, block, count):
-        self.calls.append((block.compiled, block.n, count))
+    def __call__(self, block, count, times):
+        self.calls.extend([(block.compiled, block.n, count)] * times)
 
     @property
     def partial_blocks(self):

@@ -91,7 +91,7 @@ def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
             if rec.enabled:
                 rec.record("k")
             if observer is not None:
-                observer(None, 1)
+                observer(None, 1, 1)
         return time.perf_counter() - t0
 
     def bare_loop():
