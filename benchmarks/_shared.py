@@ -8,7 +8,6 @@ repeat benchmark runs skip unchanged protections entirely via the
 on-disk content-addressed cache.
 """
 
-import atexit
 import json
 import os
 import platform
@@ -16,7 +15,6 @@ import subprocess
 import time
 from functools import lru_cache
 
-from repro import telemetry
 from repro.core import Parallax, ProtectConfig, STRATEGIES
 from repro.corpus import PROGRAM_NAMES, build_program_cached
 from repro.emu import Emulator
@@ -34,32 +32,6 @@ HISTORY_DIR = os.environ.get(
     "REPRO_BENCH_HISTORY",
     os.path.join(os.path.dirname(__file__), "history"),
 )
-
-#: Every benchmark process leaves a metrics artifact next to its
-#: results so pipeline counters (gadget scans, chain words, emulated
-#: instructions) can be compared across runs.  Path overridable via
-#: REPRO_BENCH_METRICS; set it to the empty string to disable.
-METRICS_PATH = os.environ.get(
-    "REPRO_BENCH_METRICS",
-    os.path.join(os.path.dirname(__file__), "telemetry-metrics.json"),
-)
-
-
-def _enable_benchmark_metrics() -> None:
-    if not METRICS_PATH:
-        return
-    telemetry.configure(metrics=True)
-    atexit.register(write_metrics)
-
-
-def write_metrics(path: str = None) -> str:
-    """Dump the process-wide metrics registry as JSON; returns the path."""
-    target = path or METRICS_PATH
-    telemetry.get_metrics().write_json(target)
-    return target
-
-
-_enable_benchmark_metrics()
 
 
 def git_sha() -> str:

@@ -15,9 +15,9 @@ Each detected cell also reports ``cycles_to_corruption`` (tamper ->
 first execution of tampered bytes) and ``cycles_to_detection`` (tamper
 -> externally observable failure), stamped by the emulator's
 :class:`~repro.emu.TamperWatch`.  The Parallax rows tag the tampered
-gadget's Fig. 6 rewrite rule so the telemetry histograms get one
-``attacks.cycles_to_detection{attack=...,rule=...}`` labeled cell per
-combination.
+gadget's Fig. 6 rewrite rule so that, with metrics on, the telemetry
+histograms get one ``attacks.cycles_to_detection{attack=...,rule=...}``
+labeled cell per combination.
 
 Alongside the matrix the benchmark measures Parallax's protection
 coverage (fraction of protected bytes guarded by at least one chain)

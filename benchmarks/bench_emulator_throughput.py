@@ -10,6 +10,13 @@ workload shapes the paper's evaluation leans on:
   :class:`~repro.emu.profiler.Profiler` attached as the block observer
   (the selection profile every auto-select protect runs).
 
+Per program it also reports the block engine's profiled over plain
+throughput, ``block_profile_ratio``: what the observer costs a whole
+run (1.0 = nothing).  Single cold runs on a shared host swing by more
+than that cost, so the ratio comes from its own ``OBSERVER_ROUNDS``
+interleaved pairs of block-engine runs, best of each.  It is reported,
+not gated.
+
 Every measurement doubles as a differential check: steps, cycles and
 observable outputs — and, for ``profile``, every function's calls,
 steps and cycles — must match across engines exactly, and any
@@ -60,6 +67,10 @@ CHAIN_REPEATS = 40
 
 #: Timed batches per engine; the best (minimum time) is kept.
 CHAIN_ROUNDS = 5
+
+#: Interleaved plain/profiled block-engine run pairs behind
+#: ``block_profile_ratio``; the best of each is kept.
+OBSERVER_ROUNDS = 3
 
 
 def _digest_args(name):
@@ -150,6 +161,24 @@ def measure_profile(name):
     return ips, sigs
 
 
+def measure_observer_cost(name):
+    """Block-engine instructions/sec with the profiler over without it,
+    best of ``OBSERVER_ROUNDS`` interleaved pairs of whole runs."""
+    image = _shared.program(name).image
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(OBSERVER_ROUNDS):
+        for profiled in best:
+            emulator = Emulator(
+                image, max_steps=_shared.MAX_STEPS, engine=_shared.ENGINE
+            )
+            if profiled:
+                Profiler(image).attach(emulator)
+            t0 = time.perf_counter()
+            emulator.run()
+            best[profiled] = min(best[profiled], time.perf_counter() - t0)
+    return best[False] / best[True]
+
+
 #: Workload rows, in report order, and how each is measured.
 MEASURES = {
     "chain": measure_chain,
@@ -178,6 +207,7 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
                 "speedup": round(ips["block"] / ips["step"], 2),
                 "identical": identical,
             }
+        row["block_profile_ratio"] = round(measure_observer_cost(name), 3)
         rows[name] = row
 
     def geomean(kind, key):
@@ -194,6 +224,7 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
         "chain_repeats": CHAIN_REPEATS,
         "chain_warmup": CHAIN_WARMUP,
         "chain_rounds": CHAIN_ROUNDS,
+        "observer_rounds": OBSERVER_ROUNDS,
     }
     if output:
         with open(output, "w") as fh:
@@ -218,10 +249,15 @@ def _print_report(payload):
             r = row[kind]
             print(f"{name:<8} {kind:<8} {r['step_ips']:>11,}"
                   f" {r['block_ips']:>12,} {r['speedup']:>8.1f}x")
+    ratios = ", ".join(
+        f"{name} {row['block_profile_ratio']:.2f}"
+        for name, row in payload["programs"].items()
+    )
+    print(f"\nblock engine, profiled/plain throughput: {ratios}")
     geomeans = ", ".join(
         f"{kind} {payload[f'{kind}_speedup_geomean']}x" for kind in WORKLOADS
     )
-    print(f"\ngeomean block/step: {geomeans}; "
+    print(f"geomean block/step: {geomeans}; "
           f"{len(payload['mismatches'])} differential mismatch(es)")
 
 

@@ -18,9 +18,7 @@ BENCHMARKS = os.path.abspath(
 
 @pytest.fixture
 def gate(monkeypatch):
-    """The benchmark module, imported with its metrics artifact and
-    history disabled so the test process keeps its telemetry state."""
-    monkeypatch.setenv("REPRO_BENCH_METRICS", "")
+    """The benchmark module, imported with its history disabled."""
     monkeypatch.setenv("REPRO_BENCH_HISTORY", "")
     monkeypatch.syspath_prepend(BENCHMARKS)
     for name in ("_shared", "bench_telemetry_overhead"):
@@ -59,6 +57,11 @@ def test_report_fraction_and_verdict(monkeypatch, gate, tmp_path, capsys):
     scripted(monkeypatch, gate, [(1.0, 0.9)])
     assert gate.main(["--repeats", "1", "--output", str(output)]) == 0
     assert json.loads(output.read_text())["fraction"] == 0.0
+
+
+def test_importing_the_benchmarks_leaves_telemetry_as_it_was(gate):
+    # the fixture imported _shared afresh: metrics stay off
+    assert not get_metrics().enabled
 
 
 def test_measure_overhead_runs_workload_both_ways(gate):
