@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import Parallax, ProtectConfig, build_program
+from repro import ProtectConfig, protect_request
 from repro.corpus import build_wget
 
 
@@ -13,20 +13,16 @@ def main():
     program = build_wget(blocks=2, chunks=10)
     print(f"built {program}")
 
-    baseline = program.run()
+    # One protect request: baseline run, protection, protected run.
+    request = protect_request(program, ProtectConfig(strategy="xor"))
+    baseline, result = request.baseline, request.run
     print(f"baseline run : {baseline}  stdout={baseline.stdout!r}")
-
-    protector = Parallax(ProtectConfig(strategy="xor"))
-    protected = protector.protect(program)
     print()
-    print(protected.report.summary())
-
-    result = protected.run()
+    print(request.protected.report.summary())
     print()
     print(f"protected run: {result}  stdout={result.stdout!r}")
-    assert result.stdout == baseline.stdout
-    assert result.exit_status == baseline.exit_status
-    overhead = 100 * (result.cycles / baseline.cycles - 1)
+    assert request.divergence is None
+    overhead = request.overhead_percent
     print(f"behaviour identical; whole-program overhead {overhead:.2f}%")
 
 

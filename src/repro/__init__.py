@@ -15,14 +15,13 @@ layered bottom-up:
 * :mod:`repro.attacks` / :mod:`repro.baselines` — adversaries and the
   checksumming / oblivious-hashing comparison points.
 
-Quickstart::
+Quickstart (one protect request: baseline run, protect, protected run)::
 
-    from repro import build_program, Parallax, ProtectConfig
+    from repro import ProtectConfig, build_program, protect_request
 
     program = build_program("wget")
-    protected = Parallax(ProtectConfig(strategy="rc4")).protect(program)
-    result = protected.run()
-    assert result.divergence(program.run()) is None
+    request = protect_request(program, ProtectConfig(strategy="rc4"))
+    assert request.divergence is None
 """
 
 from .core import (
@@ -30,10 +29,10 @@ from .core import (
     ProtectConfig,
     ProtectedProgram,
     STRATEGIES,
-    protect_program,
+    protect_request,
     select_verification_function,
 )
-from .corpus import PROGRAM_NAMES, build_all, build_program
+from .corpus import PROGRAM_NAMES, build_program
 from .emu import Emulator, RunResult, run_image
 from .rewrite import RewriteEngine, format_fig6_table
 
@@ -44,10 +43,9 @@ __all__ = [
     "ProtectConfig",
     "ProtectedProgram",
     "STRATEGIES",
-    "protect_program",
+    "protect_request",
     "select_verification_function",
     "PROGRAM_NAMES",
-    "build_all",
     "build_program",
     "Emulator",
     "RunResult",

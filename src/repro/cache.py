@@ -60,7 +60,6 @@ __all__ = [
     "get_cache",
     "configure_cache",
     "cache_manager",
-    "reset_caches",
     "cache_session",
 ]
 
@@ -394,11 +393,6 @@ class CacheManager:
                 self._caches[namespace] = cache
             return cache
 
-    def clear_memory(self) -> None:
-        with self._lock:
-            for cache in self._caches.values():
-                cache.memory.clear()
-
 
 # Process-wide caching is opt-in: a bare import must never change
 # observable behaviour (telemetry counters, object identity) of code
@@ -425,11 +419,6 @@ def configure_cache(
     global _manager
     _manager = CacheManager(cache_dir=cache_dir, enabled=enabled)
     return _manager
-
-
-def reset_caches() -> None:
-    """Drop every in-memory entry (the disk tier is left alone)."""
-    _manager.clear_memory()
 
 
 def get_cache(namespace: str, store_blobs: bool = False) -> Optional[ContentCache]:

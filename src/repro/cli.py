@@ -43,7 +43,7 @@ import json
 import sys
 
 from . import telemetry
-from .core import Parallax, ProtectConfig, STRATEGIES
+from .core import Parallax, ProtectConfig, STRATEGIES, protect_request
 from .corpus import PROGRAM_NAMES, build_program
 from .rewrite import RewriteEngine, format_fig6_table
 
@@ -239,20 +239,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_protect(args) -> int:
     program = build_program(args.program)
-    baseline = program.run(engine=args.engine)
     config = ProtectConfig(strategy=args.strategy, guard_chains=args.guard_chains)
-    protected = Parallax(config).protect(program)
-    result = protected.run(engine=args.engine)
-    divergence = result.divergence(baseline)
-    overhead = 100 * (result.cycles / baseline.cycles - 1)
+    request = protect_request(program, config, engine=args.engine)
+    report = request.protected.report
+    divergence = request.divergence
+    overhead = request.overhead_percent
     if args.json:
-        payload = protected.report.to_dict()
+        payload = report.to_dict()
         payload["behaviour_preserved"] = divergence is None
         payload["divergence"] = divergence
         payload["overhead_percent"] = round(overhead, 4)
         print(json.dumps(payload, indent=2))
     else:
-        print(protected.report.summary())
+        print(report.summary())
     if divergence is not None:
         if not args.json:
             print(f"ERROR: protected program diverged from baseline: {divergence}")

@@ -18,12 +18,13 @@ from .protector import (
     GADGETS_BASE,
     Parallax,
     ProtectError,
+    ProtectResult,
     ProtectedProgram,
     ROPCHAINS_BASE,
     ROPDATA_BASE,
     RT_BASE,
     STUBS_BASE,
-    protect_program,
+    protect_request,
 )
 from .report import ChainRecord, ProtectionReport
 from .selection import (
@@ -38,7 +39,8 @@ from .stubs import StubLayout, build_loader_stub
 __all__ = [
     "ProtectConfig", "STRATEGIES",
     "STRATEGY_CLEARTEXT", "STRATEGY_XOR", "STRATEGY_RC4", "STRATEGY_LINEAR",
-    "Parallax", "ProtectError", "ProtectedProgram", "protect_program",
+    "Parallax", "ProtectError", "ProtectResult", "ProtectedProgram",
+    "protect_request",
     "GADGETS_BASE", "STUBS_BASE", "ROPDATA_BASE", "ROPCHAINS_BASE",
     "RT_BASE", "ENC_BASE",
     "ChainRecord", "ProtectionReport",

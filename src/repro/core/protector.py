@@ -23,10 +23,10 @@ implicitly verify the protected code bytes.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..binary import BinaryImage, Perm, Section
-from ..corpus.program import Program
+from ..corpus.program import RUN_MAX_STEPS, Program
 from ..emu import RunResult, run_image
 from ..gadgets import GadgetCatalog, find_gadgets
 from ..ropc import compile_functions, emit_standard_gadgets
@@ -105,7 +105,7 @@ class ProtectedProgram:
     def run(
         self,
         debugger_attached: bool = False,
-        max_steps: int = 50_000_000,
+        max_steps: int = RUN_MAX_STEPS,
         image: Optional[BinaryImage] = None,
         engine: Optional[str] = None,
     ) -> RunResult:
@@ -541,6 +541,43 @@ def _resume_cell_of(chain: RopChain) -> int:
     return chain.resume_cell
 
 
-def protect_program(program: Program, config: Optional[ProtectConfig] = None):
-    """Convenience one-shot protection."""
-    return Parallax(config).protect(program)
+class ProtectResult(NamedTuple):
+    """One protect request's outcome (:func:`protect_request`).
+
+    The runs, ``divergence`` (``run.divergence(baseline)``) and the
+    unrounded Fig. 5b ``overhead_percent`` are ``None`` unless verified;
+    the overhead also when the baseline ran no cycles.
+    """
+
+    protected: ProtectedProgram
+    baseline: Optional[RunResult] = None
+    run: Optional[RunResult] = None
+    divergence: Optional[str] = None
+    overhead_percent: Optional[float] = None
+
+    @property
+    def behaviour_preserved(self) -> Optional[bool]:
+        return None if self.run is None else self.divergence is None
+
+
+def protect_request(
+    program: Program,
+    config: Optional[ProtectConfig],
+    *,
+    verify: bool = True,
+    engine: Optional[str] = None,
+    max_steps: int = RUN_MAX_STEPS,
+    use_cache: bool = True,
+) -> ProtectResult:
+    """One protect request, in a fixed order: the baseline
+    ``program.run``, :meth:`Parallax.protect` (with §VII-B selection
+    when ``config`` names no function), then ``protected.run``.  Both
+    runs share ``engine`` and ``max_steps``; ``verify=False`` only
+    protects."""
+    if not verify:
+        return ProtectResult(Parallax(config).protect(program, use_cache=use_cache))
+    baseline = program.run(max_steps=max_steps, engine=engine)
+    protected = Parallax(config).protect(program, use_cache=use_cache)
+    run = protected.run(max_steps=max_steps, engine=engine)
+    overhead = 100 * (run.cycles / baseline.cycles - 1) if baseline.cycles else None
+    return ProtectResult(protected, baseline, run, run.divergence(baseline), overhead)

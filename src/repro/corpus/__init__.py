@@ -18,7 +18,6 @@ from .program import (
 from .programs import (
     BUILDERS,
     PROGRAM_NAMES,
-    build_all,
     build_bzip2,
     build_gcc,
     build_gzip,
@@ -40,7 +39,7 @@ __all__ = [
     "TEXT_BASE", "RODATA_BASE", "DATA_BASE", "GADGETS_BASE",
     "STUBS_BASE", "ROPDATA_BASE", "ROPCHAINS_BASE",
     "BUILDERS", "PROGRAM_NAMES",
-    "build_all", "build_program", "build_program_cached",
+    "build_program", "build_program_cached",
     "build_wget", "build_nginx", "build_bzip2",
     "build_gzip", "build_gcc", "build_lame",
 ]

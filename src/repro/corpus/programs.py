@@ -550,8 +550,3 @@ def build_program_cached(name: str) -> Program:
         return build_program(name)
     key = content_key("corpus", package_source_digest(), name)
     return cache.get_or_compute(key, lambda: build_program(name))
-
-
-def build_all() -> Dict[str, Program]:
-    """Build the full corpus (deterministic)."""
-    return {name: build_program(name) for name in PROGRAM_NAMES}

@@ -68,11 +68,6 @@ class GadgetCatalog:
         gadgets = self.of_kind(kind)
         return gadgets[0] if gadgets else None
 
-    def variants(self, kind: GadgetKind) -> List[Gadget]:
-        """All usable gadgets for ``kind`` — the set :math:`G_i` of §V-B
-        from which probabilistic chain generation samples."""
-        return self.of_kind(kind)
-
     # ------------------------------------------------------------------
     # Capability queries
     # ------------------------------------------------------------------

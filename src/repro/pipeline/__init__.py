@@ -19,7 +19,6 @@ from ..cache import (
     configure_cache,
     content_key,
     get_cache,
-    reset_caches,
 )
 from .pool import mp_context, run_tasks, worker_init
 from .runner import PipelineResult, config_for_program, protect_all
@@ -36,5 +35,4 @@ __all__ = [
     "configure_cache",
     "content_key",
     "get_cache",
-    "reset_caches",
 ]

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 from ..cache import cache_manager, configure_cache
 from ..core.config import ProtectConfig
-from ..core.protector import Parallax
+from ..core.protector import protect_request
 from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..telemetry import adopt, capture, get_metrics, get_recorder, get_tracer
 from .pool import run_tasks
@@ -137,28 +137,24 @@ def _run_task(task: dict) -> dict:
     payload exactly once, at adoption.
     """
     name = task["name"]
-    config: ProtectConfig = task["config"]
 
     def body():
         start = time.perf_counter()
-        program = build_program_cached(name)
-        protected = Parallax(config).protect(
-            program, use_cache=task["use_cache"]
+        request = protect_request(
+            build_program_cached(name),
+            task["config"],
+            verify=task["verify"],
+            use_cache=task["use_cache"],
         )
-        elapsed = time.perf_counter() - start
-        behaviour = None
-        if task["verify"]:
-            baseline = program.run(max_steps=task["max_steps"])
-            run = protected.run(max_steps=task["max_steps"])
-            behaviour = run.divergence(baseline) is None
-        return protected, elapsed, behaviour
+        return request, time.perf_counter() - start
 
-    (protected, elapsed, behaviour), telemetry = capture(
+    (request, elapsed), telemetry = capture(
         body,
         metrics=task["metrics"],
         tracing=task["tracing"],
         recording=task["recording"],
     )
+    protected = request.protected
     return {
         "name": name,
         "blob": pickle.dumps(
@@ -166,7 +162,7 @@ def _run_task(task: dict) -> dict:
         ),
         "elapsed": elapsed,
         "cache_hit": protected.cached,
-        "behaviour_preserved": behaviour,
+        "behaviour_preserved": request.behaviour_preserved,
         "telemetry": telemetry,
         "pid": os.getpid(),
     }
@@ -184,7 +180,6 @@ def protect_all(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     verify: bool = False,
-    max_steps: int = 300_000_000,
 ) -> List[PipelineResult]:
     """Protect every named corpus program, optionally in parallel.
 
@@ -198,9 +193,13 @@ def protect_all(
             cache configuration as-is.
         use_cache: ``False`` forces full recomputation everywhere (the
             differential tests' control arm).
-        verify: also run baseline and protected images and record
+        verify: also run the original and protected images (each task
+            is then one verified :func:`~repro.core.protect_request`,
+            both runs under its default step budget) and record
             behavioural equality per program (slow: full emulation).
-        max_steps: emulation budget for ``verify``.
+
+    Each result's ``elapsed`` times its task body: build plus protect,
+    plus both runs under ``verify``.
 
     Returns:
         :class:`PipelineResult` list in input order.
@@ -221,7 +220,6 @@ def protect_all(
             "config": config_for_program(name, config),
             "use_cache": use_cache,
             "verify": verify,
-            "max_steps": max_steps,
             "metrics": get_metrics().enabled,
             "tracing": get_tracer().enabled,
             "recording": get_recorder().enabled,

@@ -18,7 +18,7 @@ import base64
 from typing import Any, Dict
 
 from ..cache import content_key, package_source_digest
-from ..core import Parallax, ProtectConfig, STRATEGIES
+from ..core import ProtectConfig, STRATEGIES, protect_request
 from ..core.protector import PROTECT_CACHE_VERSION
 from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..pipeline import config_for_program
@@ -104,8 +104,7 @@ def job_key(task: Dict[str, Any]) -> str:
     )
 
 
-def _protect(task: Dict[str, Any]):
-    program = build_program_cached(task["program"])
+def _request(task: Dict[str, Any], verify: bool):
     config = config_for_program(
         task["program"],
         ProtectConfig(
@@ -114,12 +113,16 @@ def _protect(task: Dict[str, Any]):
             guard_chains=task["guard_chains"],
         ),
     )
-    protected = Parallax(config).protect(program)
-    return program, protected
+    return protect_request(
+        build_program_cached(task["program"]),
+        config,
+        verify=verify,
+        max_steps=task["max_steps"],
+    )
 
 
 def _protect_payload(task: Dict[str, Any]) -> Dict[str, Any]:
-    _program, protected = _protect(task)
+    protected = _request(task, verify=False).protected
     artifact = protected.image.canonical_bytes()
     return {
         "kind": "protect",
@@ -135,18 +138,17 @@ def _protect_payload(task: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _verify_payload(task: Dict[str, Any]) -> Dict[str, Any]:
-    program, protected = _protect(task)
-    baseline = program.run(max_steps=task["max_steps"])
-    run = protected.run(max_steps=task["max_steps"])
-    divergence = run.divergence(baseline)
+    request = _request(task, verify=True)
+    baseline, run = request.baseline, request.run
+    overhead = request.overhead_percent
     return {
         "kind": "verify",
         "program": task["program"],
         "strategy": task["strategy"],
         "seed": task["seed"],
-        "fingerprint": protected.image.fingerprint(),
-        "behaviour_preserved": divergence is None,
-        "divergence": divergence,
+        "fingerprint": request.protected.image.fingerprint(),
+        "behaviour_preserved": request.behaviour_preserved,
+        "divergence": request.divergence,
         "baseline": {
             "exit_status": baseline.exit_status,
             "steps": baseline.steps,
@@ -158,19 +160,15 @@ def _verify_payload(task: Dict[str, Any]) -> Dict[str, Any]:
             "cycles": run.cycles,
             "crashed": run.crashed,
         },
-        "overhead_percent": (
-            round(100 * (run.cycles / baseline.cycles - 1), 4)
-            if baseline.cycles
-            else None
-        ),
+        "overhead_percent": None if overhead is None else round(overhead, 4),
     }
 
 
 def _attack_matrix_payload(task: Dict[str, Any]) -> Dict[str, Any]:
     from ..attacks import tamper_chain_gadget
 
-    program, protected = _protect(task)
-    goal = program.run(max_steps=task["max_steps"])
+    protected = _request(task, verify=False).protected
+    goal = protected.program.run(max_steps=task["max_steps"])
     target, static, wurster = tamper_chain_gadget(protected, goal)
     return {
         "kind": "attack-matrix",

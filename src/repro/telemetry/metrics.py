@@ -519,14 +519,6 @@ class MetricsRegistry:
             if isinstance(inst, (Counter, Gauge))
         )
 
-    def names(self) -> List[str]:
-        """Sorted series keys (bare names first within a family)."""
-        out: List[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            out.extend(family[key].series_key for key in sorted(family))
-        return out
-
     def reset(self) -> None:
         self._families.clear()
 

@@ -7,8 +7,8 @@ opcodes inside immediates and jump offsets, the ``add`` opcode family
 0x00–0x05), and unaligned decoding for gadget discovery.
 """
 
-from .asm import Assembler, assemble_snippet
-from .decoder import decode, decode_all, iter_decode
+from .asm import Assembler
+from .decoder import decode, decode_all
 from .encoder import assemble, encode_modrm
 from .errors import AssemblerError, DecodeError, EncodeError, X86Error
 from .instruction import (
@@ -42,7 +42,7 @@ from .registers import (
 )
 
 __all__ = [
-    "Assembler", "assemble_snippet", "decode", "decode_all", "iter_decode",
+    "Assembler", "decode", "decode_all",
     "assemble", "encode_modrm",
     "AssemblerError", "DecodeError", "EncodeError", "X86Error",
     "Instruction", "CONDITIONAL_JUMPS", "CONTROL_FLOW", "RETURNS",

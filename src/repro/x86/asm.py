@@ -206,10 +206,3 @@ class Assembler:
     def disassemble(self) -> List[Instruction]:
         """Round-trip the assembled bytes through the decoder."""
         return decode_all(self.assemble(), address=self.base)
-
-
-def assemble_snippet(build, base: int = 0) -> bytes:
-    """Run ``build(asm)`` against a fresh assembler and return the bytes."""
-    asm = Assembler(base=base)
-    build(asm)
-    return asm.assemble()

@@ -9,7 +9,7 @@ exploits this to discard unaligned byte windows that are not valid code.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .errors import DecodeError
 from .instruction import Instruction
@@ -671,12 +671,3 @@ def decode_all(
         out.append(insn)
         offset += insn.length
     return out
-
-
-def iter_decode(data: bytes, address: int = 0) -> Iterator[Instruction]:
-    """Yield instructions linearly; raises DecodeError on bad bytes."""
-    offset = 0
-    while offset < len(data):
-        insn = decode(data, offset, address + offset)
-        yield insn
-        offset += insn.length
