@@ -1,23 +1,25 @@
 """Content-addressed caching for the protection pipeline.
 
 Protection is referentially transparent: gadget discovery, linear
-disassembly and the whole :meth:`Parallax.protect` run are pure
-functions of the input bytes and the configuration (every random choice
-is derived from ``ProtectConfig.seed``).  This module exploits that to
-make repeated ``protect``/benchmark runs skip unchanged programs
-entirely:
+disassembly, corpus generation and the whole :meth:`Parallax.protect`
+run are pure functions of their inputs, the configuration (every
+random choice is derived from ``ProtectConfig.seed``) and the code.
+This module exploits that to make repeated ``protect``/benchmark runs
+skip unchanged programs entirely.  It owns the whole caching policy:
 
-* keys are SHA-256 digests over a canonical encoding of the inputs
-  (section bytes, virtual addresses, finder/config knobs, and a
-  per-namespace version stamp so stale entries die on algorithm
-  changes);
+* **one key rule**: every stored key is :func:`key_for`, a SHA-256
+  digest over ``(namespace, package_source_digest(), *inputs)``.
+  Callers name only their inputs; the source digest orphans every
+  entry on any code change, with no version constant to bump;
+* **one policy table**, :data:`POLICIES`: per namespace, whether a hit
+  deserializes a fresh object graph (callers may mutate it) and
+  whether entries may use the disk tier;
 * every namespace has an **in-memory LRU tier** bounded by entry count;
 * an optional **on-disk tier** (``configure_cache(cache_dir=...)`` or
   the ``REPRO_CACHE_DIR`` environment variable) persists entries across
   processes — this is what makes warm ``protect-all`` reruns and
-  parallel workers cheap.  Disk entries live in **per-shard
-  directories** (``<ns>/shard-<nn>/``) so concurrent writers spread
-  their directory operations;
+  parallel workers cheap.  The layout is one directory per namespace:
+  ``<root>/<namespace>/<key>.pkl``;
 * caching is **opt-in per process**: the default manager is disabled
   unless ``REPRO_CACHE_DIR`` is set, so plain library/CLI use is
   untouched; ``configure_cache()`` / ``cache_session()`` (and the
@@ -26,13 +28,17 @@ entirely:
   telemetry registry (``cache.<ns>.hits`` etc.), so ``--metrics``
   output shows exactly what the cache did.
 
+Synchronous call sites use :func:`cached`; the serving layer, whose
+compute is an awaited pool submit, keys with :func:`key_for` and calls
+``get``/``put`` on :func:`get_cache` itself.
+
 The disk tier is deliberately forgiving: unreadable or truncated
 entries are treated as misses and overwritten, never raised.
 
 Correctness stance: a cache hit must be indistinguishable from a
-recompute.  Namespaces that return mutable object graphs therefore
-either hand out fresh copies per hit (``store_blobs=True`` keeps the
-pickled bytes even in memory) or document that callers must not mutate
+recompute.  Namespaces that return mutable object graphs are ``fresh``
+in :data:`POLICIES` (pickled bytes are kept even in memory, so every
+hit is a new copy); the others document that callers must not mutate
 the cached values.
 """
 
@@ -45,14 +51,17 @@ import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from .telemetry import get_metrics
 
 __all__ = [
     "content_key",
     "package_source_digest",
-    "shard_index",
+    "key_for",
+    "cached",
+    "Policy",
+    "POLICIES",
     "LRUTier",
     "DiskTier",
     "ContentCache",
@@ -66,24 +75,44 @@ __all__ = [
 #: Default bound for every in-memory LRU tier.
 DEFAULT_MEMORY_ENTRIES = 256
 
-#: Number of per-shard directories in the disk tier (part of the layout:
-#: changing it strands every existing entry).
-DEFAULT_SHARDS = 16
-
 #: Sentinel distinguishing "miss" from a cached ``None``.
 _MISS = object()
 
 _SOURCE_DIGEST: Optional[str] = None
 
 
+class Policy(NamedTuple):
+    """How one namespace caches.
+
+    ``fresh``: keep pickled bytes even in memory and deserialize on
+    every hit, so each hit is a new object graph the caller may mutate.
+    ``disk``: entries may live on the disk tier when one is configured.
+    """
+
+    fresh: bool = False
+    disk: bool = True
+
+
+#: The caching policy of every namespace; unlisted namespaces get
+#: ``Policy()`` (shared hits, disk allowed).
+POLICIES: Dict[str, Policy] = {
+    # Callers mutate built programs and protected images.
+    "corpus": Policy(fresh=True),
+    "protect": Policy(fresh=True),
+    "gadgets": Policy(),
+    # Decoded instruction lists are mutated lazily by the emulator's
+    # cost model and dwarf their own pickles: memory only.
+    "decode": Policy(disk=False),
+    "serve": Policy(),
+}
+
+
 def package_source_digest() -> str:
     """SHA-256 over every ``.py`` source file of the ``repro`` package.
 
-    The honest cache key for artifacts that depend on *code* rather
-    than on explicit input bytes (e.g. corpus programs generated from
-    seeds): any source change anywhere in the package invalidates such
-    entries automatically, with no version constant to forget to bump.
-    Computed once per process.
+    Part of every key (:func:`key_for`): any source change anywhere in
+    the package invalidates every cached entry.  Computed once per
+    process.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
@@ -151,22 +180,13 @@ def content_key(*parts: Any) -> str:
     return digest.hexdigest()
 
 
-def shard_index(key: str, shards: int) -> int:
-    """Deterministic shard for ``key`` (a SHA-256 hex digest).
+def key_for(namespace: str, *inputs: Any) -> str:
+    """The one key rule: ``namespace``'s key for ``inputs``.
 
-    Uses the leading digest bits, so the assignment is stable across
-    processes and Python hash randomization — a requirement for the
-    disk tier, where the shard is part of the entry's path.
+    Covers the package source digest, so an entry written by other
+    code is never replayed.
     """
-    if shards <= 1:
-        return 0
-    try:
-        return int(key[:8], 16) % shards
-    except ValueError:
-        # Non-hex keys (tests, ad-hoc callers) still shard stably.
-        return int.from_bytes(
-            hashlib.sha256(key.encode("utf-8")).digest()[:4], "big"
-        ) % shards
+    return content_key(namespace, package_source_digest(), *inputs)
 
 
 class LRUTier:
@@ -205,17 +225,14 @@ class LRUTier:
 
 
 class DiskTier:
-    """Pickle-per-entry on-disk store with per-shard directories.
+    """Pickle-per-entry on-disk store: ``<root>/<namespace>/<key>.pkl``.
 
-    Entries live under ``<root>/<namespace>/shard-<nn>/<key>.pkl``
-    where ``nn`` is :func:`shard_index` of the key, so concurrent
-    writers spread directory creation and rename traffic over
-    :data:`DEFAULT_SHARDS` directories instead of contending on one.  Writes are
-    atomic (temp file + ``os.replace``), which is the whole same-key
-    story: any number of processes may race one key and the directory
-    ends up with exactly one valid entry — the last rename wins, and a
-    reader sees either a complete old blob or a complete new one,
-    never a torn mix.  Reads treat any malformed entry as a miss.
+    Writes are atomic (temp file + ``os.replace``), which is the whole
+    same-key story: any number of processes may race one key and the
+    directory ends up with exactly one valid entry — the last rename
+    wins, and a reader sees either a complete old blob or a complete
+    new one, never a torn mix.  Reads treat any malformed entry as a
+    miss.
     """
 
     def __init__(self, root: str):
@@ -227,10 +244,7 @@ class DiskTier:
         self._ready_lock = threading.Lock()
 
     def _path(self, namespace: str, key: str) -> str:
-        shard = shard_index(key, DEFAULT_SHARDS)
-        return os.path.join(
-            self.root, namespace, f"shard-{shard:02x}", key + ".pkl"
-        )
+        return os.path.join(self.root, namespace, key + ".pkl")
 
     def _ensure_dir(self, directory: str) -> None:
         with self._ready_lock:
@@ -284,16 +298,11 @@ class ContentCache:
 
     Args:
         namespace: short name; becomes part of disk paths and metric
-            names (``cache.<namespace>.hits`` ...).
+            names (``cache.<namespace>.hits`` ...) and selects the
+            namespace's :data:`POLICIES` entry.
         memory: the in-memory LRU tier (always present).
-        disk: optional shared :class:`DiskTier`.
-        store_blobs: keep pickled bytes in the memory tier and
-            deserialize on every hit, so each hit returns a fresh object
-            graph (required when callers may mutate the result, e.g.
-            protected images).
-        use_disk: gate allowing a namespace to opt out of the disk tier
-            even when one is configured (e.g. decode results whose
-            object graphs are cheap to rebuild but heavy to pickle).
+        disk: optional shared :class:`DiskTier`; ignored when the
+            policy keeps the namespace in memory.
     """
 
     def __init__(
@@ -301,14 +310,12 @@ class ContentCache:
         namespace: str,
         memory: Optional[LRUTier] = None,
         disk: Optional[DiskTier] = None,
-        store_blobs: bool = False,
-        use_disk: bool = True,
     ):
+        policy = POLICIES.get(namespace, Policy())
         self.namespace = namespace
         self.memory = memory if memory is not None else LRUTier()
-        self.disk = disk
-        self.store_blobs = store_blobs
-        self.use_disk = use_disk
+        self.disk = disk if policy.disk else None
+        self.fresh = policy.fresh
 
     # -- metrics --------------------------------------------------------
 
@@ -323,10 +330,10 @@ class ContentCache:
         if entry is not _MISS:
             self._count("hits")
             self._count("memory_hits")
-            if self.store_blobs:
+            if self.fresh:
                 return True, pickle.loads(entry)
             return True, entry
-        if self.disk is not None and self.use_disk:
+        if self.disk is not None:
             blob = self.disk.get_blob(self.namespace, key)
             if blob is not None:
                 try:
@@ -334,7 +341,7 @@ class ContentCache:
                 except Exception:
                     self._count("disk_corrupt")
                 else:
-                    self.memory.put(key, blob if self.store_blobs else value)
+                    self.memory.put(key, blob if self.fresh else value)
                     self._count("hits")
                     self._count("disk_hits")
                     return True, value
@@ -343,32 +350,18 @@ class ContentCache:
 
     def put(self, key: str, value: Any) -> None:
         blob = None
-        if self.store_blobs or (self.disk is not None and self.use_disk):
+        if self.fresh or self.disk is not None:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self.memory.put(key, blob if self.store_blobs else value)
-        if self.disk is not None and self.use_disk and blob is not None:
+        self.memory.put(key, blob if self.fresh else value)
+        if self.disk is not None:
             if not self.disk.put_blob(self.namespace, key, blob):
                 # The memory tier still holds the value and serves it.
                 self._count("disk_errors")
         self._count("stores")
 
-    def get_or_compute(self, key: str, compute):
-        """``compute()`` on miss, store, and return the value."""
-        hit, value = self.get(key)
-        if hit:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
-
 
 class CacheManager:
     """Process-wide registry of namespaces sharing one configuration."""
-
-    #: Namespaces whose values are only safe/worthwhile in memory
-    #: (decoded instruction lists are mutated lazily by the emulator's
-    #: cost model and dwarf their own pickles).
-    MEMORY_ONLY = frozenset({"decode"})
 
     def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True):
         self.enabled = enabled
@@ -380,16 +373,11 @@ class CacheManager:
     def cache_dir(self) -> Optional[str]:
         return self.disk.root if self.disk is not None else None
 
-    def get(self, namespace: str, store_blobs: bool = False) -> ContentCache:
+    def get(self, namespace: str) -> ContentCache:
         with self._lock:
             cache = self._caches.get(namespace)
             if cache is None:
-                cache = ContentCache(
-                    namespace,
-                    disk=self.disk,
-                    store_blobs=store_blobs,
-                    use_disk=namespace not in self.MEMORY_ONLY,
-                )
+                cache = ContentCache(namespace, disk=self.disk)
                 self._caches[namespace] = cache
             return cache
 
@@ -421,11 +409,32 @@ def configure_cache(
     return _manager
 
 
-def get_cache(namespace: str, store_blobs: bool = False) -> Optional[ContentCache]:
+def get_cache(namespace: str) -> Optional[ContentCache]:
     """The namespace cache, or ``None`` when caching is disabled."""
     if not _manager.enabled:
         return None
-    return _manager.get(namespace, store_blobs=store_blobs)
+    return _manager.get(namespace)
+
+
+def cached(
+    namespace: str, inputs: Any, compute: Callable[[], Any]
+) -> Tuple[Any, bool]:
+    """``(value, hit)``: ``compute()``'s value, from the cache if present.
+
+    ``inputs`` is the tuple of key parts (see :func:`content_key`), or a
+    zero-argument callable returning it when the parts cost something
+    to compute.  With caching disabled this is ``(compute(), False)``
+    and no key is derived.
+    """
+    if not _manager.enabled:
+        return compute(), False
+    cache = _manager.get(namespace)
+    key = key_for(namespace, *(inputs() if callable(inputs) else inputs))
+    hit, value = cache.get(key)
+    if not hit:
+        value = compute()
+        cache.put(key, value)
+    return value, hit
 
 
 @contextmanager

@@ -17,7 +17,7 @@ Commands:
   in parallel (``--jobs``) and cached on disk (``--cache-dir``);
 * ``serve``                     — protection-as-a-service daemon:
   protect / verify / attack-matrix over HTTP with single-flight
-  deduplication, a sharded response cache, per-tenant quotas, one
+  deduplication, a content-addressed response cache, per-tenant quotas, one
   worker-pool submit per job, and ``/metrics`` (request counters and
   latency histograms), ``/stats`` (in-flight, single-flight and tenant
   state) and ``/journal`` introspection;
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes, all started before the "
                               "daemon listens (default: 2)")
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="sharded on-disk response/protect cache at DIR "
+                         help="on-disk response/protect cache at DIR "
                               "(default: $REPRO_CACHE_DIR, else memory-only)")
     p_serve.add_argument("--queue-depth", type=int, default=64, metavar="N",
                          help="max pending jobs before 429 backpressure "

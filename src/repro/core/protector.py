@@ -26,6 +26,7 @@ import random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..binary import BinaryImage, Perm, Section
+from ..cache import cached
 from ..corpus.program import RUN_MAX_STEPS, Program
 from ..emu import RunResult, run_image
 from ..gadgets import GadgetCatalog, find_gadgets
@@ -55,12 +56,6 @@ RT_BASE = 0x080E0000
 ENC_BASE = 0x080F0000
 
 _STUB_SLOT = 192  # bytes reserved per loader stub (guards + decryptor calls)
-
-#: Bump when protection output changes for identical inputs, so cached
-#: protected images from an older pipeline are never replayed.
-#: v2: reports carry protected_addresses and per-chain gadget_spans
-#: (the coverage observatory's inputs).
-PROTECT_CACHE_VERSION = 2
 
 
 class ProtectError(Exception):
@@ -134,50 +129,36 @@ class Parallax:
 
         Every random choice in the pipeline derives from
         ``config.seed``, so protection is a pure function of the input
-        image and the config — which is exactly the cache key.  A hit
+        image and the config — which is exactly the cache input.  A hit
         deserializes a fresh image/report pair, indistinguishable from
         a recompute; ``use_cache=False`` forces the full pipeline.
         """
-        cache = key = None
-        hit = False
-        if use_cache:
-            from ..cache import content_key, get_cache
-
-            cache = get_cache("protect", store_blobs=True)
-        if cache is not None:
-            key = content_key(
-                "protect",
-                PROTECT_CACHE_VERSION,
-                program.image.fingerprint(),
-                self.config.cache_key(),
-            )
-            hit, value = cache.get(key)
-        attributes = {"cached": True} if hit else {}
         with get_tracer().span(
-            "protect",
-            program=program.name,
-            strategy=self.config.strategy,
-            **attributes,
+            "protect", program=program.name, strategy=self.config.strategy
         ) as span:
-            if hit:
-                protected = ProtectedProgram(program, *value, cached=True)
+            if use_cache:
+                (image, report), hit = cached(
+                    "protect",
+                    lambda: (program.image.fingerprint(), self.config.cache_key()),
+                    lambda: self._protect(program),
+                )
             else:
-                protected = self._protect(program)
-            span.set_attribute("chains", len(protected.report.chains))
+                (image, report), hit = self._protect(program), False
+            if hit:
+                span.set_attribute("cached", True)
+            span.set_attribute("chains", len(report.chains))
         recorder = get_recorder()
         if recorder.enabled:
             recorder.record(
                 "protect",
                 program=program.name,
                 strategy=self.config.strategy,
-                chains=len(protected.report.chains),
+                chains=len(report.chains),
                 cached=hit,
             )
-        if cache is not None and not hit:
-            cache.put(key, (protected.image, protected.report))
-        return protected
+        return ProtectedProgram(program, image, report, cached=hit)
 
-    def _protect(self, program: Program) -> ProtectedProgram:
+    def _protect(self, program: Program) -> Tuple[BinaryImage, ProtectionReport]:
         config = self.config
         metrics = get_metrics()
         tracer = get_tracer()
@@ -355,7 +336,7 @@ class Parallax:
             "strategy": config.strategy,
             "verification_functions": list(names),
         }
-        return ProtectedProgram(program, image, report)
+        return image, report
 
     # ------------------------------------------------------------------
     # Helpers

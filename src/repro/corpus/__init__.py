@@ -5,12 +5,8 @@ from .generator import FunctionGenerator, MixProfile
 from .program import (
     DATA_BASE,
     DataBuilder,
-    GADGETS_BASE,
     Program,
     RODATA_BASE,
-    ROPCHAINS_BASE,
-    ROPDATA_BASE,
-    STUBS_BASE,
     TEXT_BASE,
     call_const,
     input_bytes,
@@ -36,8 +32,7 @@ __all__ = [
     "Program",
     "call_const",
     "input_bytes",
-    "TEXT_BASE", "RODATA_BASE", "DATA_BASE", "GADGETS_BASE",
-    "STUBS_BASE", "ROPDATA_BASE", "ROPCHAINS_BASE",
+    "TEXT_BASE", "RODATA_BASE", "DATA_BASE",
     "BUILDERS", "PROGRAM_NAMES",
     "build_program", "build_program_cached",
     "build_wget", "build_nginx", "build_bzip2",

@@ -14,12 +14,6 @@ TEXT_BASE = 0x08048000
 RODATA_BASE = 0x08070000
 DATA_BASE = 0x08090000
 
-#: Section bases reserved for the Parallax pipeline's additions.
-GADGETS_BASE = 0x080A0000
-STUBS_BASE = 0x080B0000
-ROPDATA_BASE = 0x080C0000
-ROPCHAINS_BASE = 0x080D0000
-
 #: Instruction budget of a program's workload run (and of its §VII-B
 #: selection profile); every corpus workload finishes well inside it.
 RUN_MAX_STEPS = 10_000_000

@@ -536,17 +536,13 @@ def build_program(name: str) -> Program:
 def build_program_cached(name: str) -> Program:
     """Content-addressed :func:`build_program`.
 
-    Corpus generation is pure code + fixed seeds, so the key is the
-    package source digest plus the program name: editing any ``repro``
-    source file invalidates the entry, and the corpus-determinism test
-    suite guards the fixed-seed half of the assumption.  Hits
-    deserialize a fresh :class:`Program` (blob-stored), so callers may
-    mutate the result freely.
+    Corpus generation is pure code + fixed seeds, so the program name is
+    the whole input (the key rule adds the source digest), and the
+    corpus-determinism test suite guards the fixed-seed half of the
+    assumption.  ``corpus`` is a fresh namespace: every hit is a new
+    :class:`Program`, so callers may mutate the result freely.
     """
-    from ..cache import content_key, get_cache, package_source_digest
+    from ..cache import cached
 
-    cache = get_cache("corpus", store_blobs=True)
-    if cache is None:
-        return build_program(name)
-    key = content_key("corpus", package_source_digest(), name)
-    return cache.get_or_compute(key, lambda: build_program(name))
+    program, _hit = cached("corpus", (name,), lambda: build_program(name))
+    return program

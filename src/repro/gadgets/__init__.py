@@ -2,7 +2,6 @@
 
 from .catalog import GadgetCatalog
 from .finder import (
-    FINDER_VERSION,
     MAX_GADGET_INSNS,
     MAX_LOOKBACK_BYTES,
     decode_gadget_at,
@@ -17,7 +16,6 @@ from .types import COMPILER_USABLE, Gadget, GadgetKind, GadgetOp
 
 __all__ = [
     "GadgetCatalog",
-    "FINDER_VERSION",
     "MAX_GADGET_INSNS",
     "MAX_LOOKBACK_BYTES",
     "decode_gadget_at",

@@ -57,12 +57,6 @@ MAX_GADGET_INSNS = 6
 #: instructions of at most ~7 bytes each is generous at 40.
 MAX_LOOKBACK_BYTES = 40
 
-#: Bump when discovery or classification semantics change, so cached
-#: finder output from an older algorithm can never be replayed.
-#: Version history: 1 = exhaustive per-offset re-decode; 2 = memoized
-#: single-pass scanner (identical output, new implementation).
-FINDER_VERSION = 2
-
 _NEAR_RETS = (RET_OPCODE, RET_IMM16_OPCODE)
 _FAR_RETS = (RETF_OPCODE, RETF_IMM16_OPCODE)
 _IMM16_RETS = (RET_IMM16_OPCODE, RETF_IMM16_OPCODE)
@@ -337,29 +331,21 @@ def find_gadgets_in_bytes_cached(
     """Content-addressed :func:`find_gadgets_in_bytes`.
 
     The key covers the exact section bytes, the base address and every
-    finder knob (plus :data:`FINDER_VERSION`), so a one-byte change to
-    the code — the very thing Parallax exists to detect — yields a
-    different key and a fresh scan.  Gadget objects are shared between
-    hits; the pipeline treats them as immutable.
+    finder knob, so a one-byte change to the code — the very thing
+    Parallax exists to detect — yields a different key and a fresh
+    scan.  Gadget objects are shared between hits; the pipeline treats
+    them as immutable.
     """
-    from ..cache import content_key, get_cache
+    from ..cache import cached
 
-    cache = get_cache("gadgets")
-    if cache is None:
-        return find_gadgets_in_bytes(
+    gadgets, _hit = cached(
+        "gadgets",
+        (data, base, max_insns, include_far),
+        lambda: find_gadgets_in_bytes(
             data, base=base, max_insns=max_insns, include_far=include_far
-        )
-    key = content_key(
-        "find_gadgets", FINDER_VERSION, bytes(data), base, max_insns, include_far
+        ),
     )
-    return list(
-        cache.get_or_compute(
-            key,
-            lambda: find_gadgets_in_bytes(
-                data, base=base, max_insns=max_insns, include_far=include_far
-            ),
-        )
-    )
+    return list(gadgets)
 
 
 def find_gadgets(

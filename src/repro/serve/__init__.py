@@ -15,7 +15,7 @@ within one.  This package supplies that layer, stdlib-only:
 * :mod:`repro.serve.jobs` — the picklable job bodies executed on the
   worker pool, one pool submit per job;
 * :mod:`repro.serve.server` — admission → single-flight → pool →
-  sharded cache, plus ``/metrics``, ``/stats``, ``/journal``,
+  cache, plus ``/metrics``, ``/stats``, ``/journal``,
   graceful SIGTERM drain;
 * :mod:`repro.serve.client` — blocking and asyncio clients used by the
   tests, the CI smoke job, and the load generator

@@ -17,25 +17,19 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict
 
-from ..cache import content_key, package_source_digest
+from ..cache import key_for
 from ..core import ProtectConfig, STRATEGIES, protect_request
-from ..core.protector import PROTECT_CACHE_VERSION
 from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..pipeline import config_for_program
 
 __all__ = [
     "JOB_KINDS",
-    "SERVE_CACHE_VERSION",
     "make_task",
     "job_key",
     "execute_job",
 ]
 
 JOB_KINDS = ("protect", "verify", "attack-matrix")
-
-#: Bump when serve payload contents change for identical inputs, so
-#: cached responses from an older serving layer are never replayed.
-SERVE_CACHE_VERSION = 2
 
 #: Emulation budget for verify / attack jobs (full runs, not chains).
 DEFAULT_MAX_STEPS = 50_000_000
@@ -85,16 +79,13 @@ def make_task(
 def job_key(task: Dict[str, Any]) -> str:
     """Content key for the serve-level response cache + single-flight.
 
-    Keys on the full task plus the protect-cache version and the
-    package source digest: responses depend on the pipeline's *code*
-    as well as its inputs, and the source digest orphans stale entries
-    across code changes with no constant to forget to bump.
+    Keys on the full task by the cache's one rule
+    (:func:`~repro.cache.key_for`), which adds the package source
+    digest: responses depend on the pipeline's *code* as well as its
+    inputs.
     """
-    return content_key(
+    return key_for(
         "serve",
-        SERVE_CACHE_VERSION,
-        PROTECT_CACHE_VERSION,
-        package_source_digest(),
         task["kind"],
         task["program"],
         task["strategy"],

@@ -17,7 +17,7 @@ One asyncio event loop fronts the existing protection pipeline:
   <msg>"}`` to that job's leader and followers only, nothing cached.
 * **Cache** — completed payloads persist in the ``serve`` namespace of
   the content-addressed cache (:mod:`repro.cache`: an LRU memory tier
-  over a sharded disk tier), so a warm request never touches the pool
+  over a disk tier), so a warm request never touches the pool
   at all.
 * **Observability** — every request runs under a
   :class:`~repro.telemetry.TelemetryContext` labeled ``tenant=`` (and

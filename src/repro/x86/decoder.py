@@ -615,11 +615,6 @@ def _decode16(data: bytes, offset: int, address: Optional[int]) -> Instruction:
     raise DecodeError(f"unsupported 16-bit opcode {op:02x}", offset=offset)
 
 
-#: Bump when decode semantics change: stale cached decode results keyed
-#: under an older version can then never be confused with current ones.
-DECODER_VERSION = 1
-
-
 def decode_all_cached(
     data: bytes, address: int = 0, stop_on_error: bool = False
 ) -> List[Instruction]:
@@ -632,20 +627,14 @@ def decode_all_cached(
     lazy ``cycle_cost`` memoization is the one sanctioned exception —
     it is idempotent for a given instruction).
     """
-    from ..cache import content_key, get_cache
+    from ..cache import cached
 
-    cache = get_cache("decode")
-    if cache is None:
-        return decode_all(data, address=address, stop_on_error=stop_on_error)
-    key = content_key(
-        "decode_all", DECODER_VERSION, bytes(data), address, stop_on_error
+    insns, _hit = cached(
+        "decode",
+        (data, address, stop_on_error),
+        lambda: decode_all(data, address=address, stop_on_error=stop_on_error),
     )
-    return list(
-        cache.get_or_compute(
-            key,
-            lambda: decode_all(data, address=address, stop_on_error=stop_on_error),
-        )
-    )
+    return list(insns)
 
 
 def decode_all(

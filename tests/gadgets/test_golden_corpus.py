@@ -5,9 +5,9 @@ where the digest hashes the sorted per-gadget fingerprint lines
 (address, end, kind, stack words, far, ret imm).  Any change to
 discovery or classification semantics — a new decoder quirk, a
 classifier tweak, a finder rewrite — changes a digest and fails this
-test, forcing the change to be deliberate: bump
-:data:`repro.gadgets.FINDER_VERSION`, regenerate, and say why in the
-commit.
+test, forcing the change to be deliberate: regenerate and say why in
+the commit.  (Cached gadget sets need no action: every cache key covers
+the package source digest.)
 
 Regenerate after an intentional semantics change with::
 
@@ -24,7 +24,8 @@ from repro.corpus import PROGRAM_NAMES, build_program_cached
 from repro.gadgets import find_gadgets, reference_find_gadgets
 
 #: program -> (gadget count, sha256 over sorted fingerprint lines).
-#: Frozen at FINDER_VERSION 2; regen path in the module docstring.
+#: Frozen with the memoized single-pass scanner; regen path in the
+#: module docstring.
 GOLDEN = {
     "wget": (519, "decf0acde88ba202651a5245b063618078cc5e50275c5a1a3f3dab06ae96fb8e"),
     "nginx": (812, "8eaf955ad2b58e14570a8ee5a0ba0ede7d051ab069d177d461d3dfd86b98c312"),
@@ -53,10 +54,10 @@ def test_gadget_set_matches_golden_digest(name):
     count, digest = gadget_set_digest(find_gadgets(image))
     expected_count, expected_digest = GOLDEN[name]
     assert (count, digest) == (expected_count, expected_digest), (
-        f"{name}: gadget set drifted from the frozen FINDER_VERSION-2 "
-        f"golden digest ({count} gadgets vs {expected_count} expected). "
-        "If the semantics change is intentional, bump FINDER_VERSION and "
-        "regenerate: PYTHONPATH=src python -m tests.gadgets.test_golden_corpus"
+        f"{name}: gadget set drifted from the frozen golden digest "
+        f"({count} gadgets vs {expected_count} expected). "
+        "If the semantics change is intentional, regenerate and say why: "
+        "PYTHONPATH=src python -m tests.gadgets.test_golden_corpus"
     )
 
 

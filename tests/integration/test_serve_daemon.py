@@ -7,9 +7,11 @@ perfbench harness parses too), drives a thundering herd plus mixed
 jobs across tenants, probes the introspection routes, then sends
 SIGTERM.  The tests below assert on what that run observed and
 exported.  The artifacts land under pytest's basetemp (``serve0/``),
-so ``--basetemp`` keeps them for ``repro stats``.
+so ``--basetemp`` keeps them for ``repro stats``.  One more test
+restarts a daemon over a cache directory whose entries were truncated.
 """
 
+import glob
 import json
 import os
 import re
@@ -18,6 +20,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -50,6 +53,25 @@ def _read_ndjson(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+@contextmanager
+def _daemon(*args):
+    """A ``repro serve --port 0 ARGS...`` process: ``(proc, host, port)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        host, port = _await_listening(proc)
+        yield proc, host, port
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("serve")
@@ -57,18 +79,12 @@ def run(tmp_path_factory):
         "journal": str(out / "serve-journal.jsonl"),
         "prom": str(out / "serve-metrics.prom"),
     }
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--jobs", "2", "--cache-dir", str(out / "cache"),
-         "--quota-rate", "200",
-         "--journal", paths["journal"],
-         "--prom", paths["prom"]],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    try:
-        host, port = _await_listening(proc)
+    with _daemon(
+        "--jobs", "2", "--cache-dir", str(out / "cache"),
+        "--quota-rate", "200",
+        "--journal", paths["journal"],
+        "--prom", paths["prom"],
+    ) as (proc, host, port):
 
         def request(job):
             kind, body = job
@@ -93,11 +109,6 @@ def run(tmp_path_factory):
             stats = client.get("/stats")
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=90)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
     return {
         "results": results,
         "repeat": repeat,
@@ -183,3 +194,40 @@ def test_sigterm_drains_and_exports_the_journal(run):
     )
     assert os.path.getsize(run["paths"]["prom"]) > 0
 
+
+
+def _protect_gzip_once(cache_dir):
+    """One gzip protect job on a fresh daemon over ``cache_dir``:
+    ``(status, payload, /metrics text)``."""
+    with _daemon("--jobs", "1", "--cache-dir", cache_dir) as (proc, host, port):
+        with ServeClient(host, port, timeout=180) as client:
+            status, _headers, payload = client.post(
+                "/protect", {"program": "gzip", "seed": 0}
+            )
+            metrics = client.get("/metrics")[2]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=90) == 0
+    return status, payload, metrics
+
+
+def test_truncated_disk_entries_are_recomputed(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    status, warm, _metrics = _protect_gzip_once(cache_dir)
+    assert status == 200
+    for namespace in ("serve", "protect"):
+        entries = glob.glob(os.path.join(cache_dir, namespace, "*.pkl"))
+        assert entries, namespace
+        for path in entries:
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+
+    status, again, metrics = _protect_gzip_once(cache_dir)
+    assert status == 200
+    assert again["fingerprint"] == warm["fingerprint"]
+    assert again["artifact_b64"] == warm["artifact_b64"]
+    corrupt = sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in metrics.splitlines()
+        if line.startswith("cache_serve_disk_corrupt")
+    )
+    assert corrupt > 0

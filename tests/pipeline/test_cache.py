@@ -13,6 +13,7 @@ from repro.cache import (
     LRUTier,
     cache_manager,
     cache_session,
+    cached,
     content_key,
     get_cache,
 )
@@ -177,8 +178,8 @@ def test_disk_writes_are_atomic_no_tmp_residue(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_store_blobs_hits_return_fresh_objects():
-    cache = ContentCache("unit", store_blobs=True)
+def test_fresh_namespace_hits_return_fresh_objects():
+    cache = ContentCache("protect")  # fresh in POLICIES
     value = {"nested": [1, 2, 3]}
     cache.put("k", value)
     _, first = cache.get("k")
@@ -198,17 +199,25 @@ def test_plain_cache_hits_return_same_object():
     assert got is value
 
 
-def test_get_or_compute_computes_once():
-    cache = ContentCache("unit")
+def test_cached_computes_once():
     calls = []
 
     def compute():
         calls.append(1)
         return "value"
 
-    assert cache.get_or_compute("k", compute) == "value"
-    assert cache.get_or_compute("k", compute) == "value"
+    with cache_session():
+        assert cached("unit", ("k",), compute) == ("value", False)
+        assert cached("unit", ("k",), compute) == ("value", True)
     assert len(calls) == 1
+
+
+def test_cached_without_caching_derives_no_key():
+    def inputs():
+        raise AssertionError("key parts computed with caching off")
+
+    with cache_session(enabled=False):
+        assert cached("unit", inputs, lambda: "value") == ("value", False)
 
 
 def test_cached_none_is_a_hit():

@@ -1,76 +1,39 @@
-"""Sharded disk tier: key-space sharding, the on-disk shard layout, and
-the cross-process same-key write race the serving layer depends on."""
+"""Disk tier: the ``<root>/<ns>/<key>.pkl`` layout, and the
+cross-process same-key write race the serving layer depends on."""
 
 import multiprocessing
 import os
 import pickle
 import random
 
-from repro.cache import (
-    DEFAULT_SHARDS,
-    DiskTier,
-    content_key,
-    shard_index,
-)
+from repro.cache import DiskTier, content_key
 
 
 def keys(n, salt=""):
-    return [content_key("shardtest", salt, i) for i in range(n)]
+    return [content_key("layouttest", salt, i) for i in range(n)]
 
 
-# -- shard assignment ---------------------------------------------------
+# -- disk layout --------------------------------------------------------
 
 
-def test_shard_index_is_deterministic_and_in_range():
-    for key in keys(200):
-        first = shard_index(key, 16)
-        assert 0 <= first < 16
-        assert shard_index(key, 16) == first
-
-
-def test_shard_index_single_shard_is_zero():
-    assert all(shard_index(key, 1) == 0 for key in keys(20))
-
-
-def test_shard_index_handles_non_hex_keys():
-    assert 0 <= shard_index("not-a-digest", 16) < 16
-    assert shard_index("not-a-digest", 16) == shard_index("not-a-digest", 16)
-
-
-def test_shard_index_spreads_keys():
-    counts = [0] * 16
-    for key in keys(1600):
-        counts[shard_index(key, 16)] += 1
-    # SHA-256 keys spread essentially uniformly; no shard should be
-    # empty or grossly overloaded at 100x expected-per-shard samples.
-    assert all(count > 0 for count in counts)
-    assert max(counts) < 3 * (1600 // 16)
-
-
-# -- sharded disk layout ------------------------------------------------
-
-
-def test_disk_tier_writes_into_shard_directories(tmp_path):
-    assert DEFAULT_SHARDS == 16  # part of the on-disk layout
+def test_disk_tier_layout_is_namespace_then_key(tmp_path):
     disk = DiskTier(str(tmp_path))
     for key in keys(24):
         disk.put_blob("unit", key, pickle.dumps(key))
     for key in keys(24):
-        expected = os.path.join(
-            str(tmp_path), "unit", f"shard-{shard_index(key, DEFAULT_SHARDS):02x}",
-            key + ".pkl",
-        )
-        assert os.path.exists(expected)
+        expected = os.path.join(str(tmp_path), "unit", key + ".pkl")
+        assert os.path.isfile(expected)
+        assert disk._path("unit", key) == expected
         assert disk.get_blob("unit", key) == pickle.dumps(key)
-    shard_dirs = [
-        d for d in os.listdir(tmp_path / "unit") if d.startswith("shard-")
-    ]
-    assert len(shard_dirs) > 1  # 24 keys actually spread
+    # Nothing but the entries: no per-key or per-shard subdirectories.
+    assert sorted(os.listdir(tmp_path / "unit")) == sorted(
+        key + ".pkl" for key in keys(24)
+    )
 
 
 def test_flat_layout_entry_is_a_miss_and_left_untouched(tmp_path):
-    # The pre-shard layout (<ns>/<key[:2]>/<key>.pkl) is not read: such
-    # a file is neither served nor moved nor deleted.
+    # The first disk layout (<ns>/<key[:2]>/<key>.pkl) is not read:
+    # such a file is neither served nor moved nor deleted.
     root = str(tmp_path)
     key = content_key("flat", 1)
     flat = os.path.join(root, "unit", key[:2], key + ".pkl")
@@ -125,9 +88,9 @@ def test_cross_process_same_key_write_race(tmp_path):
     assert sorted(done) == list(range(workers))
 
     disk = DiskTier(root)
-    shard_dir = os.path.dirname(disk._path("race", key))
-    entries = [f for f in os.listdir(shard_dir) if f.endswith(".pkl")]
-    leftovers = [f for f in os.listdir(shard_dir) if f.endswith(".tmp")]
+    entry_dir = os.path.dirname(disk._path("race", key))
+    entries = [f for f in os.listdir(entry_dir) if f.endswith(".pkl")]
+    leftovers = [f for f in os.listdir(entry_dir) if f.endswith(".tmp")]
     assert entries == [key + ".pkl"]  # exactly one entry for the key
     assert leftovers == []  # every temp file was renamed or unlinked
     final = pickle.loads(disk.get_blob("race", key))
@@ -136,8 +99,8 @@ def test_cross_process_same_key_write_race(tmp_path):
 
 
 def test_cross_process_distinct_keys_all_land(tmp_path):
-    """Different keys from different processes land in their shards
-    without interfering."""
+    """Different keys from different processes all land without
+    interfering."""
     root = str(tmp_path)
     per_worker = 12
     ctx = multiprocessing.get_context("fork")

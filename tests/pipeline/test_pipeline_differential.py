@@ -102,7 +102,8 @@ def test_protect_one_respects_session_cache(small_wget):
         first = Parallax(config).protect(small_wget)
         second = Parallax(config).protect(small_wget)
     assert first.image.canonical_bytes() == second.image.canonical_bytes()
-    # store_blobs: the hit deserializes a fresh image, never an alias
+    # protect is a fresh namespace: the hit deserializes a new image,
+    # never an alias
     assert first.image is not second.image
     with cache_session(enabled=False):
         recomputed = Parallax(config).protect(small_wget)
