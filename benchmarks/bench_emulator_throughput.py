@@ -24,9 +24,11 @@ mismatch is recorded (and fails the run).
 
 Methodology: every engine gets the same warmup (``CHAIN_WARMUP``
 calls), then the timed batches are *interleaved* across engines and
-the best of ``CHAIN_ROUNDS`` batches is kept per engine.
-Interleaving keeps a transient machine-load spike from landing
-entirely on one engine's number.
+the best of ``CHAIN_ROUNDS`` batches is kept per engine.  ``program``
+and ``profile`` rows are the median of ``WHOLE_RUN_ROUNDS`` cold
+whole runs per engine, alternating engines; every run's signature
+must match every other's.  Interleaving keeps a transient machine-load
+spike from landing entirely on one engine's number.
 
 Emits ``BENCH_emulator.json`` next to this file (override with
 ``--output``).  Runs standalone::
@@ -41,6 +43,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 import time
 
@@ -67,6 +70,10 @@ CHAIN_REPEATS = 40
 
 #: Timed batches per engine; the best (minimum time) is kept.
 CHAIN_ROUNDS = 5
+
+#: Whole-program runs per engine behind each ``program`` and
+#: ``profile`` row, alternating engines; the median time is kept.
+WHOLE_RUN_ROUNDS = 3
 
 #: Interleaved plain/profiled block-engine run pairs behind
 #: ``block_profile_ratio``; the best of each is kept.
@@ -104,7 +111,7 @@ def _chain_batch(emulator, vaddr, args):
 
 def measure_chain(name):
     """Chain throughput for every engine; returns ({engine: ips},
-    {engine: signature})."""
+    {engine: [warmup signature]})."""
     setups = {engine: _chain_setup(name, engine) for engine in ENGINES}
     best = {engine: float("inf") for engine in ENGINES}
     steps = {}
@@ -115,50 +122,71 @@ def measure_chain(name):
             best[engine] = min(best[engine], elapsed)
             steps[engine] = batch_steps
     ips = {engine: steps[engine] / best[engine] for engine in ENGINES}
-    sigs = {engine: setups[engine][3] for engine in ENGINES}
+    sigs = {engine: [setups[engine][3]] for engine in ENGINES}
     return ips, sigs
+
+
+def _whole_runs(run):
+    """``WHOLE_RUN_ROUNDS`` rounds of ``run(engine) -> (seconds, steps,
+    signature)``, alternating the engines within each round; returns
+    ({engine: ips at the median time}, {engine: every run's signature})."""
+    times = {engine: [] for engine in ENGINES}
+    steps, sigs = {}, {engine: [] for engine in ENGINES}
+    for _ in range(WHOLE_RUN_ROUNDS):
+        for engine in ENGINES:
+            elapsed, steps[engine], signature = run(engine)
+            times[engine].append(elapsed)
+            sigs[engine].append(signature)
+    ips = {
+        engine: steps[engine] / statistics.median(times[engine])
+        for engine in ENGINES
+    }
+    return ips, sigs
+
+
+def _result_signature(result):
+    return (
+        result.exit_status, result.steps, result.cycles,
+        result.stdout.hex(), repr(result.fault),
+    )
 
 
 def measure_program(name):
-    """One whole-program run per engine; returns ({engine: ips},
-    {engine: full RunResult signature})."""
+    """Whole-program runs per engine; returns ({engine: ips},
+    {engine: every run's RunResult signature})."""
     image = _shared.program(name).image
-    ips, sigs = {}, {}
-    for engine in ENGINES:
+
+    def run(engine):
         t0 = time.perf_counter()
         result = run_image(image, max_steps=_shared.MAX_STEPS, engine=engine)
         elapsed = time.perf_counter() - t0
-        sigs[engine] = (
-            result.exit_status, result.steps, result.cycles,
-            result.stdout.hex(), repr(result.fault),
-        )
-        ips[engine] = result.steps / elapsed
-    return ips, sigs
+        return elapsed, result.steps, _result_signature(result)
+
+    return _whole_runs(run)
 
 
 def measure_profile(name):
-    """One whole-program run per engine under the function profiler;
-    returns ({engine: ips}, {engine: RunResult + per-function profile
-    signature})."""
+    """Whole-program runs per engine under the function profiler;
+    returns ({engine: ips}, {engine: every run's RunResult +
+    per-function profile signature})."""
     image = _shared.program(name).image
-    ips, sigs = {}, {}
-    for engine in ENGINES:
+
+    def run(engine):
         emulator = Emulator(image, max_steps=_shared.MAX_STEPS, engine=engine)
         profiler = Profiler(image)
         profiler.attach(emulator)
         t0 = time.perf_counter()
         result = emulator.run()
         elapsed = time.perf_counter() - t0
-        sigs[engine] = (
-            result.exit_status, result.steps, result.cycles,
-            result.stdout.hex(), repr(result.fault),
+        signature = _result_signature(result) + (
             sorted(
                 (prof.name, prof.calls, prof.steps, prof.cycles)
                 for prof in profiler.profiles.values()
             ),
         )
-        ips[engine] = result.steps / elapsed
-    return ips, sigs
+        return elapsed, result.steps, signature
+
+    return _whole_runs(run)
 
 
 def measure_observer_cost(name):
@@ -195,7 +223,8 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
         row = {}
         for kind, measure in MEASURES.items():
             ips, sigs = measure(name)
-            identical = sigs["step"] == sigs["block"]
+            runs = [sig for engine in ENGINES for sig in sigs[engine]]
+            identical = all(sig == runs[0] for sig in runs)
             if not identical:
                 mismatches.append({
                     "program": name, "workload": kind,
@@ -224,6 +253,7 @@ def run_suite(programs, output=DEFAULT_OUTPUT):
         "chain_repeats": CHAIN_REPEATS,
         "chain_warmup": CHAIN_WARMUP,
         "chain_rounds": CHAIN_ROUNDS,
+        "whole_run_rounds": WHOLE_RUN_ROUNDS,
         "observer_rounds": OBSERVER_ROUNDS,
     }
     if output:

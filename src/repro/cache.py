@@ -12,8 +12,8 @@ skip unchanged programs entirely.  It owns the whole caching policy:
   Callers name only their inputs; the source digest orphans every
   entry on any code change, with no version constant to bump;
 * **one policy table**, :data:`POLICIES`: per namespace, whether a hit
-  deserializes a fresh object graph (callers may mutate it) and
-  whether entries may use the disk tier;
+  deserializes a fresh object graph (callers may mutate it), whether
+  entries may use the disk tier, and the type of its values;
 * every namespace has an **in-memory LRU tier** bounded by entry count;
 * an optional **on-disk tier** (``configure_cache(cache_dir=...)`` or
   the ``REPRO_CACHE_DIR`` environment variable) persists entries across
@@ -33,7 +33,8 @@ compute is an awaited pool submit, keys with :func:`key_for` and calls
 ``get``/``put`` on :func:`get_cache` itself.
 
 The disk tier is deliberately forgiving: unreadable or truncated
-entries are treated as misses and overwritten, never raised.
+entries, and entries whose value is not of the namespace's
+``value_type``, are treated as misses and overwritten, never raised.
 
 Correctness stance: a cache hit must be indistinguishable from a
 recompute.  Namespaces that return mutable object graphs are ``fresh``
@@ -45,13 +46,14 @@ the cached values.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import pickle
 import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .telemetry import get_metrics
 
@@ -87,24 +89,38 @@ class Policy(NamedTuple):
     ``fresh``: keep pickled bytes even in memory and deserialize on
     every hit, so each hit is a new object graph the caller may mutate.
     ``disk``: entries may live on the disk tier when one is configured.
+    ``value_type``: the type of the namespace's values, or its dotted
+    path (resolved on use, so this module imports none of its
+    callers); a disk entry of another type is corrupt.
     """
 
     fresh: bool = False
     disk: bool = True
+    value_type: Union[type, str] = object
 
 
 #: The caching policy of every namespace; unlisted namespaces get
-#: ``Policy()`` (shared hits, disk allowed).
+#: ``Policy()`` (shared hits, disk allowed, any value).
 POLICIES: Dict[str, Policy] = {
     # Callers mutate built programs and protected images.
-    "corpus": Policy(fresh=True),
-    "protect": Policy(fresh=True),
-    "gadgets": Policy(),
+    "corpus": Policy(fresh=True, value_type="repro.corpus.program.Program"),
+    # (protected image, report)
+    "protect": Policy(fresh=True, value_type=tuple),
+    "gadgets": Policy(value_type=list),
     # Decoded instruction lists are mutated lazily by the emulator's
     # cost model and dwarf their own pickles: memory only.
-    "decode": Policy(disk=False),
-    "serve": Policy(),
+    "decode": Policy(disk=False, value_type=list),
+    # response payloads
+    "serve": Policy(value_type=dict),
 }
+
+
+def _resolve(value_type: Union[type, str]) -> type:
+    """``value_type`` itself, or the class its dotted path names."""
+    if isinstance(value_type, str):
+        module, _, name = value_type.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+    return value_type
 
 
 def package_source_digest() -> str:
@@ -316,6 +332,7 @@ class ContentCache:
         self.memory = memory if memory is not None else LRUTier()
         self.disk = disk if policy.disk else None
         self.fresh = policy.fresh
+        self.value_type = policy.value_type
 
     # -- metrics --------------------------------------------------------
 
@@ -339,6 +356,11 @@ class ContentCache:
                 try:
                     value = pickle.loads(blob)
                 except Exception:
+                    value = _MISS
+                if value is _MISS or not isinstance(
+                    value, _resolve(self.value_type)
+                ):
+                    # unreadable, or a valid pickle of the wrong shape
                     self._count("disk_corrupt")
                 else:
                     self.memory.put(key, blob if self.fresh else value)

@@ -30,13 +30,19 @@ the exact prefix the step engine would have charged, so ``RunResult``s
 are byte-identical between engines.
 
 Self-loops: a block whose final ``jmp rel`` targets its own
-start iterates inside its generated function.  Each iteration makes the
-dispatcher's checks itself — step budget (or ``advance`` target),
-block validity by the two tiers below, and the hit counters — and
-returns to the dispatcher as soon as one fails.  The dispatcher never
+start iterates inside its generated function, and an iteration costs
+only its own instructions.  The registers the loop touches live in
+locals (``_R<code>``): read on entry, written back to ``cpu.regs`` by
+the loop's ``finally`` however it leaves, and around each generic
+handler, which works on ``cpu.regs``.  The step budget (or ``advance``
+target) becomes a count of whole iterations, computed on entry; steps
+and cycles are charged, the hit counters derived and the observer told
+once per exit.  Only a loop whose body can store — an inline store, a
+push, or any generic handler — re-checks its validity by the two tiers
+below after each iteration; any other cannot invalidate itself, and
+the dispatcher's check at entry covers it.  The dispatcher never
 enters a block at its ``stop`` address, so re-entering the same start
-never reaches it either.  Steps and cycles are charged per iteration;
-the observer hears of the iterations once, when the loop exits.
+never reaches it either.
 
 Deferred flags: an inlined flag writer stores no flags.  It binds its
 result (and the operands CF or OF need) to locals named by its index,
@@ -265,14 +271,14 @@ def _imm32(op) -> int:
     return op.value
 
 
-def _ea_expr(op: Mem) -> str:
+def _ea_expr(op: Mem, reg) -> str:
     """Inline effective-address expression (masked), or a constant."""
     parts = []
     if op.base is not None:
-        parts.append(f"regs[{op.base.code}]")
+        parts.append(reg(op.base.code))
     if op.index is not None:
         scale = f" * {op.scale}" if op.scale != 1 else ""
-        parts.append(f"regs[{op.index.code}]{scale}")
+        parts.append(f"{reg(op.index.code)}{scale}")
     if not parts:
         return str(op.disp & MASK32)
     expr = " + ".join(parts)
@@ -281,25 +287,49 @@ def _ea_expr(op: Mem) -> str:
     return f"({expr}) & M"
 
 
-def _reg_read_expr(op: Register) -> Optional[str]:
+def _reg_read_expr(op: Register, reg) -> Optional[str]:
     """Inline expression for reading a register of any width."""
     if op.width == 32:
-        return f"regs[{op.code}]"
+        return reg(op.code)
     if op.width == 16:
-        return f"(regs[{op.code}] & 0xFFFF)"
+        return f"({reg(op.code)} & 0xFFFF)"
     if op.code < 4:  # al/cl/dl/bl
-        return f"(regs[{op.code}] & 0xFF)"
-    return f"((regs[{op.code - 4}] >> 8) & 0xFF)"  # ah/ch/dh/bh
+        return f"({reg(op.code)} & 0xFF)"
+    return f"(({reg(op.code - 4)} >> 8) & 0xFF)"  # ah/ch/dh/bh
 
 
 def _charge(count, cum, loops: bool) -> list:
     """Lines that charge the block's first ``count`` instructions (``cum``
     cycles; both ints or expressions) and report them to the observer;
-    a self-loop leaves the report to its ``finally`` (``_p``)."""
-    lines = [f"emu.steps += {count}", f"emu.cycles += {cum}"]
+    a self-loop records the partial iteration in ``_p`` and leaves the
+    charge and the report to its ``finally``."""
     if loops:
-        return lines + [f"_p = {count}"]
-    return lines + ["if obs is not None:", f"    obs(b, {count}, 1)"]
+        return [f"_p = {count}"]
+    return [
+        f"emu.steps += {count}",
+        f"emu.cycles += {cum}",
+        "if obs is not None:",
+        f"    obs(b, {count}, 1)",
+    ]
+
+
+class _Regs:
+    """Names the templates give register ``code``: ``regs[code]`` in a
+    straight block; in a self-loop the local ``_R<code>``, recording
+    which registers the loop keeps in locals."""
+
+    def __init__(self, loop: bool):
+        self.loop = loop
+        #: register codes a self-loop reads into locals on entry
+        self.used = set()
+        #: indexes of the body lines that call a generic handler
+        self.calls = []
+
+    def __call__(self, code: int) -> str:
+        if not self.loop:
+            return f"regs[{code}]"
+        self.used.add(code)
+        return f"_R{code}"
 
 
 class CompiledBlock:
@@ -551,6 +581,7 @@ class BlockEngine:
         #: flag bit -> expression of its writer, for the flags written
         #: since ``cpu`` last received them (see ``_try_specialize``)
         pending = {}
+        reg = _Regs(loops)
         for i, insn in enumerate(insns):
             handlers.append(DISPATCH.get(insn.mnemonic, _unimplemented))
             body.append(f"# {nexts[i] - insn.length:#x}: {insn.text()}")
@@ -561,8 +592,21 @@ class BlockEngine:
                 final=(i == n - 1),
                 live=live[i],
                 pending=pending,
-                loops=loops,
+                reg=reg,
             )
+
+        # A self-loop keeps the registers it touches in locals: read on
+        # entry, written back once per exit by its ``finally``.  A generic
+        # handler works on ``cpu.regs``, so the locals are written back
+        # before it and reloaded after it, even when it raises.
+        cached = sorted(reg.used)
+        spill = [f"regs[{c}] = _R{c}" for c in cached]
+        load = [f"_R{c} = regs[{c}]" for c in cached]
+        for at in reversed(reg.calls if load else ()):
+            body[at:at + 1] = [
+                *spill, "try:", "    " + body[at], "finally:",
+                *("    " + line for line in load),
+            ]
 
         version_checks = " or ".join(f"_VG({p}, 0) != {v}" for p, v in pages)
         # substitute the placeholder used by generic write-checks
@@ -582,37 +626,42 @@ class BlockEngine:
             code += leave + _charge(n, total, loops)
         else:
             # Re-enter only where the dispatcher would run this block
-            # again: within the limit and still valid (see run()), and
-            # count the re-entry as the dispatcher's hit tiers would.
-            # Leaving stores every pending flag; going round again
-            # stores only the ones the head can observe.
-            leave = ["    " + line for line in leave + ["return"]]
-            again = [
-                "_k += 1",
-                f"emu.steps += {n}",
-                f"emu.cycles += {total}",
-                f"if emu.steps + {n} > limit:",
-                *leave,
-                "if mem.write_epoch != b.epoch:",
-                f"    if {version_checks}:",
-                *("    " + line for line in leave),  # the dispatcher invalidates it
-                "    b.epoch = mem.write_epoch",
-                "    _pr += 1",
-                "else:",
-                "    _eh += 1",
-                *_flag_stores(pending, live_in),
-            ]
+            # again: within the budget of ``_m`` whole iterations, and
+            # still valid (see run()).  Only a body that can store can
+            # invalidate the block; any other relies on the dispatcher's
+            # check at entry.  Leaving (``_z``) stores every pending
+            # flag; going round again stores only the ones the head can
+            # observe.
+            leave = ["    " + line for line in leave + ["_z = 1", "return"]]
+            again = ["_k += 1", "if _k >= _m:", *leave]
+            if reg.calls or any(insn.writes_memory() for insn in insns):
+                again += [
+                    "if mem.write_epoch != b.epoch:",
+                    f"    if {version_checks}:",
+                    *("    " + line for line in leave),  # the dispatcher invalidates it
+                    "    b.epoch = mem.write_epoch",
+                    "    _pr += 1",
+                ]
+            again += _flag_stores(pending, live_in)
             # Completed iterations (``_k``) and the partial last one
-            # (``_p``) reach the observer once, however the loop ends.
+            # (``_p``) are charged and reach the observer once, however
+            # the loop ends.  Every completed iteration but one that left
+            # was a re-entry: a hit, of the tier-2 kind if it revalidated.
             code = [
-                "_eh = _pr = _k = _p = 0",
+                *load,
+                f"_m = (limit - emu.steps) // {n}",
+                "_k = _p = _z = _pr = 0",
                 "try:",
                 "    while True:",
                 *("        " + line for line in code + again),
                 "finally:",
-                "    be.epoch_hits += _eh",
+                *("    " + line for line in spill),
+                f"    emu.steps += {n} * _k + _p",
+                f"    emu.cycles += {total} * _k + (_CUM[_p - 1] if _p else 0)",
+                "    _h = _k - _z",
+                "    be.hits += _h",
+                "    be.epoch_hits += _h - _pr",
                 "    be.page_revalidations += _pr",
-                "    be.hits += _eh + _pr",
                 "    if obs is not None:",
                 "        if _k:",
                 f"            obs(b, {n}, _k)",
@@ -681,26 +730,28 @@ class BlockEngine:
     # -- per-instruction emission --------------------------------------
 
     def _emit_insn(
-        self, body, i, insn, nxt, cum, start, end, final, live, pending, loops
+        self, body, i, insn, nxt, cum, start, end, final, live, pending, reg
     ):
         if self._try_specialize(
-            body, i, insn, nxt, cum, start, end, final, live, pending, loops
+            body, i, insn, nxt, cum, start, end, final, live, pending, reg
         ):
             return
         # Generic fallback: pre-bound shared handler, which may read and
-        # write any flag.
+        # write any flag (and, in a self-loop, any register: see
+        # ``_generate``).
         body.extend(_flag_stores(pending))
         pending.clear()
         body.append(f"cpu.eip = {nxt}")
+        reg.calls.append(len(body))
         body.append(f"_H[{i}](emu, _I[{i}])")
         if insn.writes_memory() and not final:
             body.append("if __VERSION_CHECK__:")
             body.extend(
-                "    " + line for line in _charge(i + 1, cum, loops) + ["return 1"]
+                "    " + line for line in _charge(i + 1, cum, reg.loop) + ["return 1"]
             )
 
     def _try_specialize(
-        self, body, i, insn, nxt, cum, start, end, final, live, pending, loops
+        self, body, i, insn, nxt, cum, start, end, final, live, pending, reg
     ) -> bool:
         """Emit an inlined template for ``insn``; False if it has none.
 
@@ -726,7 +777,7 @@ class BlockEngine:
         def guarded_load(mem_op, dest):
             """Faulting load with the step engine's BME eip wrap."""
             body.append(f"cpu.eip = {nxt}")
-            body.append(f"_a = {_ea_expr(mem_op)}")
+            body.append(f"_a = {_ea_expr(mem_op, reg)}")
             body.append("try:")
             sub = []
             if mem_op.width == 32:
@@ -766,7 +817,7 @@ class BlockEngine:
         def own_bytes_abort(addr_var):
             """Self-modifying store into this block's own bytes: stop
             after the store, exactly where re-decode would begin."""
-            leave = _flag_stores(pending) + _charge(i + 1, cum, loops)
+            leave = _flag_stores(pending) + _charge(i + 1, cum, reg.loop)
             return [
                 f"if {addr_var} < {end} and {addr_var} + 4 > {start}:",
                 *("    " + line for line in leave + ["return 1"]),
@@ -775,7 +826,7 @@ class BlockEngine:
         def guarded_store32(mem_op, value_expr):
             """Faulting dword store + self-modifying-range abort check."""
             body.append(f"cpu.eip = {nxt}")
-            body.append(f"_a = {_ea_expr(mem_op)}")
+            body.append(f"_a = {_ea_expr(mem_op, reg)}")
             body.append("try:")
             sub = []
             self._store32(sub, "_a", value_expr, own_bytes_abort("_a"))
@@ -786,7 +837,7 @@ class BlockEngine:
 
         def alu_src_expr(op) -> Optional[str]:
             if _is_r32(op):
-                return f"regs[{op.code}]"
+                return reg(op.code)
             if isinstance(op, Imm):
                 return str(_imm32(op))
             return None
@@ -796,20 +847,20 @@ class BlockEngine:
             dst, src = ops
             if _is_r32(dst):
                 if _is_r32(src):
-                    body.append(f"regs[{dst.code}] = regs[{src.code}]")
+                    body.append(f"{reg(dst.code)} = {reg(src.code)}")
                     set_eip_if_final()
                     return True
                 if isinstance(src, Imm):
-                    body.append(f"regs[{dst.code}] = {_imm32(src)}")
+                    body.append(f"{reg(dst.code)} = {_imm32(src)}")
                     set_eip_if_final()
                     return True
                 if _is_m32(src):
-                    guarded_load(src, f"regs[{dst.code}]")
+                    guarded_load(src, reg(dst.code))
                     return True
                 return False
             if _is_m32(dst):
                 if _is_r32(src):
-                    guarded_store32(dst, f"regs[{src.code}]")
+                    guarded_store32(dst, reg(src.code))
                     return True
                 if isinstance(src, Imm):
                     guarded_store32(dst, str(_imm32(src)))
@@ -819,15 +870,15 @@ class BlockEngine:
         if m in ("movzx", "movsx") and _is_r32(ops[0]):
             src = ops[1]
             if isinstance(src, Register) and src.width in (8, 16):
-                value = _reg_read_expr(src)
+                value = _reg_read_expr(src, reg)
                 if m == "movzx":
-                    body.append(f"regs[{ops[0].code}] = {value}")
+                    body.append(f"{reg(ops[0].code)} = {value}")
                 else:
                     sign = 1 << (src.width - 1)
                     full = 1 << src.width
                     body.append(f"_v = {value}")
                     body.append(
-                        f"regs[{ops[0].code}] = (_v - {full}) & M if _v >= {sign} else _v"
+                        f"{reg(ops[0].code)} = (_v - {full}) & M if _v >= {sign} else _v"
                     )
                 set_eip_if_final()
                 return True
@@ -838,12 +889,12 @@ class BlockEngine:
             ):
                 guarded_load(src, "_v")
                 if m == "movzx":
-                    body.append(f"regs[{ops[0].code}] = _v")
+                    body.append(f"{reg(ops[0].code)} = _v")
                 else:
                     sign = 1 << (src.width - 1)
                     full = 1 << src.width
                     body.append(
-                        f"regs[{ops[0].code}] = (_v - {full}) & M if _v >= {sign} else _v"
+                        f"{reg(ops[0].code)} = (_v - {full}) & M if _v >= {sign} else _v"
                     )
                 return True
             return False
@@ -851,47 +902,47 @@ class BlockEngine:
         if m == "lea" and _is_r32(ops[0]) and isinstance(ops[1], Mem):
             if not _mem_regs_ok(ops[1]):
                 return False
-            body.append(f"regs[{ops[0].code}] = {_ea_expr(ops[1])}")
+            body.append(f"{reg(ops[0].code)} = {_ea_expr(ops[1], reg)}")
             set_eip_if_final()
             return True
 
         # ---- stack --------------------------------------------------
         if m == "push" and len(ops) == 1 and (_is_r32(ops[0]) or isinstance(ops[0], Imm)):
             value = (
-                f"regs[{ops[0].code}]" if _is_r32(ops[0]) else str(_imm32(ops[0]))
+                reg(ops[0].code) if _is_r32(ops[0]) else str(_imm32(ops[0]))
             )
             body.append(f"cpu.eip = {nxt}")
             body.append(f"_v = {value}")  # read before esp moves (push esp)
-            body.append("_s = (regs[4] - 4) & M")
-            body.append("regs[4] = _s")
+            body.append(f"_s = ({reg(4)} - 4) & M")
+            body.append(f"{reg(4)} = _s")
             # unwrapped, like Emulator.push
             unwrapped(self._store32, "_s", "_v", own_bytes_abort("_s"))
             return True
 
         if m == "pop" and len(ops) == 1 and _is_r32(ops[0]):
             body.append(f"cpu.eip = {nxt}")
-            body.append("_s = regs[4]")
+            body.append(f"_s = {reg(4)}")
             unwrapped(self._load32, "_s", "_v")  # like Emulator.pop
-            body.append("regs[4] = (_s + 4) & M")
-            body.append(f"regs[{ops[0].code}] = _v")
+            body.append(f"{reg(4)} = (_s + 4) & M")
+            body.append(f"{reg(ops[0].code)} = _v")
             return True
 
         if m == "leave" and not ops:
             body.append(f"cpu.eip = {nxt}")
-            body.append("_s = regs[5]")
-            body.append("regs[4] = _s")  # esp = ebp even if the pop faults
+            body.append(f"_s = {reg(5)}")
+            body.append(f"{reg(4)} = _s")  # esp = ebp even if the pop faults
             unwrapped(self._load32, "_s", "_v")
-            body.append("regs[4] = (_s + 4) & M")
-            body.append("regs[5] = _v")
+            body.append(f"{reg(4)} = (_s + 4) & M")
+            body.append(f"{reg(5)} = _v")
             return True
 
         # ---- control flow (terminators / side exits) ----------------
         if m == "ret" and (not ops or isinstance(ops[0], Imm)):
             extra = 4 + (ops[0].value if ops else 0)
             body.append(f"cpu.eip = {nxt}")
-            body.append("_s = regs[4]")
+            body.append(f"_s = {reg(4)}")
             unwrapped(self._load32, "_s", "_t")
-            body.append(f"regs[4] = (_s + {extra}) & M")
+            body.append(f"{reg(4)} = (_s + {extra}) & M")
             body.append("cpu.eip = _t")
             body.append("_r = emu._ras")
             body.append("if _r and _r[-1] == _t:")
@@ -909,8 +960,8 @@ class BlockEngine:
 
         if m == "call" and isinstance(ops[0], Rel) and ops[0].target is not None:
             body.append(f"cpu.eip = {nxt}")
-            body.append("_s = (regs[4] - 4) & M")
-            body.append("regs[4] = _s")
+            body.append(f"_s = ({reg(4)} - 4) & M")
+            body.append(f"{reg(4)} = _s")
             unwrapped(self._store32, "_s", str(nxt))
             body.append("_r = emu._ras")
             body.append("if len(_r) >= RASD:")
@@ -929,7 +980,7 @@ class BlockEngine:
             if final:
                 body.append(f"cpu.eip = {target} if {cond} else {nxt}")
             else:
-                leave = _flag_stores(pending) + _charge(i + 1, cum, loops)
+                leave = _flag_stores(pending) + _charge(i + 1, cum, reg.loop)
                 body.append(f"if {cond}:")  # side exit; else fall through
                 body.append(f"    cpu.eip = {target}")
                 body.extend("    " + line for line in leave + ["return"])
@@ -973,17 +1024,17 @@ class BlockEngine:
                 carry = f" {op} {_flag_reads(pending)['cf']}"
             if not live:
                 if m != "cmp":
-                    body.append(f"regs[{d}] = (regs[{d}] {op} {src}{carry}) & M")
+                    body.append(f"{reg(d)} = ({reg(d)} {op} {src}{carry}) & M")
                 record(ALL_FLAGS, {})
             elif src == "0" and not carry:
                 # x +/- 0 (``cmp ecx, 0`` heads most loops): the value
                 # stands, with no carry and no overflow
-                body.append(f"{r} = regs[{d}]")
+                body.append(f"{r} = {reg(d)}")
                 record(ALL_FLAGS, {CF: "False", OF: "False", **zf_sf()})
             else:
-                lhs = f"regs[{d}]"
+                lhs = reg(d)
                 if carry or live & (CF | OF):
-                    if src.startswith("regs["):
+                    if _is_r32(ops[1]):
                         # pinned: a later instruction may change it
                         body.append(f"_b{i} = {src}")
                         src = f"_b{i}"
@@ -1000,7 +1051,7 @@ class BlockEngine:
                 of = f"bool({differ} & ({a} ^ {r}) & 0x80000000)"
                 record(ALL_FLAGS, {CF: cf, OF: of, **zf_sf()})
                 if m != "cmp":
-                    body.append(f"regs[{d}] = {r}")
+                    body.append(f"{reg(d)} = {r}")
             if not loaded:  # a memory source already pinned eip
                 set_eip_if_final()
             return True
@@ -1016,13 +1067,13 @@ class BlockEngine:
             d = ops[0].code
             op = _LOGIC_OPS.get(m, "&")
             if live:
-                body.append(f"{r} = regs[{d}] {op} {src}")
+                body.append(f"{r} = {reg(d)} {op} {src}")
                 record(ALL_FLAGS, {CF: "False", OF: "False", **zf_sf()})
                 if m != "test":
-                    body.append(f"regs[{d}] = {r}")
+                    body.append(f"{reg(d)} = {r}")
             else:
                 if m != "test":
-                    body.append(f"regs[{d}] = regs[{d}] {op} {src}")
+                    body.append(f"{reg(d)} = {reg(d)} {op} {src}")
                 record(ALL_FLAGS, {})
             if not loaded:
                 set_eip_if_final()
@@ -1033,11 +1084,11 @@ class BlockEngine:
             op, edge = ("+", "0x80000000") if m == "inc" else ("-", "0x7FFFFFFF")
             written = OF | ZF | SF  # CF preserved, as on hardware
             if live & written:
-                body.append(f"{r} = (regs[{d}] {op} 1) & M")
+                body.append(f"{r} = ({reg(d)} {op} 1) & M")
                 record(written, {OF: f"{r} == {edge}", **zf_sf()})
-                body.append(f"regs[{d}] = {r}")
+                body.append(f"{reg(d)} = {r}")
             else:
-                body.append(f"regs[{d}] = (regs[{d}] {op} 1) & M")
+                body.append(f"{reg(d)} = ({reg(d)} {op} 1) & M")
                 record(written, {})
             set_eip_if_final()
             return True
@@ -1045,23 +1096,23 @@ class BlockEngine:
         if m == "neg" and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
             if live:
-                body.append(f"{a} = regs[{d}]")
+                body.append(f"{a} = {reg(d)}")
                 body.append(f"{r} = (-{a}) & M")
                 record(ALL_FLAGS, {
                     CF: f"{a} != 0",
                     OF: f"bool({a} & {r} & 0x80000000)",
                     **zf_sf(),
                 })
-                body.append(f"regs[{d}] = {r}")
+                body.append(f"{reg(d)} = {r}")
             else:
-                body.append(f"regs[{d}] = (-regs[{d}]) & M")
+                body.append(f"{reg(d)} = (-{reg(d)}) & M")
                 record(ALL_FLAGS, {})
             set_eip_if_final()
             return True
 
         if m == "not" and len(ops) == 1 and _is_r32(ops[0]):
             d = ops[0].code
-            body.append(f"regs[{d}] = ~regs[{d}] & M")  # flags untouched
+            body.append(f"{reg(d)} = ~{reg(d)} & M")  # flags untouched
             set_eip_if_final()
             return True
 
@@ -1089,18 +1140,18 @@ class BlockEngine:
                 cf = f"bool(({signed} >> {count - 1}) & 1)"
             written = CF | ZF | SF
             if live & written:
-                body.append(f"{v} = regs[{d}]")
+                body.append(f"{v} = {reg(d)}")
                 body.append(f"{r} = {res}")
                 record(written, {CF: cf, **zf_sf()})
-                body.append(f"regs[{d}] = {r}")
+                body.append(f"{reg(d)} = {r}")
             else:
-                body.append(f"regs[{d}] = {res.replace(v, f'regs[{d}]')}")
+                body.append(f"{reg(d)} = {res.replace(v, reg(d))}")
                 record(written, {})
             set_eip_if_final()
             return True
 
         if m == "cdq" and not ops:
-            body.append("regs[2] = M if regs[0] & 0x80000000 else 0")
+            body.append(f"{reg(2)} = M if {reg(0)} & 0x80000000 else 0")
             set_eip_if_final()
             return True
 

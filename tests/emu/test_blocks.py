@@ -556,6 +556,15 @@ _alu_insn = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(_CCS)),  # generic: reads flags
     st.tuples(st.just("j"), st.sampled_from(_CCS)),  # side exit
     st.tuples(st.just("load"), st.sampled_from(_REGS)),  # can fault
+    # dword stores into .data, where the loads read
+    st.tuples(st.just("store"), st.sampled_from(_REGS), st.sampled_from((0, 4, 8))),
+    # a balanced push/pop pair
+    st.tuples(st.just("pushpop"), st.sampled_from(_REGS), st.sampled_from(_REGS)),
+    # generic handlers that read and write whole registers
+    st.tuples(
+        st.sampled_from(("xchg", "imul")), st.sampled_from(_REGS),
+        st.sampled_from(_REGS),
+    ),
 )
 
 
@@ -577,6 +586,13 @@ def _emit_alu(a, program):
             a.emit("j" + insn[1], "out")
         elif m == "fault":
             a.mov(insn[1], mem32(disp=UNMAPPED))
+        elif m == "store":
+            a.mov(mem32(disp=DATA + insn[2]), insn[1])
+        elif m == "pushpop":
+            a.push(insn[1])
+            a.pop(insn[2])
+        elif m in ("xchg", "imul"):
+            a.emit(m, insn[1], insn[2])
         else:
             a.mov(insn[1], mem32(disp=DATA))
 
@@ -616,6 +632,9 @@ def _paused_states(img, engine, pauses):
     for steps in pauses:
         emu.advance(steps=steps)
         states.append(state(emu))
+        if engine == "block":
+            be = emu.blocks
+            assert be.hits == be.epoch_hits + be.page_revalidations
     # returning to the sentinel ends the run with a BadFetch there
     fault = emu.run().fault
     states.append(
@@ -652,10 +671,12 @@ def test_flag_liveness_keeps_flags_exact(
     monkeypatch, seeds, program, fault_at, loop, loop_split, pauses
 ):
     # Random ALU blocks with flag readers (adc/sbb, setcc), side exits,
-    # loads that can fault and, at ``fault_at``, one that does, run
-    # straight and as a self-loop, paused at drawn step counts.  At
-    # every pause and at the end, registers, flags, eip, steps and
-    # cycles must match the step engine with every block compiled.
+    # loads that can fault and, at ``fault_at``, one that does, stores,
+    # push/pop pairs and generic handlers, run straight and as a
+    # self-loop (with and without a store in its body), paused at drawn
+    # step counts.  At every pause and at the end, registers, flags,
+    # eip, steps and cycles must match the step engine with every block
+    # compiled.
     monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
     if fault_at is not None:
         program = program[:fault_at] + [("fault", EAX)] + program[fault_at:]
@@ -722,3 +743,48 @@ def test_faulting_stack_access_sees_pending_flags(monkeypatch, access):
     assert outcomes[0] == outcomes[1]
     assert outcomes[1][1] == "BadMemoryAccess"
     assert outcomes[1][0][2]["flags"]["cf"]
+
+
+@pytest.mark.parametrize("misalign", [0, 2])
+@pytest.mark.parametrize("access", ["load", "pop"])
+def test_self_loop_access_walks_off_its_segment(access, misalign):
+    # A compiled self-loop whose first instruction steps 4 bytes per
+    # iteration off the end of .data's page in iteration 40 (straddling
+    # the end when misaligned): an inline load, or a generic ``pop`` to
+    # memory, which moves esp before its store faults.  Registers,
+    # flags, eip, steps, cycles and the RunResult must be exactly the
+    # step engine's.
+    iterations = 40
+    a = Assembler(base=BASE)
+    a.mov(ESI, Imm(DATA + 0x1000 - 4 * (iterations - 1) - misalign, 32))
+    a.mov(ECX, Imm(0, 32))
+    a.mov(EBX, Imm(7, 32))
+    if access == "pop":
+        a.push(ECX)
+    a.label("top")
+    if access == "load":
+        a.mov(EDX, mem32(ESI))
+    else:
+        a.pop(mem32(ESI))
+        a.push(ECX)
+    a.add(ESI, Imm(4, 32))
+    a.inc(ECX)
+    a.add(EBX, ECX)  # its flags are live into the next iteration
+    a.jmp("top")
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    img.add_section(Section(".data", DATA, bytes(range(256)) * 16, Perm.RW))
+    img.entry = BASE
+    outcomes = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=100_000, engine=engine)
+        result = emu.run()
+        outcomes.append((
+            state(emu),
+            (result.exit_status, result.steps, result.cycles, result.stdout),
+            (type(result.fault).__name__, str(result.fault), result.fault.eip),
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0][2]["regs"][ECX.code] == iterations - 1
+    assert outcomes[1][2][0] == "BadMemoryAccess"
+    assert emu.blocks.hits > 0  # the fault came from the compiled loop

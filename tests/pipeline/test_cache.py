@@ -16,6 +16,7 @@ from repro.cache import (
     cached,
     content_key,
     get_cache,
+    key_for,
 )
 from repro.core import ProtectConfig
 
@@ -157,6 +158,29 @@ def test_disk_tier_treats_corrupt_entries_as_misses(tmp_path):
     with cache_session(cache_dir=str(tmp_path)) as manager:
         hit, value = manager.get("unit").get(key)
     assert hit and value == "recovered"
+
+
+def test_wrong_shaped_disk_entry_is_a_miss(tmp_path):
+    # A valid pickle of another type at a protect key's path is corrupt:
+    # counted, recomputed and overwritten, never returned.
+    inputs = ("fingerprint", "config-key")
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return "image", "report"
+
+    with telemetry.telemetry_session(metrics=True) as (metrics, _tracer):
+        with cache_session(cache_dir=str(tmp_path)) as manager:
+            key = key_for("protect", *inputs)
+            assert manager.disk.put_blob("protect", key, pickle.dumps(42))
+            assert cached("protect", inputs, compute) == (("image", "report"), False)
+        with cache_session(cache_dir=str(tmp_path)):
+            assert cached("protect", inputs, compute) == (("image", "report"), True)
+        samples = metrics.to_dict()
+    assert computed == [1]
+    assert samples["cache.protect.disk_corrupt"]["value"] == 1
+    assert samples["cache.protect.disk_hits"]["value"] == 1
 
 
 def test_disk_writes_are_atomic_no_tmp_residue(tmp_path):
