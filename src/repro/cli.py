@@ -262,13 +262,10 @@ def _cmd_protect(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .corpus.program import RUN_MAX_STEPS
     from .emu import profile_run
 
     program = build_program(args.program)
-    result, profiler = profile_run(
-        program.image, max_steps=RUN_MAX_STEPS, debugger_attached=args.debugger,
-    )
+    result, profiler = profile_run(program.image, debugger_attached=args.debugger)
     print(profiler.report())
     print()
     print(profiler.hotspot_report())

@@ -101,12 +101,10 @@ class ProtectedProgram:
         self,
         debugger_attached: bool = False,
         max_steps: int = RUN_MAX_STEPS,
-        image: Optional[BinaryImage] = None,
         engine: Optional[str] = None,
     ) -> RunResult:
-        target = image if image is not None else self.image
         return run_image(
-            target,
+            self.image,
             debugger_attached=debugger_attached,
             max_steps=max_steps,
             engine=engine,

@@ -6,17 +6,13 @@ import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..binary import BinaryImage, Perm, Section
-from ..emu import RunResult, run_image
+from ..emu import RUN_MAX_STEPS, RunResult, run_image
 from ..ropc import CodegenOptions, compile_functions, ir
 from ..x86.registers import EAX, EBX, ECX, EDX, EDI, ESI
 
 TEXT_BASE = 0x08048000
 RODATA_BASE = 0x08070000
 DATA_BASE = 0x08090000
-
-#: Instruction budget of a program's workload run (and of its §VII-B
-#: selection profile); every corpus workload finishes well inside it.
-RUN_MAX_STEPS = 10_000_000
 
 
 class DataBuilder:
@@ -101,13 +97,11 @@ class Program:
         self,
         debugger_attached: bool = False,
         max_steps: int = RUN_MAX_STEPS,
-        image: Optional[BinaryImage] = None,
         engine: Optional[str] = None,
     ) -> RunResult:
-        """Execute the program's workload (optionally a modified image)."""
-        target = image if image is not None else self.image
+        """Execute the program's workload."""
         return run_image(
-            target,
+            self.image,
             debugger_attached=debugger_attached,
             max_steps=max_steps,
             engine=engine,

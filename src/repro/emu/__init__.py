@@ -11,6 +11,7 @@ from .emulator import (
     ENGINE_DESCRIPTIONS,
     ENGINE_STEP,
     ENGINES,
+    RUN_MAX_STEPS,
     Emulator,
     RunResult,
     StepBlock,
@@ -41,7 +42,7 @@ from .syscalls import (
 
 __all__ = [
     "CPUState", "Emulator", "RunResult", "TamperWatch",
-    "StepBlock", "run_image",
+    "StepBlock", "run_image", "RUN_MAX_STEPS",
     "CALL_SENTINEL", "CYCLE_COSTS", "Memory", "PAGE_SIZE",
     "BlockEngine", "DISPATCH",
     "ENGINES", "ENGINE_BLOCK", "ENGINE_STEP",

@@ -272,7 +272,12 @@ def _imm32(op) -> int:
 
 
 def _ea_expr(op: Mem, reg) -> str:
-    """Inline effective-address expression (masked), or a constant."""
+    """Inline effective-address expression (masked), or a constant.
+
+    A lone base register is used as is: registers hold 32-bit values.
+    """
+    if op.base is not None and op.index is None and not op.disp:
+        return reg(op.base.code)
     parts = []
     if op.base is not None:
         parts.append(reg(op.base.code))

@@ -87,6 +87,10 @@ ENGINE_DESCRIPTIONS = {
 ENGINES = tuple(ENGINE_DESCRIPTIONS)
 DEFAULT_ENGINE = ENGINE_BLOCK
 
+#: Default instruction budget of a run (a program's workload run, its
+#: §VII-B selection profile); every corpus workload finishes well inside it.
+RUN_MAX_STEPS = 10_000_000
+
 #: Per-generation bound of the decode cache; two generations are kept,
 #: so at most ~2x this many decoded instructions are resident.
 DECODE_CACHE_GENERATION = 1 << 15
@@ -203,7 +207,7 @@ class Emulator:
         self,
         image: Optional[BinaryImage] = None,
         os: Optional[OperatingSystem] = None,
-        max_steps: int = 5_000_000,
+        max_steps: int = RUN_MAX_STEPS,
         engine: Optional[str] = None,
     ):
         if engine is None:
@@ -580,7 +584,7 @@ def run_image(
     image: BinaryImage,
     stdin: bytes = b"",
     debugger_attached: bool = False,
-    max_steps: int = 5_000_000,
+    max_steps: int = RUN_MAX_STEPS,
     engine: Optional[str] = None,
 ) -> RunResult:
     """Convenience: load ``image`` into a fresh emulator and run it."""

@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 from ..binary.image import BinaryImage
-from .emulator import Emulator
+from .emulator import RUN_MAX_STEPS, Emulator
 
 UNKNOWN = "<unknown>"
 
@@ -204,7 +204,7 @@ class Profiler:
 def profile_run(
     image: BinaryImage,
     stdin: bytes = b"",
-    max_steps: int = 5_000_000,
+    max_steps: int = RUN_MAX_STEPS,
     debugger_attached: bool = False,
 ):
     """Run ``image`` under the profiler; returns (RunResult, Profiler).

@@ -24,7 +24,7 @@ Two implementations live here:
 * :func:`reference_find_gadgets_in_bytes` — the original exhaustive
   implementation (full chain re-decode per candidate offset), kept
   alive forever as the equivalence oracle for the differential property
-  suite and the ``bench_gadget_finder`` benchmark.
+  suite and the finder gate of ``benchmarks/bench_speed_gates.py``.
 
 Both produce identical gadget sets and identical telemetry counter
 values; ``tests/properties/test_finder_differential.py`` holds that
@@ -131,7 +131,7 @@ def reference_find_gadgets_in_bytes(
     are separate gadgets, as in real gadget finders.
 
     Kept verbatim as the oracle for the differential property suite and
-    the ``bench_gadget_finder`` baseline; the production scanner is
+    the speed gates' finder baseline; the production scanner is
     :func:`find_gadgets_in_bytes`.
     """
     metrics = get_metrics()

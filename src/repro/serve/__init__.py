@@ -18,8 +18,8 @@ within one.  This package supplies that layer, stdlib-only:
   cache, plus ``/metrics``, ``/stats``, ``/journal``,
   graceful SIGTERM drain;
 * :mod:`repro.serve.client` — blocking and asyncio clients used by the
-  tests, the CI smoke job, and the load generator
-  (``benchmarks/bench_serve.py``).
+  tests, the CI smoke job, and the load generators
+  (``perfbench/serve_load.py``, ``benchmarks/bench_speed_gates.py``).
 """
 
 from .client import AsyncServeClient, ServeClient

@@ -3,9 +3,9 @@
 :class:`ServeClient` is blocking (``http.client``, one keep-alive
 connection) — used by tests, the CI smoke script, and anything
 synchronous.  :class:`AsyncServeClient` speaks the same protocol over
-``asyncio.open_connection`` — used by the load generator in
-``benchmarks/bench_serve.py``, where hundreds of concurrent in-flight
-requests need to be cheap.
+``asyncio.open_connection`` — used by the load generators in
+``perfbench/serve_load.py`` and ``benchmarks/bench_speed_gates.py``,
+where many concurrent in-flight requests need to be cheap.
 
 Both return ``(status, headers, payload)`` triples; ``payload`` is the
 decoded JSON body (or raw text for non-JSON responses like

@@ -9,6 +9,7 @@ from repro.attacks import (
     wipe_chain_patch,
 )
 from repro.binary import Patch
+from repro.emu import run_image
 
 
 def test_restore_attack_applies_and_reverts(protected_wget_cleartext,
@@ -42,7 +43,7 @@ def test_reconstruction_patch_fits_and_runs(protected_wget_cleartext,
     patch = reconstruct_function_patch(protected_wget_cleartext, "digest_wget")
     image = protected_wget_cleartext.image.clone()
     patch.apply(image)
-    result = protected_wget_cleartext.run(image=image)
+    result = run_image(image)
     assert not result.crashed
     assert result.stdout == small_wget_baseline.stdout  # §VI-B limit
 

@@ -11,6 +11,7 @@ import pytest
 from repro.attacks import run_tampered
 from repro.binary import Patch
 from repro.core import Parallax, ProtectConfig
+from repro.emu import run_image
 
 
 @pytest.fixture(scope="module", params=["cleartext", "xor", "rc4", "linear"])
@@ -41,7 +42,7 @@ def test_guard_detects_chain_tampering(guarded):
     image = guarded.image.clone()
     section = _chain_blob_section(image)
     section.data[3] ^= 0xFF
-    result = guarded.run(image=image)
+    result = run_image(image)
     assert result.exit_status == 66  # the guard's tamper response
 
 
@@ -49,7 +50,7 @@ def test_guard_detects_decryptor_tampering(guarded):
     image = guarded.image.clone()
     section = image.section(".parallaxrt")
     section.data[40] ^= 0xFF
-    result = guarded.run(image=image)
+    result = run_image(image)
     assert result.crashed or result.exit_status == 66
 
 
