@@ -1,10 +1,9 @@
-"""Shared, lazily-built artifacts for the benchmark suite.
+"""Shared helpers for the benchmark scripts.
 
-Building the six corpus programs and protecting each with four
-strategies is expensive; everything is cached at module scope so the
-whole suite builds each artifact exactly once.  Artifacts route
-through :mod:`repro.pipeline`, so setting ``REPRO_CACHE_DIR`` makes
-repeat benchmark runs skip unchanged protections entirely via the
+History recording for ``check_regression.py``, plus the corpus programs
+and their protected images, each built once per process.  Artifacts
+route through :mod:`repro.pipeline`, so setting ``REPRO_CACHE_DIR``
+makes repeat benchmark runs skip unchanged protections entirely via the
 on-disk content-addressed cache.
 """
 
@@ -15,9 +14,8 @@ import subprocess
 import time
 from functools import lru_cache
 
-from repro.core import Parallax, ProtectConfig, STRATEGIES
+from repro.core import Parallax, ProtectConfig
 from repro.corpus import PROGRAM_NAMES, build_program_cached
-from repro.emu import Emulator
 
 MAX_STEPS = 300_000_000
 
@@ -93,35 +91,8 @@ def program(name):
 
 
 @lru_cache(maxsize=None)
-def baseline_run(name):
-    result = program(name).run(max_steps=MAX_STEPS, engine=ENGINE)
-    assert not result.crashed, (name, result.fault)
-    return result
-
-
-@lru_cache(maxsize=None)
 def protected(name, strategy):
     config = ProtectConfig(
         strategy=strategy, verification_functions=[f"digest_{name}"]
     )
     return Parallax(config).protect(program(name))
-
-
-@lru_cache(maxsize=None)
-def protected_run(name, strategy):
-    result = protected(name, strategy).run(max_steps=MAX_STEPS, engine=ENGINE)
-    divergence = result.divergence(baseline_run(name))
-    assert divergence is None, (name, strategy, divergence)
-    return result
-
-
-def digest_call_cycles(name, image, engine=None):
-    """Cycles for one verification-function call on ``image``."""
-    prog = program(name)
-    emulator = Emulator(image, max_steps=20_000_000, engine=engine or ENGINE)
-    before = emulator.cycles
-    emulator.call_function(
-        image.symbols[f"digest_{name}"].vaddr,
-        [12345, 7, prog.data.addr("stats")],
-    )
-    return emulator.cycles - before

@@ -10,7 +10,7 @@ The paper finds this inferior to function chains — (1) the inline setup
 code is easy to spot statically, (2) it cannot be encrypted or
 regenerated, (3) every µ-chain pays its own prologue/epilogue, roughly
 doubling the cost — and our measured numbers agree
-(``benchmarks/bench_microchain_ablation.py``).  It is implemented
+(``tests/paper/test_paper_numbers.py``, the ``microchains`` golden).  It is implemented
 faithfully so the comparison is real rather than analytic.
 """
 
