@@ -212,6 +212,12 @@ class RopChain:
                 # Pivot gadgets must end in a plain ret: a retf here
                 # would consume a word of the pivot target.
                 candidates = [g for g in candidates if not g.far]
+            expected = _expected_pops(item.kind)
+            follows = i + expected
+            if follows < len(items) and isinstance(items[follows], ChainLabel):
+                # The pad would land after the address that follows the
+                # label, so a branch to the label would enter above it.
+                candidates = [g for g in candidates if not g.far]
             if not candidates:
                 raise MissingGadget(item.kind)
             if rng is not None:
@@ -226,7 +232,6 @@ class RopChain:
                 index = rotation.get(item.kind.key(), 0)
                 rotation[item.kind.key()] = index + 1
                 gadget = tier[index % len(tier)]
-            expected = _expected_pops(item.kind)
             if gadget.stack_words != expected:
                 raise ChainError(
                     f"gadget {gadget!r} pops {gadget.stack_words} words, "

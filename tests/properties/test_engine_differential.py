@@ -10,7 +10,7 @@ mapped code, both of which must invalidate any superblocks compiled
 over the affected bytes.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.emu.blocks as blocks
 
@@ -110,6 +110,12 @@ def _run_signature(image, engine):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31))
+# Seeds whose chains once put a far gadget's pad word below a branch
+# target, so the protected run crashed on both engines.
+@example(797)
+@example(315523193)
+@example(396008095)
+@example(1355172685)
 def test_random_programs_identical_under_all_engines(seed):
     program = _make_program(seed)
     sigs = {e: _run_signature(program.image, e) for e in ENGINES}

@@ -1,10 +1,12 @@
 """Chain serialization mechanics."""
 
+import random
+
 import pytest
 
-from repro.gadgets import GadgetCatalog, GadgetKind, GadgetOp
+from repro.gadgets import Gadget, GadgetCatalog, GadgetKind, GadgetOp
 from repro.ropc import RopChain, emit_standard_gadgets
-from repro.ropc.chain import ChainError
+from repro.ropc.chain import ChainError, MissingGadget
 from repro.x86 import EAX
 
 
@@ -63,3 +65,26 @@ def test_word_count_and_size():
     chain.label("x")
     assert chain.byte_size == 8
     assert chain.word_count == 2
+
+
+def test_no_far_gadget_before_a_chain_label():
+    """A far gadget's pad word goes after the *next* gadget address; with
+    a label in between, a branch to the label would enter above the pad."""
+    load = GadgetKind(GadgetOp.LOAD_CONST, dst=EAX)
+    _code, (near, pivot) = emit_standard_gadgets(
+        [load, GadgetKind(GadgetOp.POP_ESP)], base=0x100
+    )
+    far = Gadget(0x80, near.instructions, load, stack_words=1, far=True)
+    chain = RopChain()
+    chain.gadget(load)
+    chain.const(5)
+    chain.label("loop")
+    chain.gadget(pivot.kind)
+    chain.label_ref("loop")
+    with pytest.raises(MissingGadget):
+        chain.resolve(GadgetCatalog([far, pivot]))
+    catalog = GadgetCatalog([far, near, pivot])
+    for rng in [None] + [random.Random(seed) for seed in range(8)]:
+        resolved = chain.resolve(catalog, rng=rng)
+        assert resolved.items[0].gadget is near
+        assert resolved.word_count == 4
