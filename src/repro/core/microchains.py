@@ -9,8 +9,8 @@ register state and pivots back.
 The paper finds this inferior to function chains — (1) the inline setup
 code is easy to spot statically, (2) it cannot be encrypted or
 regenerated, (3) every µ-chain pays its own prologue/epilogue, roughly
-doubling the cost — and our measured numbers agree
-(``tests/paper/test_paper_numbers.py``, the ``microchains`` golden).  It is implemented
+doubling the cost — and our measured numbers agree (the ``microchains``
+golden of ``tests/paper/test_paper_numbers.py``).  It is implemented
 faithfully so the comparison is real rather than analytic.
 """
 

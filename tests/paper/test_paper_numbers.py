@@ -266,7 +266,8 @@ SECTIONS = (
 )
 
 
-def test_golden_has_exactly_the_measured_sections(golden):
+def test_golden_has_exactly_the_measured_sections(numbers, golden):
+    assert sorted(numbers) == sorted(SECTIONS)
     assert sorted(golden) == sorted(SECTIONS), f"regenerate with: {REGEN}"
 
 
@@ -384,19 +385,6 @@ def print_tables(numbers, reports):
           f"{overlap['with_preference']}")
     print(f"overlapping gadget uses without preference: "
           f"{overlap['without_preference']}")
-    print()
-    cov = numbers["coverage_wget"]
-    print("=== repro coverage wget ===")
-    print(f"{cov['covered_bytes']}/{cov['protected_bytes']} protected bytes "
-          f"covered, {cov['spof_bytes']} SPOF, by rule {cov['rule_breakdown']}")
-    print()
-    print("=== Attack matrix: detected? / cycles to corruption / detection ===")
-    for label, cells in numbers["attack_matrix"].items():
-        for kind, cell in cells.items():
-            verdict = "DETECTED" if cell["detected"] else "undetected"
-            print(f"{label:<14} {kind:<8} {verdict:<11} "
-                  f"corruption={cell['cycles_to_corruption']} "
-                  f"detection={cell['cycles_to_detection']}")
 
 
 def regenerate():
