@@ -44,6 +44,25 @@ the dispatcher's check at entry covers it.  The dispatcher never
 enters a block at its ``stop`` address, so re-entering the same start
 never reaches it either.
 
+Each inline memory access in a self-loop keeps the segment it last hit
+in locals (``_gb<i>``, ``_gl<i>``, ``_gd<i>``: base, largest offset the
+access fits at, buffer), so its fast path is one range compare; a miss
+takes the page lookup and refills them (see ``_site_first``).  A store
+site keeps only a segment that holds no code, so each store to code
+still bumps page versions and checks the loop's own bytes.  The locals are
+valid for one loop entry: the page -> segment table changes only in
+``Memory.map``, and ``holds_code`` only when code is decoded; neither
+happens inside a loop, whose block is compiled and whose generic
+handlers never map or decode.  Straight blocks keep the plain lookup:
+a site there runs once per block execution.
+
+Eip: ``cpu.eip`` is stored only where execution leaves the generated
+code — a side exit, the block end, a self-loop's exit to the
+dispatcher (its back edge stores nothing), a self-modifying-store
+abort, before a generic handler, and in the ``except BME`` clause of
+each inline access, which the ``except BaseException`` unwind relies
+on to charge the faulting prefix.
+
 Deferred flags: an inlined flag writer stores no flags.  It binds its
 result (and the operands CF or OF need) to locals named by its index,
 and the specializer records each flag's expression over them; in-block
@@ -329,6 +348,9 @@ class _Regs:
         self.used = set()
         #: indexes of the body lines that call a generic handler
         self.calls = []
+        #: instruction indexes of a self-loop's inline memory accesses,
+        #: each keeping its last segment in locals (``_site_first``)
+        self.sites = []
 
     def __call__(self, code: int) -> str:
         if not self.loop:
@@ -634,10 +656,13 @@ class BlockEngine:
             # again: within the budget of ``_m`` whole iterations, and
             # still valid (see run()).  Only a body that can store can
             # invalidate the block; any other relies on the dispatcher's
-            # check at entry.  Leaving (``_z``) stores every pending
-            # flag; going round again stores only the ones the head can
-            # observe.
-            leave = ["    " + line for line in leave + ["_z = 1", "return"]]
+            # check at entry.  Leaving (``_z``) stores eip, which the
+            # back edge does not, and every pending flag; going round
+            # again stores only the flags the head can observe.
+            leave = [
+                "    " + line
+                for line in [f"cpu.eip = {start}", *leave, "_z = 1", "return"]
+            ]
             again = ["_k += 1", "if _k >= _m:", *leave]
             if reg.calls or any(insn.writes_memory() for insn in insns):
                 again += [
@@ -654,6 +679,7 @@ class BlockEngine:
             # was a re-entry: a hit, of the tier-2 kind if it revalidated.
             code = [
                 *load,
+                *(f"_gb{k}, _gl{k}, _gd{k} = 0, -1, None" for k in reg.sites),
                 f"_m = (limit - emu.steps) // {n}",
                 "_k = _p = _z = _pr = 0",
                 "try:",
@@ -699,38 +725,91 @@ class BlockEngine:
 
     # -- inline memory templates ---------------------------------------
     #
-    # These replicate Memory.read_u32/write_u32 without the method call;
+    # These replicate Memory.read_u*/write_u32 without the method call;
     # an access that leaves its segment falls back to the method, which
     # raises the fault.
+    #
+    # ``site`` (a self-loop's instruction index; None in a straight
+    # block) keeps the segment the access last hit in the locals
+    # ``_gb<site>`` (base), ``_gl<site>`` (the largest offset the access
+    # fits at) and ``_gd<site>`` (buffer), set to a never-matching
+    # sentinel on loop entry: the fast path is one range compare, and a
+    # miss takes the page lookup, which refills them.
 
     @staticmethod
-    def _load32(body, addr_var, dest):
-        body.append(f"_g = _SG({addr_var} >> 12)")
-        body.append(
-            f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:"
-        )
-        body.append(f"    {dest} = _U32U(_g.data, _o)[0]")
+    def _site_first(body, addr_var, site, hit, plain):
+        """Emit ``plain``, the page-lookup template; with a ``site``,
+        as the miss path of the fast path over its segment locals,
+        which runs ``hit(buffer)``."""
+        if site is None:
+            body.extend(plain)
+            return
+        body.append(f"if 0 <= (_o := {addr_var} - _gb{site}) <= _gl{site}:")
+        body.append("    " + hit(f"_gd{site}"))
         body.append("else:")
-        body.append(f"    {dest} = mem.read_u32({addr_var})")
+        body.extend("    " + line for line in plain)
 
     @staticmethod
-    def _store32(body, addr_var, value_expr, own=()):
+    def _refill(site, slack=0):
+        """Lines that make the segment ``_g`` the one ``site`` tries first."""
+        if site is None:
+            return []
+        limit = f"_g.limit + {slack}" if slack else "_g.limit"
+        return [f"_gb{site} = _g.base", f"_gl{site} = {limit}", f"_gd{site} = _g.data"]
+
+    @classmethod
+    def _load(cls, body, addr_var, dest, width=32, site=None):
+        """A ``width``-bit load of ``addr_var`` into ``dest``."""
+        read, method = {
+            32: ("_U32U({d}, {o})[0]", "read_u32"),
+            16: ("_U16U({d}, {o})[0]", "read_u16"),
+            8: ("{d}[{o}]", "read_u8"),
+        }[width]
+        plain = [f"_g = _SG({addr_var} >> 12)"]
+        if width == 8:  # the page table proves a byte in bounds
+            plain.append("if _g is not None:")
+            offset = f"{addr_var} - _g.base"
+        else:
+            plain.append(
+                f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:"
+            )
+            offset = "_o"
+        # a refilled limit admits the offsets where a narrower access fits
+        plain.extend("    " + line for line in cls._refill(site, 4 - width // 8))
+        plain += [
+            f"    {dest} = {read.format(d='_g.data', o=offset)}",
+            "else:",
+            f"    {dest} = mem.{method}({addr_var})",
+        ]
+        cls._site_first(
+            body, addr_var, site, lambda d: f"{dest} = {read.format(d=d, o='_o')}", plain
+        )
+
+    @classmethod
+    def _store32(cls, body, addr_var, value_expr, own=(), site=None):
         """``own``: lines run after a store to a code-bearing segment,
-        the only kind that can hold the block's own bytes."""
-        body.append(f"_g = _SG({addr_var} >> 12)")
-        body.append(
-            f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:"
+        the only kind that can hold the block's own bytes.  A ``site``
+        caches only a segment that holds no code, so every store to code
+        still bumps its page versions and checks ``own``."""
+        plain = [
+            f"_g = _SG({addr_var} >> 12)",
+            f"if _g is not None and (_o := {addr_var} - _g.base) <= _g.limit:",
+            f"    _U32P(_g.data, _o, {value_expr})",
+            "    if _g.holds_code:",
+            "        mem.write_epoch += 1",
+            f"        _n = {addr_var} >> 12",
+            "        _VS[_n] = _VG(_n, 0) + 1",
+            f"        if ({addr_var} + 3) >> 12 != _n:",
+            "            _VS[_n + 1] = _VG(_n + 1, 0) + 1",
+            *("        " + line for line in own),
+        ]
+        if site is not None:
+            plain.append("    else:")
+            plain.extend("        " + line for line in cls._refill(site))
+        plain += ["else:", f"    mem.write_u32({addr_var}, {value_expr})"]
+        cls._site_first(
+            body, addr_var, site, lambda d: f"_U32P({d}, _o, {value_expr})", plain
         )
-        body.append(f"    _U32P(_g.data, _o, {value_expr})")
-        body.append("    if _g.holds_code:")
-        body.append("        mem.write_epoch += 1")
-        body.append(f"        _n = {addr_var} >> 12")
-        body.append("        _VS[_n] = _VG(_n, 0) + 1")
-        body.append(f"        if ({addr_var} + 3) >> 12 != _n:")
-        body.append("            _VS[_n + 1] = _VG(_n + 1, 0) + 1")
-        body.extend("        " + line for line in own)
-        body.append("else:")
-        body.append(f"    mem.write_u32({addr_var}, {value_expr})")
 
     # -- per-instruction emission --------------------------------------
 
@@ -774,71 +853,67 @@ class BlockEngine:
             if final:
                 body.append(f"cpu.eip = {nxt}")
 
-        def fault_stores():
-            """Lines of an ``except BME`` clause that store the pending
-            flags before the fault propagates."""
-            return ["    " + line for line in _flag_stores(pending)]
+        def site():
+            """This access's segment locals in a self-loop (see
+            ``_site_first``); a straight block runs each access once per
+            execution, so it keeps the plain template."""
+            if not reg.loop:
+                return None
+            reg.sites.append(i)
+            return i
 
-        def guarded_load(mem_op, dest):
-            """Faulting load with the step engine's BME eip wrap."""
-            body.append(f"cpu.eip = {nxt}")
-            body.append(f"_a = {_ea_expr(mem_op, reg)}")
-            body.append("try:")
+        def guarded(emit, wrap=False, transfers=False):
+            """A faulting access (``emit(sub)``), whose ``except BME``
+            clause stores eip and the pending flags before the fault
+            propagates: the path that does not fault stores neither.
+            ``wrap``: re-raise the fault with this instruction's eip, as
+            the step engine's memory operands do (its stack accesses do
+            not).  Unless the instruction ``transfers`` control, which
+            stores eip anyway, a block ending with it stores eip after
+            the access."""
             sub = []
-            if mem_op.width == 32:
-                self._load32(sub, "_a", dest)
-            elif mem_op.width == 8:
-                sub.append("_g = _SG(_a >> 12)")
-                sub.append("if _g is not None:")
-                sub.append(f"    {dest} = _g.data[_a - _g.base]")
-                sub.append("else:")
-                sub.append(f"    {dest} = mem.read_u8(_a)")
-            else:  # 16
-                sub.append("_g = _SG(_a >> 12)")
-                sub.append("if _g is not None and (_o := _a - _g.base) <= _g.limit:")
-                sub.append(f"    {dest} = _U16U(_g.data, _o)[0]")
-                sub.append("else:")
-                sub.append(f"    {dest} = mem.read_u16(_a)")
-            body.extend("    " + line for line in sub)
-            body.append("except BME as exc:")
-            body.extend(fault_stores())
-            body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
-
-        def unwrapped(emit, *args):
-            """A stack access (``emit(sub, *args)``) the step engine does
-            not eip-wrap; pending flags are stored if it faults."""
-            sub = []
-            emit(sub, *args)
-            stores = fault_stores()
-            if not stores:
-                body.extend(sub)
-                return
+            emit(sub)
             body.append("try:")
             body.extend("    " + line for line in sub)
-            body.append("except BME:")
-            body.extend(stores)
-            body.append("    raise")
+            body.append("except BME as exc:" if wrap else "except BME:")
+            body.append(f"    cpu.eip = {nxt}")
+            body.extend("    " + line for line in _flag_stores(pending))
+            body.append(
+                f"    raise BME(str(exc), eip={nxt}) from exc" if wrap else "    raise"
+            )
+            if not transfers:
+                set_eip_if_final()
 
         def own_bytes_abort(addr_var):
             """Self-modifying store into this block's own bytes: stop
             after the store, exactly where re-decode would begin."""
-            leave = _flag_stores(pending) + _charge(i + 1, cum, reg.loop)
+            leave = [
+                f"cpu.eip = {nxt}",
+                *_flag_stores(pending),
+                *_charge(i + 1, cum, reg.loop),
+            ]
             return [
                 f"if {addr_var} < {end} and {addr_var} + 4 > {start}:",
                 *("    " + line for line in leave + ["return 1"]),
             ]
 
+        def guarded_load(mem_op, dest):
+            """Faulting load with the step engine's BME eip wrap."""
+            body.append(f"_a = {_ea_expr(mem_op, reg)}")
+            guarded(
+                lambda sub: self._load(sub, "_a", dest, mem_op.width, site()),
+                wrap=True,
+            )
+
         def guarded_store32(mem_op, value_expr):
             """Faulting dword store + self-modifying-range abort check."""
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_a = {_ea_expr(mem_op, reg)}")
-            body.append("try:")
-            sub = []
-            self._store32(sub, "_a", value_expr, own_bytes_abort("_a"))
-            body.extend("    " + line for line in sub)
-            body.append("except BME as exc:")
-            body.extend(fault_stores())
-            body.append(f"    raise BME(str(exc), eip={nxt}) from exc")
+            guarded(
+                lambda sub: self._store32(
+                    sub, "_a", value_expr, own_bytes_abort("_a"), site()
+                ),
+                wrap=True,
+            )
 
         def alu_src_expr(op) -> Optional[str]:
             if _is_r32(op):
@@ -912,31 +987,30 @@ class BlockEngine:
             return True
 
         # ---- stack --------------------------------------------------
+        # Faults propagate unwrapped, like Emulator.push/pop.
         if m == "push" and len(ops) == 1 and (_is_r32(ops[0]) or isinstance(ops[0], Imm)):
             value = (
                 reg(ops[0].code) if _is_r32(ops[0]) else str(_imm32(ops[0]))
             )
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_v = {value}")  # read before esp moves (push esp)
             body.append(f"_s = ({reg(4)} - 4) & M")
             body.append(f"{reg(4)} = _s")
-            # unwrapped, like Emulator.push
-            unwrapped(self._store32, "_s", "_v", own_bytes_abort("_s"))
+            guarded(
+                lambda sub: self._store32(sub, "_s", "_v", own_bytes_abort("_s"), site())
+            )
             return True
 
         if m == "pop" and len(ops) == 1 and _is_r32(ops[0]):
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_s = {reg(4)}")
-            unwrapped(self._load32, "_s", "_v")  # like Emulator.pop
+            guarded(lambda sub: self._load(sub, "_s", "_v", site=site()))
             body.append(f"{reg(4)} = (_s + 4) & M")
             body.append(f"{reg(ops[0].code)} = _v")
             return True
 
         if m == "leave" and not ops:
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_s = {reg(5)}")
             body.append(f"{reg(4)} = _s")  # esp = ebp even if the pop faults
-            unwrapped(self._load32, "_s", "_v")
+            guarded(lambda sub: self._load(sub, "_s", "_v", site=site()))
             body.append(f"{reg(4)} = (_s + 4) & M")
             body.append(f"{reg(5)} = _v")
             return True
@@ -944,9 +1018,8 @@ class BlockEngine:
         # ---- control flow (terminators / side exits) ----------------
         if m == "ret" and (not ops or isinstance(ops[0], Imm)):
             extra = 4 + (ops[0].value if ops else 0)
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_s = {reg(4)}")
-            unwrapped(self._load32, "_s", "_t")
+            guarded(lambda sub: self._load(sub, "_s", "_t"), transfers=True)
             body.append(f"{reg(4)} = (_s + {extra}) & M")
             body.append("cpu.eip = _t")
             body.append("_r = emu._ras")
@@ -960,14 +1033,16 @@ class BlockEngine:
             return True
 
         if m == "jmp" and isinstance(ops[0], Rel) and ops[0].target is not None:
-            body.append(f"cpu.eip = {ops[0].target & MASK32}")
+            if reg.loop and final:
+                body.append("pass")  # a self-loop's exits store eip
+            else:
+                body.append(f"cpu.eip = {ops[0].target & MASK32}")
             return True
 
         if m == "call" and isinstance(ops[0], Rel) and ops[0].target is not None:
-            body.append(f"cpu.eip = {nxt}")
             body.append(f"_s = ({reg(4)} - 4) & M")
             body.append(f"{reg(4)} = _s")
-            unwrapped(self._store32, "_s", str(nxt))
+            guarded(lambda sub: self._store32(sub, "_s", str(nxt)), transfers=True)
             body.append("_r = emu._ras")
             body.append("if len(_r) >= RASD:")
             body.append("    del _r[0]")
@@ -1057,7 +1132,7 @@ class BlockEngine:
                 record(ALL_FLAGS, {CF: cf, OF: of, **zf_sf()})
                 if m != "cmp":
                     body.append(f"{reg(d)} = {r}")
-            if not loaded:  # a memory source already pinned eip
+            if not loaded:  # else the load stored eip if final
                 set_eip_if_final()
             return True
 

@@ -22,7 +22,7 @@ gadget" (§IV-B2), and its jump-offset twin (§IV-B3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..gadgets.finder import MAX_LOOKBACK_BYTES
 from ..gadgets.semantics import classify
@@ -58,6 +58,7 @@ def find_field_gadgets(
     field_start: int,
     field_width: int,
     max_insns: int = 6,
+    decoded: Optional[Dict[int, Optional[Instruction]]] = None,
 ) -> List[FieldGadget]:
     """All gadgets craftable around one controllable field.
 
@@ -67,13 +68,18 @@ def find_field_gadgets(
         field_start: offset of the field within ``data``.
         field_width: field size in bytes (1–4).
         max_insns: gadget length bound (paper: 6).
+        decoded: offset -> instruction decoded there (``None``: no
+            instruction), filled as the search decodes.  Neighbouring
+            fields' searches walk the same offsets, so a caller passes
+            one dict per section (see :func:`_decode_memo`).
     """
     field_last = field_start + field_width - 1
     results: List[FieldGadget] = []
     lo = max(0, field_start - MAX_LOOKBACK_BYTES)
+    decode_at = _decode_memo(data, base, decoded)
 
     for start in range(lo, field_last + 1):
-        crafted = _craft_from(data, base, start, field_start, field_last, max_insns)
+        crafted = _craft_from(decode_at, base, start, field_start, field_last, max_insns)
         if crafted is not None:
             results.append(crafted)
     return results
@@ -85,17 +91,44 @@ def best_field_gadget(
     field_start: int,
     field_width: int,
     max_insns: int = 6,
+    decoded: Optional[Dict[int, Optional[Instruction]]] = None,
 ) -> Optional[FieldGadget]:
     """The longest craftable gadget for a field (None if impossible)."""
     best = None
-    for crafted in find_field_gadgets(data, base, field_start, field_width, max_insns):
+    for crafted in find_field_gadgets(
+        data, base, field_start, field_width, max_insns, decoded
+    ):
         if best is None or crafted.gadget.length > best.gadget.length:
             best = crafted
     return best
 
 
+def _decode_memo(
+    data: bytes, base: int, decoded: Optional[Dict[int, Optional[Instruction]]] = None
+) -> Callable[[int], Optional[Instruction]]:
+    """``decode_at(pos)``: the instruction at offset ``pos`` of the
+    section (``None`` where it does not decode), each offset decoded
+    once into ``decoded``."""
+    if decoded is None:
+        decoded = {}
+
+    def decode_at(pos: int) -> Optional[Instruction]:
+        try:
+            return decoded[pos]
+        except KeyError:
+            pass
+        try:
+            insn = decode(data, pos, address=base + pos)
+        except DecodeError:
+            insn = None
+        decoded[pos] = insn
+        return insn
+
+    return decode_at
+
+
 def _craft_from(
-    data: bytes,
+    decode_at: Callable[[int], Optional[Instruction]],
     base: int,
     start: int,
     field_start: int,
@@ -114,9 +147,8 @@ def _craft_from(
     while len(instructions) < max_insns:
         if field_start <= pos <= field_last:
             break  # boundary inside the field: plant the tail here
-        try:
-            insn = decode(data, pos, address=base + pos)
-        except DecodeError:
+        insn = decode_at(pos)
+        if insn is None:
             return None
         if insn.is_return:
             return None  # plain existing gadget; not this rule's find

@@ -88,11 +88,13 @@ class ImmediateModificationRule:
         for section in image.executable_sections():
             data = bytes(section.data)
             base = section.vaddr
+            decoded = {}  # shared by the section's overlapping searches
             for insn in _eligible_instructions(data, base):
                 imm: Imm = insn.operands[-1]
                 field_start = insn.address - base + insn.imm_offset
                 crafted = best_field_gadget(
-                    data, base, field_start, imm.width // 8, self.max_insns
+                    data, base, field_start, imm.width // 8, self.max_insns,
+                    decoded,
                 )
                 if crafted is None:
                     continue

@@ -102,9 +102,10 @@ class JumpOffsetRule:
 
         candidates: List[JumpCandidate] = []
         for section in image.executable_sections():
-            data = bytearray(section.data)
+            data = bytes(section.data)
             base = section.vaddr
-            instructions = decode_all(bytes(data), address=base, stop_on_error=True)
+            decoded = {}  # shared by the section's overlapping searches
+            instructions = decode_all(data, address=base, stop_on_error=True)
             for insn in instructions:
                 if insn.imm_offset is None:
                     continue
@@ -124,7 +125,7 @@ class JumpOffsetRule:
                     continue
                 field_start = insn.address - base + insn.imm_offset
                 crafted = best_field_gadget(
-                    bytes(data), base, field_start, width_bytes, self.max_insns
+                    data, base, field_start, width_bytes, self.max_insns, decoded
                 )
                 if crafted is None:
                     continue

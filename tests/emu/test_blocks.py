@@ -3,19 +3,22 @@ aborts, step-budget parity, exact-step execution, tiering and
 self-loop superblocks."""
 
 import gc
+import inspect
 import weakref
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.emu.blocks as blocks_mod
+import repro.emu.dispatch as dispatch
+import repro.emu.syscalls as syscalls
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import (
     CALL_SENTINEL, ENGINES, Emulator, StepLimitExceeded, run_image,
 )
 from repro.x86 import (
-    AH, AL, AX, Assembler, BH, BL, CL, CX, DH, DX, EAX, EBX, ECX, EDI, EDX,
-    ESI, ESP, Imm, SI, mem32,
+    AH, AL, AX, Assembler, BH, BL, CL, CX, DH, DX, EAX, EBP, EBX, ECX, EDI,
+    EDX, ESI, ESP, Imm, Mem, SI, mem8, mem32,
 )
 
 BASE = 0x1000
@@ -788,3 +791,255 @@ def test_self_loop_access_walks_off_its_segment(access, misalign):
     assert outcomes[1][0][2]["regs"][ECX.code] == iterations - 1
     assert outcomes[1][2][0] == "BadMemoryAccess"
     assert emu.blocks.hits > 0  # the fault came from the compiled loop
+
+
+# ----------------------------------------------------------------------
+# Per-site segment locals in self-loops, and eip stored only where
+# execution leaves the generated code
+# ----------------------------------------------------------------------
+
+#: A second data segment, past an unmapped page after .data's one.
+DATA2 = DATA + 0x2000
+#: Where the table-driven loops below read their (address[, value])
+#: entries: past .data's first 256 bytes, which their stores may write.
+TABLE = DATA + 0x800
+
+
+def _table_image(code, entries, stores_to_code=False):
+    """``code(a)`` then ``ret``, with ``entries`` (dwords) at TABLE in
+    a one-page .data, and DATA2 a page of another pattern.  With
+    ``stores_to_code`` .text is writable and spans two pages, the
+    second starting at NEXT_PAGE."""
+    a = Assembler(base=BASE)
+    code(a)
+    a.ret()
+    if stores_to_code:
+        a.pad_to(OWN_PAGE - BASE)
+        a.raw(bytes(16))
+        a.pad_to(NEXT_PAGE - BASE)
+        a.raw(bytes(16))
+    data = bytearray(bytes(range(256)) * 16)
+    table = b"".join(e.to_bytes(4, "little") for e in entries)
+    data[TABLE - DATA:TABLE - DATA + len(table)] = table
+    img = BinaryImage("t")
+    img.add_section(Section(
+        ".text", BASE, a.assemble(), Perm.RWX if stores_to_code else Perm.RX
+    ))
+    img.add_section(Section(".data", DATA, bytes(data), Perm.RW))
+    img.add_section(Section(
+        ".data2", DATA2, bytes(255 - i for i in range(256)) * 16, Perm.RW
+    ))
+    return img
+
+
+def _store_walk(count, generic=False):
+    """A self-loop of ``count`` iterations storing each table pair's
+    value (second dword) to its address (first dword).  Its ``add``
+    sits right after the store: a store of ``_sub_patch()`` there makes
+    it a ``sub`` for the iterations after.  ``generic`` adds a generic
+    handler, which stores eip, to the body."""
+    def code(a):
+        a.mov(ESI, Imm(TABLE, 32))
+        a.mov(ECX, Imm(count, 32))
+        a.mov(EAX, Imm(0, 32))
+        a.label("top")
+        a.cmp(ECX, Imm(0, 32))
+        a.je("done")
+        a.mov(EDI, mem32(ESI))
+        a.mov(EDX, mem32(ESI, disp=4))
+        a.add(ESI, Imm(8, 32))
+        a.mov(mem32(EDI), EDX)
+        a.label("add")
+        a.add(EAX, ECX)
+        if generic:
+            a.emit("imul", EAX, EDX)
+        a.dec(ECX)
+        a.jmp("top")
+        a.label("done")
+    return code
+
+
+def _sub_patch():
+    """The address of the store loop's ``add`` and the dword that turns
+    it into a ``sub`` (the dec and jmp opcode after it kept)."""
+    probe = Assembler(base=BASE)
+    _store_walk(1)(probe)
+    add = probe.address_of("add")
+    raw = bytearray(probe.assemble()[add - BASE:add - BASE + 4])
+    assert raw[0] == 0x01  # add r/m32, r32
+    raw[0] = 0x29  # sub r/m32, r32
+    return add, int.from_bytes(raw, "little")
+
+
+@pytest.mark.parametrize("walk", ["own_bytes", "own_page", "next_page"])
+def test_self_loop_store_walks_from_data_into_code(monkeypatch, walk):
+    # The loop's store site caches .data's segment, then its pointer
+    # leaves .data for the code segment: the cached-segment miss must
+    # still bump the code's page versions and end the loop where the
+    # step engine would re-decode.  Into the loop's own bytes it aborts
+    # after the store; on its own page, outside its bytes, the loop
+    # returns and the dispatcher drops it; on the next page it
+    # revalidates and iterates on, until a store into its own bytes,
+    # which a site that had cached the code segment would miss.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    add, patch = _sub_patch()
+    code_stores = {
+        "own_bytes": [(add, patch)],
+        "own_page": [(OWN_PAGE, 0x11223344)],
+        "next_page": [(NEXT_PAGE, 0x11223344), (add, patch)],
+    }[walk]
+    pairs = [(DATA, 1), (DATA + 8, 2), (DATA + 16, 3), *code_stores,
+             (DATA + 24, 4), (DATA + 40, 6)]
+    entries = [word for pair in pairs for word in pair]
+    img = _table_image(_store_walk(len(pairs)), entries, stores_to_code=True)
+    assert _paused_states(img, "block", [9, 14, 20]) == _paused_states(
+        img, "step", [9, 14, 20]
+    )
+    emu = Emulator(img, max_steps=10_000, engine="block")
+    expected = call_both(img)[0]
+    emu.call_function(BASE)
+    assert emu.cpu.eax == expected
+    be = emu.blocks
+    if walk == "own_page":
+        assert be.write_aborts == 0 and be.invalidated >= 1
+    else:
+        assert be.write_aborts == 1
+    if walk == "next_page":
+        assert be.page_revalidations >= 1
+
+
+def _load_walk(count, width):
+    """A self-loop of ``count`` iterations summing into ebx the
+    ``width``-bit value at each table address (an inline load site
+    whose pointer moves between segments)."""
+    def code(a):
+        a.mov(ESI, Imm(TABLE, 32))
+        a.mov(ECX, Imm(count, 32))
+        a.mov(EBX, Imm(0, 32))
+        a.label("top")
+        a.cmp(ECX, Imm(0, 32))
+        a.je("done")
+        a.mov(EDI, mem32(ESI))
+        a.add(ESI, Imm(4, 32))
+        if width == 32:
+            a.mov(EDX, mem32(EDI))
+        else:
+            a.emit("movzx", EDX, Mem(EDI, width=width))
+        a.add(EBX, EDX)
+        a.dec(ECX)
+        a.jmp("top")
+        a.label("done")
+        a.mov(EAX, EBX)
+    return code
+
+
+@pytest.mark.parametrize("faults", [False, True])
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_self_loop_load_crosses_segments(monkeypatch, width, faults):
+    # One load site reads .data, .data2 above it, .data again, and the
+    # last offsets of each at which the access still fits (where a
+    # narrower access's cached limit matters); with ``faults`` its last
+    # address, right after two in .data2, runs off .data2's end
+    # (straddling it, for 16 and 32 bits).
+    # Every value it reads reaches ebx; registers, flags, eip, steps,
+    # cycles and the fault must be the step engine's at every pause.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    size = width // 8
+    addresses = [
+        DATA + 4, DATA2 + 8, DATA + 12, DATA2 + 0x1000 - size, DATA + 1,
+        DATA + 0x1000 - size, DATA + 0x123, DATA2 + 2, DATA2 + 0x41,
+    ]
+    if faults:
+        addresses.append(DATA2 + 0x1000 - size + 1)
+    img = _table_image(_load_walk(len(addresses), width), addresses)
+    pauses = [11, 5, 8, 3, 17]
+    block = _paused_states(img, "block", pauses)
+    assert block == _paused_states(img, "step", pauses)
+    fault_name = block[-1][2]
+    if faults:
+        assert fault_name == "BadMemoryAccess"
+    else:
+        assert fault_name == "BadFetch"  # returned to the sentinel
+
+
+@pytest.mark.parametrize("faults", [False, True])
+@pytest.mark.parametrize(
+    "access", ["load", "store", "movzx", "add", "push", "pop"]
+)
+def test_block_ending_in_an_inline_access(monkeypatch, access, faults):
+    # The access is the 64th instruction, so the block ends after it
+    # (MAX_BLOCK_INSNS) and must store eip itself; faulting, its fault
+    # path stores eip and the flags the sub left pending.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    a = Assembler(base=BASE)
+    a.mov(EBP, ESP)
+    a.mov(ESI, Imm(UNMAPPED if faults else DATA + 8, 32))
+    a.sub(ECX, Imm(7, 32))  # borrows: CF and SF pending
+    prefix = 3
+    if access in ("push", "pop"):
+        top = UNMAPPED + (4 if access == "push" else 0)
+        a.mov(ESP, Imm(top if faults else DATA + 0x40, 32))
+        prefix += 1
+    for _ in range(blocks_mod.MAX_BLOCK_INSNS - 1 - prefix):
+        a.nop()
+    {
+        "load": lambda: a.mov(EAX, mem32(ESI)),
+        "store": lambda: a.mov(mem32(ESI), ECX),
+        "movzx": lambda: a.emit("movzx", EAX, mem8(ESI, disp=3)),
+        "add": lambda: a.add(EAX, mem32(ESI)),
+        "push": lambda: a.push(ECX),
+        "pop": lambda: a.pop(EAX),
+    }[access]()
+    a.mov(EBX, EAX)
+    a.mov(ESP, EBP)
+    a.ret()
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    img.add_section(Section(".data", DATA, bytes(range(256)), Perm.RW))
+    pauses = [blocks_mod.MAX_BLOCK_INSNS, 1]
+    block = _paused_states(img, "block", pauses)
+    assert block == _paused_states(img, "step", pauses)
+    emu = Emulator(img, max_steps=100, engine="block")
+    emu.push(CALL_SENTINEL)
+    emu.cpu.eip = BASE
+    emu.advance(steps=blocks_mod.MAX_BLOCK_INSNS)
+    assert emu.blocks.compiled == 1  # the whole prefix ran as one block
+    assert block[-1][2] == ("BadMemoryAccess" if faults else "BadFetch")
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("offset", range(10))
+def test_memory_self_loop_left_by_budget_and_advance(
+    monkeypatch, offset, generic
+):
+    # A self-loop with two cached load sites and a cached store site,
+    # and perhaps a generic handler, which leaves eip at its own next
+    # instruction: stopped by the step budget and paused by
+    # advance(steps=) at each offset into an iteration, eip (stored only
+    # at the loop's exits), registers, flags, steps and cycles exact.
+    monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+    pairs = [(DATA + 4 * k, k * 0x01010101) for k in range(40)]
+    entries = [word for pair in pairs for word in pair]
+    img = _table_image(_store_walk(len(pairs), generic), entries)
+    budget = 60 + offset
+    outcomes = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=budget, engine=engine)
+        with pytest.raises(StepLimitExceeded) as exc:
+            emu.call_function(BASE)
+        outcomes.append((state(emu), exc.value.eip))
+    assert outcomes[0] == outcomes[1]
+    pauses = [40 + offset, 9, 9 + offset, 4]
+    assert _paused_states(img, "block", pauses) == _paused_states(
+        img, "step", pauses
+    )
+
+
+def test_generic_handlers_neither_map_nor_decode():
+    # A self-loop's segment locals stay valid for one entry because the
+    # segment table changes only in Memory.map and ``holds_code`` only
+    # when code is decoded; no handler a loop body can call does either.
+    for module in (dispatch, syscalls):
+        source = inspect.getsource(module)
+        for call in (".map(", "claim_code", "_fetch_decode", "fetch("):
+            assert call not in source, (module.__name__, call)

@@ -64,6 +64,37 @@ class TestFieldSearch:
         assert crafted is not None
         assert max(crafted.planted.values()) == 0xC3
 
+    def test_shared_decodes_find_the_same_gadgets(self, monkeypatch):
+        # One decode dict shared by the fields of a section gives each
+        # field the gadget its own search finds, and decodes each offset
+        # at most once.
+        from repro.corpus import build_gzip
+        from repro.rewrite import fieldsearch
+
+        text = build_gzip().image.section(".text")
+        data, base = bytes(text.data), text.vaddr
+        fields = [(start, 4) for start in range(1, len(data) - 4, 97)]
+        alone = [best_field_gadget(data, base, s, w) for s, w in fields]
+        offsets = []
+        decode = fieldsearch.decode
+
+        def counted(code, pos, address):
+            offsets.append(pos)
+            return decode(code, pos, address=address)
+
+        monkeypatch.setattr(fieldsearch, "decode", counted)
+        decoded = {}
+        for (start, width), own in zip(fields, alone):
+            shared = best_field_gadget(data, base, start, width, decoded=decoded)
+            assert (own is None) == (shared is None)
+            if own is not None:
+                assert own.planted == shared.planted
+                assert [i.text() for i in own.gadget.instructions] == [
+                    i.text() for i in shared.gadget.instructions
+                ]
+        assert any(alone)
+        assert offsets and len(offsets) == len(set(offsets)) == len(decoded)
+
     def test_coverage_bridges_across_fields(self):
         # Two adjacent mov-imm32s: a consumer byte planted at the end of
         # the first field swallows the second mov's opcode, landing in
