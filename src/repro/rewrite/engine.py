@@ -1,5 +1,10 @@
 """The rewriting engine: run every rule, build reports and gadget pools.
 
+:meth:`RewriteEngine.analyze` is one pass per executable section: one
+gadget scan (split into near and far gadgets), one instruction listing
+driven through both field rules' predicates, and one decode table
+shared by every field search of the section.
+
 §VII-A: "it is not necessarily possible to protect all potentially
 protectable code bytes at once, since the required modifications may
 conflict" — the engine detects such conflicts when asked to select an
@@ -9,11 +14,13 @@ overlap or when they modify the same instruction).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..binary.image import BinaryImage
 from ..gadgets.catalog import GadgetCatalog
 from ..telemetry import get_metrics, get_recorder, get_tracer
+from ..x86.decoder import decode_all
+from .fieldsearch import best_field_gadget, coverage_for_fields
 from .report import (
     ProtectabilityReport,
     RULE_FAR,
@@ -22,10 +29,11 @@ from .report import (
     RULE_NEAR,
 )
 from .rules import (
-    ExistingGadgetRule,
-    FarReturnRule,
-    ImmediateModificationRule,
-    JumpOffsetRule,
+    ImmediateCandidate,
+    JumpCandidate,
+    existing_gadgets,
+    immediate_field_width,
+    jump_field_width,
 )
 
 
@@ -49,21 +57,64 @@ class AnalysisResult:
 class RewriteEngine:
     """Runs the §IV-B rule set over a binary image."""
 
-    def __init__(self, max_gadget_insns: int = 6):
-        self.rule_near = ExistingGadgetRule(max_gadget_insns)
-        self.rule_far = FarReturnRule(max_gadget_insns)
-        self.rule_imm = ImmediateModificationRule(max_gadget_insns)
-        self.rule_jump = JumpOffsetRule(max_gadget_insns)
-
     def analyze(self, image: BinaryImage) -> AnalysisResult:
         """Measure protectability (the Fig. 6 computation)."""
         with get_tracer().span("analyze", image=image.name) as span:
             report = ProtectabilityReport(image.name, image.code_bytes())
             result = AnalysisResult(image, report)
-            result.existing_gadgets = self.rule_near.measure(image, report)
-            result.far_gadgets = self.rule_far.measure(image, report)
-            result.immediate_candidates = self.rule_imm.measure(image, report)
-            result.jump_candidates = self.rule_jump.measure(image, report)
+            data_ranges = [
+                (sec.vaddr, sec.end) for sec in image.sections if not sec.executable
+            ]
+            # (rule, field width of an instruction, candidate class, found)
+            field_rules = (
+                (RULE_IMM, immediate_field_width, ImmediateCandidate,
+                 result.immediate_candidates),
+                (RULE_JUMP, lambda insn: jump_field_width(insn, data_ranges),
+                 JumpCandidate, result.jump_candidates),
+            )
+            # Field-composition coverage (fieldsearch.coverage_for_fields)
+            # of every section, reported after the rules' own candidates.
+            spans: Dict[str, List] = {RULE_IMM: [], RULE_JUMP: []}
+            for section in image.executable_sections():
+                data = bytes(section.data)
+                base = section.vaddr
+                near, far = existing_gadgets(data, base)
+                result.existing_gadgets += near
+                result.far_gadgets += far
+                decoded: Dict = {}
+                fields: Dict[str, List] = {RULE_IMM: [], RULE_JUMP: []}
+                for insn in decode_all(data, address=base, stop_on_error=True):
+                    for rule, width_of, make, found in field_rules:
+                        width = width_of(insn)
+                        if width is None:
+                            continue
+                        start = insn.address - base + insn.imm_offset
+                        fields[rule].append((start, width))
+                        crafted = best_field_gadget(
+                            data, base, start, width, decoded=decoded
+                        )
+                        if crafted is not None:
+                            crafted.gadget.provenance = rule
+                            found.append(
+                                make(insn, crafted, data[start:start + width])
+                            )
+                for rule, field_list in fields.items():
+                    covered, anchors = coverage_for_fields(
+                        data, base, field_list, decoded=decoded
+                    )
+                    report.rule(rule).bytes.update(base + off for off in covered)
+                    spans[rule] += anchors
+            for rule, gadgets in (
+                (RULE_NEAR, result.existing_gadgets),
+                (RULE_FAR, result.far_gadgets),
+            ):
+                for gadget in gadgets:
+                    report.rule(rule).add_span(gadget.span(), candidate=gadget)
+            for rule, _, _, found in field_rules:
+                coverage = report.rule(rule)
+                for candidate in found:
+                    coverage.add_span(candidate.gadget.span(), candidate=candidate)
+                coverage.candidates += spans[rule]
             metrics = get_metrics()
             for rule_name, hits in (
                 ("existing_near", len(result.existing_gadgets)),

@@ -22,9 +22,10 @@ gadget" (§IV-B2), and its jump-offset twin (§IV-B3).
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Dict, List, Optional
 
-from ..gadgets.finder import MAX_LOOKBACK_BYTES
+from ..gadgets.finder import MAX_GADGET_INSNS, MAX_LOOKBACK_BYTES
 from ..gadgets.semantics import classify
 from ..gadgets.types import Gadget
 from ..x86.decoder import decode
@@ -52,53 +53,34 @@ class FieldGadget:
         self.planted = planted
 
 
-def find_field_gadgets(
+def best_field_gadget(
     data: bytes,
     base: int,
     field_start: int,
     field_width: int,
-    max_insns: int = 6,
     decoded: Optional[Dict[int, Optional[Instruction]]] = None,
-) -> List[FieldGadget]:
-    """All gadgets craftable around one controllable field.
+) -> Optional[FieldGadget]:
+    """The longest gadget craftable around one controllable field
+    (``None`` if there is none).
 
     Args:
         data: section bytes.
         base: section virtual address.
         field_start: offset of the field within ``data``.
         field_width: field size in bytes (1–4).
-        max_insns: gadget length bound (paper: 6).
         decoded: offset -> instruction decoded there (``None``: no
             instruction), filled as the search decodes.  Neighbouring
             fields' searches walk the same offsets, so a caller passes
             one dict per section (see :func:`_decode_memo`).
     """
     field_last = field_start + field_width - 1
-    results: List[FieldGadget] = []
-    lo = max(0, field_start - MAX_LOOKBACK_BYTES)
     decode_at = _decode_memo(data, base, decoded)
-
-    for start in range(lo, field_last + 1):
-        crafted = _craft_from(decode_at, base, start, field_start, field_last, max_insns)
-        if crafted is not None:
-            results.append(crafted)
-    return results
-
-
-def best_field_gadget(
-    data: bytes,
-    base: int,
-    field_start: int,
-    field_width: int,
-    max_insns: int = 6,
-    decoded: Optional[Dict[int, Optional[Instruction]]] = None,
-) -> Optional[FieldGadget]:
-    """The longest craftable gadget for a field (None if impossible)."""
     best = None
-    for crafted in find_field_gadgets(
-        data, base, field_start, field_width, max_insns, decoded
-    ):
-        if best is None or crafted.gadget.length > best.gadget.length:
+    for start in range(max(0, field_start - MAX_LOOKBACK_BYTES), field_last + 1):
+        crafted = _craft_from(decode_at, base, start, field_start, field_last)
+        if crafted is not None and (
+            best is None or crafted.gadget.length > best.gadget.length
+        ):
             best = crafted
     return best
 
@@ -133,7 +115,6 @@ def _craft_from(
     start: int,
     field_start: int,
     field_last: int,
-    max_insns: int,
 ) -> Optional[FieldGadget]:
     """Try to craft a gadget starting at ``start``.
 
@@ -144,7 +125,7 @@ def _craft_from(
     """
     instructions: List[Instruction] = []
     pos = start
-    while len(instructions) < max_insns:
+    while len(instructions) < MAX_GADGET_INSNS:
         if field_start <= pos <= field_last:
             break  # boundary inside the field: plant the tail here
         insn = decode_at(pos)
@@ -162,7 +143,7 @@ def _craft_from(
         return None
 
     filler = field_last - pos
-    if len(instructions) + filler + 1 > max_insns:
+    if len(instructions) + filler + 1 > MAX_GADGET_INSNS:
         return None
 
     planted = {}
@@ -218,9 +199,8 @@ _DP_FORBIDDEN = _CONTROL_FLOW | {
 class SpanCandidate:
     """Lightweight record of a craftable overlapping gadget (DP result).
 
-    Carries enough for coverage accounting and protection planning;
-    :func:`materialize` upgrades it to a full classified gadget when the
-    pipeline actually applies the rule.
+    Carries enough for coverage accounting; it is not classified into a
+    :class:`Gadget`.
     """
 
     __slots__ = ("start", "end", "anchor_field", "insn", "provenance")
@@ -243,7 +223,7 @@ class SpanCandidate:
         return f"<SpanCandidate {self.start:#x}..{self.end:#x}>"
 
 
-def coverage_for_fields(data, base, fields, max_insns=6):
+def coverage_for_fields(data, base, fields, decoded=None):
     """Protectable-byte coverage achievable over a set of fields.
 
     Args:
@@ -251,7 +231,8 @@ def coverage_for_fields(data, base, fields, max_insns=6):
         base: section virtual address.
         fields: list of (offset, width) controllable byte ranges,
             non-overlapping.
-        max_insns: gadget instruction bound (nops/consumers count).
+        decoded: the section's shared decode table, as for
+            :func:`best_field_gadget`.
 
     Returns:
         (covered, candidates): a set of covered *offsets* and one
@@ -263,40 +244,27 @@ def coverage_for_fields(data, base, fields, max_insns=6):
     for start, width in field_list:
         for i in range(width):
             field_at[start + i] = (start, width)
-
-    # next_field_start[pos]: start of the first field at or after pos
     starts = [s for s, _ in field_list]
-    import bisect
+    decode_at = _decode_memo(data, base, decoded)
 
     def next_field(pos):
+        """The first field starting at or after ``pos``."""
         idx = bisect.bisect_left(starts, pos)
         if idx < len(starts):
             return field_list[idx]
         return None
 
-    # steps[pos] -> list of (next_pos, insn_count_cost) transitions
-    # computed lazily; terminal[pos] = True if a ret can be planted at pos
-    decode_cache = {}
-
     def fixed_step(pos):
-        """Decode one real instruction at pos; None if unusable."""
-        if pos in decode_cache:
-            return decode_cache[pos]
-        result = None
-        try:
-            insn = decode(data, pos, address=base + pos)
-        except DecodeError:
-            insn = None
-        if insn is not None and not insn.is_return:
-            if insn.mnemonic not in _DP_FORBIDDEN:
-                writes_esp = any(
-                    getattr(op, "name", None) == "esp" and i == 0
-                    for i, op in enumerate(insn.operands)
-                )
-                if not writes_esp or insn.mnemonic in ("push", "pop"):
-                    result = pos + insn.length
-        decode_cache[pos] = result
-        return result
+        """Offset after the real instruction at ``pos``; None if the
+        instruction cannot be part of a gadget body."""
+        insn = decode_at(pos)
+        if insn is None or insn.is_return or insn.mnemonic in _DP_FORBIDDEN:
+            return None
+        dst = insn.operands[0] if insn.operands else None
+        writes_esp = getattr(dst, "name", None) == "esp"
+        if writes_esp and insn.mnemonic not in ("push", "pop"):
+            return None
+        return pos + insn.length
 
     # Walk from every start; record the farthest-back start that reaches
     # a plantable termination, per anchor field.
@@ -312,14 +280,14 @@ def coverage_for_fields(data, base, fields, max_insns=6):
         pos = start
         insns = 0
         # budget walk
-        while insns < max_insns and pos < n:
+        while insns < MAX_GADGET_INSNS and pos < n:
             field = field_at.get(pos)
             if field is not None:
                 fstart, fwidth = field
                 fend = fstart + fwidth  # one past last byte
                 # Option A: plant filler then ret at the field's last byte.
                 filler = filler_insns((fend - 1) - pos)
-                if insns + filler + 1 <= max_insns:
+                if insns + filler + 1 <= MAX_GADGET_INSNS:
                     end = fend  # gadget covers through the ret byte
                     covered.update(range(start, end))
                     prev = best_for_anchor.get(fstart)
@@ -336,7 +304,7 @@ def coverage_for_fields(data, base, fields, max_insns=6):
                     if cost is not None and (fend - pos) >= cost:
                         # filler up to the consumer, consumer, then land
                         steps = filler_insns((fend - pos) - cost) + 1
-                        if insns + steps <= max_insns:
+                        if insns + steps <= MAX_GADGET_INSNS:
                             pos = nxt[0]
                             insns += steps
                             continue
@@ -344,7 +312,7 @@ def coverage_for_fields(data, base, fields, max_insns=6):
                 # into the fixed bytes after it (no bridge needed if the
                 # next bytes decode).
                 filler = filler_insns(fend - pos)
-                if insns + filler <= max_insns:
+                if insns + filler <= MAX_GADGET_INSNS:
                     pos = fend
                     insns += filler
                     continue

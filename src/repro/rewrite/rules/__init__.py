@@ -1,16 +1,13 @@
 """The binary rewriting rules of §IV-B, one module per rule family."""
 
-from .existing import ExistingGadgetRule, FarReturnRule
-from .immediates import ImmediateCandidate, ImmediateModificationRule
-from .jumps import JumpCandidate, JumpOffsetRule
-from .spurious import SpuriousInstructionRule
+from .existing import existing_gadgets
+from .immediates import ImmediateCandidate, immediate_field_width
+from .jumps import JumpCandidate, jump_field_width
 
 __all__ = [
-    "ExistingGadgetRule",
-    "FarReturnRule",
     "ImmediateCandidate",
-    "ImmediateModificationRule",
     "JumpCandidate",
-    "JumpOffsetRule",
-    "SpuriousInstructionRule",
+    "existing_gadgets",
+    "immediate_field_width",
+    "jump_field_width",
 ]

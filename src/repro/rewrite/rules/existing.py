@@ -8,67 +8,17 @@ and up to 1% by far-ret gadgets.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from ...binary.image import BinaryImage
 from ...gadgets.finder import find_gadgets_in_bytes
 from ...gadgets.types import Gadget
-from ..report import ProtectabilityReport, RULE_FAR, RULE_NEAR
 
 
-class ExistingGadgetRule:
-    """Near-return existing gadgets."""
-
-    name = RULE_NEAR
-
-    def __init__(self, max_insns: int = 6):
-        self.max_insns = max_insns
-
-    def find(self, image: BinaryImage) -> List[Gadget]:
-        gadgets: List[Gadget] = []
-        for section in image.executable_sections():
-            for gadget in find_gadgets_in_bytes(
-                bytes(section.data),
-                base=section.vaddr,
-                max_insns=self.max_insns,
-                include_far=True,
-            ):
-                if not gadget.far:
-                    gadgets.append(gadget)
-        return gadgets
-
-    def measure(self, image: BinaryImage, report: ProtectabilityReport) -> List[Gadget]:
-        gadgets = self.find(image)
-        coverage = report.rule(self.name)
-        for gadget in gadgets:
-            coverage.add_span(gadget.span(), candidate=gadget)
-        return gadgets
-
-
-class FarReturnRule:
-    """Far-return (retf) existing gadgets."""
-
-    name = RULE_FAR
-
-    def __init__(self, max_insns: int = 6):
-        self.max_insns = max_insns
-
-    def find(self, image: BinaryImage) -> List[Gadget]:
-        gadgets: List[Gadget] = []
-        for section in image.executable_sections():
-            for gadget in find_gadgets_in_bytes(
-                bytes(section.data),
-                base=section.vaddr,
-                max_insns=self.max_insns,
-                include_far=True,
-            ):
-                if gadget.far:
-                    gadgets.append(gadget)
-        return gadgets
-
-    def measure(self, image: BinaryImage, report: ProtectabilityReport) -> List[Gadget]:
-        gadgets = self.find(image)
-        coverage = report.rule(self.name)
-        for gadget in gadgets:
-            coverage.add_span(gadget.span(), candidate=gadget)
-        return gadgets
+def existing_gadgets(data: bytes, base: int) -> Tuple[List[Gadget], List[Gadget]]:
+    """``(near, far)``: the section's gadgets from one scan, split by
+    their terminator (``ret`` vs ``retf``)."""
+    near: List[Gadget] = []
+    far: List[Gadget] = []
+    for gadget in find_gadgets_in_bytes(data, base=base, include_far=True):
+        (far if gadget.far else near).append(gadget)
+    return near, far

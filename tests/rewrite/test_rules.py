@@ -95,6 +95,47 @@ class TestFieldSearch:
         assert any(alone)
         assert offsets and len(offsets) == len(set(offsets)) == len(decoded)
 
+    def test_analysis_decodes_each_offset_once(self, monkeypatch):
+        # One pass per section: one gadget scan, split by far into the
+        # near and far lists, and one decode table shared by every field
+        # search and by both rules' field-composition coverage.
+        from repro.corpus import build_gzip
+        from repro.gadgets.finder import find_gadgets_in_bytes
+        from repro.rewrite import fieldsearch
+        from repro.rewrite.rules import existing
+
+        image = build_gzip().image
+        sections = image.executable_sections()
+        decoded, scanned = [], []
+        decode, scan = fieldsearch.decode, existing.find_gadgets_in_bytes
+
+        def counted_decode(code, pos, address):
+            decoded.append(address)
+            return decode(code, pos, address=address)
+
+        def counted_scan(data, base, **kwargs):
+            scanned.append(base)
+            return scan(data, base=base, **kwargs)
+
+        monkeypatch.setattr(fieldsearch, "decode", counted_decode)
+        monkeypatch.setattr(existing, "find_gadgets_in_bytes", counted_scan)
+        result = RewriteEngine().analyze(image)
+        assert decoded and len(decoded) == len(set(decoded))
+        assert sorted(scanned) == sorted(s.vaddr for s in sections)
+
+        def key(gadget):
+            return gadget.address, gadget.far, [i.text() for i in gadget.instructions]
+
+        scan_all = [
+            key(g) for s in sections
+            for g in find_gadgets_in_bytes(bytes(s.data), base=s.vaddr)
+        ]
+        assert [key(g) for g in result.existing_gadgets] == [
+            k for k in scan_all if not k[1]
+        ]
+        assert [key(g) for g in result.far_gadgets] == [k for k in scan_all if k[1]]
+        assert result.existing_gadgets and result.far_gadgets
+
     def test_coverage_bridges_across_fields(self):
         # Two adjacent mov-imm32s: a consumer byte planted at the end of
         # the first field swallows the second mov's opcode, landing in
