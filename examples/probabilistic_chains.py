@@ -17,7 +17,7 @@ from repro.emu.syscalls import ExitProgram
 def main():
     program = build_wget(blocks=2, chunks=10)
     config = ProtectConfig(
-        strategy="linear", verification_functions=["digest_wget"], n_variants=4
+        strategy="linear", verification_functions=["digest_wget"]
     )
     protected = Parallax(config).protect(program)
     record = protected.report.chains[0]

@@ -93,7 +93,7 @@ class ChecksummedProgram:
             ordered,
             program.rodata,
             program.data,
-            options=program.options,
+            wide_immediates=program.wide_immediates,
             candidates=program.candidates,
         )
         ChecksummedProgram._patch_markers(guarded, guards)

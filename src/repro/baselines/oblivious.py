@@ -99,7 +99,7 @@ class OHProgram:
             functions,
             program.rodata,
             program.data,
-            options=program.options,
+            wide_immediates=program.wide_immediates,
             candidates=program.candidates,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 #: Chain-hardening strategies evaluated in Fig. 5 (§V-B, §VII-B).
@@ -13,6 +14,7 @@ STRATEGY_LINEAR = "linear"
 STRATEGIES = (STRATEGY_CLEARTEXT, STRATEGY_XOR, STRATEGY_RC4, STRATEGY_LINEAR)
 
 
+@dataclass(eq=False)
 class ProtectConfig:
     """Options for one protection run.
 
@@ -24,11 +26,7 @@ class ProtectConfig:
             gadgets should be preferred by the chain compiler; ``None``
             defaults to every control-flow and syscall instruction (the
             likely attack targets, §VIII).
-        n_variants: compiled variants for the linear strategy (power of
-            two; §V-B's N).
         seed: determinism seed for probabilistic resolution and keys.
-        time_threshold: profile share above which a function is too hot
-            to become verification code (paper: 2%).
         guard_chains: §VI-C — insert a checksumming guard over the
             chain machinery (encrypted blobs, variant tables, runtime
             support), invoked from every loader stub.  Safe against the
@@ -37,44 +35,20 @@ class ProtectConfig:
             work.
     """
 
-    def __init__(
-        self,
-        strategy: str = STRATEGY_CLEARTEXT,
-        verification_functions: Optional[List[str]] = None,
-        protect_addresses: Optional[List[int]] = None,
-        n_variants: int = 4,
-        seed: int = 0x9A11A7,
-        time_threshold: float = 0.02,
-        guard_chains: bool = False,
-    ):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if n_variants < 1 or n_variants & (n_variants - 1):
-            raise ValueError("n_variants must be a power of two")
-        self.strategy = strategy
-        self.verification_functions = verification_functions
-        self.protect_addresses = protect_addresses
-        self.n_variants = n_variants
-        self.seed = seed
-        self.time_threshold = time_threshold
-        self.guard_chains = guard_chains
+    strategy: str = STRATEGY_CLEARTEXT
+    verification_functions: Optional[List[str]] = None
+    protect_addresses: Optional[List[int]] = None
+    seed: int = 0x9A11A7
+    guard_chains: bool = False
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def cache_key(self) -> tuple:
-        """Canonical tuple of every field that influences the protected
-        output — the config half of the protection cache key.  Any new
-        config attribute MUST be added here (the differential test
-        suite guards the equality side; this guards the sensitivity
-        side)."""
-        return (
-            self.strategy,
-            tuple(self.verification_functions)
-            if self.verification_functions is not None
-            else None,
-            tuple(self.protect_addresses)
-            if self.protect_addresses is not None
-            else None,
-            self.n_variants,
-            self.seed,
-            self.time_threshold,
-            self.guard_chains,
+        """Every field, in declaration order, lists frozen to tuples —
+        the config half of the protection cache key."""
+        return tuple(
+            tuple(value) if isinstance(value, list) else value
+            for value in (getattr(self, field.name) for field in fields(self))
         )

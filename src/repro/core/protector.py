@@ -57,6 +57,10 @@ ENC_BASE = 0x080F0000
 
 _STUB_SLOT = 192  # bytes reserved per loader stub (guards + decryptor calls)
 
+#: §V-B's N: compiled variants per linear-strategy chain.  A power of
+#: two, since the runtime picks a variant with the mask ``N - 1``.
+LINEAR_VARIANTS = 4
+
 
 class ProtectError(Exception):
     pass
@@ -168,9 +172,7 @@ class Parallax:
         # -- step 1: verification code selection & translation ----------
         names = config.verification_functions
         if not names:
-            names = [
-                select_verification_function(program, config.time_threshold)
-            ]
+            names = [select_verification_function(program)]
         for name in names:
             if name not in program.functions:
                 raise ProtectError(f"unknown function {name!r}")
@@ -448,9 +450,7 @@ class Parallax:
     ) -> ChainRecord:
         """§V-B probabilistic chains: N fixed-shape variants, an index
         table, and runtime regeneration by linear combination."""
-        config = self.config
-        n = config.n_variants
-
+        n = LINEAR_VARIANTS
         variants = [
             chain.resolve(catalog, rng=rng, fixed_shape=True) for _ in range(n)
         ]

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..binary import BinaryImage, Perm, Section
 from ..emu import RUN_MAX_STEPS, RunResult, run_image
-from ..ropc import CodegenOptions, compile_functions, ir
+from ..ropc import compile_functions, ir
 from ..x86.registers import EAX, EBX, ECX, EDX, EDI, ESI
 
 TEXT_BASE = 0x08048000
@@ -47,6 +47,8 @@ class Program:
         image: the compiled, runnable :class:`BinaryImage`.
         candidates: names of chain-translatable verification candidates.
         rodata/data: the :class:`DataBuilder` maps for address lookups.
+        wide_immediates: the codegen flag the program is compiled with
+            (see :class:`~repro.ropc.nativegen.NativeCompiler`).
     """
 
     def __init__(
@@ -55,20 +57,23 @@ class Program:
         functions: List[ir.IRFunction],
         rodata: DataBuilder,
         data: DataBuilder,
-        options: Optional[CodegenOptions] = None,
+        wide_immediates: bool = False,
         candidates: Iterable[str] = (),
     ):
         self.name = name
         self.functions = {f.name: f for f in functions}
         self.rodata = rodata
         self.data = data
-        self.options = options or CodegenOptions()
+        self.wide_immediates = wide_immediates
         self.candidates = list(candidates)
         self.image = self._build_image(functions)
 
     def _build_image(self, functions: List[ir.IRFunction]) -> BinaryImage:
         code, spans, entry = compile_functions(
-            functions, base=TEXT_BASE, options=self.options, entry_main="main"
+            functions,
+            base=TEXT_BASE,
+            wide_immediates=self.wide_immediates,
+            entry_main="main",
         )
         image = BinaryImage(self.name)
         image.add_section(Section(".text", TEXT_BASE, code, Perm.RX))

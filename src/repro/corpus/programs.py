@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from ..ropc import CodegenOptions, ir
+from ..ropc import ir
 from ..x86.registers import EAX, EBX, ECX, EDX, EDI, ESI
 from . import builders
 from .generator import FunctionGenerator, MixProfile
@@ -171,7 +171,6 @@ def build_wget(seed: int = 1001, blocks: int = 4, chunks: int = 150) -> Program:
     functions += FunctionGenerator(profile, scratch, seed).generate("wget_fill")
     return Program(
         "wget", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=False),
         candidates=["digest_wget", "crc_step", "rotate_xor"],
     )
 
@@ -244,7 +243,6 @@ def build_nginx(seed: int = 2002, blocks: int = 12, requests: int = 40) -> Progr
     functions += FunctionGenerator(profile, scratch, seed).generate("ngx_fill")
     return Program(
         "nginx", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=False),
         candidates=["digest_nginx", "mix32", "table_lookup"],
     )
 
@@ -304,7 +302,6 @@ def build_bzip2(seed: int = 3003, blocks: int = 8, reps: int = 10) -> Program:
     functions += FunctionGenerator(profile, scratch, seed).generate("bz_fill")
     return Program(
         "bzip2", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=False),
         candidates=["digest_bzip2", "crc_step", "checksum_words"],
     )
 
@@ -365,7 +362,6 @@ def build_gzip(seed: int = 4004, blocks: int = 8, positions: int = 40) -> Progra
     functions += FunctionGenerator(profile, scratch, seed).generate("gz_fill")
     return Program(
         "gzip", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=False),
         candidates=["digest_gzip", "adler_words", "checksum_words"],
     )
 
@@ -449,7 +445,7 @@ def build_gcc(seed: int = 5005, blocks: int = 4, passes: int = 90) -> Program:
     functions += FunctionGenerator(profile, scratch, seed).generate("gcc_fill")
     return Program(
         "gcc", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=True),
+        wide_immediates=True,
         candidates=["digest_gcc", "mix32", "abs32"],
     )
 
@@ -513,7 +509,6 @@ def build_lame(seed: int = 6006, blocks: int = 8, frames: int = 48) -> Program:
     functions += FunctionGenerator(profile, scratch, seed).generate("lame_fill")
     return Program(
         "lame", functions, rodata, data,
-        options=CodegenOptions(wide_immediates=False, xor_zero_idiom=True),
         candidates=["digest_lame", "quantize", "abs32"],
     )
 

@@ -48,18 +48,15 @@ class GadgetCatalog:
     # Lookup
     # ------------------------------------------------------------------
 
-    def of_kind(self, kind: GadgetKind, clean_only: bool = True) -> List[Gadget]:
+    def of_kind(self, kind: GadgetKind) -> List[Gadget]:
         """All gadgets implementing ``kind``, preferred (overlapping) first.
 
-        ``clean_only`` excludes gadgets whose terminator semantics need
-        special chain layout (``ret imm16``) — the compiler handles far
-        returns but not arbitrary stack skips.
+        Gadgets whose terminator needs special chain layout (``ret
+        imm16``) are left out: the compiler handles far returns but not
+        arbitrary stack skips.
         """
-        gadgets = self._by_kind.get(kind.key(), [])
-        if clean_only:
-            gadgets = [g for g in gadgets if g.ret_imm == 0]
         return sorted(
-            gadgets,
+            (g for g in self._by_kind.get(kind.key(), []) if g.ret_imm == 0),
             key=lambda g: (g.address not in self.preferred, g.length, g.address),
         )
 

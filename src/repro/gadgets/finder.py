@@ -57,8 +57,7 @@ MAX_GADGET_INSNS = 6
 #: instructions of at most ~7 bytes each is generous at 40.
 MAX_LOOKBACK_BYTES = 40
 
-_NEAR_RETS = (RET_OPCODE, RET_IMM16_OPCODE)
-_FAR_RETS = (RETF_OPCODE, RETF_IMM16_OPCODE)
+_RETS = (RET_OPCODE, RET_IMM16_OPCODE, RETF_OPCODE, RETF_IMM16_OPCODE)
 _IMM16_RETS = (RET_IMM16_OPCODE, RETF_IMM16_OPCODE)
 
 #: Memo-table terminal state: the decode chain from this offset can
@@ -66,17 +65,12 @@ _IMM16_RETS = (RET_IMM16_OPCODE, RETF_IMM16_OPCODE)
 _DEAD = object()
 
 
-def decode_gadget_at(
-    data: bytes,
-    offset: int,
-    base: int = 0,
-    max_insns: int = MAX_GADGET_INSNS,
-) -> Optional[Gadget]:
+def decode_gadget_at(data: bytes, offset: int, base: int = 0) -> Optional[Gadget]:
     """Try to decode a gadget starting at ``offset`` in ``data``.
 
-    The decode must reach a return instruction within ``max_insns``
-    instructions; the sequence is then classified.  Returns ``None`` if
-    no valid gadget starts here.
+    The decode must reach a return instruction within
+    :data:`MAX_GADGET_INSNS` instructions; the sequence is then
+    classified.  Returns ``None`` if no valid gadget starts here.
 
     Buffer bounds are checked *before* an instruction is accepted: a
     gadget whose return terminates exactly at the buffer end is valid,
@@ -86,7 +80,7 @@ def decode_gadget_at(
     instructions = []
     pos = offset
     size = len(data)
-    for _ in range(max_insns):
+    for _ in range(MAX_GADGET_INSNS):
         if pos >= size:
             return None
         try:
@@ -116,12 +110,7 @@ def _ret_length(data: bytes, ret_pos: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def reference_find_gadgets_in_bytes(
-    data: bytes,
-    base: int = 0,
-    max_insns: int = MAX_GADGET_INSNS,
-    include_far: bool = True,
-) -> List[Gadget]:
+def reference_find_gadgets_in_bytes(data: bytes, base: int = 0) -> List[Gadget]:
     """Exhaustive gadget scan — the original, obviously-correct finder.
 
     Scans for return opcodes and fully re-decodes every start offset
@@ -138,18 +127,17 @@ def reference_find_gadgets_in_bytes(
     scanned = metrics.counter("gadgets.offsets_scanned")
     accepted = metrics.counter("gadgets.accepted")
     rejected = metrics.counter("gadgets.rejected")
-    terminators = _NEAR_RETS + (_FAR_RETS if include_far else ())
     gadgets: List[Gadget] = []
     seen = set()
     for ret_pos, byte in enumerate(data):
-        if byte not in terminators:
+        if byte not in _RETS:
             continue
         lo = max(0, ret_pos - MAX_LOOKBACK_BYTES)
         for start in range(ret_pos, lo - 1, -1):
             if start in seen:
                 continue
             scanned.inc()
-            gadget = decode_gadget_at(data, start, base=base, max_insns=max_insns)
+            gadget = decode_gadget_at(data, start, base=base)
             if gadget is None:
                 rejected.inc()
                 continue
@@ -165,21 +153,12 @@ def reference_find_gadgets_in_bytes(
     return gadgets
 
 
-def reference_find_gadgets(
-    image: BinaryImage,
-    max_insns: int = MAX_GADGET_INSNS,
-    include_far: bool = True,
-) -> List[Gadget]:
+def reference_find_gadgets(image: BinaryImage) -> List[Gadget]:
     """Exhaustive, uncached, serial scan of every executable section."""
     gadgets: List[Gadget] = []
     for section in image.executable_sections():
         gadgets.extend(
-            reference_find_gadgets_in_bytes(
-                bytes(section.data),
-                base=section.vaddr,
-                max_insns=max_insns,
-                include_far=include_far,
-            )
+            reference_find_gadgets_in_bytes(bytes(section.data), base=section.vaddr)
         )
     return gadgets
 
@@ -189,12 +168,12 @@ def reference_find_gadgets(
 # ----------------------------------------------------------------------
 
 
-def _ret_positions(data: bytes, terminators: Tuple[int, ...]) -> List[int]:
-    """All offsets of terminator opcode bytes, ascending — one
+def _ret_positions(data: bytes) -> List[int]:
+    """All offsets of ret-family opcode bytes, ascending — one
     ``bytes.find`` sweep per opcode instead of a Python-level loop over
     every byte."""
     positions: List[int] = []
-    for opcode in terminators:
+    for opcode in _RETS:
         needle = bytes((opcode,))
         idx = data.find(needle)
         while idx != -1:
@@ -251,12 +230,7 @@ def _resolve(
     return memo[start]
 
 
-def find_gadgets_in_bytes(
-    data: bytes,
-    base: int = 0,
-    max_insns: int = MAX_GADGET_INSNS,
-    include_far: bool = True,
-) -> List[Gadget]:
+def find_gadgets_in_bytes(data: bytes, base: int = 0) -> List[Gadget]:
     """Find all gadgets in a flat code buffer (memoized single pass).
 
     Equivalent to :func:`reference_find_gadgets_in_bytes` — identical
@@ -267,13 +241,12 @@ def find_gadgets_in_bytes(
     pass of ``bytes.find`` sweeps rather than a per-byte Python loop.
     """
     data = bytes(data)
-    terminators = _NEAR_RETS + (_FAR_RETS if include_far else ())
     gadgets: List[Gadget] = []
     seen = set()
     memo: Dict[int, object] = {}
     scanned = 0
     rejected = 0
-    for ret_pos in _ret_positions(data, terminators):
+    for ret_pos in _ret_positions(data):
         window_end = ret_pos + _ret_length(data, ret_pos)
         lo = max(0, ret_pos - MAX_LOOKBACK_BYTES)
         for start in range(ret_pos, lo - 1, -1):
@@ -283,7 +256,7 @@ def find_gadgets_in_bytes(
             entry = memo.get(start)
             if entry is None:
                 entry = _resolve(data, base, start, memo)
-            if entry is _DEAD or entry[1] > max_insns:
+            if entry is _DEAD or entry[1] > MAX_GADGET_INSNS:
                 rejected += 1
                 continue
             # Splice the cached instruction tail: follow memo links to
@@ -322,37 +295,25 @@ def find_gadgets_in_bytes(
 # ----------------------------------------------------------------------
 
 
-def find_gadgets_in_bytes_cached(
-    data: bytes,
-    base: int = 0,
-    max_insns: int = MAX_GADGET_INSNS,
-    include_far: bool = True,
-) -> List[Gadget]:
+def find_gadgets_in_bytes_cached(data: bytes, base: int = 0) -> List[Gadget]:
     """Content-addressed :func:`find_gadgets_in_bytes`.
 
-    The key covers the exact section bytes, the base address and every
-    finder knob, so a one-byte change to the code — the very thing
-    Parallax exists to detect — yields a different key and a fresh
-    scan.  Gadget objects are shared between hits; the pipeline treats
+    The key covers the exact section bytes and the base address, so a
+    one-byte change to the code — the very thing Parallax exists to
+    detect — yields a different key and a fresh scan.  Gadget objects are shared between hits; the pipeline treats
     them as immutable.
     """
     from ..cache import cached
 
     gadgets, _hit = cached(
         "gadgets",
-        (data, base, max_insns, include_far),
-        lambda: find_gadgets_in_bytes(
-            data, base=base, max_insns=max_insns, include_far=include_far
-        ),
+        (data, base),
+        lambda: find_gadgets_in_bytes(data, base=base),
     )
     return list(gadgets)
 
 
-def find_gadgets(
-    image: BinaryImage,
-    max_insns: int = MAX_GADGET_INSNS,
-    include_far: bool = True,
-) -> List[Gadget]:
+def find_gadgets(image: BinaryImage) -> List[Gadget]:
     """Find all gadgets in every executable section of ``image``.
 
     Each section is looked up in the content-addressed gadget cache
@@ -363,12 +324,7 @@ def find_gadgets(
         gadgets: List[Gadget] = []
         for section in image.executable_sections():
             gadgets.extend(
-                find_gadgets_in_bytes_cached(
-                    bytes(section.data),
-                    base=section.vaddr,
-                    max_insns=max_insns,
-                    include_far=include_far,
-                )
+                find_gadgets_in_bytes_cached(bytes(section.data), base=section.vaddr)
             )
         span.set_attribute("found", len(gadgets))
         return gadgets

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from ..cache import cache_manager, configure_cache
@@ -108,15 +109,7 @@ def config_for_program(name: str, base: Optional[ProtectConfig]) -> ProtectConfi
     verification = base.verification_functions
     if verification is None:
         verification = [f"digest_{name}"]
-    return ProtectConfig(
-        strategy=base.strategy,
-        verification_functions=list(verification),
-        protect_addresses=base.protect_addresses,
-        n_variants=base.n_variants,
-        seed=base.seed,
-        time_threshold=base.time_threshold,
-        guard_chains=base.guard_chains,
-    )
+    return replace(base, verification_functions=list(verification))
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,6 @@ def existing_gadgets(data: bytes, base: int) -> Tuple[List[Gadget], List[Gadget]
     their terminator (``ret`` vs ``retf``)."""
     near: List[Gadget] = []
     far: List[Gadget] = []
-    for gadget in find_gadgets_in_bytes(data, base=base, include_far=True):
+    for gadget in find_gadgets_in_bytes(data, base=base):
         (far if gadget.far else near).append(gadget)
     return near, far

@@ -14,7 +14,7 @@ from .chain import (
 )
 from .compiler import ARG_BASE_OFFSET, PUSHAD_EAX_OFFSET, RopCompileError, RopCompiler
 from .interpreter import Interpreter, InterpreterError, IRMemory
-from .nativegen import CodegenOptions, NativeCompiler, compile_functions
+from .nativegen import NativeCompiler, compile_functions
 from .standard import StandardGadgetError, emit_standard_gadgets
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "KindWord", "LabelWord", "MissingGadget", "RopChain",
     "ARG_BASE_OFFSET", "PUSHAD_EAX_OFFSET", "RopCompileError", "RopCompiler",
     "Interpreter", "InterpreterError", "IRMemory",
-    "CodegenOptions", "NativeCompiler", "compile_functions",
+    "NativeCompiler", "compile_functions",
     "StandardGadgetError", "emit_standard_gadgets",
 ]

@@ -1,9 +1,11 @@
 """Native backend: compile IR functions to IA-32 machine code.
 
 Produces gcc-flavoured code: frame pointer prologues, callee-saved
-registers, cdecl argument passing.  The corpus generator uses this to
-build the test binaries; the Parallax pipeline also uses it to compile
-inserted runtime-support code (chain decryptors, loader helpers).
+registers, cdecl argument passing, ``xor r, r`` for a zero constant
+(gcc -O2's idiom) and function starts padded to
+:data:`FUNCTION_ALIGN`.  The corpus generator uses this to build the
+test binaries; the Parallax pipeline also uses it to compile inserted
+runtime-support code (chain decryptors, loader helpers).
 """
 
 from __future__ import annotations
@@ -29,29 +31,8 @@ _CC = {
 
 _CALLEE_SAVED = (EBX, ESI, EDI)
 
-
-class CodegenOptions:
-    """Knobs that shape the emitted code (and hence the gadget surface).
-
-    The Fig. 6 experiment depends on the instruction mix; these options
-    let the corpus generator emulate different compiler habits.
-
-    Attributes:
-        wide_immediates: emit group-1 arithmetic with imm32 even for
-            small constants (more immediate-rule targets).
-        xor_zero_idiom: use ``xor r, r`` for Const 0 (gcc -O2 habit).
-        align_functions: pad function starts to this boundary (0 = off).
-    """
-
-    def __init__(
-        self,
-        wide_immediates: bool = False,
-        xor_zero_idiom: bool = True,
-        align_functions: int = 16,
-    ):
-        self.wide_immediates = wide_immediates
-        self.xor_zero_idiom = xor_zero_idiom
-        self.align_functions = align_functions
+#: Byte boundary every function start is padded to.
+FUNCTION_ALIGN = 16
 
 
 class NativeCompiler:
@@ -59,11 +40,13 @@ class NativeCompiler:
 
     All functions share an :class:`Assembler`; function names are labels,
     so cross-function calls resolve in the final fixup pass.
+    ``wide_immediates`` emits group-1 arithmetic with imm32 even for
+    small constants (more immediate-rule targets for Fig. 6).
     """
 
-    def __init__(self, base: int = 0x08048000, options: Optional[CodegenOptions] = None):
+    def __init__(self, base: int = 0x08048000, wide_immediates: bool = False):
         self.asm = Assembler(base=base)
-        self.options = options or CodegenOptions()
+        self.wide_immediates = wide_immediates
         self._function_spans: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -73,9 +56,7 @@ class NativeCompiler:
     def compile_function(self, function: ir.IRFunction) -> None:
         """Append the native code of ``function`` to the blob."""
         function.validate()
-        opts = self.options
-        if opts.align_functions:
-            self.asm.align(opts.align_functions)
+        self.asm.align(FUNCTION_ALIGN)
         start = self.asm.offset
         self.asm.label(function.name)
         self._emit_prologue()
@@ -86,8 +67,7 @@ class NativeCompiler:
     def emit_start(self, main: str = "main", argv: Iterable[int] = ()) -> None:
         """Emit the process entry point: call main, exit with its result."""
         a = self.asm
-        if self.options.align_functions:
-            a.align(self.options.align_functions)
+        a.align(FUNCTION_ALIGN)
         start = a.offset
         a.label("_start")
         args = list(argv)
@@ -124,7 +104,7 @@ class NativeCompiler:
         a.ret()
 
     def _imm(self, value: int) -> Imm:
-        if self.options.wide_immediates:
+        if self.wide_immediates:
             return Imm(value, 32)
         return Imm(value, 8) if -128 <= (value & 0xFFFFFFFF) < 128 or value >= 0xFFFFFF80 else Imm(value, 32)
 
@@ -135,7 +115,7 @@ class NativeCompiler:
         if isinstance(op, ir.Label):
             a.label(scoped(op.name))
         elif isinstance(op, ir.Const):
-            if op.value == 0 and self.options.xor_zero_idiom:
+            if op.value == 0:
                 a.xor(op.dst, op.dst)
             else:
                 a.mov(op.dst, Imm(op.value, 32))
@@ -210,7 +190,7 @@ def _low_byte_reg(reg):
 def compile_functions(
     functions: List[ir.IRFunction],
     base: int = 0x08048000,
-    options: Optional[CodegenOptions] = None,
+    wide_immediates: bool = False,
     entry_main: Optional[str] = "main",
     argv: Iterable[int] = (),
 ):
@@ -218,7 +198,7 @@ def compile_functions(
 
     ``entry_main=None`` skips the _start stub (for runtime-support blobs).
     """
-    compiler = NativeCompiler(base=base, options=options)
+    compiler = NativeCompiler(base=base, wide_immediates=wide_immediates)
     for function in functions:
         compiler.compile_function(function)
     entry_offset = None

@@ -36,7 +36,7 @@ DEFAULT_MAX_STEPS = 50_000_000
 
 
 class JobValidationError(ValueError):
-    """A request named an unknown kind/program/strategy."""
+    """A request named an unknown kind/program/strategy or mistyped a field."""
 
 
 def make_task(
@@ -64,14 +64,16 @@ def make_task(
         )
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise JobValidationError("seed must be an integer")
-    if not isinstance(max_steps, int) or max_steps < 1:
+    if not isinstance(guard_chains, bool):
+        raise JobValidationError("guard_chains must be a boolean")
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
         raise JobValidationError("max_steps must be a positive integer")
     return {
         "kind": kind,
         "program": program,
         "strategy": strategy,
         "seed": seed,
-        "guard_chains": bool(guard_chains),
+        "guard_chains": guard_chains,
         "max_steps": max_steps,
     }
 

@@ -41,6 +41,6 @@ def protected_wget_rc4(small_wget):
 @pytest.fixture(scope="session")
 def protected_wget_linear(small_wget):
     config = ProtectConfig(
-        strategy="linear", verification_functions=["digest_wget"], n_variants=4
+        strategy="linear", verification_functions=["digest_wget"]
     )
     return Parallax(config).protect(small_wget)

@@ -97,5 +97,3 @@ def test_linear_strategy_probabilistic(protected_wget_linear, small_wget_baselin
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtectConfig(strategy="rot13")
-    with pytest.raises(ValueError):
-        ProtectConfig(n_variants=3)

@@ -1,20 +1,21 @@
-"""Codegen options shape the instruction mix (the Fig. 6 lever)."""
+"""Codegen shapes the instruction mix (the Fig. 6 lever)."""
 
 from repro.corpus import builders
-from repro.ropc import CodegenOptions, compile_functions
+from repro.ropc import compile_functions
 from repro.x86 import decode_all
 
 
-def _compile(options):
+def _compile(wide_immediates):
     code, _, _ = compile_functions(
-        [builders.range_sum()], base=0x1000, options=options, entry_main=None
+        [builders.range_sum()], base=0x1000, wide_immediates=wide_immediates,
+        entry_main=None,
     )
     return code, decode_all(code, address=0x1000, stop_on_error=True)
 
 
 def test_wide_immediates_option():
-    narrow, insns_n = _compile(CodegenOptions(wide_immediates=False))
-    wide, insns_w = _compile(CodegenOptions(wide_immediates=True))
+    narrow, insns_n = _compile(wide_immediates=False)
+    wide, insns_w = _compile(wide_immediates=True)
 
     def imm32_count(insns):
         from repro.x86 import Imm
@@ -34,25 +35,14 @@ def test_xor_zero_idiom():
     f = ir.IRFunction("z", 0)
     f.emit(ir.Const(EAX, 0))
     f.emit(ir.Ret())
-    with_xor, _, _ = compile_functions(
-        [f], base=0, options=CodegenOptions(xor_zero_idiom=True), entry_main=None
-    )
-    without, _, _ = compile_functions(
-        [f], base=0, options=CodegenOptions(xor_zero_idiom=False), entry_main=None
-    )
-    assert b"\x31\xc0" in with_xor      # xor eax, eax
-    assert b"\xb8\x00\x00\x00\x00" in without
+    code, _, _ = compile_functions([f], base=0, entry_main=None)
+    assert b"\x31\xc0" in code              # xor eax, eax
+    assert b"\xb8\x00\x00\x00\x00" not in code
 
 
 def test_function_alignment():
-    aligned, _, _ = compile_functions(
-        [builders.mix32(), builders.abs32()],
-        base=0, options=CodegenOptions(align_functions=16), entry_main=None,
+    _, spans, _ = compile_functions(
+        [builders.mix32(), builders.abs32()], base=0, entry_main=None,
     )
     # second function starts on a 16-byte boundary (nop padding before)
-    from repro.ropc import compile_functions as cf
-    _, spans, _ = cf(
-        [builders.mix32(), builders.abs32()],
-        base=0, options=CodegenOptions(align_functions=16), entry_main=None,
-    )
     assert spans["abs32"][0] % 16 == 0

@@ -20,18 +20,17 @@ def test_six_instruction_limit():
     for _ in range(8):
         a.nop()
     a.ret()
-    gadgets = find_gadgets_in_bytes(a.assemble(), base=0, max_insns=6)
+    gadgets = find_gadgets_in_bytes(a.assemble(), base=0)
     starts = {g.address for g in gadgets}
     assert 3 in starts      # 5 nops + ret = 6 insns
     assert 0 not in starts  # 8 nops + ret > 6 insns
 
 
-def test_far_gadgets_optional():
+def test_far_gadgets_found():
     a = Assembler()
     a.pop(EAX); a.retf()
     code = a.assemble()
     assert any(g.far for g in find_gadgets_in_bytes(code, base=0))
-    assert not any(g.far for g in find_gadgets_in_bytes(code, base=0, include_far=False))
 
 
 def test_catalog_prefers_overlapping():

@@ -143,7 +143,7 @@ def measure_ablations():
         if name == "wget":
             wget, single = program, func.report.chains[0]
 
-    prob = protect(wget, "linear", n_variants=4).report.chains[0]
+    prob = protect(wget, "linear").report.chains[0]
     variant_space = {
         "deterministic_gadgets": len(set(single.gadget_addresses)),
         "probabilistic_gadgets": len(set(prob.gadget_addresses)),

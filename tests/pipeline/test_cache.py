@@ -1,5 +1,6 @@
 """The content-addressed cache engine: keys, tiers, counters."""
 
+import dataclasses
 import errno
 import os
 import pickle
@@ -87,22 +88,29 @@ def test_image_fingerprint_ignores_metadata(small_wget):
     assert image.fingerprint() == before
 
 
+#: A second valid value for every ProtectConfig field; a field added
+#: without one here fails the sensitivity test below.
+_OTHER_CONFIG_VALUES = {
+    "strategy": "rc4",
+    "verification_functions": ["digest_wget"],
+    "protect_addresses": [0x08048000],
+    "seed": 2,
+    "guard_chains": True,
+}
+
+
 def test_config_change_changes_cache_key():
-    base = ProtectConfig(seed=1)
-    keys = {
-        content_key(cfg.cache_key())
-        for cfg in (
-            base,
-            ProtectConfig(seed=2),
-            ProtectConfig(seed=1, strategy="rc4"),
-            ProtectConfig(seed=1, guard_chains=True),
-            ProtectConfig(seed=1, verification_functions=["digest_wget"]),
-        )
-    }
-    assert len(keys) == 5
-    assert content_key(base.cache_key()) == content_key(
-        ProtectConfig(seed=1).cache_key()
+    base = ProtectConfig()
+    names = [field.name for field in dataclasses.fields(ProtectConfig)]
+    assert sorted(names) == sorted(_OTHER_CONFIG_VALUES), (
+        "give every ProtectConfig field a second value in _OTHER_CONFIG_VALUES"
     )
+    base_key = content_key(base.cache_key())
+    assert content_key(ProtectConfig().cache_key()) == base_key
+    for name in names:
+        other = dataclasses.replace(base, **{name: _OTHER_CONFIG_VALUES[name]})
+        assert getattr(other, name) != getattr(base, name), name
+        assert content_key(other.cache_key()) != base_key, name
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,10 @@ memo table has to get right:
 * dense runs of ret opcodes whose lookback windows overlap heavily
   (the memo-reuse hot case — and where a chain can terminate at a
   *different* return than the window under scan);
-* ``include_far`` on and off, including the corner where a far-return
-  chain's end coincides with a near-ret window's end;
+* the corner where a far-return chain's end coincides with a near-ret
+  window's end;
+* runs of one-byte instructions just inside and past
+  ``MAX_GADGET_INSNS``;
 * prefix-dense streams (segment/rep/operand-size prefixes) that make
   decode lengths irregular.
 """
@@ -84,15 +86,9 @@ def fingerprint(gadgets):
     )
 
 
-def assert_equivalent(data, base=0x1000, max_insns=6, include_far=True):
-    opt, opt_counts = _counters(
-        find_gadgets_in_bytes, data,
-        base=base, max_insns=max_insns, include_far=include_far,
-    )
-    ref, ref_counts = _counters(
-        reference_find_gadgets_in_bytes, data,
-        base=base, max_insns=max_insns, include_far=include_far,
-    )
+def assert_equivalent(data, base=0x1000):
+    opt, opt_counts = _counters(find_gadgets_in_bytes, data, base=base)
+    ref, ref_counts = _counters(reference_find_gadgets_in_bytes, data, base=base)
     assert fingerprint(opt) == fingerprint(ref), data.hex()
     # The optimized scanner batches counter updates but must publish the
     # exact values the reference accumulates one inc() at a time.
@@ -101,38 +97,30 @@ def assert_equivalent(data, base=0x1000, max_insns=6, include_far=True):
     assert [g.address for g in opt] == sorted(g.address for g in opt)
 
 
-@given(data=_buffers, include_far=st.booleans())
+@given(data=_buffers)
 @settings(max_examples=120, deadline=None)
 # ret imm16 truncated at the buffer end (no room for its immediate)...
-@example(data=bytes([0x58, RET_IMM16]), include_far=True)
-@example(data=bytes([0x58, RET_IMM16, 0x04]), include_far=True)
+@example(data=bytes([0x58, RET_IMM16]))
+@example(data=bytes([0x58, RET_IMM16, 0x04]))
 # ...and terminating exactly on it.
-@example(data=bytes([0x58, RET_IMM16, 0x04, 0x00]), include_far=True)
+@example(data=bytes([0x58, RET_IMM16, 0x04, 0x00]))
 # rets within MAX_LOOKBACK_BYTES of offset 0: the window clamps at 0.
-@example(data=bytes([RET]), include_far=True)
-@example(data=bytes([0x90, RET, 0x90, RET]), include_far=False)
+@example(data=bytes([RET]))
+@example(data=bytes([0x90, RET, 0x90, RET]))
 # overlapping ret windows: every byte is a terminator.
-@example(data=bytes([RET] * 12), include_far=True)
-@example(data=bytes([RET_IMM16, 0x01, 0x00] * 6), include_far=True)
+@example(data=bytes([RET] * 12))
+@example(data=bytes([RET_IMM16, 0x01, 0x00] * 6))
 # far/near end-coincidence: "retf imm16" at i ends where "ret" at i+2
-# ends, so the far chain satisfies the near window's end check even
-# with include_far=False — the scanner must reproduce that corner.
-@example(data=bytes([0x58, RETF_IMM16, 0x00, RET]), include_far=False)
-@example(data=bytes([0x58, RETF_IMM16, 0x00, RET]), include_far=True)
+# ends, so the far chain satisfies the near window's end check.
+@example(data=bytes([0x58, RETF_IMM16, 0x00, RET]))
 # prefix-dense streams: irregular decode lengths across the window.
-@example(data=bytes([0x66, 0x26, 0xF3, 0x90] * 8 + [RET]), include_far=True)
-@example(data=bytes([0x66, RET_IMM16, 0x66, RETF, 0x2E, RET] * 5),
-         include_far=True)
-def test_scanner_equals_reference(data, include_far):
-    assert_equivalent(data, include_far=include_far)
-
-
-@given(data=_buffers, max_insns=st.integers(1, 8))
-@settings(max_examples=60, deadline=None)
-@example(data=bytes([0x90] * 8 + [RET]), max_insns=6)
-@example(data=bytes([0x58] * 7 + [RET]), max_insns=8)
-def test_scanner_equals_reference_across_length_bounds(data, max_insns):
-    assert_equivalent(data, max_insns=max_insns)
+@example(data=bytes([0x66, 0x26, 0xF3, 0x90] * 8 + [RET]))
+@example(data=bytes([0x66, RET_IMM16, 0x66, RETF, 0x2E, RET] * 5))
+# chains longer than MAX_GADGET_INSNS: only their short suffixes count.
+@example(data=bytes([0x90] * 8 + [RET]))
+@example(data=bytes([0x58] * 7 + [RET]))
+def test_scanner_equals_reference(data):
+    assert_equivalent(data)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -146,7 +134,7 @@ def test_scanner_equals_reference_on_ret_salted_streams(seed):
         chunks.append(bytes(rng.randrange(256) for _ in range(rng.randrange(0, 7))))
         chunks.append(bytes([rng.choice([RET, RET_IMM16, RETF, RETF_IMM16])]))
     data = b"".join(chunks)
-    assert_equivalent(data, include_far=bool(seed & 1))
+    assert_equivalent(data)
 
 
 def test_window_clamp_near_offset_zero():

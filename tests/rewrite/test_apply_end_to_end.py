@@ -24,7 +24,7 @@ def split_pair():
             functions.append(clone)
     rebuilt = Program(
         "gzip-split", functions, original.rodata, original.data,
-        options=original.options, candidates=original.candidates,
+        wide_immediates=original.wide_immediates, candidates=original.candidates,
     )
     return original, rebuilt
 

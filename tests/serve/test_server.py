@@ -116,6 +116,18 @@ def test_validation_errors_are_400(client):
     assert client.post("/protect", {"program": "gzip", "seed": "NaN"})[0] == 400
 
 
+def test_mistyped_job_fields_are_400(client):
+    for fields in (
+        {"guard_chains": "no"},
+        {"guard_chains": 1},
+        {"max_steps": True},
+        {"max_steps": "10"},
+    ):
+        status, _headers, payload = client.post("/protect", {"program": "gzip", **fields})
+        assert status == 400, fields
+        assert next(iter(fields)) in payload["error"]
+
+
 def test_unknown_route_is_404(client):
     assert client.get("/nope")[0] == 404
     assert client.post("/nope", {})[0] == 404
