@@ -27,6 +27,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from repro.gadgets.finder import (
+    MAX_GADGET_INSNS,
     MAX_LOOKBACK_BYTES,
     find_gadgets_in_bytes,
     reference_find_gadgets_in_bytes,
@@ -116,11 +117,34 @@ def assert_equivalent(data, base=0x1000):
 # prefix-dense streams: irregular decode lengths across the window.
 @example(data=bytes([0x66, 0x26, 0xF3, 0x90] * 8 + [RET]))
 @example(data=bytes([0x66, RET_IMM16, 0x66, RETF, 0x2E, RET] * 5))
-# chains longer than MAX_GADGET_INSNS: only their short suffixes count.
-@example(data=bytes([0x90] * 8 + [RET]))
-@example(data=bytes([0x58] * 7 + [RET]))
 def test_scanner_equals_reference(data):
     assert_equivalent(data)
+
+
+@given(
+    prefix=_buffers,
+    run=st.integers(1, MAX_GADGET_INSNS + 2),
+    filler=st.sampled_from([0x90, 0x58, 0x59, 0x5B, 0x5D]),
+)
+@settings(max_examples=60, deadline=None)
+# chains longer than MAX_GADGET_INSNS: only their short suffixes count.
+@example(prefix=b"", run=8, filler=0x90)
+@example(prefix=b"", run=7, filler=0x58)
+def test_scanner_equals_reference_across_length_bounds(prefix, run, filler):
+    """Runs of one-byte instructions just inside and past
+    MAX_GADGET_INSNS before a ret: both finders cut at the same bound."""
+    data = prefix + bytes([filler] * run + [RET])
+    assert_equivalent(data)
+    ret_at = len(data) - 1
+    gadgets = find_gadgets_in_bytes(data, base=0)
+    starts = {g.address for g in gadgets}
+    # Every filler within the bound reaches the ret; the first one past
+    # it decodes MAX_GADGET_INSNS fillers without meeting a return.
+    for k in range(1, min(run, MAX_GADGET_INSNS - 1) + 1):
+        assert ret_at - k in starts, (data.hex(), k)
+    if run >= MAX_GADGET_INSNS:
+        assert ret_at - MAX_GADGET_INSNS not in starts, data.hex()
+    assert all(len(g.instructions) <= MAX_GADGET_INSNS for g in gadgets)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
