@@ -17,10 +17,10 @@ Commands:
   in parallel (``--jobs``) and cached on disk (``--cache-dir``);
 * ``serve``                     — protection-as-a-service daemon:
   protect / verify / attack-matrix over HTTP with single-flight
-  deduplication, a content-addressed response cache, per-tenant quotas, one
-  worker-pool submit per job, and ``/metrics`` (request counters and
-  latency histograms), ``/stats`` (in-flight, single-flight and tenant
-  state) and ``/journal`` introspection;
+  deduplication, a content-addressed response cache, a bounded job
+  queue, one worker-pool submit per job, and ``/healthz`` (status,
+  in-flight, queued and single-flight counts), ``/metrics`` (request
+  counters and latency histograms) and ``/journal`` introspection;
 * ``stats ARTIFACT...``         — human dashboard over any exported
   telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace).
 
@@ -304,9 +304,7 @@ def _cmd_coverage(args) -> int:
     program = build_program(args.program)
     config = ProtectConfig(strategy=args.strategy, guard_chains=args.guard_chains)
     protected = Parallax(config).protect(program)
-    coverage = build_coverage(
-        protected.image, protected.report, classify_rules=not args.no_rules
-    )
+    coverage = build_coverage(protected.image, protected.report)
     payload = None
     if args.json or args.out:
         payload = json.dumps(coverage.to_dict(), indent=2, sort_keys=True)
@@ -318,11 +316,7 @@ def _cmd_coverage(args) -> int:
     if args.json:
         print(payload)
     else:
-        print(render_coverage(
-            coverage,
-            max_functions=args.max_functions,
-            max_insns=args.max_insns,
-        ))
+        print(render_coverage(coverage))
     if coverage.protected_bytes and not coverage.covered_bytes:
         # Chains were emitted but none of them overlap the protected
         # bytes — the implicit-verification premise failed for this
@@ -357,7 +351,6 @@ def _cmd_protect_all(args) -> int:
         config=config,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
         verify=args.verify,
     )
     failed = [
@@ -397,9 +390,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         queue_depth=args.queue_depth,
-        quota_rate=args.quota_rate,
-        quota_burst=args.quota_burst,
-        drain_timeout=args.drain_timeout,
     )
 
     def announce(server) -> None:
@@ -482,14 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--out", metavar="FILE", default=None,
                        help="also write the JSON artifact to FILE "
                             "(parent directories are created)")
-    p_cov.add_argument("--no-rules", action="store_true",
-                       help="skip the Fig. 6 rewrite-rule classification "
-                            "of covering gadgets (faster)")
-    p_cov.add_argument("--max-functions", type=int, default=0, metavar="N",
-                       help="annotate at most N functions (0 = all)")
-    p_cov.add_argument("--max-insns", type=int, default=0, metavar="N",
-                       help="annotate at most N protected instructions "
-                            "per function (0 = all)")
     _add_telemetry_args(p_cov)
     p_cov.set_defaults(func=_cmd_coverage)
 
@@ -509,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: 1, inline)")
     p_all.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="enable the on-disk cache tier at DIR")
-    p_all.add_argument("--no-cache", action="store_true",
-                       help="force full recomputation (disable all caching)")
     p_all.add_argument("--verify", action="store_true",
                        help="also run each protected program and compare "
                             "behaviour against its baseline (slow)")
@@ -536,18 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-depth", type=int, default=64, metavar="N",
                          help="max pending jobs before 429 backpressure "
                               "(default: 64)")
-    p_serve.add_argument("--quota-rate", type=float, default=0.0,
-                         metavar="PER_SECOND",
-                         help="per-tenant token-bucket refill rate "
-                              "(default: 0 = unlimited)")
-    p_serve.add_argument("--quota-burst", type=float, default=None,
-                         metavar="TOKENS",
-                         help="per-tenant burst capacity "
-                              "(default: max(1, 2x rate))")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="max seconds to wait for in-flight requests "
-                              "on shutdown (default: 30s)")
     _add_telemetry_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 

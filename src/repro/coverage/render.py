@@ -21,14 +21,8 @@ def _depth_glyph(depth: int) -> str:
     return str(depth)
 
 
-def render_coverage(
-    cov: CoverageMap, max_functions: int = 0, max_insns: int = 0
-) -> str:
-    """Human-readable coverage report with annotated disassembly.
-
-    ``max_functions`` / ``max_insns`` truncate the listing (0 = no
-    limit); truncation is always announced, never silent.
-    """
+def render_coverage(cov: CoverageMap) -> str:
+    """Human-readable coverage report with annotated disassembly."""
     lines: List[str] = [
         f"Coverage map: {cov.program} [{cov.strategy}]",
         f"  protected bytes : {cov.protected_bytes}",
@@ -47,9 +41,7 @@ def render_coverage(
     chains = ", ".join(cov.chain_names) or "(none)"
     lines.append(f"  chains          : {chains}")
 
-    functions = cov.functions()
-    shown = functions if not max_functions else functions[:max_functions]
-    for fc in shown:
+    for fc in cov.functions():
         lines.append("")
         lines.append(
             f"{fc.name} @{fc.vaddr:#x} ({fc.size} bytes): "
@@ -64,12 +56,9 @@ def render_coverage(
             lines.append(f"  <disassembly unavailable: {exc}>")
             continue
         protected = cov._protected_set
-        interesting = [
-            insn for insn in insns
-            if any(b in protected for b in range(insn.address, insn.end))
-        ]
-        shown_insns = interesting if not max_insns else interesting[:max_insns]
-        for insn in shown_insns:
+        for insn in insns:
+            if not any(b in protected for b in range(insn.address, insn.end)):
+                continue
             span = range(insn.address, insn.address + insn.length)
             glyphs = "".join(_depth_glyph(cov.depth_at(b)) for b in span)
             depths = [cov.depth_at(b) for b in span]
@@ -88,14 +77,4 @@ def render_coverage(
                 f"  {insn.address:#010x}  {glyphs:<8} {insn.text():<28}"
                 f"{chain_text}{flag_text}"
             )
-        if max_insns and len(interesting) > max_insns:
-            lines.append(
-                f"  ... {len(interesting) - max_insns} more protected "
-                f"instruction(s) truncated"
-            )
-    if max_functions and len(functions) > max_functions:
-        lines.append("")
-        lines.append(
-            f"... {len(functions) - max_functions} more function(s) truncated"
-        )
     return "\n".join(lines)

@@ -11,11 +11,10 @@ within one.  This package supplies that layer, stdlib-only:
 * :mod:`repro.serve.singleflight` — concurrent identical requests
   coalesce onto one in-flight execution whose result fans out to every
   waiter (``serve.singleflight.{leader,follower}`` metrics);
-* :mod:`repro.serve.quota` — per-tenant token-bucket admission;
 * :mod:`repro.serve.jobs` — the picklable job bodies executed on the
   worker pool, one pool submit per job;
 * :mod:`repro.serve.server` — admission → single-flight → pool →
-  cache, plus ``/metrics``, ``/stats``, ``/journal``,
+  cache, plus ``/healthz``, ``/metrics``, ``/journal``,
   graceful SIGTERM drain;
 * :mod:`repro.serve.client` — blocking and asyncio clients used by the
   tests, the CI smoke job, and the load generators
@@ -24,7 +23,6 @@ within one.  This package supplies that layer, stdlib-only:
 
 from .client import AsyncServeClient, ServeClient
 from .jobs import JOB_KINDS, execute_job, job_key, make_task
-from .quota import QuotaManager, TokenBucket
 from .server import ProtectionServer, ServeConfig, ServerThread, serve
 from .singleflight import SingleFlight
 
@@ -35,8 +33,6 @@ __all__ = [
     "execute_job",
     "job_key",
     "make_task",
-    "QuotaManager",
-    "TokenBucket",
     "ProtectionServer",
     "ServeConfig",
     "ServerThread",

@@ -78,7 +78,7 @@ class Request:
             return {}
         try:
             payload = json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long int
             raise HttpError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(payload, dict):
             raise HttpError(400, "JSON body must be an object")

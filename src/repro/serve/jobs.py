@@ -9,7 +9,9 @@ and single-flight sound.
 
 The server submits one :func:`execute_job` per pool call.  A job that
 fails raises; the exception travels back to the server, which answers
-``500`` to that job's waiters and caches nothing.
+``500`` to that job's waiters and caches nothing.  Verify and
+attack-matrix jobs run under :data:`~repro.emu.RUN_MAX_STEPS`, the
+budget of the CLI and of ``protect-all``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ __all__ = [
 
 JOB_KINDS = ("protect", "verify", "attack-matrix")
 
-#: Emulation budget for verify / attack jobs (full runs, not chains).
-DEFAULT_MAX_STEPS = 50_000_000
-
 
 class JobValidationError(ValueError):
     """A request named an unknown kind/program/strategy or mistyped a field."""
@@ -45,7 +44,6 @@ def make_task(
     strategy: str = "cleartext",
     seed: int = 0,
     guard_chains: bool = False,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Dict[str, Any]:
     """Validate and canonicalize one job into its task dict."""
     if kind not in JOB_KINDS:
@@ -66,15 +64,12 @@ def make_task(
         raise JobValidationError("seed must be an integer")
     if not isinstance(guard_chains, bool):
         raise JobValidationError("guard_chains must be a boolean")
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
-        raise JobValidationError("max_steps must be a positive integer")
     return {
         "kind": kind,
         "program": program,
         "strategy": strategy,
         "seed": seed,
         "guard_chains": guard_chains,
-        "max_steps": max_steps,
     }
 
 
@@ -93,7 +88,6 @@ def job_key(task: Dict[str, Any]) -> str:
         task["strategy"],
         task["seed"],
         task["guard_chains"],
-        task["max_steps"],
     )
 
 
@@ -107,10 +101,7 @@ def _request(task: Dict[str, Any], verify: bool):
         ),
     )
     return protect_request(
-        build_program_cached(task["program"]),
-        config,
-        verify=verify,
-        max_steps=task["max_steps"],
+        build_program_cached(task["program"]), config, verify=verify
     )
 
 
@@ -161,7 +152,7 @@ def _attack_matrix_payload(task: Dict[str, Any]) -> Dict[str, Any]:
     from ..attacks import tamper_chain_gadget
 
     protected = _request(task, verify=False).protected
-    goal = protected.program.run(max_steps=task["max_steps"])
+    goal = protected.program.run()
     target, static, wurster = tamper_chain_gadget(protected, goal)
     return {
         "kind": "attack-matrix",

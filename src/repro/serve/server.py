@@ -2,10 +2,9 @@
 
 One asyncio event loop fronts the existing protection pipeline:
 
-* **Admission** — per-tenant token-bucket quotas
-  (:class:`~repro.serve.quota.QuotaManager`) and a bounded pending-job
-  budget; past either bound the request gets ``429`` with a
-  ``Retry-After`` hint instead of queueing unboundedly.
+* **Admission** — a bounded pending-job budget (``queue_depth``); past
+  it a request gets ``429`` with ``Retry-After: 1`` instead of queueing
+  unboundedly.
 * **Single-flight** — requests that reduce to the same content key
   (:func:`~repro.serve.jobs.job_key`) coalesce onto one execution
   (:class:`~repro.serve.singleflight.SingleFlight`); the leader's
@@ -24,14 +23,14 @@ One asyncio event loop fronts the existing protection pipeline:
   ``request=`` when the client names one); ``/metrics`` serves the
   live Prometheus text export (the ``serve.requests`` counters and the
   ``serve.request.seconds`` histogram, from which a scraper derives
-  request rates and latency quantiles), ``/stats`` the in-flight,
-  single-flight and per-tenant state, and ``/journal`` per-request
-  flight-recorder dumps.  ``repro stats`` over the ``--journal`` dump
-  renders the serve lane.  Process-wide gauges and counters (queue
+  request rates and latency quantiles), ``/healthz`` the status plus
+  in-flight, queued and single-flight counts, and ``/journal``
+  per-request flight-recorder dumps.  ``repro stats`` over the
+  ``--journal`` dump renders the serve lane.  Process-wide gauges and counters (queue
   depth, in-flight requests, jobs executed, rejections) go to the
   unlabeled registry captured at start, never to a request's context.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (bounded by ``drain_timeout``), answer the ones still
+  requests finish (bounded by :data:`DRAIN_TIMEOUT`), answer the ones still
   waiting with a 503 ``{"error": "draining: ..."}``, counted and
   journaled like any response, then stop the pool without waiting for
   jobs still running, and leave telemetry export to the CLI's normal
@@ -53,6 +52,7 @@ import json
 import threading
 import time
 from concurrent.futures import Executor
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .. import telemetry
@@ -60,14 +60,7 @@ from ..cache import cache_manager, configure_cache, get_cache
 from ..pipeline.pool import stop_pool, worker_pool
 from ..telemetry import MetricsRegistry, TelemetryContext, get_metrics
 from .http import HttpError, Request, json_response, read_request, response_bytes
-from .jobs import (
-    DEFAULT_MAX_STEPS,
-    JobValidationError,
-    execute_job,
-    job_key,
-    make_task,
-)
-from .quota import QuotaManager
+from .jobs import JobValidationError, execute_job, job_key, make_task
 from .singleflight import FOLLOWER, LEADER, SingleFlight
 
 __all__ = [
@@ -85,57 +78,33 @@ JOB_ROUTES = {
     "/attack-matrix": "attack-matrix",
 }
 
+#: Seconds a drain waits for in-flight requests before cutting them short.
+DRAIN_TIMEOUT = 30.0
+
 
 class BusyError(Exception):
     """Admission refused: the pending-job budget is exhausted."""
-
-    def __init__(self, detail: str, retry_after: float = 1.0):
-        super().__init__(detail)
-        self.detail = detail
-        self.retry_after = retry_after
 
 
 class DrainCut(Exception):
     """The drain timed out before the request's job finished."""
 
 
+@dataclass(eq=False)
 class ServeConfig:
     """Knobs for one server instance (all have serving-sane defaults)."""
 
-    __slots__ = (
-        "host",
-        "port",
-        "jobs",
-        "cache_dir",
-        "queue_depth",
-        "quota_rate",
-        "quota_burst",
-        "drain_timeout",
-    )
+    host: str = "127.0.0.1"
+    port: int = 8437
+    jobs: int = 2
+    cache_dir: Optional[str] = None
+    queue_depth: int = 64
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8437,
-        jobs: int = 2,
-        cache_dir: Optional[str] = None,
-        queue_depth: int = 64,
-        quota_rate: float = 0.0,
-        quota_burst: Optional[float] = None,
-        drain_timeout: float = 30.0,
-    ):
-        if jobs < 1:
+    def __post_init__(self):
+        if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if queue_depth < 1:
+        if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        self.host = host
-        self.port = port
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.queue_depth = queue_depth
-        self.quota_rate = quota_rate
-        self.quota_burst = quota_burst
-        self.drain_timeout = drain_timeout
 
 
 def serving_pool(config: ServeConfig) -> Executor:
@@ -170,7 +139,6 @@ class ProtectionServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._singleflight = SingleFlight()
-        self._quota = QuotaManager(config.quota_rate, config.quota_burst)
         self._client_tasks: set = set()
         self._metrics: Optional[MetricsRegistry] = None
         self._pending = 0
@@ -232,14 +200,14 @@ class ProtectionServer:
             self._server.close()
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while self._requests_inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         # Every request still in flight waits on a single-flight key;
         # failing them all lets each answer its 503 before the cancel.
         self._singleflight.fail_all(DrainCut(
             f"the job did not finish within the "
-            f"{self.config.drain_timeout:g}s drain timeout"
+            f"{DRAIN_TIMEOUT:g}s drain timeout"
         ))
         while self._requests_inflight:
             await asyncio.sleep(0.02)
@@ -385,21 +353,9 @@ class ProtectionServer:
                 strategy=body.get("strategy", "cleartext"),
                 seed=body.get("seed", 0),
                 guard_chains=body.get("guard_chains", False),
-                max_steps=body.get("max_steps", DEFAULT_MAX_STEPS),
             )
         except JobValidationError as exc:
             raise HttpError(400, str(exc)) from exc
-        wait = self._quota.try_acquire(tenant)
-        if wait > 0:
-            self._metrics.counter(
-                "serve.rejections", labels={"reason": "quota"}
-            ).inc()
-            self._record_reject(request.path, "quota", tenant=tenant)
-            raise HttpError(
-                429,
-                f"tenant {tenant!r} over quota",
-                {"Retry-After": self._quota.retry_after_header(wait)},
-            )
         key = job_key(task)
         labels = {"tenant": tenant}
         if request_id is not None:
@@ -421,13 +377,7 @@ class ProtectionServer:
                 except BusyError as exc:
                     self._record_reject(request.path, "queue", tenant=tenant)
                     raise HttpError(
-                        429,
-                        exc.detail,
-                        {
-                            "Retry-After": self._quota.retry_after_header(
-                                exc.retry_after
-                            )
-                        },
+                        429, str(exc), {"Retry-After": "1"}
                     ) from exc
                 role = (
                     FOLLOWER
@@ -498,23 +448,13 @@ class ProtectionServer:
                     "status": "draining" if self._draining else "ok",
                     "in_flight": self._requests_inflight,
                     "queued": self._pending,
-                    "jobs": self.config.jobs,
-                    "uptime_seconds": round(time.time() - self._started, 3),
-                },
-                keep_alive=request.keep_alive,
-            )
-        if request.path == "/stats":
-            return json_response(
-                200,
-                {
-                    "in_flight": self._requests_inflight,
-                    "queued": self._pending,
                     "singleflight": {
                         "leaders": self._singleflight.leaders,
                         "followers": self._singleflight.followers,
                         "in_flight": len(self._singleflight),
                     },
-                    "tenants": self._quota.tenants(),
+                    "jobs": self.config.jobs,
+                    "uptime_seconds": round(time.time() - self._started, 3),
                 },
                 keep_alive=request.keep_alive,
             )

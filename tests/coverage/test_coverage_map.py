@@ -176,13 +176,9 @@ def test_load_artifact_sniffs_coverage(tmp_path, coverage):
 # ----------------------------------------------------------------------
 
 def test_render_marks_spof_and_uncovered(protected_wget_cleartext, coverage):
-    text = render_coverage(coverage, max_functions=5, max_insns=10)
+    text = render_coverage(coverage)
     assert "Coverage map: wget" in text
     assert "!SPOF" in text
     assert "!UNCOVERED" in text
     assert coverage.chain_names[0] in text
 
-
-def test_render_truncation_is_announced(coverage):
-    text = render_coverage(coverage, max_functions=1, max_insns=2)
-    assert "more function(s) truncated" in text

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_list(capsys):
@@ -35,6 +35,23 @@ def test_analyze(capsys):
 def test_unknown_program_rejected():
     with pytest.raises(SystemExit):
         main(["run", "notaprogram"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--quota-rate", "1"],
+    ["serve", "--quota-burst", "1"],
+    ["serve", "--drain-timeout", "1"],
+    ["coverage", "gzip", "--no-rules"],
+    ["coverage", "gzip", "--max-functions", "1"],
+    ["coverage", "gzip", "--max-insns", "1"],
+    ["protect-all", "--no-cache"],
+], ids=lambda argv: argv[-2] if argv[-1] == "1" else argv[-1])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # Parse only: a flag argparse accepted would run the command.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.fixture

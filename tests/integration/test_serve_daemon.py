@@ -81,7 +81,6 @@ def run(tmp_path_factory):
     }
     with _daemon(
         "--jobs", "2", "--cache-dir", str(out / "cache"),
-        "--quota-rate", "200",
         "--journal", paths["journal"],
         "--prom", paths["prom"],
     ) as (proc, host, port):
@@ -106,7 +105,8 @@ def run(tmp_path_factory):
             repeat = client.post("/protect", {"program": "gzip", "seed": 0})
             metrics = client.get("/metrics")
             journal = client.get("/journal?request=r-herd")
-            stats = client.get("/stats")
+            health = client.get("/healthz")
+            stats_route = client.get("/stats")
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=90)
     return {
@@ -114,7 +114,8 @@ def run(tmp_path_factory):
         "repeat": repeat,
         "metrics": metrics,
         "journal": journal,
-        "stats": stats,
+        "health": health,
+        "stats_route": stats_route,
         "exit_code": exit_code,
         "paths": paths,
     }
@@ -167,11 +168,12 @@ def test_journal_route_filters_by_request(run):
     assert all(e["ctx"]["request"] == "r-herd" for e in events)
 
 
-def test_stats_route_reports_followers_and_metrics_latency(run):
-    status, _headers, stats = run["stats"]
+def test_healthz_reports_followers_and_metrics_latency(run):
+    status, _headers, health = run["health"]
     assert status == 200
-    assert stats["singleflight"]["followers"] > 0
-    # Request latencies are a /metrics histogram, not a /stats window.
+    assert health["singleflight"]["followers"] > 0
+    assert run["stats_route"][0] == 404
+    # Request latencies are a /metrics histogram, not a /healthz window.
     counts = [
         float(line.rsplit(" ", 1)[1])
         for line in run["metrics"][2].splitlines()

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,6 +158,24 @@ def test_any_bytes_parse_or_fail_typed(raw):
 
 def test_invalid_json_body_is_400():
     raw = b"POST /protect HTTP/1.1\r\nContent-Length: 3\r\n\r\nnot"
+    request = read(raw)
+    with pytest.raises(HttpError) as err:
+        request.json()
+    assert err.value.status == 400
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="json.loads accepts integers of any length before 3.11",
+)
+def test_over_long_integer_in_json_body_is_400():
+    # Past 4,300 digits int() raises a plain ValueError, not a
+    # JSONDecodeError; it must still be the client's 400.
+    payload = b'{"seed": ' + b"9" * 5000 + b"}"
+    raw = (
+        b"POST /protect HTTP/1.1\r\nContent-Length: "
+        + str(len(payload)).encode() + b"\r\n\r\n" + payload
+    )
     request = read(raw)
     with pytest.raises(HttpError) as err:
         request.json()

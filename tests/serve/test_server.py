@@ -1,7 +1,7 @@
 """End-to-end serving-layer tests over a real socket and worker pool.
 
 The heavyweight fixtures are module-scoped: one server instance backs
-all the read-mostly tests; dedicated short-lived servers cover quota,
+all the read-mostly tests; dedicated short-lived servers cover
 backpressure and drain, whose configs must differ.  Global state the
 server touches (telemetry, the cache manager) is snapshotted and
 restored so these tests leave no trace on the rest of the suite.
@@ -19,6 +19,7 @@ import pytest
 
 import repro.cache as cache_mod
 import repro.serve.jobs as jobs_mod
+import repro.serve.server as server_mod
 from repro import telemetry
 from repro.core import Parallax, ProtectConfig
 from repro.corpus import build_program_cached
@@ -120,12 +121,23 @@ def test_mistyped_job_fields_are_400(client):
     for fields in (
         {"guard_chains": "no"},
         {"guard_chains": 1},
-        {"max_steps": True},
-        {"max_steps": "10"},
     ):
         status, _headers, payload = client.post("/protect", {"program": "gzip", **fields})
         assert status == 400, fields
         assert next(iter(fields)) in payload["error"]
+
+
+def test_max_steps_in_the_body_does_not_change_the_job(client):
+    # Every job runs under one step budget, so a max_steps field is
+    # ignored: same content key, and the second request is a cache hit.
+    first = client.post("/protect", {"program": "gzip", "seed": 61})
+    second = client.post(
+        "/protect", {"program": "gzip", "seed": 61, "max_steps": 1}
+    )
+    assert first[0] == second[0] == 200
+    assert second[1]["x-content-key"] == first[1]["x-content-key"]
+    assert second[1]["x-singleflight"] == "cache-hit"
+    assert second[2] == first[2]
 
 
 def test_unknown_route_is_404(client):
@@ -192,13 +204,14 @@ def test_process_wide_queue_depth_gauge_is_unlabeled(client):
     assert series == ["serve_queue_depth 0"]
 
 
-def test_stats_singleflight_and_metrics_request_latency(client):
+def test_healthz_singleflight_and_metrics_request_latency(client):
     client.job("protect", "gzip", seed=1)
-    status, _headers, payload = client.get("/stats")
+    status, _headers, payload = client.get("/healthz")
     assert status == 200
     assert payload["singleflight"]["leaders"] >= 1
-    assert {"in_flight", "queued", "singleflight", "tenants"} <= set(payload)
-    # Request rates and latencies come from /metrics, not /stats.
+    assert {"status", "in_flight", "queued", "singleflight"} <= set(payload)
+    assert client.get("/stats")[0] == 404
+    # Request rates and latencies come from /metrics, not /healthz.
     _status, _headers, text = client.get("/metrics")
     counts = [
         float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
@@ -228,24 +241,6 @@ def test_journal_filters_by_request_label(client):
 # -- admission control --------------------------------------------------
 
 
-def test_quota_exhaustion_returns_429_with_retry_after(serve_env):
-    config = ServeConfig(
-        port=0, jobs=1, quota_rate=0.001, quota_burst=2
-    )
-    with ServerThread(config) as srv:
-        with ServeClient("127.0.0.1", srv.port, timeout=180) as c:
-            assert c.job("protect", "gzip", seed=0, tenant="t")[0] == 200
-            assert c.job("protect", "gzip", seed=0, tenant="t")[0] == 200
-            status, headers, payload = c.job(
-                "protect", "gzip", seed=0, tenant="t"
-            )
-            assert status == 429
-            assert int(headers["retry-after"]) >= 1
-            assert "quota" in payload["error"] or "over" in payload["error"]
-            # Another tenant is unaffected.
-            assert c.job("protect", "gzip", seed=0, tenant="u")[0] == 200
-
-
 def test_queue_backpressure_returns_429(serve_env):
     config = ServeConfig(port=0, jobs=1, queue_depth=1)
     with ServerThread(config) as srv:
@@ -262,7 +257,7 @@ def test_queue_backpressure_returns_429(serve_env):
         assert 429 in statuses, statuses
         for status, headers in results:
             if status == 429:
-                assert int(headers["retry-after"]) >= 1
+                assert headers["retry-after"] == "1"
 
 
 # -- graceful drain -----------------------------------------------------
@@ -292,7 +287,7 @@ def test_drain_finishes_inflight_and_journals_shutdown(serve_env):
 
 def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
     """A job still running when the drain gives up does not hold up exit:
-    leaving the server takes about ``drain_timeout``, not the job's 8 s,
+    leaving the server takes about ``DRAIN_TIMEOUT``, not the job's 8 s,
     and the worker that ran it is gone afterwards.  The cut-short request
     is answered 503, counted and journaled."""
     context = mp_context()
@@ -308,9 +303,8 @@ def test_exit_is_bounded_by_drain_timeout(serve_env, monkeypatch, tmp_path):
     # Patched before serving_pool forks the workers, which inherit it.
     monkeypatch.setitem(jobs_mod._EXECUTORS, "protect", sleeping)
     drain_timeout = 1.0
-    config = ServeConfig(
-        port=0, jobs=1, cache_dir=str(tmp_path), drain_timeout=drain_timeout
-    )
+    monkeypatch.setattr(server_mod, "DRAIN_TIMEOUT", drain_timeout)
+    config = ServeConfig(port=0, jobs=1, cache_dir=str(tmp_path))
 
     def one(port):
         with ServeClient("127.0.0.1", port, timeout=30) as c:
@@ -450,7 +444,7 @@ def test_failing_job_fails_only_its_own_herd(serve_env, monkeypatch, tmp_path):
                 ThreadPoolExecutor(herd + 1) as pool:
             failing = [pool.submit(one, 13) for _ in range(herd)]
             deadline = time.monotonic() + 60
-            while c.get("/stats")[2]["singleflight"]["followers"] < herd - 1:
+            while c.get("/healthz")[2]["singleflight"]["followers"] < herd - 1:
                 assert time.monotonic() < deadline, "the herd never formed"
                 time.sleep(0.01)
             # The other key runs on the second worker while the failing
@@ -469,8 +463,10 @@ def test_failing_job_fails_only_its_own_herd(serve_env, monkeypatch, tmp_path):
                 if event["kind"] == "serve.request"
             ]
             assert statuses == [500] * herd
-            stats = c.get("/stats")[2]["singleflight"]
-            assert stats == {"leaders": 2, "followers": herd - 1, "in_flight": 0}
+            singleflight = c.get("/healthz")[2]["singleflight"]
+            assert singleflight == {
+                "leaders": 2, "followers": herd - 1, "in_flight": 0
+            }
 
             status, headers, payload = c.job("protect", "gzip", seed=13)
             assert (status, payload) == (500, error)
