@@ -22,17 +22,16 @@ Commands:
   in-flight, queued and single-flight counts), ``/metrics`` (request
   counters and latency histograms) and ``/journal`` introspection;
 * ``stats ARTIFACT...``         — human dashboard over any exported
-  telemetry artifact (metrics JSON, span/journal JSONL, Chrome trace).
+  telemetry artifact (metrics JSON, Chrome trace, journal JSONL).
 
-Observability: the heavier commands take ``--metrics FILE`` (metrics
-JSON), ``--trace FILE`` (span JSONL), ``--chrome-trace FILE``
-(Perfetto-loadable trace-event JSON), ``--prom FILE`` (Prometheus text
-format) and ``--journal FILE`` (flight-recorder event JSONL);
-``-`` writes the exports to stdout.  ``--label KEY=VALUE``
-(repeatable) runs the command under a labeled telemetry context, and
-``--recorder-events N`` sizes the flight-recorder ring.  Exports run
-even when the command faults — and from SIGTERM/SIGINT handlers when
-it is killed — so a dying run still leaves its artifacts behind.
+Observability: the heavier commands take four telemetry flags:
+``--metrics FILE`` (metrics JSON), ``--trace FILE`` (spans as Chrome
+trace-event JSON, loadable in Perfetto), ``--journal FILE``
+(flight-recorder event JSONL) and ``--label KEY=VALUE`` (repeatable),
+which runs the command under a labeled telemetry context.  ``-``
+writes an export to stdout.  Exports run even when the command faults
+— and from SIGTERM/SIGINT handlers when it is killed — so a dying run
+still leaves its artifacts behind.
 """
 
 from __future__ import annotations
@@ -66,25 +65,13 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
-        help="export structured spans as JSONL on exit ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--chrome-trace", metavar="FILE", default=None,
-        help="export spans as Chrome trace-event JSON "
-        "(loadable in Perfetto / chrome://tracing)",
-    )
-    parser.add_argument(
-        "--prom", metavar="FILE", default=None,
-        help="export metrics in Prometheus text format",
+        help="export spans as Chrome trace-event JSON on exit "
+        "(loadable in Perfetto / chrome://tracing; '-' for stdout)",
     )
     parser.add_argument(
         "--journal", metavar="FILE", default=None,
         help="enable the flight recorder and export its event journal "
         "as JSONL on exit (written even if the command faults)",
-    )
-    parser.add_argument(
-        "--recorder-events", type=int, default=None, metavar="N",
-        help="flight-recorder ring capacity (default 8192)",
     )
     parser.add_argument(
         "--label", action="append", default=None, metavar="KEY=VALUE",
@@ -97,28 +84,15 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 def _export_telemetry(args, metrics, tracer) -> None:
     trace_path = getattr(args, "trace", None)
     if trace_path == "-":
-        for event in tracer.to_events():
-            print(json.dumps(event))
-    elif trace_path is not None:
-        tracer.write_jsonl(trace_path)
-
-    chrome_path = getattr(args, "chrome_trace", None)
-    if chrome_path == "-":
         print(json.dumps(telemetry.chrome_trace(tracer.to_events())))
-    elif chrome_path is not None:
-        telemetry.write_chrome_trace(tracer, chrome_path)
+    elif trace_path is not None:
+        telemetry.write_chrome_trace(tracer, trace_path)
 
     journal_path = getattr(args, "journal", None)
     if journal_path == "-":
         telemetry.get_recorder().dump(sys.stdout)
     elif journal_path is not None:
         telemetry.get_recorder().write_jsonl(journal_path)
-
-    prom_path = getattr(args, "prom", None)
-    if prom_path == "-":
-        sys.stdout.write(telemetry.prometheus_text(metrics))
-    elif prom_path is not None:
-        telemetry.write_prometheus(metrics, prom_path)
 
     metrics_path = getattr(args, "metrics", None)
     if metrics_path == "-":
@@ -186,14 +160,8 @@ def _telemetry_from_args(args):
     in a :class:`~repro.telemetry.TelemetryContext`, labeling every
     metric sample and journal event it produces.
     """
-    want_metrics = (
-        getattr(args, "metrics", None) is not None
-        or getattr(args, "prom", None) is not None
-    )
-    want_tracing = (
-        getattr(args, "trace", None) is not None
-        or getattr(args, "chrome_trace", None) is not None
-    )
+    want_metrics = getattr(args, "metrics", None) is not None
+    want_tracing = getattr(args, "trace", None) is not None
     want_recorder = getattr(args, "journal", None) is not None
     labels = _parse_labels(getattr(args, "label", None))
     if not (want_metrics or want_tracing or want_recorder):
@@ -203,7 +171,6 @@ def _telemetry_from_args(args):
         metrics=want_metrics,
         tracing=want_tracing,
         recorder=want_recorder,
-        recorder_capacity=getattr(args, "recorder_events", None),
     ) as (metrics, tracer):
         restore_signals = _install_signal_dumps(args, metrics, tracer)
         try:
@@ -524,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument(
         "artifacts", nargs="+", metavar="ARTIFACT",
-        help="metrics JSON, span/journal JSONL, or Chrome trace files",
+        help="metrics JSON, Chrome trace, or journal JSONL files",
     )
     p_stats.set_defaults(func=_cmd_stats)
 

@@ -25,8 +25,11 @@ and :func:`adopt` merges a captured payload (a pool worker's telemetry)
 into the active scope (see :mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
-JSON from the tracer, Prometheus text from the registry, and the
-``repro stats`` dashboard over exported artifacts.  Live rates and
+JSON from the tracer (the one span export, the CLI's ``--trace``),
+Prometheus text from the registry (served live by ``repro serve``'s
+``/metrics``), and the ``repro stats`` dashboard over exported
+artifacts.  The CLI's four telemetry flags are ``--metrics``,
+``--trace``, ``--journal`` and ``--label``.  Live rates and
 latency quantiles are not kept in-process: a Prometheus scraper derives
 them from the counters and histograms that ``/metrics`` exports.  The
 enabled-overhead budget is measured from outside, by the off/on gate in
@@ -62,7 +65,6 @@ from .export import (
     prometheus_text,
     render_stats,
     write_chrome_trace,
-    write_prometheus,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import FlightRecorder
@@ -76,7 +78,7 @@ __all__ = [
     "Scope", "TelemetryContext", "telemetry_context", "current_context",
     "current_labels", "clear_context", "capture", "adopt",
     "chrome_trace", "write_chrome_trace",
-    "prometheus_text", "write_prometheus",
+    "prometheus_text",
     "ARTIFACT_KINDS", "load_artifact", "render_stats",
     "get_metrics", "set_metrics", "get_tracer", "set_tracer",
     "configure", "disable", "telemetry_session",

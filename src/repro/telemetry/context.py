@@ -327,23 +327,22 @@ def telemetry_session(
     metrics: bool = True,
     tracing: bool = True,
     recorder: bool = False,
-    recorder_capacity: Optional[int] = None,
 ):
     """Fresh, enabled registry + tracer (+ optional flight recorder)
     for the duration of the block.
 
     Yields ``(MetricsRegistry, Tracer)``; the previous process-wide
     objects (and their enabled state) are restored on exit.  When
-    ``recorder`` is true a fresh :class:`FlightRecorder` is installed
-    for the block too — fetch it with :func:`get_recorder` — sized
-    ``recorder_capacity`` events (default 8192).
+    ``recorder`` is true a fresh :class:`FlightRecorder` of the default
+    capacity is installed for the block too — fetch it with
+    :func:`get_recorder`.
     """
     new_metrics = MetricsRegistry(enabled=metrics)
     new_tracer = Tracer(enabled=tracing)
     old_metrics = set_metrics(new_metrics)
     old_tracer = set_tracer(new_tracer)
     old_recorder = (
-        set_recorder(FlightRecorder(capacity=recorder_capacity, enabled=True))
+        set_recorder(FlightRecorder(enabled=True))
         if recorder
         else None
     )

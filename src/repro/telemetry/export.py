@@ -10,8 +10,8 @@ artifacts) into the formats external tools speak:
   a metrics registry (counters as ``_total``, histograms as cumulative
   ``_bucket{le=...}`` series plus ``_sum``/``_count``/``_stddev``);
 * :func:`load_artifact` / :func:`render_stats` — sniff any exported
-  artifact (metrics JSON, span JSONL, journal JSONL, Chrome trace) and
-  render the human dashboard behind ``repro stats``.
+  artifact (metrics JSON, Chrome trace, journal JSONL, coverage JSON)
+  and render the human dashboard behind ``repro stats``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "prometheus_text",
-    "write_prometheus",
     "load_artifact",
     "render_stats",
     "ARTIFACT_KINDS",
@@ -39,7 +38,7 @@ __all__ = [
 
 #: Artifact kinds :func:`load_artifact` can sniff — the CLI names these
 #: when a path holds none of them.
-ARTIFACT_KINDS = ("metrics", "trace", "journal", "chrome", "coverage")
+ARTIFACT_KINDS = ("metrics", "journal", "chrome", "coverage")
 
 
 def nearest_rank(values: List[float], q: float) -> float:
@@ -54,12 +53,8 @@ def nearest_rank(values: List[float], q: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def chrome_trace(
-    spans: Iterable,
-    pid: Optional[int] = None,
-    process_name: str = "repro",
-) -> dict:
-    """Trace-event JSON from spans (``Span`` objects or exported dicts).
+def chrome_trace(spans: Iterable[dict], pid: Optional[int] = None) -> dict:
+    """Trace-event JSON from span dicts (:meth:`Tracer.to_events`).
 
     Every span becomes one complete (``ph: "X"``) event with
     microsecond wall-clock ``ts`` and ``dur``, so nesting reconstructs
@@ -74,8 +69,7 @@ def chrome_trace(
     pid = os.getpid() if pid is None else pid
     span_events: List[dict] = []
     worker_pids: List[int] = []
-    for span in spans:
-        record = span if isinstance(span, dict) else span.to_dict()
+    for record in spans:
         args = dict(record.get("attributes") or {})
         args["span_id"] = record.get("span_id")
         if record.get("parent_id") is not None:
@@ -109,7 +103,7 @@ def chrome_trace(
             "ph": "M",
             "pid": pid,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro"},
         },
         {
             "name": "thread_name",
@@ -126,7 +120,7 @@ def chrome_trace(
                 "ph": "M",
                 "pid": worker_pid,
                 "tid": 0,
-                "args": {"name": f"{process_name} worker {worker_pid}"},
+                "args": {"name": f"repro worker {worker_pid}"},
             }
         )
         events.append(
@@ -142,8 +136,8 @@ def chrome_trace(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str, **kwargs) -> None:
-    payload = chrome_trace(tracer.to_events(), **kwargs)
+def write_chrome_trace(tracer: Tracer, path: str) -> None:
+    payload = chrome_trace(tracer.to_events())
     _ensure_parent_dir(path)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -283,12 +277,6 @@ def prometheus_text(registry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry, path: str) -> None:
-    _ensure_parent_dir(path)
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(registry))
-
-
 # ----------------------------------------------------------------------
 # Artifact sniffing
 # ----------------------------------------------------------------------
@@ -297,9 +285,9 @@ def write_prometheus(registry, path: str) -> None:
 def load_artifact(path: str) -> Tuple[str, Any]:
     """Load any exported telemetry artifact; returns ``(kind, data)``.
 
-    Kinds: ``metrics`` (samples dict), ``trace`` (span dicts),
-    ``journal`` (event dicts), ``chrome`` (trace-event payload),
-    ``coverage`` (``repro coverage --json`` output).
+    Kinds: ``metrics`` (samples dict), ``journal`` (event dicts),
+    ``chrome`` (trace-event payload), ``coverage`` (``repro coverage
+    --json`` output).
     """
     with open(path) as fh:
         text = fh.read()
@@ -325,8 +313,6 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         if line:
             records.append(json.loads(line))
     types = {r.get("type") for r in records}
-    if types <= {"span"}:
-        return "trace", records
     if types <= {"event", "journal_summary"}:
         return "journal", records
     if types <= {"chain_step", "chain_trace"}:
@@ -521,17 +507,14 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
     return lines
 
 
-def _stats_spans(records: List[dict]) -> List[str]:
+def _stats_spans(events: List[dict]) -> List[str]:
+    """The ten span names with the most total time, from the complete
+    (``ph: "X"``) events of a Chrome trace."""
     by_name: Dict[str, List[float]] = {}
-    for record in records:
-        by_name.setdefault(record["name"], []).append(
-            record.get("duration_s", 0.0)
-        )
-    lines = [f"spans: {len(records)} across {len(by_name)} names"]
-    ranked = sorted(
-        by_name.items(), key=lambda item: -sum(item[1])
-    )
-    lines.append(f"  {'name':<24} {'count':>7} {'total s':>10} {'mean s':>10}")
+    for event in events:
+        by_name.setdefault(event["name"], []).append(event.get("dur", 0.0) / 1e6)
+    ranked = sorted(by_name.items(), key=lambda item: -sum(item[1]))
+    lines = [f"  {'name':<24} {'count':>7} {'total s':>10} {'mean s':>10}"]
     for name, durations in ranked[:10]:
         total = sum(durations)
         lines.append(
@@ -637,11 +620,7 @@ def _stats_journal(records: List[dict]) -> List[str]:
 
 def _stats_chrome(payload: dict) -> List[str]:
     events = [e for e in payload.get("traceEvents", []) if e.get("ph") == "X"]
-    spans = [
-        {"name": e["name"], "duration_s": e.get("dur", 0.0) / 1e6}
-        for e in events
-    ]
-    return [f"chrome trace: {len(events)} complete events"] + _stats_spans(spans)[1:]
+    return [f"chrome trace: {len(events)} complete events"] + _stats_spans(events)
 
 
 def _stats_coverage(payload: dict) -> List[str]:
@@ -680,8 +659,6 @@ def render_stats(kind: str, data) -> str:
     """Human dashboard for one loaded artifact (see :func:`load_artifact`)."""
     if kind == "metrics":
         lines = _stats_metrics(data)
-    elif kind == "trace":
-        lines = _stats_spans(data)
     elif kind == "journal":
         lines = _stats_journal(data)
     elif kind == "chrome":

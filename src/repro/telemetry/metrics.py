@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -58,8 +58,8 @@ DEFAULT_CYCLE_BUCKETS: Tuple[float, ...] = (
     1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 )
 
-#: Default cap on distinct label sets per metric family; overridable
-#: per registry.
+#: Cap on distinct labeled series per metric family (the cardinality
+#: guard).
 DEFAULT_MAX_SERIES = 64
 
 #: Name of the counter bumped every time the cardinality guard trips.
@@ -372,7 +372,7 @@ NULL_HISTOGRAM = _NullHistogram("null", buckets=(1.0,))
 
 
 class MetricsRegistry:
-    """Names (+ label sets) -> instruments, with JSON/JSONL export.
+    """Names (+ label sets) -> instruments, with JSON export.
 
     Instruments are created on first use and aggregated for the life of
     the registry; re-requesting a name (and label set) returns the same
@@ -384,8 +384,8 @@ class MetricsRegistry:
     :class:`repro.telemetry.context.TelemetryContext` use this to stamp
     a request's label set on everything recorded inside the context.
 
-    ``max_series`` bounds the number of *labeled* series per family;
-    the first label set past the cap (and every one after it) collapses
+    :data:`DEFAULT_MAX_SERIES` bounds the number of *labeled* series per
+    family; the first label set past the cap (and every one after it) collapses
     into a shared ``{overflow="true"}`` series and bumps the
     ``telemetry.cardinality.overflow`` counter, so an unbounded label
     value cannot grow the registry without bound.
@@ -395,15 +395,9 @@ class MetricsRegistry:
         self,
         enabled: bool = True,
         base_labels: Optional[Mapping[str, str]] = None,
-        max_series: Optional[int] = None,
     ):
         self.enabled = enabled
         self.base_labels: Dict[str, str] = _normalize_labels(base_labels)
-        if max_series is None:
-            max_series = DEFAULT_MAX_SERIES
-        if max_series < 1:
-            raise ValueError("max_series must be >= 1")
-        self.max_series = max_series
         #: family name -> {label key -> instrument}
         self._families: Dict[str, Dict[LabelKey, object]] = {}
 
@@ -424,7 +418,7 @@ class MetricsRegistry:
             family = self._families.setdefault(name, {})
         instrument = family.get(key)
         if instrument is None:
-            if key and len(family) >= self.max_series:
+            if key and len(family) >= DEFAULT_MAX_SERIES:
                 # Cardinality guard: collapse the runaway label set.
                 self.counter(
                     CARDINALITY_OVERFLOW_COUNTER,
@@ -582,17 +576,6 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-
-    def iter_samples(self) -> Iterable[dict]:
-        for sample in self.to_dict().values():
-            yield sample
-
-    def write_jsonl(self, path: str) -> None:
-        _ensure_parent_dir(path)
-        with open(path, "w") as fh:
-            for sample in self.iter_samples():
-                fh.write(json.dumps(sample, sort_keys=True))
-                fh.write("\n")
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

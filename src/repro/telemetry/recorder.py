@@ -28,9 +28,9 @@ Design constraints (mirroring :mod:`repro.telemetry.metrics`):
 * **Bounded.**  Events live in a ring (``collections.deque`` with
   ``maxlen``); the newest ``capacity`` events are kept and ``dropped``
   counts the overwritten ones.  The journal can never grow without
-  bound, so it is safe to leave enabled in long runs.  The default
-  capacity (8192) is overridable via ``FlightRecorder(capacity=)`` or
-  the CLI's ``--recorder-events``.
+  bound, so it is safe to leave enabled in long runs.  Every run uses
+  the default capacity (8192); ``FlightRecorder(capacity=)`` exists so
+  tests can wrap a small ring.
 * **Near-zero when disabled.**  The process-wide recorder starts
   disabled; :meth:`FlightRecorder.record` returns immediately and hot
   call sites additionally guard with ``if recorder.enabled`` so the

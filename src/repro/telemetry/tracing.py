@@ -4,8 +4,10 @@ A :class:`Span` is one timed region (``protect``, ``find_gadgets``,
 ``compile_chain``, ``emulate``...) with attributes and a parent link;
 the :class:`Tracer` maintains the active-span stack, so spans opened
 while another is active nest under it automatically.  Finished spans
-are retained and exportable as JSONL trace events — one JSON object per
-line, children referencing parents by ``span_id``.
+are retained; :meth:`Tracer.to_events` turns them into dicts, children
+referencing parents by ``span_id``, which
+:func:`repro.telemetry.export.chrome_trace` renders as the one trace
+export and :meth:`Tracer.ingest` adopts into another tracer.
 
 The disabled tracer returns a shared null span from :meth:`Tracer.span`
 so instrumented code needs no ``if`` guards and pays near-zero cost.
@@ -13,11 +15,8 @@ so instrumented code needs no ``if`` guards and pays near-zero cost.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, List, Optional
-
-from .metrics import _ensure_parent_dir
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
@@ -236,13 +235,6 @@ class Tracer:
 
     def to_events(self) -> List[dict]:
         return [span.to_dict() for span in self.spans]
-
-    def write_jsonl(self, path: str) -> None:
-        _ensure_parent_dir(path)
-        with open(path, "w") as fh:
-            for event in self.to_events():
-                fh.write(json.dumps(event, sort_keys=True))
-                fh.write("\n")
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

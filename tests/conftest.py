@@ -1,9 +1,26 @@
-"""Shared fixtures: small corpus variants so the suite stays fast."""
+"""Shared fixtures: small corpus variants so the suite stays fast.
+
+Hypothesis profiles.  pytest imports this file before any test module,
+so every ``@settings(max_examples=...)`` falls back to the profile
+loaded here and keeps its own budget:
+
+* ``tier1`` (loaded by default) draws the same examples on every run,
+  so a red tier-1 points at the change under test, not at a new draw;
+* ``random`` draws fresh examples each run and prints a reproduction
+  blob for every failure.  Select it with
+  ``pytest --hypothesis-profile=random`` (CI repeats the ``@given``
+  modules under it); a failure it finds is pinned as an ``@example``.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Parallax, ProtectConfig
 from repro.corpus import build_gzip, build_wget
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", database=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

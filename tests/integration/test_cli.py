@@ -1,10 +1,12 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import prometheus_text
 
 
 def test_list(capsys):
@@ -45,13 +47,26 @@ def test_unknown_program_rejected():
     ["coverage", "gzip", "--max-functions", "1"],
     ["coverage", "gzip", "--max-insns", "1"],
     ["protect-all", "--no-cache"],
-], ids=lambda argv: argv[-2] if argv[-1] == "1" else argv[-1])
+    ["protect", "gzip", "--chrome-trace", "t.json"],
+    ["protect", "gzip", "--prom", "m.prom"],
+    ["protect-all", "--recorder-events", "1"],
+], ids=lambda argv: next(arg for arg in argv if arg.startswith("--")))
 def test_removed_flags_are_usage_errors(argv, capsys):
     # Parse only: a flag argparse accepted would run the command.
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_protect_help_lists_four_telemetry_flags(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["protect", "--help"])
+    usage = capsys.readouterr().out.split("positional arguments")[0]
+    assert set(re.findall(r"\[(--[a-z-]+)", usage)) == {
+        "--strategy", "--engine", "--guard-chains", "--json",
+        "--metrics", "--trace", "--journal", "--label",
+    }
 
 
 @pytest.fixture
@@ -62,7 +77,7 @@ def cli_small_wget(monkeypatch, small_wget):
 
 def test_protect_json_and_telemetry_files(capsys, tmp_path, cli_small_wget):
     metrics_path = tmp_path / "m.json"
-    trace_path = tmp_path / "t.jsonl"
+    trace_path = tmp_path / "t.json"
     assert main([
         "protect", "wget", "--json",
         "--metrics", str(metrics_path), "--trace", str(trace_path),
@@ -79,8 +94,8 @@ def test_protect_json_and_telemetry_files(capsys, tmp_path, cli_small_wget):
     assert metrics["protect.chain_words"]["type"] == "histogram"
     assert metrics["protect.chain_words"]["count"] >= 1
 
-    events = [json.loads(l) for l in trace_path.read_text().splitlines()]
-    by_name = {e["name"]: e for e in events}
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    by_name = {e["name"]: e["args"] for e in events if e["ph"] == "X"}
     assert {"protect", "find_gadgets", "compile_chain", "emit_chain"} <= set(by_name)
     # find_gadgets and emit_chain nest under protect
     assert by_name["find_gadgets"]["parent_id"] == by_name["protect"]["span_id"]
@@ -108,20 +123,17 @@ def test_profile_prints_cycle_table(capsys, cli_small_wget):
 def test_protect_trace_to_stdout(capsys, cli_small_wget):
     assert main(["protect", "wget", "--trace", "-"]) == 0
     out = capsys.readouterr().out
-    spans = []
-    for line in out.splitlines():
-        if line.startswith("{"):
-            record = json.loads(line)
-            assert record["type"] == "span"
-            spans.append(record)
+    # summary text first, then the Chrome trace on its own line
+    (line,) = [l for l in out.splitlines() if l.startswith("{")]
+    spans = [e for e in json.loads(line)["traceEvents"] if e["ph"] == "X"]
     names = {s["name"] for s in spans}
     assert {"protect", "find_gadgets", "emit_chain"} <= names
-    assert all(s["duration_s"] >= 0 for s in spans)
+    assert all(s["dur"] >= 0 for s in spans)
 
 
 def test_run_chrome_trace_is_valid_trace_event_json(tmp_path, capsys):
     path = tmp_path / "t.json"
-    assert main(["run", "gzip", "--chrome-trace", str(path)]) == 0
+    assert main(["run", "gzip", "--trace", str(path)]) == 0
     capsys.readouterr()
     payload = json.loads(path.read_text())
     events = payload["traceEvents"]
@@ -135,12 +147,12 @@ def test_run_chrome_trace_is_valid_trace_event_json(tmp_path, capsys):
     assert "emulate" in {e["name"] for e in complete}
 
 
-def test_protect_journal_and_prom_files(tmp_path, capsys, cli_small_wget):
+def test_protect_journal_and_metrics_files(tmp_path, capsys, cli_small_wget):
     journal_path = tmp_path / "j.jsonl"
-    prom_path = tmp_path / "m.prom"
+    metrics_path = tmp_path / "m.json"
     assert main([
         "protect", "wget",
-        "--journal", str(journal_path), "--prom", str(prom_path),
+        "--journal", str(journal_path), "--metrics", str(metrics_path),
     ]) == 0
     capsys.readouterr()
 
@@ -150,7 +162,8 @@ def test_protect_journal_and_prom_files(tmp_path, capsys, cli_small_wget):
     kinds = {r["kind"] for r in records if r["type"] == "event"}
     assert "protect" in kinds
 
-    prom = prom_path.read_text()
+    # the exported samples render as the Prometheus text /metrics serves
+    prom = prometheus_text(json.loads(metrics_path.read_text()))
     assert "# TYPE" in prom
     assert "emu_instructions_total" in prom
     assert '_bucket{le="+Inf"}' in prom
@@ -181,8 +194,7 @@ def test_stats_rejects_unrecognized_artifacts_with_exit_2(tmp_path, capsys):
     assert len(lines) == 2
     assert str(bad) in lines[0] and str(missing) in lines[1]
     for line in lines:
-        for kind in ("metrics", "trace", "journal", "chrome", "coverage"):
-            assert kind in line
+        assert "(expected one of: metrics, journal, chrome, coverage)" in line
 
 
 def test_stats_good_artifact_still_renders_after_bad_one(
@@ -249,17 +261,14 @@ def test_export_flags_create_parent_directories(tmp_path, capsys, cli_small_wget
     base = tmp_path / "deep"
     metrics_path = base / "a" / "m.json"
     journal_path = base / "b" / "j.jsonl"
-    chrome_path = base / "c" / "t.json"
-    prom_path = base / "d" / "m.prom"
-    trace_path = base / "e" / "t.jsonl"
+    trace_path = base / "c" / "t.json"
     assert main([
         "protect", "wget",
         "--metrics", str(metrics_path), "--journal", str(journal_path),
-        "--chrome-trace", str(chrome_path), "--prom", str(prom_path),
         "--trace", str(trace_path),
     ]) == 0
     capsys.readouterr()
-    for path in (metrics_path, journal_path, chrome_path, prom_path, trace_path):
+    for path in (metrics_path, journal_path, trace_path):
         assert path.exists(), path
         assert path.stat().st_size > 0, path
 

@@ -1,5 +1,5 @@
-"""CLI observability surface: labels, the journal dump, recorder
-sizing, and signal-triggered telemetry dumps."""
+"""CLI observability surface: labels, the journal dump and
+signal-triggered telemetry dumps."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 from repro.cli import main
+from repro.telemetry import prometheus_text
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -28,17 +29,16 @@ def _read_ndjson(path):
 
 def test_label_flag_scopes_exported_metrics(tmp_path, capsys, cli_small_wget):
     metrics_path = tmp_path / "m.json"
-    prom_path = tmp_path / "m.prom"
     assert main([
         "protect", "wget",
         "--label", "request=r1", "--label", "tenant=acme",
-        "--metrics", str(metrics_path), "--prom", str(prom_path),
+        "--metrics", str(metrics_path),
     ]) == 0
     samples = json.loads(metrics_path.read_text())
     key = 'protect.runs{request="r1",tenant="acme"}'
     assert key in samples
     assert samples[key]["labels"] == {"request": "r1", "tenant": "acme"}
-    prom = prom_path.read_text()
+    prom = prometheus_text(samples)
     assert 'protect_runs_total{request="r1",tenant="acme"} 1' in prom
 
 
@@ -49,10 +49,7 @@ def test_malformed_label_rejected():
 
 @pytest.mark.parametrize(
     "flags",
-    [
-        pytest.param(["--label", "request=r7"], id="labeled"),
-        pytest.param(["--recorder-events", "4"], id="capped"),
-    ],
+    [pytest.param(["--label", "request=r7"], id="labeled")],
 )
 def test_journal_flag_dumps_events_and_summary(
     tmp_path, capsys, cli_small_wget, flags
@@ -65,21 +62,18 @@ def test_journal_flag_dumps_events_and_summary(
     summary = records[-1]
     events = records[:-1]
     assert events and all(e["type"] == "event" for e in events)
-    if "--label" in flags:
-        assert any(e["kind"] == "protect" for e in events)
-        assert all(e.get("ctx") == {"request": "r7"} for e in events)
-        assert summary["recorded"] == len(events)
-        assert summary["dropped"] == 0
-    else:
-        assert len(events) == 4
-        assert summary["capacity"] == 4
-        assert summary["dropped"] > 0
+    assert any(e["kind"] == "protect" for e in events)
+    assert all(e.get("ctx") == {"request": "r7"} for e in events)
+    assert summary["recorded"] == len(events)
+    assert summary["dropped"] == 0
+    assert summary["capacity"] == 8192
 
 
 def test_sigterm_dumps_telemetry_before_dying(tmp_path):
     """A killed run still writes its exports (crash-dump satellite)."""
     metrics_path = tmp_path / "m.json"
     journal_path = tmp_path / "j.ndjson"
+    trace_path = tmp_path / "t.json"
     script = textwrap.dedent(
         f"""
         import os, sys, time
@@ -87,6 +81,7 @@ def test_sigterm_dumps_telemetry_before_dying(tmp_path):
             "repro", "run", "gzip",
             "--metrics", {str(metrics_path)!r},
             "--journal", {str(journal_path)!r},
+            "--trace", {str(trace_path)!r},
         ]
         import repro.cli, repro.corpus, repro.telemetry
 
@@ -116,3 +111,4 @@ def test_sigterm_dumps_telemetry_before_dying(tmp_path):
     assert samples["before_kill"]["value"] == 1, samples
     records = _read_ndjson(journal_path)
     assert any(r["type"] == "journal_summary" for r in records)
+    assert "traceEvents" in json.loads(trace_path.read_text())

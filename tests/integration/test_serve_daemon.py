@@ -1,7 +1,7 @@
 """``repro serve`` as a real daemon process: start, load, drain, export.
 
 One module-scoped run starts ``python -m repro serve --port 0`` with a
-disk cache, a journal and a Prometheus snapshot, reads the bound port
+disk cache, a journal and a metrics export, reads the bound port
 off the ``listening on http://HOST:PORT`` line (the prefix the
 perfbench harness parses too), drives a thundering herd plus mixed
 jobs across tenants, probes the introspection routes, then sends
@@ -77,12 +77,12 @@ def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("serve")
     paths = {
         "journal": str(out / "serve-journal.jsonl"),
-        "prom": str(out / "serve-metrics.prom"),
+        "metrics": str(out / "serve-metrics.json"),
     }
     with _daemon(
         "--jobs", "2", "--cache-dir", str(out / "cache"),
         "--journal", paths["journal"],
-        "--prom", paths["prom"],
+        "--metrics", paths["metrics"],
     ) as (proc, host, port):
 
         def request(job):
@@ -194,8 +194,9 @@ def test_sigterm_drains_and_exports_the_journal(run):
     assert re.search(
         r"^serve .*coalesced", render_stats("journal", exported), re.M
     )
-    assert os.path.getsize(run["paths"]["prom"]) > 0
-
+    with open(run["paths"]["metrics"]) as fh:
+        samples = json.load(fh)
+    assert samples["serve.jobs.executed"]["value"] >= 1
 
 
 def _protect_gzip_once(cache_dir):

@@ -35,7 +35,6 @@ def test_metadata_events_name_every_lane():
     payload = chrome_trace(
         [_span("protect", 2, 0.1, 0.9, worker_pid=4242)],
         pid=1000,
-        process_name="repro",
     )
     metas = [e for e in payload["traceEvents"] if e["ph"] == "M"]
     names = {

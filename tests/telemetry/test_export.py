@@ -15,7 +15,6 @@ from repro.telemetry import (
     prometheus_text,
     render_stats,
     write_chrome_trace,
-    write_prometheus,
 )
 
 
@@ -67,6 +66,42 @@ def test_chrome_trace_flags_error_status():
     assert event["args"]["status"] == "error"
 
 
+def test_chrome_trace_carries_every_span_field():
+    """The Chrome trace is the one span export: every field of
+    :meth:`Tracer.to_events` comes back from its complete events."""
+    tracer = Tracer()
+    with tracer.span("protect", program="wget"):
+        with tracer.span("find_gadgets", sections=3):
+            pass
+        with pytest.raises(RuntimeError):
+            with tracer.span("emit_chain"):
+                raise RuntimeError("boom")
+    worker = Tracer()
+    with worker.span("pipeline.task", program="gzip"):
+        with worker.span("protect"):
+            pass
+    tracer.ingest(
+        worker.to_events(), parent_id=1, extra_attributes={"worker_pid": 4242}
+    )
+    spans = tracer.to_events()
+    assert {s["status"] for s in spans} == {"ok", "error"}
+
+    payload = chrome_trace(spans, pid=7)
+    complete = [e for e in payload["traceEvents"] if e["ph"] == "X"]
+    assert len(complete) == len(spans) == 5
+    for span, event in zip(spans, complete):
+        args = dict(event["args"])
+        assert event["name"] == span["name"]
+        assert args.pop("span_id") == span["span_id"]
+        assert args.pop("parent_id", None) == span["parent_id"]
+        assert args.pop("status", "ok") == span["status"]
+        assert args == span["attributes"]
+        assert event["pid"] == span["attributes"].get("worker_pid", 7)
+        # microsecond timestamps and durations
+        assert abs(event["ts"] - span["start_ts"] * 1e6) < 1
+        assert abs(event["dur"] - span["duration_s"] * 1e6) < 1
+
+
 def test_write_chrome_trace_file_is_loadable(tmp_path):
     path = tmp_path / "trace.json"
     write_chrome_trace(_traced(), str(path))
@@ -113,14 +148,6 @@ def test_prometheus_text_rejects_unknown_sample_type():
         prometheus_text({"weird": {"type": "summary", "value": 1}})
 
 
-def test_write_prometheus(tmp_path):
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    path = tmp_path / "m.prom"
-    write_prometheus(registry, str(path))
-    assert "c_total 1" in path.read_text()
-
-
 # ----------------------------------------------------------------------
 # Artifact sniffing
 # ----------------------------------------------------------------------
@@ -132,24 +159,23 @@ def test_load_artifact_sniffs_all_four_kinds(tmp_path):
     metrics_path = tmp_path / "metrics.json"
     registry.write_json(str(metrics_path))
 
-    tracer = _traced()
-    trace_path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(str(trace_path))
-
     chrome_path = tmp_path / "chrome.json"
-    write_chrome_trace(tracer, str(chrome_path))
+    write_chrome_trace(_traced(), str(chrome_path))
 
     rec = FlightRecorder()
     rec.record("protect", program="wget")
     journal_path = tmp_path / "journal.jsonl"
     rec.write_jsonl(str(journal_path))
 
+    coverage_path = tmp_path / "coverage.json"
+    coverage_path.write_text(json.dumps({"type": "coverage", "program": "wget"}))
+
     assert load_artifact(str(metrics_path))[0] == "metrics"
-    assert load_artifact(str(trace_path))[0] == "trace"
     assert load_artifact(str(chrome_path))[0] == "chrome"
     kind, data = load_artifact(str(journal_path))
     assert kind == "journal"
     assert any(r.get("type") == "journal_summary" for r in data)
+    assert load_artifact(str(coverage_path))[0] == "coverage"
 
 
 def test_load_artifact_rejects_empty_and_garbage(tmp_path):
@@ -161,6 +187,11 @@ def test_load_artifact_rejects_empty_and_garbage(tmp_path):
     garbage.write_text('{"type": "mystery"}\n')
     with pytest.raises(ValueError):
         load_artifact(str(garbage))
+    # span JSONL is not an export: spans travel as a Chrome trace
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text("".join(json.dumps(e) + "\n" for e in _traced().to_events()))
+    with pytest.raises(ValueError):
+        load_artifact(str(spans))
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +256,9 @@ def test_render_stats_metrics_without_engine_samples():
 
 
 def test_render_stats_trace_and_journal_and_chrome(tmp_path):
-    tracer = _traced()
-    out = render_stats("trace", tracer.to_events())
-    assert "spans: 2" in out and "protect" in out
+    out = render_stats("chrome", chrome_trace(_traced().to_events()))
+    assert "chrome trace: 2 complete events" in out
+    assert "protect" in out and "find_gadgets" in out
 
     rec = FlightRecorder()
     for _ in range(3):
@@ -239,11 +270,10 @@ def test_render_stats_trace_and_journal_and_chrome(tmp_path):
     assert "journal: 4 events retained" in out
     assert "chain_dispatch" in out and "block_compile" in out
 
-    out = render_stats("chrome", chrome_trace(tracer.to_events()))
-    assert "chrome trace: 2 complete events" in out
-
-    with pytest.raises(ValueError):
-        render_stats("mystery", {})
+    # spans render only from a Chrome trace
+    for kind in ("trace", "mystery"):
+        with pytest.raises(ValueError):
+            render_stats(kind, {})
 
 
 def _event(kind, ts, **fields):

@@ -1,8 +1,16 @@
 """Labeled metric families: series keys, cardinality guard, export."""
 
+import json
+
 import pytest
 
-from repro.telemetry import MetricsRegistry, prometheus_text
+from repro.telemetry import (
+    MetricsRegistry,
+    TelemetryContext,
+    get_metrics,
+    prometheus_text,
+    telemetry_session,
+)
 from repro.telemetry.metrics import (
     CARDINALITY_OVERFLOW_COUNTER,
     DEFAULT_MAX_SERIES,
@@ -56,32 +64,40 @@ def test_le_label_name_is_reserved():
         registry.counter("c", labels={"le": "1"})
 
 
+def _open_label_sets(registry, count, name="hot"):
+    for i in range(count):
+        registry.counter(name, labels={"addr": f"0x{i:x}"}).inc()
+
+
 def test_cardinality_guard_collapses_runaway_series():
-    registry = MetricsRegistry(max_series=4)
-    for i in range(10):
-        registry.counter("hot", labels={"addr": f"0x{i:x}"}).inc()
+    registry = MetricsRegistry()
+    _open_label_sets(registry, DEFAULT_MAX_SERIES + 1)
     family = registry.series("hot")
-    # 4 real series + the shared overflow series
-    assert len(family) == 5
+    # DEFAULT_MAX_SERIES real series + the shared overflow series
+    assert len(family) == DEFAULT_MAX_SERIES + 1
     overflow = registry.get("hot", {"overflow": "true"})
-    assert overflow is not None and overflow.value == 6
+    assert overflow is not None and overflow.value == 1
     guard = registry.get(CARDINALITY_OVERFLOW_COUNTER)
-    assert guard is not None and guard.value == 6
+    assert guard is not None and guard.value == 1
     # totals survive the collapse
-    assert registry.family_total("hot") == 10
+    assert registry.family_total("hot") == DEFAULT_MAX_SERIES + 1
 
 
 def test_unlabeled_series_is_always_admitted():
-    registry = MetricsRegistry(max_series=1)
-    registry.counter("c", labels={"k": "a"}).inc()
+    registry = MetricsRegistry()
+    _open_label_sets(registry, DEFAULT_MAX_SERIES + 1, name="c")
     # the unlabeled series is not subject to the labeled-series cap
     registry.counter("c").inc(5)
     assert registry.get("c").value == 5
-    assert registry.get(CARDINALITY_OVERFLOW_COUNTER) is None
+    assert registry.get(CARDINALITY_OVERFLOW_COUNTER).value == 1
 
 
 def test_max_series_default():
-    assert MetricsRegistry().max_series == DEFAULT_MAX_SERIES
+    registry = MetricsRegistry()
+    _open_label_sets(registry, DEFAULT_MAX_SERIES)
+    assert registry.get(CARDINALITY_OVERFLOW_COUNTER) is None
+    registry.counter("hot", labels={"addr": "one more"}).inc()
+    assert registry.get(CARDINALITY_OVERFLOW_COUNTER).value == 1
 
 
 def test_merge_samples_preserves_labels_and_applies_extra():
@@ -163,3 +179,19 @@ def test_prometheus_roundtrips_exported_samples_dict():
     registry = MetricsRegistry()
     registry.counter("c", labels={"k": "v"}).inc(4)
     assert prometheus_text(registry.to_dict()) == prometheus_text(registry)
+
+
+def test_prometheus_puts_context_base_labels_first():
+    """The live registry (what ``/metrics`` renders) orders a context's
+    base labels before the sample's own; an exported JSON sorts them."""
+    with telemetry_session(tracing=False) as (metrics, _tracer):
+        with TelemetryContext({"request": "ci", "tenant": "smoke"}):
+            get_metrics().counter(
+                "emu.hot.block", labels={"addr": "0x1000"}
+            ).inc(3)
+    live = prometheus_text(metrics).splitlines()
+    assert 'emu_hot_block_total{request="ci",tenant="smoke",addr="0x1000"} 3' \
+        in live
+    exported = prometheus_text(json.loads(metrics.to_json())).splitlines()
+    assert 'emu_hot_block_total{addr="0x1000",request="ci",tenant="smoke"} 3' \
+        in exported

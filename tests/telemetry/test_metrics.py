@@ -99,11 +99,6 @@ def test_json_export_roundtrip(tmp_path):
     assert data["a"]["value"] == 3
     assert data["b"]["count"] == 1
 
-    jsonl = tmp_path / "metrics.jsonl"
-    registry.write_jsonl(str(jsonl))
-    lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
-    assert {line["name"] for line in lines} == {"a", "b"}
-
 
 def test_default_registry_starts_disabled():
     # the process-wide default must be a no-op unless configured

@@ -1,6 +1,5 @@
 """Structured tracing: nesting, attributes, export, no-op mode."""
 
-import json
 
 from repro.telemetry import Tracer
 from repro.telemetry.tracing import NULL_SPAN
@@ -65,22 +64,6 @@ def test_disabled_tracer_returns_null_span():
         s.set_attribute("k", "v")  # no-op, must not raise
     assert tracer.spans == []
     assert tracer.current() is None
-
-
-def test_jsonl_export(tmp_path):
-    tracer = Tracer()
-    with tracer.span("parent", x=1):
-        with tracer.span("child"):
-            pass
-    path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(str(path))
-    events = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(events) == 2
-    by_name = {e["name"]: e for e in events}
-    assert by_name["child"]["parent_id"] == by_name["parent"]["span_id"]
-    assert by_name["parent"]["attributes"] == {"x": 1}
-    assert all(e["type"] == "span" for e in events)
-    assert all(e["duration_s"] >= 0 for e in events)
 
 
 def test_reset():
